@@ -30,7 +30,6 @@ from .compatibility import (
     GlobalCompatibilityReport,
     Refutation,
     cone_compatibility,
-    exhaustive_adapted_search,
     global_compatibility,
     tensor_certificate,
     verify_cone_decomposition,

@@ -306,14 +306,8 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
                 chains[ray_idx] = (k, chain)
             else:
                 first_cone, existing = chains[ray_idx]
-                if existing != chain:
-                    probe = sorted(
-                        set(existing.jump_indices()) | set(chain.jump_indices())
-                    )
-                    probe.append(max(probe) + 1)
-                    bad = next(
-                        i for i in probe if existing.value(i) != chain.value(i)
-                    )
+                bad = existing.first_difference(chain.value, chain.jump_indices())
+                if bad is not None:
                     raise RayConsistencyError(first_cone, k, ray_idx, bad)
     missing = [i for i in range(len(fan.rays)) if i not in chains]
     if missing:

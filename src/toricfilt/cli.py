@@ -6,7 +6,10 @@ order; one-line human summaries go to standard error.  Exit codes:
     0  check passed / operation succeeded
     1  check failed (negative mathematical verdict, witness included)
     2  malformed input or violated operation precondition
-    3  inconclusive (reserved for the compatibility checker's documented gap)
+
+Every verdict is definitive: the compatibility checker answers with a
+certificate or a refutation, and torus reduction with a splitting or
+NONE-FOUND.
 """
 
 from __future__ import annotations
@@ -34,20 +37,12 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
-EXIT_INCONCLUSIVE = 3
 
 
 def _emit(report: dict, summary: str, code: int) -> int:
     sys.stdout.write(dump_report(report))
     sys.stderr.write(summary + "\n")
     return code
-
-
-def _emit_data(obj: dict, summary: str) -> int:
-    # pure data output: re-parseable by the matching loader
-    sys.stdout.write(dump_report(obj))
-    sys.stderr.write(summary + "\n")
-    return EXIT_OK
 
 
 def cmd_validate_fan(args) -> int:
@@ -91,7 +86,6 @@ def _cone_result_obj(res: compatibility.ConeCompatibility) -> dict:
 _COMPAT_EXIT = {
     compatibility.VERDICT_CERTIFICATE: EXIT_OK,
     compatibility.VERDICT_REFUTATION: EXIT_FAIL,
-    compatibility.VERDICT_INCONCLUSIVE: EXIT_INCONCLUSIVE,
 }
 
 
@@ -103,13 +97,11 @@ def cmd_compat(args) -> int:
     if args.cone is not None:
         if not 0 <= args.cone < len(data.fan.maximal_cones):
             raise InputError("maximal cone index out of range")
-        res = compatibility.cone_compatibility(
-            data, data.fan.maximal_cones[args.cone], args.dim_cap
-        )
+        res = compatibility.cone_compatibility(data, data.fan.maximal_cones[args.cone])
         obj = {"command": "compat", "verdict": res.verdict,
                "cones": [{"cone": args.cone, **_cone_result_obj(res)}]}
         return _emit(obj, f"cone {args.cone}: {res.verdict}", _COMPAT_EXIT[res.verdict])
-    glob = compatibility.global_compatibility(data, args.dim_cap)
+    glob = compatibility.global_compatibility(data)
     obj = {
         "command": "compat",
         "verdict": glob.verdict,
@@ -117,24 +109,23 @@ def cmd_compat(args) -> int:
             {"cone": k, **_cone_result_obj(res)} for k, res in enumerate(glob.cones)
         ],
     }
-    exit_code = {"compatible": EXIT_OK, "incompatible": EXIT_FAIL,
-                 "inconclusive": EXIT_INCONCLUSIVE}[glob.verdict]
-    return _emit(obj, f"global compatibility: {glob.verdict}", exit_code)
+    return _emit(obj, f"global compatibility: {glob.verdict}",
+                 EXIT_OK if glob.verdict == "compatible" else EXIT_FAIL)
 
 
 def cmd_tensor(args) -> int:
     result = filtrations.tensor(load_filtration(args.a), load_filtration(args.b))
-    return _emit_data(filtration_to_obj(result), "tensor product computed")
+    return _emit(filtration_to_obj(result), "tensor product computed", EXIT_OK)
 
 
 def cmd_dual(args) -> int:
     result = filtrations.dual(load_filtration(args.a))
-    return _emit_data(filtration_to_obj(result), "dual computed")
+    return _emit(filtration_to_obj(result), "dual computed", EXIT_OK)
 
 
 def cmd_dsum(args) -> int:
     result = filtrations.direct_sum(load_filtration(args.a), load_filtration(args.b))
-    return _emit_data(filtration_to_obj(result), "direct sum computed")
+    return _emit(filtration_to_obj(result), "direct sum computed", EXIT_OK)
 
 
 def cmd_morphism(args) -> int:
@@ -193,7 +184,7 @@ def cmd_assoc(args) -> int:
         obj = {"command": "assoc", "error": "ray-consistency",
                "witness": jsonable(exc.witness)}
         return _emit(obj, "ray chains inconsistent across cones", EXIT_FAIL)
-    return _emit_data(filtration_to_obj(result), "associated filtration data computed")
+    return _emit(filtration_to_obj(result), "associated filtration data computed", EXIT_OK)
 
 
 def cmd_algebra_check(args) -> int:
@@ -253,8 +244,9 @@ def cmd_reduce(args) -> int:
         "lines": [list(l) for l in res.lines] if res.lines else None,
         "line_levels": [list(l) for l in res.line_levels] if res.line_levels else None,
         "universe_size": res.universe_size,
-        "note": "exhaustive within the candidate universe: one-dimensional "
-                "intersections of filtration subspaces plus frame columns",
+        "note": "complete: the universe holds every all-ray level tuple that "
+                "restricts to a character's levels on each maximal cone, and "
+                "so the level tuples of any splitting into rank-one summands",
     }
     return _emit(obj, f"torus reduction: {res.verdict}",
                  EXIT_OK if res.verdict == reduction.TORUS_REDUCES else EXIT_FAIL)
@@ -327,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data")
     p.add_argument("--cone", type=int, default=None,
                    help="check a single maximal cone (by index)")
-    p.add_argument("--dim-cap", type=int, default=4,
-                   help="fiber dimension cap for the exhaustive oracle")
     p.set_defaults(func=cmd_compat)
 
     p = sub.add_parser("tensor", help="tensor product of two filtration files")

@@ -5,26 +5,28 @@ pieces graded by character classes of the cone's quotient lattice such that
 every ray chain is the sum of the pieces whose character pairs at least the
 chain index against that ray (the reconstruction equation).
 
-The decision procedure is three-valued:
+Graded pieces decide it.  For a jump tuple t, W(t) is the intersection of the
+chains at t, covered(t) is the sum of W over the immediate successors of t
+(one coordinate raised to its next jump index), and the piece at t is a
+deterministic complement of covered(t) in W(t).  Over the cone's product grid
+the pieces always span the fiber, and dim piece(t) is the multiplicity of t
+in any adapted splitting; so the chains split exactly when the piece
+dimensions add up to the fiber dimension, and then the pieces rebuild every
+chain (Klyachko 1990; Payne 2008).
 
-1. Certificate path.  Over the finite grid of jump tuples t, form the
-   intersections W(t) of the ray chains and carve out graded pieces as
-   deterministic complements of the part covered by strictly dominating
-   tuples, processing tuples along a fixed linear extension of componentwise
-   dominance.  If the pieces span directly, each nonzero piece's tuple is
-   realized by an integral character, and the reconstruction equation
-   re-verifies exactly, the decomposition is returned as a certificate.
-   Certificates are always re-verified, never assumed.
+The decision procedure is two-valued:
 
-2. Refutation path.  A nonzero graded piece whose tuple admits no integral
-   character, or a distributivity failure A∩(B+C) != (A∩B)+(A∩C) in the
-   subspace lattice generated by the chains, is returned as a witness.
-   (Both are sound: an actual grading forces integral characters on every
-   realized tuple and makes the generated lattice distributive.)
+1. Certificate.  The pieces are direct and every nonzero piece's tuple is
+   realized by an integral character: the pieces, graded by character class,
+   are returned.  Certificates are always re-verified, and a failed
+   re-verification raises instead of becoming a verdict.
 
-3. Fallback.  Below the dimension cap an exhaustive search over adapted
-   decompositions acts as oracle; above the cap the checker answers
-   "inconclusive" rather than guess.
+2. Refutation, with the first witness that applies: a distributivity failure
+   A∩(B+C) != (A∩B)+(A∩C) in the subspace lattice generated by the chains
+   (a bounded scan, kept for its readable witness); a nonzero piece whose
+   tuple admits no integral character; or the dimension count itself
+   ("reconstruction": the piece dimensions exceed the fiber dimension, so no
+   adapted splitting exists).
 """
 
 from __future__ import annotations
@@ -35,9 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Cone, CharQuotient
-from .filtrations import FiltrationData
+from .filtrations import FiltrationData, RayFiltration
 from .linalg import (
-    Eliminator,
     Subspace,
     complement_in,
     intersect,
@@ -51,7 +52,6 @@ from .lattice import solve_integer
 
 VERDICT_CERTIFICATE = "certificate"
 VERDICT_REFUTATION = "refutation"
-VERDICT_INCONCLUSIVE = "inconclusive"
 
 _LATTICE_SIZE_CAP = 48
 _LATTICE_SCAN_CAP = 16
@@ -69,7 +69,7 @@ class ConeDecomposition:
 
 @dataclass(frozen=True)
 class Refutation:
-    kind: str      # "integrality" | "distributivity" | "exhausted"
+    kind: str      # "distributivity" | "integrality" | "reconstruction"
     detail: dict
 
 
@@ -103,7 +103,7 @@ def _grid(data: FiltrationData, idx: Tuple[int, ...]):
         if data.dim > 0 and not f.jumps:
             raise InputError(f"ray {i} carries no jumps; data is not a full filtration")
     tuples = list(itertools.product(*[f.jump_indices() for f in filts]))
-    tuples.sort(key=lambda t: (-sum(t), t))  # linear extension of dominance
+    tuples.sort(key=lambda t: (-sum(t), t))  # fixes which integrality witness is reported
     return filts, tuples
 
 
@@ -131,53 +131,47 @@ def verify_cone_decomposition(data: FiltrationData,
     if len(set(classes)) != len(classes):
         return "character classes are not pairwise distinct"
 
-    for k, ray_idx in enumerate(idx):
+    for ray_idx in idx:
         ray = data.fan.rays[ray_idx]
-        chain = data.ray(ray_idx)
         pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
-        candidates = sorted(set(chain.jump_indices()) | set(pairings))
-        if candidates:
-            candidates.append(max(candidates) + 1)
-        for i in candidates:
-            expected = chain.value(i)
-            got = sum_all(
-                [piece for (char, piece), p in zip(dec.pieces, pairings) if p >= i], r
-            )
-            if expected != got:
-                return f"reconstruction fails on ray {ray_idx} at index {i}"
+        i = data.ray(ray_idx).first_difference(
+            lambda j: sum_all(
+                [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j], r
+            ),
+            pairings,
+        )
+        if i is not None:
+            return f"reconstruction fails on ray {ray_idx} at index {i}"
     return None
 
 
-def _greedy_pieces(data: FiltrationData, idx: Tuple[int, ...]):
-    filts, tuples = _grid(data, idx)
-    r = data.dim
+def graded_pieces(filts: Sequence[RayFiltration],
+                  tuples: Sequence[Tuple[int, ...]],
+                  ambient: int) -> Dict[Tuple[int, ...], Subspace]:
+    """The graded piece at each jump tuple t (one jump index per chain of
+    `filts`): a deterministic complement, inside the intersection W(t) of
+    the chains at t, of the sum of W over the immediate successors of t.
+    W is monotone, so that sum is everything W(t) gets from strictly
+    dominating tuples."""
+    next_index = [dict(zip(f.jump_indices(), f.jump_indices()[1:])) for f in filts]
     w: Dict[Tuple[int, ...], Subspace] = {}
-    for t in tuples:
-        w[t] = intersect_all(
-            [f.value(ti) for f, ti in zip(filts, t)], r
-        ) if t else Subspace.full(r)
-    # covered(t) = sum of W over the strict up-set of t; every strictly
-    # dominating tuple lies above an immediate successor, so the sums
-    # decompose over successors and memoize along the linear extension
-    next_value = [
-        {a: b for a, b in zip(f.jump_indices(), f.jump_indices()[1:])}
-        for f in filts
-    ]
-    covered: Dict[Tuple[int, ...], Subspace] = {}
+
+    def meet(t: Tuple[int, ...]) -> Subspace:
+        if t not in w:
+            w[t] = intersect_all(
+                [f.value(i) for f, i in zip(filts, t)], ambient
+            ) if t else Subspace.full(ambient)
+        return w[t]
+
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
         rows = []
-        for k in range(len(t)):
-            up = next_value[k].get(t[k])
-            if up is None:
-                continue
-            s = t[:k] + (up,) + t[k + 1:]
-            rows.extend(covered[s].basis)
-            rows.extend(w[s].basis)
-        above = span_canonical(rows, r)
-        covered[t] = above
-        pieces[t] = complement_in(intersect(above, w[t]), w[t])
-    return filts, tuples, w, pieces
+        for k, i in enumerate(t):
+            up = next_index[k].get(i)
+            if up is not None:
+                rows.extend(meet(t[:k] + (up,) + t[k + 1:]).basis)
+        pieces[t] = complement_in(span_canonical(rows, ambient), meet(t))
+    return pieces
 
 
 def _integral_character(data: FiltrationData, idx: Tuple[int, ...],
@@ -250,103 +244,30 @@ def _distributivity_witness(generators: List[Subspace], ambient: int) -> Optiona
     return None
 
 
-def exhaustive_adapted_search(data: FiltrationData,
-                              ray_indices: Sequence[int]) -> Optional[ConeDecomposition]:
-    """Oracle: exhaustive backtracking search for a decomposition adapted to
-    all ray chains of the cone, drawing candidate vectors from the canonical
-    bases of the grid intersections.  Independent of the greedy/complement
-    construction; any result is re-verified before being returned."""
-    idx = _sorted_cone_rays(data, ray_indices)
-    cone = _cone_of(data, idx)
-    quotient = cone.quotient()
-    filts, tuples = _grid(data, idx)
-    r = data.dim
-    if r == 0:
-        return ConeDecomposition(idx, ())
-
-    w = {
-        t: intersect_all([f.value(ti) for f, ti in zip(filts, t)], r) if t else Subspace.full(r)
-        for t in tuples
-    }
-
-    def clone(elim: Eliminator) -> Eliminator:
-        fresh = Eliminator(r)
-        fresh.rows = list(elim.rows)
-        return fresh
-
-    def extend(pos: int, elim: Eliminator, chosen: List[Tuple[Tuple[int, ...], tuple]]):
-        if pos == len(tuples):
-            return chosen if elim.rank == r else None
-        t = tuples[pos]
-        rows = w[t].basis
-        probe = clone(elim)
-        deficiency = sum(1 for row in rows if probe.add(row))
-        if deficiency == 0:
-            return extend(pos + 1, elim, chosen)
-        for subset in itertools.combinations(rows, deficiency):
-            trial = clone(elim)
-            if not all(trial.add(v) for v in subset):
-                continue
-            result = extend(pos + 1, trial, chosen + [(t, v) for v in subset])
-            if result is not None:
-                return result
-        return None
-
-    found = extend(0, Eliminator(r), [])
-    if found is None:
-        return None
-
-    groups: Dict[Tuple[int, ...], List[tuple]] = {}
-    for _, v in found:
-        exact = tuple(f.level_of(v) for f in filts)
-        groups.setdefault(exact, []).append(v)
-    pieces = []
-    for t in sorted(groups):
-        char = _integral_character(data, idx, t)
-        if char is None:
-            return None
-        rep = quotient.canonical_representative(char)
-        pieces.append((rep, span_canonical(groups[t], r)))
-    pieces.sort(key=lambda p: p[0])
-    dec = ConeDecomposition(idx, tuple(pieces))
-    if verify_cone_decomposition(data, idx, dec) is not None:
-        return None
-    return dec
-
-
 def cone_compatibility(data: FiltrationData,
-                       ray_indices: Sequence[int],
-                       exhaustive_dim_cap: int = 4) -> ConeCompatibility:
-    """Three-valued compatibility check for one cone; see module docstring."""
+                       ray_indices: Sequence[int]) -> ConeCompatibility:
+    """Two-valued compatibility check for one cone; see module docstring."""
     idx = _sorted_cone_rays(data, ray_indices)
-    cone = _cone_of(data, idx)
-    quotient = cone.quotient()
+    quotient = _cone_of(data, idx).quotient()
     r = data.dim
 
-    filts, tuples, w, pieces = _greedy_pieces(data, idx)
+    filts, tuples = _grid(data, idx)
+    pieces = graded_pieces(filts, tuples, r)
+    nonzero = [t for t in tuples if pieces[t].dim > 0]
+    chars = {t: _integral_character(data, idx, t) for t in nonzero}
+    integrality_failures = [t for t in nonzero if chars[t] is None]
+    graded_dim = sum(pieces[t].dim for t in nonzero)
 
-    integrality_failures: List[Tuple[int, ...]] = []
-    chars: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for t in tuples:
-        if pieces[t].dim == 0:
-            continue
-        char = _integral_character(data, idx, t)
-        if char is None:
-            integrality_failures.append(t)
-        else:
-            chars[t] = char
-
-    total = sum(p.dim for p in pieces.values())
-    spanning = total == r and sum_all(list(pieces.values()), r).dim == r
-
-    if spanning and not integrality_failures:
+    if graded_dim == r and not integrality_failures:
         cert_pieces = sorted(
-            (quotient.canonical_representative(chars[t]), pieces[t])
-            for t in tuples if pieces[t].dim > 0
+            (quotient.canonical_representative(chars[t]), pieces[t]) for t in nonzero
         )
         dec = ConeDecomposition(idx, tuple(cert_pieces))
-        if verify_cone_decomposition(data, idx, dec) is None:
-            return ConeCompatibility(idx, VERDICT_CERTIFICATE, certificate=dec)
+        reason = verify_cone_decomposition(data, idx, dec)
+        if reason is not None:
+            raise RuntimeError(f"graded pieces of cone {list(idx)} fail re-verification: "
+                               f"{reason}")
+        return ConeCompatibility(idx, VERDICT_CERTIFICATE, certificate=dec)
 
     generators = [f.value(i) for f in filts for i in f.jump_indices()]
     witness = _distributivity_witness(generators, r)
@@ -374,46 +295,30 @@ def cone_compatibility(data: FiltrationData,
             ),
         )
 
-    if r <= exhaustive_dim_cap:
-        dec = exhaustive_adapted_search(data, idx)
-        if dec is not None:
-            return ConeCompatibility(idx, VERDICT_CERTIFICATE, certificate=dec)
-        return ConeCompatibility(
-            idx, VERDICT_REFUTATION,
-            refutation=Refutation(
-                "exhausted",
-                {"rays": list(idx),
-                 "note": "exhaustive search over adapted decompositions found none"},
-            ),
-        )
-
-    return ConeCompatibility(idx, VERDICT_INCONCLUSIVE)
+    return ConeCompatibility(
+        idx, VERDICT_REFUTATION,
+        refutation=Refutation(
+            "reconstruction",
+            {"rays": list(idx), "graded_dim": graded_dim, "fiber_dim": r},
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class GlobalCompatibilityReport:
-    verdict: str  # "compatible" | "incompatible" | "inconclusive"
+    verdict: str  # "compatible" | "incompatible"
     cones: Tuple[ConeCompatibility, ...]
 
     def certificate_for(self, k: int) -> Optional[ConeDecomposition]:
         return self.cones[k].certificate
 
 
-def global_compatibility(data: FiltrationData,
-                         exhaustive_dim_cap: int = 4) -> GlobalCompatibilityReport:
+def global_compatibility(data: FiltrationData) -> GlobalCompatibilityReport:
     """Run the per-cone check on every maximal cone (sub-cone decompositions
     are induced by maximal ones, so maximal cones suffice)."""
-    results = [
-        cone_compatibility(data, idx, exhaustive_dim_cap)
-        for idx in data.fan.maximal_cones
-    ]
-    if any(c.verdict == VERDICT_REFUTATION for c in results):
-        verdict = "incompatible"
-    elif any(c.verdict == VERDICT_INCONCLUSIVE for c in results):
-        verdict = "inconclusive"
-    else:
-        verdict = "compatible"
-    return GlobalCompatibilityReport(verdict, tuple(results))
+    results = tuple(cone_compatibility(data, idx) for idx in data.fan.maximal_cones)
+    refuted = any(c.verdict == VERDICT_REFUTATION for c in results)
+    return GlobalCompatibilityReport("incompatible" if refuted else "compatible", results)
 
 
 def tensor_certificate(cert_a: ConeDecomposition,

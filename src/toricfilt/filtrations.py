@@ -13,7 +13,7 @@ the serialized form, is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Fan
@@ -69,6 +69,18 @@ class RayFiltration:
 
     def jump_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.jumps)
+
+    def first_difference(self, other: Callable[[int], Subspace],
+                         changes: Iterable[int] = ()) -> Optional[int]:
+        """First index at which this chain differs from `other` (index ->
+        subspace), or None.  `changes` must hold every i with
+        other(i) != other(i + 1); then both sides are constant between
+        consecutive probes, which are the jump indices, `changes` and one past
+        their maximum."""
+        probe = sorted(set(self.jump_indices()) | set(changes))
+        if probe:
+            probe.append(probe[-1] + 1)
+        return next((i for i in probe if self.value(i) != other(i)), None)
 
     def level_of(self, v: Sequence) -> int:
         """Largest i with v in the chain at i; requires a nonzero member vector."""

@@ -7,31 +7,28 @@ the trivial character), and frames are rescaled into SL by dividing one
 column by the determinant.  The verdict NO-IN-PRESENTATION deliberately does
 not claim non-reducibility in any other presentation.
 
-Torus reduction searches for a splitting of the associated filtration data
-into rank-one summands.  The candidate line universe is the set of
-one-dimensional intersections of pairs of filtration subspaces together with
-all frame columns; exhaustivity is claimed only within that universe.
+Torus reduction asks whether the associated filtration data splits into
+rank-one summands whose level tuples are realized by integral characters on
+every maximal cone.  The graded-piece engine of the compatibility checker
+decides it over the universe R of all-ray tuples whose restriction to each
+maximal cone is the level tuple of one of that cone's characters.  On each
+cone the multiset of level tuples of an adapted splitting is an invariant
+of the chains, so every line of any splitting has its tuple in R, and every
+tuple in R is integral by construction: the verdict NONE-FOUND is
+definitive.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
+from .compatibility import graded_pieces
 from .errors import PreconditionError
+from .fans import _ray_canonical
 from .filtrations import FiltrationData
-from .lattice import primitive_vector, solve_integer
-from .linalg import (
-    Eliminator,
-    QMatrix,
-    Subspace,
-    intersect,
-    span_canonical,
-    sum_all,
-)
+from .linalg import QMatrix, span_canonical
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
@@ -77,117 +74,63 @@ class TorusReductionResult:
     verdict: str
     lines: Optional[Tuple[Tuple[int, ...], ...]] = None
     line_levels: Optional[Tuple[Tuple[int, ...], ...]] = None  # per line, per ray
-    universe_size: int = 0
+    universe_size: int = 0  # |R|, the realized all-ray level tuples
 
 
-def _line_candidates(data: CocharBundleData, kly: FiltrationData) -> List[Subspace]:
-    n = data.group.n
-    values: List[Subspace] = []
-    for f in kly.filtrations:
-        for _, s in f.jumps:
-            values.append(s)
-    lines: Dict[tuple, Subspace] = {}
-
-    def keep(s: Subspace):
-        if s.dim == 1:
-            lines.setdefault(s.basis, s)
-
-    for a, b in itertools.combinations_with_replacement(values, 2):
-        keep(intersect(a, b))
-    for frame in data.frames:
-        for c in range(n):
-            keep(span_canonical([frame.col(c)], n))
-    return [lines[k] for k in sorted(lines)]
+def _realized_tuples(data: CocharBundleData) -> List[Tuple[int, ...]]:
+    """The universe R: all-ray level tuples whose restriction to every
+    maximal cone is the level tuple of one of that cone's characters."""
+    fan = data.fan
+    partial = [{}]
+    for idx, cone_chars in zip(fan.maximal_cones, data.chars):
+        options = sorted({
+            tuple(sum(c * g for c, g in zip(u, fan.rays[i])) for i in idx)
+            for u in cone_chars
+        })
+        partial = [
+            {**p, **dict(zip(idx, levels))}
+            for p in partial for levels in options
+            if all(p.get(i, lv) == lv for i, lv in zip(idx, levels))
+        ]
+    return sorted(tuple(p[i] for i in range(len(fan.rays))) for p in partial)
 
 
-def _line_level(line: Subspace, chain) -> Optional[int]:
-    v = line.basis[0]
-    best = None
-    for i, s in chain.jumps:
-        if s.contains(v):
-            best = i
-        else:
-            break
-    return best
+def _splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple],
+                            levels: Sequence[Tuple[int, ...]]) -> bool:
+    """n lines whose sums by level rebuild every chain; the chains are full,
+    so the lines then span the fiber and are independent."""
+    n = kly.dim
+    return len(lines) == n and all(
+        chain.first_difference(
+            lambda i: span_canonical([v for v, lv in zip(lines, levels) if lv[k] >= i], n),
+            [lv[k] for lv in levels],
+        ) is None
+        for k, chain in enumerate(kly.filtrations)
+    )
 
 
 def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:
-    """Search for n lines splitting the associated filtration data into valid
-    rank-one summands.  A splitting must reproduce every chain exactly and
-    each line's per-ray levels must admit an integral character on every
-    maximal cone (rank-one compatibility)."""
+    """Split the associated filtration data into rank-one summands with
+    integral characters on every maximal cone, or report that none exists.
+    The graded pieces over the universe R give the candidate lines; they are
+    accepted only when there are n of them and they rebuild every chain."""
     if data.group.kind != "GL":
         raise PreconditionError("torus reduction is decided for GL bundles")
     if not check_gluing(data).glues:
         raise PreconditionError("bundle data does not glue; reduction undefined")
     kly = associated_klyachko(data)
-    n = data.group.n
-    fan = data.fan
-    candidates = _line_candidates(data, kly)
-
-    levels: List[Optional[Tuple[int, ...]]] = []
-    usable: List[int] = []
-    for ci, line in enumerate(candidates):
-        per_ray = []
-        ok = True
-        for f in kly.filtrations:
-            lv = _line_level(line, f)
-            if lv is None:
-                ok = False
-                break
-            per_ray.append(lv)
-        if not ok:
-            levels.append(None)
-            continue
-        # rank-one compatibility: integral character on every maximal cone
-        for idx in fan.maximal_cones:
-            rows = [fan.rays[i] for i in idx]
-            target = [per_ray[i] for i in idx]
-            if solve_integer(rows, target) is None:
-                ok = False
-                break
-        levels.append(tuple(per_ray) if ok else None)
-        if ok:
-            usable.append(ci)
-
-    for combo in itertools.combinations(usable, n):
-        elim = Eliminator(n)
-        if not all(elim.add(candidates[c].basis[0]) for c in combo):
-            continue
-        if not _splitting_reconstructs(kly, [candidates[c] for c in combo],
-                                       [levels[c] for c in combo]):
-            continue
-        lines = tuple(
-            primitive_line(candidates[c]) for c in combo
-        )
-        return TorusReductionResult(
-            TORUS_REDUCES,
-            lines=lines,
-            line_levels=tuple(levels[c] for c in combo),
-            universe_size=len(candidates),
-        )
-    return TorusReductionResult(TORUS_NONE, universe_size=len(candidates))
-
-
-def primitive_line(line: Subspace) -> Tuple[int, ...]:
-    v = line.basis[0]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return primitive_vector([int(x * denom) for x in v])
-
-
-def _splitting_reconstructs(kly: FiltrationData, lines: List[Subspace],
-                            levels: List[Tuple[int, ...]]) -> bool:
-    n = kly.dim
-    for ray_idx, chain in enumerate(kly.filtrations):
-        probe = sorted(set(chain.jump_indices()) | {lv[ray_idx] for lv in levels})
-        probe.append(max(probe) + 1)
-        for i in probe:
-            expected = chain.value(i)
-            got = sum_all(
-                [line for line, lv in zip(lines, levels) if lv[ray_idx] >= i], n
-            )
-            if expected != got:
-                return False
-    return True
+    universe = _realized_tuples(data)
+    pieces = graded_pieces(kly.filtrations, universe, kly.dim)
+    lines, levels = [], []
+    for t in universe:
+        for v in pieces[t].basis:
+            lines.append(v)
+            levels.append(t)
+    if not _splitting_reconstructs(kly, lines, levels):
+        return TorusReductionResult(TORUS_NONE, universe_size=len(universe))
+    return TorusReductionResult(
+        TORUS_REDUCES,
+        lines=tuple(_ray_canonical(v) for v in lines),
+        line_levels=tuple(levels),
+        universe_size=len(universe),
+    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from fractions import Fraction
 from typing import Any, List, Optional
 
@@ -27,12 +28,19 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: Any) -> Fraction:
     if isinstance(value, bool):
         raise InputError("boolean is not a rational number")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction() alone would also take decimals, exponents, underscores
+        # and surrounding blanks; "1e2000000" would cost seconds to expand
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(f"bad rational literal {value!r}: expected 'p' or 'p/q'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -64,7 +72,10 @@ def load_json(path: str) -> Any:
             return json.load(handle, parse_float=_reject_float)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except InputError:
+        raise
+    except ValueError as exc:
+        # malformed JSON, or an integer literal past int()'s digit limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

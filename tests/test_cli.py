@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toricfilt.cli import main
 from toricfilt.serialize import (
     dump_report,
@@ -258,17 +260,31 @@ def test_selftest(capsys):
     assert report["ok"] and all(report["checks"].values())
 
 
-def test_exit_code_table():
-    from toricfilt.cli import _COMPAT_EXIT, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK
-    from toricfilt.compatibility import (
-        VERDICT_CERTIFICATE,
-        VERDICT_INCONCLUSIVE,
-        VERDICT_REFUTATION,
-    )
+def test_exit_code_table(tmp_path):
+    from toricfilt.cli import _COMPAT_EXIT, EXIT_FAIL, EXIT_OK
+    from toricfilt.compatibility import VERDICT_CERTIFICATE, VERDICT_REFUTATION
 
-    assert _COMPAT_EXIT[VERDICT_CERTIFICATE] == EXIT_OK == 0
-    assert _COMPAT_EXIT[VERDICT_REFUTATION] == EXIT_FAIL == 1
-    assert _COMPAT_EXIT[VERDICT_INCONCLUSIVE] == EXIT_INCONCLUSIVE == 3
+    assert _COMPAT_EXIT == {VERDICT_CERTIFICATE: EXIT_OK, VERDICT_REFUTATION: EXIT_FAIL}
+    assert (EXIT_OK, EXIT_FAIL) == (0, 1)
+    # the retired exhaustive-search cap is an unknown option
+    path = write_json(tmp_path / "filt.json", line_data_obj(P2_FAN_OBJ, [0, 0, 0]))
+    with pytest.raises(SystemExit) as exc:
+        main(["compat", path, "--dim-cap", "4"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("literal", [
+    '"1.5"', '"1e5"', '" 3/4 "', '"1_000"', '"1e2000000"', '"+3"', '"1/0"',
+    pytest.param("1" * 4400, id="int-past-digit-limit"),  # JSON integer, not a string
+])
+def test_malformed_rationals_exit_two(tmp_path, capsys, literal):
+    obj = line_data_obj(P2_FAN_OBJ, [0, 0, 0])
+    obj["filtrations"]["0"][0]["basis"] = [["@"]]
+    path = tmp_path / "filt.json"
+    path.write_text(json.dumps(obj).replace('"@"', literal), encoding="utf-8")
+    code, out, _ = run(capsys, "validate-filt", str(path))
+    assert code == 2
+    assert "error" in json.loads(out)
 
 
 def test_rational_format_normalized():

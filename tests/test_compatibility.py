@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from oracle import exhaustive_adapted_search
+from toricfilt import compatibility
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
     VERDICT_REFUTATION,
     cone_compatibility,
-    exhaustive_adapted_search,
     global_compatibility,
     tensor_certificate,
     verify_cone_decomposition,
@@ -68,6 +69,24 @@ def test_four_lines_refuted(four_lines):
     assert res.refutation.kind == "distributivity"
     # oracle: exhaustive search over adapted decompositions finds none
     assert exhaustive_adapted_search(four_lines, (0, 1, 2, 3)) is None
+
+
+def test_reconstruction_refutation_agrees_with_oracle(monkeypatch):
+    """Three distinct lines in Q^2 on a smooth cone: every tuple is integral,
+    so with the distributivity scan silenced the dimension count refutes."""
+    fan = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
+    full = Subspace.full(2)
+    data = FiltrationData.make(fan, 2, [
+        RayFiltration.make(2, [(0, full), (1, span_canonical([l], 2))])
+        for l in ([1, 0], [0, 1], [1, 1])
+    ])
+    assert cone_compatibility(data, (0, 1, 2)).refutation.kind == "distributivity"
+    monkeypatch.setattr(compatibility, "_distributivity_witness", lambda *args: None)
+    res = cone_compatibility(data, (0, 1, 2))
+    assert res.verdict == VERDICT_REFUTATION
+    assert res.refutation.kind == "reconstruction"
+    assert res.refutation.detail == {"rays": [0, 1, 2], "graded_dim": 3, "fiber_dim": 2}
+    assert exhaustive_adapted_search(data, (0, 1, 2)) is None
 
 
 def test_four_lines_global_names_cone(four_lines):
@@ -182,7 +201,7 @@ def tf_validate(fan):
 
 
 def test_checker_matches_oracle_randomized():
-    """Verdict agreement between the three-valued checker and the exhaustive
+    """Verdict agreement between the two-valued checker and the exhaustive
     search on small instances, including the non-simplicial square cone."""
     fans = [
         (Fan.make(2, [[1, 0]], [[0]]), (0,)),

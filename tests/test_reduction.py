@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,11 +7,14 @@ from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
     associated_klyachko,
+    check_gluing,
     determinant_data,
     validate_bundle,
 )
+from toricfilt.compatibility import graded_pieces
 from toricfilt.errors import PreconditionError
 from toricfilt.filtrations import change_basis, direct_sum
+from toricfilt.lattice import solve_integer
 from toricfilt.linalg import QMatrix, span_canonical
 from toricfilt.reduction import (
     SL_NO,
@@ -21,6 +25,8 @@ from toricfilt.reduction import (
     check_torus_reduction,
 )
 from toricfilt.sampling import (
+    p1_fan,
+    random_bundle,
     random_invertible_matrix,
     random_split_bundle,
 )
@@ -131,9 +137,12 @@ def test_torus_splitting_matches_direct_sum(p2):
 
 
 def test_torus_tangent_p2_none_found(tangent_p2_bundle):
+    """No all-ray tuple restricts to character levels on all three cones of
+    T_P2, so the universe is empty and NONE-FOUND is definitive."""
     res = check_torus_reduction(tangent_p2_bundle)
     assert res.verdict == TORUS_NONE
-    assert res.universe_size >= 3
+    assert res.universe_size == 0
+    assert res.lines is None
 
 
 def test_torus_invariant_under_global_frame_change(p2, tangent_p2_bundle):
@@ -160,3 +169,60 @@ def test_torus_requires_gluing(p2):
     )
     with pytest.raises(PreconditionError):
         check_torus_reduction(data)
+
+
+def _full_grid_torus_verdict(data):
+    """Reference verdict: graded pieces over the full all-ray product grid
+    must have total dimension n, and every nonzero piece's tuple must admit an
+    integral character on every maximal cone."""
+    kly = associated_klyachko(data)
+    fan = data.fan
+    grid = list(itertools.product(*[f.jump_indices() for f in kly.filtrations]))
+    pieces = graded_pieces(kly.filtrations, grid, kly.dim)
+    nonzero = [t for t in grid if pieces[t].dim > 0]
+    splits = sum(pieces[t].dim for t in nonzero) == kly.dim
+    integral = all(
+        solve_integer([fan.rays[i] for i in idx], [t[i] for i in idx]) is not None
+        for t in nonzero for idx in fan.maximal_cones
+    )
+    return TORUS_REDUCES if splits and integral else TORUS_NONE
+
+
+def test_torus_universe_matches_full_grid(p2, tangent_p2_bundle):
+    """The realized-tuple universe loses no splitting: its verdict equals the
+    full-grid reference on random bundles over P^1 and P^2 (n <= 3), split
+    bundles, and twisted, moved and extended tangent bundles of P^2."""
+    rng = random.Random(8)
+
+    def twist(data, line):
+        return CocharBundleData.make(data.group, p2, data.frames, [
+            [tuple(a + b for a, b in zip(u, lu[0])) for u in cone_chars]
+            for cone_chars, lu in zip(data.chars, line.chars)
+        ])
+
+    def plus_line(data, line, h):
+        frames = [
+            h @ QMatrix.from_rows([list(r) + [0] for r in f.entries] + [[0, 0, g.entries[0][0]]])
+            for f, g in zip(data.frames, line.frames)
+        ]
+        chars = [tuple(a) + tuple(b) for a, b in zip(data.chars, line.chars)]
+        return CocharBundleData.make(GroupSpec("GL", 3), p2, frames, chars)
+
+    instances = []
+    for _ in range(8):
+        for fan in (p1_fan(), p2):
+            instances.append(random_bundle(rng, fan, rng.randint(1, 3), -1, 1))
+        instances.append(random_split_bundle(rng, p2, rng.randint(1, 3)))
+        t = twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
+        h = random_invertible_matrix(rng, 2)
+        instances.append(CocharBundleData.make(t.group, p2, [h @ f for f in t.frames], t.chars))
+        instances.append(plus_line(t, random_split_bundle(rng, p2, 1),
+                                   random_invertible_matrix(rng, 3)))
+    verdicts = set()
+    for data in instances:
+        if not check_gluing(data).glues:
+            continue
+        res = check_torus_reduction(data)
+        assert res.verdict == _full_grid_torus_verdict(data)
+        verdicts.add(res.verdict)
+    assert verdicts == {TORUS_REDUCES, TORUS_NONE}
