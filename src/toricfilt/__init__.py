@@ -19,7 +19,6 @@ from .bundles import (
     associated_klyachko,
     canonical_cone_decomposition,
     check_gluing,
-    cocycle_check,
     determinant_data,
     transition,
     validate_bundle,

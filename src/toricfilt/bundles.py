@@ -2,7 +2,9 @@
 per maximal cone, presented in diagonalized form as an invertible frame plus
 a tuple of characters.  Transitions are exact Laurent-monomial matrices; the
 gluing check is entrywise regularity of both transition directions on each
-overlap cone.
+overlap cone.  Transitions compose by construction: with
+T_st = g_s D_s g_s^-1 g_t D_t^-1 g_t^-1 the product T_st T_tu telescopes to
+T_su for any frames and characters, so that identity is never checked.
 """
 
 from __future__ import annotations
@@ -140,35 +142,6 @@ class LaurentMatrix:
         return isinstance(other, LaurentMatrix) and self.n == other.n \
             and self.entries == other.entries
 
-    def __hash__(self):
-        return hash((self.n, tuple(tuple(frozenset(c.items()) for c in row)
-                                   for row in self.entries)))
-
-    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        if self.n != other.n:
-            raise ValueError("Laurent matrix sizes differ")
-        n = self.n
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                left = self.entries[i][k]
-                if not left:
-                    continue
-                for j in range(n):
-                    right = other.entries[k][j]
-                    if not right:
-                        continue
-                    cell = out[i][j]
-                    for e1, c1 in left.items():
-                        for e2, c2 in right.items():
-                            e = tuple(a + b for a, b in zip(e1, e2))
-                            c = cell.get(e, Fraction(0)) + c1 * c2
-                            if c == 0:
-                                cell.pop(e, None)
-                            else:
-                                cell[e] = c
-        return LaurentMatrix(n, out)
-
     def exponents(self):
         """All stored exponents with their entry positions, row major."""
         for i in range(self.n):
@@ -249,22 +222,6 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
                         "ray": list(bad_ray),
                     })
     return GluingReport(True)
-
-
-def cocycle_check(data: CocharBundleData) -> bool:
-    """transition(s,t) @ transition(t,u) == transition(s,u) for all triples.
-    An algebraic identity; exercises collection and product code."""
-    ncones = len(data.fan.maximal_cones)
-    trans = {
-        (s, t): transition(data, s, t)
-        for s in range(ncones) for t in range(ncones)
-    }
-    for s in range(ncones):
-        for t in range(ncones):
-            for u in range(ncones):
-                if trans[(s, t)] @ trans[(t, u)] != trans[(s, u)]:
-                    return False
-    return True
 
 
 class RayConsistencyError(ValueError):

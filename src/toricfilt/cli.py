@@ -168,14 +168,6 @@ def cmd_glue(args) -> int:
                  EXIT_OK if report.glues else EXIT_FAIL)
 
 
-def cmd_cocycle(args) -> int:
-    data = _require_valid_bundle(args.bundle)
-    holds = bundles.cocycle_check(data)
-    obj = {"command": "cocycle", "holds": holds}
-    return _emit(obj, "cocycle identity holds" if holds else "cocycle identity FAILS",
-                 EXIT_OK if holds else EXIT_FAIL)
-
-
 def cmd_assoc(args) -> int:
     data = _require_valid_bundle(args.bundle)
     try:
@@ -277,12 +269,6 @@ def _selftest_checks(seed: int) -> dict:
 
     ok = True
     for _ in range(5):
-        data = sampling.random_bundle(rng, sampling.p2_fan(), 2)
-        ok = ok and bundles.cocycle_check(data)
-    results["cocycle_identity"] = ok
-
-    ok = True
-    for _ in range(5):
         data = sampling.random_filtration_data(rng, sampling.p2_fan(), 2)
         ok = ok and filtration_from_obj(filtration_to_obj(data)) == data
         bdl = sampling.random_bundle(rng, sampling.p1_fan(), 2)
@@ -348,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="check transition regularity on all overlaps")
     p.add_argument("bundle")
     p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("cocycle", help="check the cocycle identity on all triples")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_cocycle)
 
     p = sub.add_parser("assoc", help="associated filtration data of the standard representation")
     p.add_argument("bundle")

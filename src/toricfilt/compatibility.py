@@ -309,9 +309,6 @@ class GlobalCompatibilityReport:
     verdict: str  # "compatible" | "incompatible"
     cones: Tuple[ConeCompatibility, ...]
 
-    def certificate_for(self, k: int) -> Optional[ConeDecomposition]:
-        return self.cones[k].certificate
-
 
 def global_compatibility(data: FiltrationData) -> GlobalCompatibilityReport:
     """Run the per-cone check on every maximal cone (sub-cone decompositions

@@ -41,18 +41,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Sequence[Fraction]) -> Vector:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vector(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
@@ -140,20 +128,11 @@ class QMatrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-               for i, r in enumerate(self.entries)]
-        for c in range(n):
-            pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-            inv = 1 / aug[c][c]
-            aug[c] = [x * inv for x in aug[c]]
-            for r in range(n):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
-        return QMatrix(tuple(tuple(row[n:]) for row in aug), n)
+        aug = [r + identity for r, identity in zip(self.entries, QMatrix.identity(n).entries)]
+        reduced, pivots = rref(aug, 2 * n)
+        if pivots[:n] != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return QMatrix(tuple(row[n:] for row in reduced), n)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -236,9 +215,6 @@ class Subspace:
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
         return all(self.contains(row) for row in other.basis)
-
-    def as_matrix(self) -> QMatrix:
-        return QMatrix(self.basis, self.ambient)
 
 
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],

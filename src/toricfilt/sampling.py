@@ -94,11 +94,15 @@ def random_subspace(rng: random.Random, ambient: int, dim: int):
 
 def random_ray_filtration(rng: random.Random, dim: int,
                           index_lo: int = -2, index_hi: int = 2) -> RayFiltration:
-    """Random full decreasing chain built from a random flag."""
+    """Random full decreasing chain built from a random flag.  When the index
+    range is shorter than the flag, only its largest subspaces are used."""
+    if index_hi < index_lo:
+        raise ValueError("empty index range")
     flag_matrix = random_invertible_matrix(rng, dim, -3, 3)
     dims = sorted(rng.sample(range(1, dim + 1), rng.randint(1, dim)), reverse=True)
     if dims[0] != dim:
         dims = [dim] + dims
+    dims = dims[:index_hi - index_lo + 1]
     indices = sorted(rng.sample(range(index_lo, index_hi + 1), len(dims)))
     jumps = []
     for i, d in zip(indices, dims):

@@ -74,8 +74,9 @@ def load_json(path: str) -> Any:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except InputError:
         raise
-    except ValueError as exc:
-        # malformed JSON, or an integer literal past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # malformed JSON, an integer literal past int()'s digit limit, or
+        # nesting deeper than the parser's recursion limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
 
 

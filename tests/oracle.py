@@ -1,11 +1,24 @@
-"""Independent oracle for the compatibility checker: an exhaustive
-backtracking search over decompositions adapted to all ray chains of a cone.
-It shares no logic with the graded-piece construction, only the input
-checks, the integral-character solver and the certificate re-verification."""
+"""Independent reference implementations for the tests.
+
+- `exhaustive_adapted_search`: an exhaustive backtracking search over
+  decompositions adapted to all ray chains of a cone, the oracle for the
+  compatibility checker.  It shares no logic with the graded-piece
+  construction, only the input checks, the integral-character solver and
+  the certificate re-verification.
+- `coproduct` and the three `reference_*` algebra checks: the quadratic scans
+  over all basis pairs and expanded coproducts that the product walk and the
+  row-degree grouping in `toricfilt.algebras` must agree with.
+- `transition_at` and `evaluate_laurent`: a transition evaluated at a
+  rational torus point (`random_torus_point`) straight from the frames and
+  characters, and the expanded Laurent matrix evaluated at the same point.
+"""
 
 import itertools
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from toricfilt.algebras import Mono, TruncatedAlgebra
+from toricfilt.bundles import CocharBundleData, LaurentMatrix
 from toricfilt.compatibility import (
     ConeDecomposition,
     _cone_of,
@@ -15,7 +28,7 @@ from toricfilt.compatibility import (
     verify_cone_decomposition,
 )
 from toricfilt.filtrations import FiltrationData
-from toricfilt.linalg import Eliminator, Subspace, intersect_all, span_canonical
+from toricfilt.linalg import Eliminator, QMatrix, Subspace, intersect_all, span_canonical
 
 
 def exhaustive_adapted_search(data: FiltrationData,
@@ -79,3 +92,102 @@ def exhaustive_adapted_search(data: FiltrationData,
     if verify_cone_decomposition(data, idx, dec) is not None:
         return None
     return dec
+
+
+# ---------------------------------------------------------------------------
+# truncated algebras
+
+
+def coproduct(alg: TruncatedAlgebra, m: Mono) -> Dict[Tuple[Mono, Mono], int]:
+    """Expansion of the matrix coproduct on a basis monomial.  Both tensor
+    legs have the same total degree as m, so they stay in the truncation."""
+    n = alg.n
+    terms: Dict[Tuple[Mono, Mono], int] = {(tuple([0] * (n * n)),) * 2: 1}
+    for g in range(n * n):
+        i, j = divmod(g, n)
+        for _ in range(m[g]):
+            new: Dict[Tuple[Mono, Mono], int] = {}
+            for (left, right), coeff in terms.items():
+                for k in range(n):
+                    l2 = list(left)
+                    r2 = list(right)
+                    l2[i * n + k] += 1
+                    r2[k * n + j] += 1
+                    key = (tuple(l2), tuple(r2))
+                    new[key] = new.get(key, 0) + coeff
+            terms = new
+    return terms
+
+
+def reference_multiplicative(alg: TruncatedAlgebra):
+    for ray in alg.rays:
+        for f, g in itertools.combinations_with_replacement(alg.basis, 2):
+            prod = alg.multiply(f, g)
+            if prod is None:
+                continue
+            if alg.level(prod, ray) < alg.level(f, ray) + alg.level(g, ray):
+                return False, {"ray": list(ray), "f": list(f), "g": list(g)}
+    return True, None
+
+
+def reference_compatible_algebra(alg: TruncatedAlgebra):
+    cls = {m: alg.quotient.class_index(alg.weights[m]) for m in alg.basis}
+    dims: Dict[Tuple[int, ...], int] = {}
+    for m in alg.basis:
+        dims[cls[m]] = dims.get(cls[m], 0) + 1
+    for f, g in itertools.combinations_with_replacement(alg.basis, 2):
+        prod = alg.multiply(f, g)
+        if prod is None:
+            continue
+        expected = tuple(a + b for a, b in zip(cls[f], cls[g]))
+        if cls[prod] != expected:
+            return False, {"f": list(f), "g": list(g)}, dims
+    return True, None, dims
+
+
+def reference_coaction_commutes(alg: TruncatedAlgebra):
+    for f in alg.basis:
+        f_cls = alg.quotient.class_index(alg.weights[f])
+        for (left, _right), coeff in coproduct(alg, f).items():
+            if coeff == 0:
+                continue
+            if alg.quotient.class_index(alg.weights[left]) != f_cls:
+                return False, {"monomial": list(f), "left_leg": list(left)}
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# transitions
+
+
+def _power(point: Sequence[Fraction], exponent: Sequence[int]) -> Fraction:
+    value = Fraction(1)
+    for z, e in zip(point, exponent):
+        value *= z ** e
+    return value
+
+
+def random_torus_point(rng, rank: int) -> Tuple[Fraction, ...]:
+    return tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                 for _ in range(rank))
+
+
+def evaluate_laurent(lm: LaurentMatrix, point: Sequence[Fraction]) -> QMatrix:
+    return QMatrix.from_rows(
+        [[sum((c * _power(point, e) for e, c in cell.items()), Fraction(0))
+          for cell in row] for row in lm.entries])
+
+
+def transition_at(data: CocharBundleData, s: int, t: int,
+                  point: Sequence[Fraction]) -> QMatrix:
+    """g_s D_s(z) g_s^-1 g_t D_t(z)^-1 g_t^-1 at the torus point z, where
+    D_k(z) is diagonal with the characters of cone k evaluated at z."""
+
+    def character(k: int, sign: int) -> QMatrix:
+        diag = [_power(point, [sign * x for x in u]) for u in data.chars[k]]
+        return QMatrix.from_rows(
+            [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)])
+
+    g_s, g_t = data.frames[s], data.frames[t]
+    return (g_s @ character(s, 1) @ g_s.inverse()
+            @ g_t @ character(t, -1) @ g_t.inverse())

@@ -3,6 +3,12 @@ import random
 
 import pytest
 
+from oracle import (
+    coproduct,
+    reference_coaction_commutes,
+    reference_compatible_algebra,
+    reference_multiplicative,
+)
 from toricfilt.algebras import (
     build_truncation,
     check_coaction_commutes,
@@ -10,9 +16,9 @@ from toricfilt.algebras import (
     check_multiplicative,
 )
 from toricfilt.bundles import CocharBundleData, GroupSpec
-from toricfilt.errors import PreconditionError
+from toricfilt.errors import InputError, PreconditionError
 from toricfilt.linalg import QMatrix
-from toricfilt.sampling import random_bundle
+from toricfilt.sampling import p1_fan, p2_fan, random_bundle
 
 I1 = QMatrix.identity(1)
 I2 = QMatrix.identity(2)
@@ -93,7 +99,7 @@ def test_coproduct_gl1(p1):
     data = gl1_bundle(p1, [(2,), (2,)])
     alg = build_truncation(data, 0, 2)
     x = alg.generator(0, 0)
-    assert alg.coproduct(x) == {(x, x): 1}
+    assert coproduct(alg, x) == {(x, x): 1}
     ok, _ = check_coaction_commutes(alg)
     assert ok
 
@@ -103,7 +109,7 @@ def test_coproduct_gl2_rows(p2):
     alg = build_truncation(data, 0, 2)
     x11, x12 = alg.generator(0, 0), alg.generator(0, 1)
     x21, x22 = alg.generator(1, 0), alg.generator(1, 1)
-    assert alg.coproduct(x11) == {(x11, x11): 1, (x12, x21): 1}
+    assert coproduct(alg, x11) == {(x11, x11): 1, (x12, x21): 1}
     # both left legs carry the row-one weight
     assert alg.weights[x11] == alg.weights[x12] == (-1, 0)
     ok, _ = check_coaction_commutes(alg)
@@ -199,3 +205,52 @@ def test_unsupported_group_kind(p1):
                                  [I2, I2], [[(0,), (0,)]] * 2)
     with pytest.raises(PreconditionError):
         build_truncation(data, 0, 3)
+
+
+def test_degree_budget_boundary(p1):
+    # GL(2) admits C(8 + 11, 11) = 75582 monomial pairs, not C(8 + 12, 12)
+    data = gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]])
+    assert len(build_truncation(data, 0, 11).basis) == 1365
+    with pytest.raises(InputError, match="over budget"):
+        build_truncation(data, 0, 12)
+
+
+def row_degrees(m, n):
+    return tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
+
+
+def test_checks_match_reference_scans():
+    rng = random.Random(303)
+    refuted = {"compatible": 0, "coaction": 0}
+    cases = [(p1_fan(), 1, 4), (p1_fan(), 2, 3), (p2_fan(), 2, 3), (p2_fan(), 3, 2)]
+    for trial in range(40):
+        fan, n, degree = cases[trial % len(cases)]
+        data = random_bundle(rng, fan, n)
+        alg = build_truncation(data, rng.randrange(len(fan.maximal_cones)), degree)
+        if trial % 2:
+            weights = dict(alg.weights)
+            for m in rng.sample(alg.basis, rng.randint(1, 3)):
+                weights[m] = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+            alg = dataclasses.replace(alg, weights=weights)
+        assert check_multiplicative(alg) == reference_multiplicative(alg)
+        compatible = check_compatible_algebra(alg)
+        assert compatible == reference_compatible_algebra(alg)
+        refuted["compatible"] += not compatible[0]
+        ok, witness = check_coaction_commutes(alg)
+        ref_ok, ref_witness = reference_coaction_commutes(alg)
+        assert ok == ref_ok
+        refuted["coaction"] += not ok
+        if not ok:
+            # same monomial; the left leg is the first of its group, in basis
+            # order, whose class differs
+            f = tuple(witness["monomial"])
+            assert f == tuple(ref_witness["monomial"])
+            cls = {m: alg.quotient.class_index(alg.weights[m]) for m in alg.basis}
+            group = [m for m in alg.basis if row_degrees(m, n) == row_degrees(f, n)]
+            assert group[0] == f
+            assert tuple(witness["left_leg"]) == next(m for m in group if cls[m] != cls[f])
+        # the left legs of a coproduct are exactly the row-degree group
+        for f in alg.basis:
+            group = {m for m in alg.basis if row_degrees(m, n) == row_degrees(f, n)}
+            assert {left for left, _ in coproduct(alg, f)} == group
+    assert all(refuted.values()), refuted  # corrupted tables reach the witnesses

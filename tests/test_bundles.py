@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import evaluate_laurent, random_torus_point, transition_at
 from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
@@ -11,7 +12,6 @@ from toricfilt.bundles import (
     associated_klyachko,
     canonical_cone_decomposition,
     check_gluing,
-    cocycle_check,
     determinant_data,
     transition,
     validate_bundle,
@@ -132,12 +132,19 @@ def test_gluing_perp_difference_glues(p2):
     assert set(e for _, e in lm01.exponents()) == {(1, 0)}
 
 
-def test_cocycle_fixed_and_random(p2):
-    data = gl1_p2([(1, 0), (0, 0), (1, -1)], p2)
-    assert cocycle_check(data)
+def test_transition_matches_frames_at_points(p2):
+    # the expanded Laurent transition equals g_s D_s g_s^-1 g_t D_t^-1 g_t^-1
+    # exactly at rational torus points, for every ordered pair of charts
     rng = random.Random(17)
-    for _ in range(100):
-        assert cocycle_check(random_bundle(rng, p2, 3))
+    bundles = [gl1_p2([(1, 0), (0, 0), (1, -1)], p2)]
+    bundles += [random_bundle(rng, p2, 3) for _ in range(10)]
+    for data in bundles:
+        for s in range(3):
+            for t in range(3):
+                lm = transition(data, s, t)
+                for _ in range(2):
+                    z = random_torus_point(rng, 2)
+                    assert evaluate_laurent(lm, z) == transition_at(data, s, t, z)
 
 
 def test_transition_self_is_identity(p2):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -162,8 +163,10 @@ def test_assoc_and_cocycle_and_validate_bundle(tmp_path, capsys):
     path = write_json(tmp_path / "bundle.json", bundle)
     code, out, _ = run(capsys, "validate-bundle", path)
     assert code == 0 and json.loads(out)["valid"]
-    code, out, _ = run(capsys, "cocycle", path)
-    assert code == 0 and json.loads(out)["holds"]
+    # the cocycle identity holds by construction; the command is gone
+    with pytest.raises(SystemExit) as exc:
+        main(["cocycle", path])
+    assert exc.value.code == 2
     code, out, _ = run(capsys, "assoc", path)
     assert code == 0
     data = filtration_from_obj(json.loads(out))
@@ -204,6 +207,23 @@ def test_algebra_check_command(tmp_path, capsys):
     cone = report["cones"][0]
     assert cone["multiplicative"] and cone["compatible"] and cone["coaction_commutes"]
     assert sum(p["dim"] for p in cone["piece_dimensions"]) == 15  # monomials, deg <= 2
+
+
+def test_algebra_degree_budget(tmp_path, capsys):
+    bundle = {
+        "group": {"kind": "GL", "n": 2},
+        "fan": {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]},
+        "cones": [
+            {"cone": 0, "frame": [["1", "0"], ["0", "1"]], "chars": [[1], [0]]},
+            {"cone": 1, "frame": [["1", "0"], ["0", "1"]], "chars": [[0], [2]]},
+        ],
+    }
+    path = write_json(tmp_path / "bundle.json", bundle)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "algebra-check", path, "--degree", "100")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "over budget" in json.loads(out)["error"]
 
 
 def test_reduce_commands(tmp_path, capsys):
@@ -276,6 +296,7 @@ def test_exit_code_table(tmp_path):
 @pytest.mark.parametrize("literal", [
     '"1.5"', '"1e5"', '" 3/4 "', '"1_000"', '"1e2000000"', '"+3"', '"1/0"',
     pytest.param("1" * 4400, id="int-past-digit-limit"),  # JSON integer, not a string
+    pytest.param("[" * 100000, id="nesting-past-recursion-limit"),
 ])
 def test_malformed_rationals_exit_two(tmp_path, capsys, literal):
     obj = line_data_obj(P2_FAN_OBJ, [0, 0, 0])

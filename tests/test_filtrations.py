@@ -16,7 +16,7 @@ from toricfilt.filtrations import (
     validate,
 )
 from toricfilt.linalg import QMatrix, Subspace, span_canonical
-from toricfilt.sampling import p1_fan, random_filtration_data
+from toricfilt.sampling import p1_fan, random_filtration_data, random_ray_filtration
 from toricfilt.serialize import filtration_from_obj, filtration_to_obj
 
 
@@ -107,6 +107,15 @@ def test_dual_involution_random(p2):
     for _ in range(15):
         data = random_filtration_data(rng, p2, rng.randint(1, 3))
         assert dual(dual(data)) == data
+
+
+def test_random_chain_fits_short_index_range():
+    # eight-dimensional flags can have more steps than [-2, 3] has indices
+    for seed in range(50):
+        f = random_ray_filtration(random.Random(seed), 8, -2, 3)
+        assert f.issues() == []
+        assert f.jumps[0][1].dim == 8
+        assert all(-2 <= i <= 3 for i in f.jump_indices())
 
 
 def test_direct_sum_with_zero(p1, tangent_p2):

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from toricfilt.linalg import (
@@ -10,6 +12,7 @@ from toricfilt.linalg import (
     complement_in,
     intersect,
     kernel,
+    rref,
     span_canonical,
     subspace_sum,
     tensor_product,
@@ -108,6 +111,33 @@ def test_matrix_inverse_and_det():
     assert m @ m.inverse() == QMatrix.identity(2)
     with pytest.raises(ValueError):
         QMatrix.from_rows([[1, 1], [2, 2]]).inverse()
+
+
+def from_sympy(matrix):
+    return [[Fraction(int(x.p), int(x.q)) for x in row] for row in matrix.tolist()]
+
+
+def test_rref_det_inverse_match_sympy():
+    rng = random.Random(1406)
+    singular = 0
+    for _ in range(150):
+        n, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(n)]
+        reduced, pivots = rref([[Fraction(x) for x in r] for r in rows], ncols)
+        ref, ref_pivots = sympy.Matrix(rows).rref()
+        assert pivots == ref_pivots
+        assert [list(r) for r in reduced] == from_sympy(ref)[:len(pivots)]
+
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        square, ref = QMatrix.from_rows(rows), sympy.Matrix(rows)
+        assert square.det() == ref.det()
+        if ref.det() == 0:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                square.inverse()
+        else:
+            assert [list(r) for r in square.inverse().entries] == from_sympy(ref.inv())
+    assert singular > 0
 
 
 def test_kernel_matches_annihilator():
