@@ -14,13 +14,11 @@ from .bundles import (
     CocharBundleData,
     GluingReport,
     GroupSpec,
-    LaurentMatrix,
     RayConsistencyError,
     associated_klyachko,
     canonical_cone_decomposition,
     check_gluing,
     determinant_data,
-    transition,
     validate_bundle,
 )
 from .compatibility import (
@@ -41,8 +39,6 @@ from .fans import (
     NotPointedError,
     cone_from_generators,
     cone_intersection,
-    dual_membership,
-    perp_and_quotient,
     validate_fan,
 )
 from .filtrations import (

@@ -1,21 +1,22 @@
 """Equivariant principal-bundle data: one torus homomorphism into the group
-per maximal cone, presented in diagonalized form as an invertible frame plus
-a tuple of characters.  Transitions are exact Laurent-monomial matrices; the
-gluing check is entrywise regularity of both transition directions on each
-overlap cone.  Transitions compose by construction: with
-T_st = g_s D_s g_s^-1 g_t D_t^-1 g_t^-1 the product T_st T_tu telescopes to
-T_su for any frames and characters, so that identity is never checked.
+per maximal cone, presented in diagonalized form as an invertible frame g_k
+plus a tuple of characters (D_k is their diagonal).  The transition between
+two charts is T_st = g_s D_s g_s^-1 g_t D_t^-1 g_t^-1.  The gluing check asks
+for entrywise regularity of both transition directions on each overlap cone
+and decides it on the frame change g_s^-1 g_t, so transitions are never
+expanded.  Transitions compose by construction: the product T_st T_tu
+telescopes to T_su for any frames and characters, so that identity is never
+checked.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
-from .fans import Fan, cone_intersection, dual_membership
+from .fans import Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .compatibility import ConeDecomposition
 from .linalg import QMatrix, span_canonical
@@ -116,87 +117,22 @@ def validate_bundle(data: CocharBundleData) -> BundleValidationReport:
     return BundleValidationReport(not issues, tuple(issues))
 
 
-class LaurentMatrix:
-    """Square matrix whose entries are finite sums of Laurent monomials in the
-    torus characters: dict mapping exponent vector -> nonzero coefficient."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries: Sequence[Sequence[Dict[IntVec, Fraction]]]):
-        self.n = n
-        self.entries = tuple(
-            tuple({e: c for e, c in cell.items() if c != 0} for cell in row)
-            for row in entries
-        )
-
-    @staticmethod
-    def identity(n: int, rank: int) -> "LaurentMatrix":
-        zero_exp = tuple([0] * rank)
-        return LaurentMatrix(
-            n,
-            [[{zero_exp: Fraction(1)} if i == j else {} for j in range(n)]
-             for i in range(n)],
-        )
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentMatrix) and self.n == other.n \
-            and self.entries == other.entries
-
-    def exponents(self):
-        """All stored exponents with their entry positions, row major."""
-        for i in range(self.n):
-            for j in range(self.n):
-                for e in sorted(self.entries[i][j]):
-                    yield (i, j), e
-
-
-def transition(data: CocharBundleData, s: int, t: int) -> LaurentMatrix:
-    """Symbolic expansion of the transition between two maximal-cone charts:
-    the homomorphism of chart s composed with the inverse of chart t, in the
-    global fiber coordinates.  Entry (i, j) collects exponents drawn from the
-    pairwise character differences of the two cones."""
-    ncones = len(data.fan.maximal_cones)
-    if not (0 <= s < ncones and 0 <= t < ncones):
-        raise InputError("unknown maximal cone index")
-    n = data.group.n
-    g_s, g_t = data.frames[s], data.frames[t]
-    middle = g_s.inverse() @ g_t
-    g_t_inv = g_t.inverse()
-    u_s, u_t = data.chars[s], data.chars[t]
-    out = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            cell: Dict[IntVec, Fraction] = {}
-            for k in range(n):
-                a = g_s.entries[i][k]
-                if a == 0:
-                    continue
-                for l in range(n):
-                    coeff = a * middle.entries[k][l] * g_t_inv.entries[l][j]
-                    if coeff == 0:
-                        continue
-                    e = tuple(x - y for x, y in zip(u_s[k], u_t[l]))
-                    c = cell.get(e, Fraction(0)) + coeff
-                    if c == 0:
-                        cell.pop(e, None)
-                    else:
-                        cell[e] = c
-            out[i][j] = cell
-    return LaurentMatrix(n, out)
-
-
 @dataclass(frozen=True)
 class GluingReport:
     glues: bool
-    witness: Optional[dict] = None  # pair, entry, exponent, violated ray
+    witness: Optional[dict] = None  # pair, direction, frame entry, exponent, violated ray
 
 
 def check_gluing(data: CocharBundleData) -> GluingReport:
-    """Every stored exponent of both transition directions must be regular on
-    the overlap cone of each pair of maximal cones.  Reports the first
-    failure in deterministic order (pairs by index, entries row major,
-    exponents sorted).  Requires all maximal cones top-dimensional, the
-    standing assumption of the per-cone trivialization picture."""
+    """Both transition directions must be regular on the overlap cone of each
+    pair of maximal cones.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the frame
+    change M = g_a^-1 g_b, and the constant outer frames do not affect
+    regularity, so T_ab is regular iff every nonzero M[k, l] carries an
+    exponent u_a[k] - u_b[l] in the dual of the overlap; the direction
+    (b, a) uses M^-1.  Reports the first failure in deterministic order
+    (pairs by index, then the direction (s, t) before (t, s), frame entries
+    row major).  Requires all maximal cones top-dimensional, the standing
+    assumption of the per-cone trivialization picture."""
     fan = data.fan
     cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
     for k, cone in enumerate(cones):
@@ -204,12 +140,16 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
             raise PreconditionError(
                 f"maximal cone {k} is not top-dimensional; gluing undefined"
             )
+    n = data.group.n
     for s, t in itertools.combinations(range(len(cones)), 2):
         overlap = cone_intersection(cones[s], cones[t])
-        for a, b in ((s, t), (t, s)):
-            lm = transition(data, a, b)
-            for (i, j), e in lm.exponents():
-                if not dual_membership(e, overlap):
+        change = data.frames[s].inverse() @ data.frames[t]
+        for (a, b), m in (((s, t), change), ((t, s), change.inverse())):
+            for k, l in itertools.product(range(n), repeat=2):
+                if m.entries[k][l] == 0:
+                    continue
+                e = tuple(x - y for x, y in zip(data.chars[a][k], data.chars[b][l]))
+                if not overlap.dual_contains(e):
                     bad_ray = next(
                         g for g in overlap.generators
                         if sum(x * y for x, y in zip(e, g)) < 0
@@ -217,7 +157,7 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
                     return GluingReport(False, {
                         "pair": [s, t],
                         "direction": [a, b],
-                        "entry": [i, j],
+                        "entry": [k, l],
                         "exponent": list(e),
                         "ray": list(bad_ray),
                     })

@@ -6,6 +6,7 @@ order; one-line human summaries go to standard error.  Exit codes:
     0  check passed / operation succeeded
     1  check failed (negative mathematical verdict, witness included)
     2  malformed input or violated operation precondition
+   70  internal error (an unexpected exception; traceback on stderr)
 
 Every verdict is definitive: the compatibility checker answers with a
 certificate or a refutation, and torus reduction with a splitting or
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import traceback
 from typing import List, Optional
 
 from . import algebras, bundles, compatibility, filtrations, reduction, sampling
@@ -37,6 +39,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
+EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
 def _emit(report: dict, summary: str, code: int) -> int:
@@ -331,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.set_defaults(func=cmd_validate_bundle)
 
-    p = sub.add_parser("glue", help="check transition regularity on all overlaps")
+    p = sub.add_parser("glue", help="check that both transition directions are regular on "
+                                    "every overlap, decided on the frame changes")
     p.add_argument("bundle")
     p.set_defaults(func=cmd_glue)
 
@@ -366,6 +370,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stdout.write(dump_report({"command": args.command, "error": str(exc)}))
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        # a crash must never read as exit 1, the negative-verdict code
+        sys.stdout.write(dump_report({
+            "command": args.command,
+            "error": f"internal error: {type(exc).__name__}: {exc}",
+        }))
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def _script() -> None:

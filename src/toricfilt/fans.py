@@ -7,7 +7,8 @@ descriptions is a from-scratch double description pass at desk scale
 (rank <= 6, a few dozen rays); the exponential worst case is accepted.
 
 Cones are never assumed simplicial.  Non-pointed generator sets are detected
-and reported (the fan validator flags them; the cone factory refuses them).
+and reported (the fan validator flags them; the cone factory refuses them
+with NotPointedError, an InputError).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def dual_description(rank: int,
 # cones
 
 
-class NotPointedError(ValueError):
+class NotPointedError(InputError):
     """Generator set spans a cone containing a line; not a valid fan cone."""
 
 
@@ -232,11 +233,6 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
     return Cone(rank, tuple(extreme), tuple(dual_rays), tuple(perp), rank - len(perp))
 
 
-def dual_membership(u: Sequence[int], cone: Cone) -> bool:
-    """True iff the character u is nonnegative on every generator of the cone."""
-    return cone.dual_contains(u)
-
-
 @lru_cache(maxsize=None)
 def cone_intersection(a: Cone, b: Cone) -> Cone:
     """Intersection via combined inequality systems, extreme rays recovered."""
@@ -248,10 +244,6 @@ def cone_intersection(a: Cone, b: Cone) -> Cone:
         equations=list(a.perp_basis) + list(b.perp_basis),
     )
     return cone_from_generators(a.rank, tuple(rays))
-
-
-def perp_and_quotient(cone: Cone) -> Tuple[Tuple[IntVec, ...], CharQuotient]:
-    return cone.perp_basis, cone.quotient()
 
 
 def is_face_of(face: Cone, cone: Cone) -> bool:

@@ -81,9 +81,6 @@ class QMatrix:
     def nrows(self) -> int:
         return len(self.entries)
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def col(self, j: int) -> Vector:
         return tuple(r[j] for r in self.entries)
 

@@ -8,9 +8,12 @@
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
   over all basis pairs and expanded coproducts that the product walk and the
   row-degree grouping in `toricfilt.algebras` must agree with.
-- `transition_at` and `evaluate_laurent`: a transition evaluated at a
-  rational torus point (`random_torus_point`) straight from the frames and
-  characters, and the expanded Laurent matrix evaluated at the same point.
+- `transition`, `reference_gluing`, `transition_at` and `evaluate_laurent`:
+  the symbolic expansion of a transition as a matrix of Laurent polynomials,
+  the gluing check on every expanded exponent that `check_gluing` must agree
+  with, a transition evaluated at a rational torus point
+  (`random_torus_point`) straight from the frames and characters, and the
+  expansion evaluated at the same point.
 """
 
 import itertools
@@ -18,7 +21,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from toricfilt.algebras import Mono, TruncatedAlgebra
-from toricfilt.bundles import CocharBundleData, LaurentMatrix
+from toricfilt.bundles import CocharBundleData, GluingReport
 from toricfilt.compatibility import (
     ConeDecomposition,
     _cone_of,
@@ -27,6 +30,7 @@ from toricfilt.compatibility import (
     _sorted_cone_rays,
     verify_cone_decomposition,
 )
+from toricfilt.fans import cone_intersection
 from toricfilt.filtrations import FiltrationData
 from toricfilt.linalg import Eliminator, QMatrix, Subspace, intersect_all, span_canonical
 
@@ -172,10 +176,73 @@ def random_torus_point(rng, rank: int) -> Tuple[Fraction, ...]:
                  for _ in range(rank))
 
 
-def evaluate_laurent(lm: LaurentMatrix, point: Sequence[Fraction]) -> QMatrix:
+# A Laurent matrix is a tuple of rows of cells; a cell maps an exponent
+# vector to its nonzero coefficient.
+Laurent = Tuple[Tuple[Dict[Tuple[int, ...], Fraction], ...], ...]
+
+
+def laurent_identity(n: int, rank: int) -> Laurent:
+    zero = tuple([0] * rank)
+    return tuple(tuple({zero: Fraction(1)} if i == j else {} for j in range(n))
+                 for i in range(n))
+
+
+def laurent_exponents(lm: Laurent):
+    """All stored exponents with their entry positions, row major."""
+    for i, row in enumerate(lm):
+        for j, cell in enumerate(row):
+            for e in sorted(cell):
+                yield (i, j), e
+
+
+def transition(data: CocharBundleData, s: int, t: int) -> Laurent:
+    """g_s D_s g_s^-1 g_t D_t^-1 g_t^-1 expanded symbolically: entry (i, j)
+    collects the exponents u_s[k] - u_t[l] over the frame indices k, l, with
+    cancelling coefficients dropped."""
+    n = data.group.n
+    g_s, g_t = data.frames[s], data.frames[t]
+    middle = g_s.inverse() @ g_t
+    g_t_inv = g_t.inverse()
+    u_s, u_t = data.chars[s], data.chars[t]
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            cell: Dict[Tuple[int, ...], Fraction] = {}
+            for k in range(n):
+                for l in range(n):
+                    coeff = g_s.entries[i][k] * middle.entries[k][l] * g_t_inv.entries[l][j]
+                    if coeff != 0:
+                        e = tuple(x - y for x, y in zip(u_s[k], u_t[l]))
+                        cell[e] = cell.get(e, Fraction(0)) + coeff
+            row.append({e: c for e, c in cell.items() if c != 0})
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_gluing(data: CocharBundleData) -> GluingReport:
+    """Every stored exponent of both expanded transition directions must be
+    regular on the overlap cone of each pair of maximal cones; the first
+    failure is reported with `entry` the position in the expanded matrix."""
+    fan = data.fan
+    cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
+    for s, t in itertools.combinations(range(len(cones)), 2):
+        overlap = cone_intersection(cones[s], cones[t])
+        for a, b in ((s, t), (t, s)):
+            for (i, j), e in laurent_exponents(transition(data, a, b)):
+                if not overlap.dual_contains(e):
+                    bad_ray = next(g for g in overlap.generators
+                                   if sum(x * y for x, y in zip(e, g)) < 0)
+                    return GluingReport(False, {
+                        "pair": [s, t], "direction": [a, b], "entry": [i, j],
+                        "exponent": list(e), "ray": list(bad_ray)})
+    return GluingReport(True)
+
+
+def evaluate_laurent(lm: Laurent, point: Sequence[Fraction]) -> QMatrix:
     return QMatrix.from_rows(
         [[sum((c * _power(point, e) for e, c in cell.items()), Fraction(0))
-          for cell in row] for row in lm.entries])
+          for cell in row] for row in lm])
 
 
 def transition_at(data: CocharBundleData, s: int, t: int,

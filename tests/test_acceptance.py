@@ -9,6 +9,7 @@ from oracle import (
     evaluate_laurent,
     exhaustive_adapted_search,
     random_torus_point,
+    transition,
     transition_at,
 )
 from toricfilt.algebras import (
@@ -23,7 +24,6 @@ from toricfilt.bundles import (
     RayConsistencyError,
     associated_klyachko,
     check_gluing,
-    transition,
 )
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,

@@ -3,24 +3,31 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import evaluate_laurent, random_torus_point, transition_at
+from oracle import (
+    evaluate_laurent,
+    laurent_exponents,
+    laurent_identity,
+    random_torus_point,
+    reference_gluing,
+    transition,
+    transition_at,
+)
 from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
-    LaurentMatrix,
     RayConsistencyError,
     associated_klyachko,
     canonical_cone_decomposition,
     check_gluing,
     determinant_data,
-    transition,
     validate_bundle,
 )
 from toricfilt.compatibility import verify_cone_decomposition
 from toricfilt.errors import InputError
+from toricfilt.fans import Fan
 from toricfilt.filtrations import FiltrationData, dual, tensor
 from toricfilt.linalg import QMatrix
-from toricfilt.sampling import random_bundle
+from toricfilt.sampling import random_bundle, random_split_bundle
 from toricfilt.serialize import bundle_from_obj, bundle_to_obj
 
 I1 = QMatrix.identity(1)
@@ -75,13 +82,13 @@ def test_transition_identity_when_charts_agree(p1):
         GroupSpec("GL", 2), p1, [I2, I2],
         [[(1,), (0,)], [(1,), (0,)]],
     )
-    assert transition(data, 0, 1) == LaurentMatrix.identity(2, 1)
+    assert transition(data, 0, 1) == laurent_identity(2, 1)
 
 
 def test_transition_gl1_scalar(p1):
     data = CocharBundleData.make(GroupSpec("GL", 1), p1, [I1, I1], [[(3,)], [(1,)]])
     lm = transition(data, 0, 1)
-    assert lm.entries[0][0] == {(2,): Fraction(1)}
+    assert lm[0][0] == {(2,): Fraction(1)}
 
 
 def test_transition_conjugation_cancels_for_zero_characters(p1):
@@ -92,7 +99,7 @@ def test_transition_conjugation_cancels_for_zero_characters(p1):
         GroupSpec("GL", 2), p1, [I2, g],
         [[(0,), (0,)], [(0,), (0,)]],
     )
-    assert transition(data, 0, 1) == LaurentMatrix.identity(2, 1)
+    assert transition(data, 0, 1) == laurent_identity(2, 1)
 
 
 def test_transition_exponent_support(p2):
@@ -104,7 +111,7 @@ def test_transition_exponent_support(p2):
                 tuple(a - b for a, b in zip(u, v))
                 for u in data.chars[s] for v in data.chars[t]
             }
-            for _, e in transition(data, s, t).exponents():
+            for _, e in laurent_exponents(transition(data, s, t)):
                 assert e in allowed
 
 
@@ -129,7 +136,47 @@ def test_gluing_perp_difference_glues(p2):
     pair = gl1_p2([(1, 0), (0, 0), (1, -1)], p2)
     assert check_gluing(pair).glues
     lm01 = transition(pair, 0, 1)
-    assert set(e for _, e in lm01.exponents()) == {(1, 0)}
+    assert set(e for _, e in laurent_exponents(lm01)) == {(1, 0)}
+
+
+def test_gluing_matches_reference(p1, p2):
+    # the frame-change check against the expanded transitions: same verdict,
+    # pair and direction everywhere, and for n = 1 the same witness
+    p3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    overlapping = Fan.make(2, [[1, 0], [0, 1], [1, 1], [-1, 1]], [[0, 1], [2, 3]])
+    rng = random.Random(41)
+    cases = []
+    for i in range(300):
+        fan, n = (p1, p2, p3)[i % 3], 1 + (i // 3) % 3
+        if i % 4:
+            cases.append(random_bundle(rng, fan, n))
+            continue
+        # split bundles glue; every second one gets one broken character
+        data = random_split_bundle(rng, fan, n)
+        chars = [list(cone_chars) for cone_chars in data.chars]
+        if i % 8 == 0:
+            k, c = rng.randrange(len(chars)), rng.randrange(n)
+            chars[k][c] = tuple(x + rng.choice([-1, 1]) for x in chars[k][c])
+        cases.append(CocharBundleData.make(data.group, fan, data.frames, chars))
+    cases += [random_bundle(rng, overlapping, 1 + i % 3) for i in range(12)]
+    verdicts = {True: 0, False: 0}
+    for data in cases:
+        got, want = check_gluing(data), reference_gluing(data)
+        verdicts[got.glues] += 1
+        assert got.glues == want.glues
+        if got.glues:
+            continue
+        assert got.witness["pair"] == want.witness["pair"]
+        assert got.witness["direction"] == want.witness["direction"]
+        # the entry names a nonzero frame-change entry carrying the exponent
+        (a, b), (k, l) = got.witness["direction"], got.witness["entry"]
+        assert (data.frames[a].inverse() @ data.frames[b]).entries[k][l] != 0
+        assert got.witness["exponent"] == [x - y for x, y in zip(data.chars[a][k],
+                                                                 data.chars[b][l])]
+        if data.group.n == 1:
+            assert got.witness == want.witness
+    assert min(verdicts.values()) >= 50
 
 
 def test_transition_matches_frames_at_points(p2):
@@ -151,7 +198,7 @@ def test_transition_self_is_identity(p2):
     rng = random.Random(2)
     data = random_bundle(rng, p2, 2)
     for k in range(3):
-        assert transition(data, k, k) == LaurentMatrix.identity(2, 2)
+        assert transition(data, k, k) == laurent_identity(2, 2)
 
 
 def test_assoc_trivial(p2):

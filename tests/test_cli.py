@@ -293,6 +293,49 @@ def test_exit_code_table(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compat", "filt.json"],
+    ["glue", "bundle.json"],
+    ["algebra-check", "bundle.json"],
+    ["reduce", "bundle.json", "--to", "torus"],
+])
+def test_non_pointed_cone_exits_two(tmp_path, capsys, argv):
+    # the maximal cone spans the whole line; validate-fan reports it and
+    # every command that builds the cone rejects the input
+    fan = {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0, 1]]}
+    write_json(tmp_path / "fan.json", fan)
+    write_json(tmp_path / "filt.json", {
+        "fan": "fan.json", "dim": 1,
+        "filtrations": {"0": [{"i": 0, "basis": [["1"]]}],
+                        "1": [{"i": 0, "basis": [["1"]]}]}})
+    write_json(tmp_path / "bundle.json", {
+        "group": {"kind": "GL", "n": 1}, "fan": "fan.json",
+        "cones": [{"cone": 0, "frame": [["1"]], "chars": [[0]]}]})
+    code, out, _ = run(capsys, "validate-fan", str(tmp_path / "fan.json"))
+    assert code == 1
+    assert json.loads(out)["issues"] == [{"kind": "not_pointed", "cone": 0}]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "containing a line" in json.loads(out)["error"]
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
+    import toricfilt.cli as cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_validate_filt", crash)
+    path = write_json(tmp_path / "filt.json", line_data_obj(P2_FAN_OBJ, [0, 0, 0]))
+    code, out, err = run(capsys, "validate-filt", path)
+    assert code == cli.EXIT_INTERNAL == 70
+    assert json.loads(out) == {"command": "validate-filt",
+                               "error": "internal error: RuntimeError: boom"}
+    assert "Traceback" in err and "RuntimeError: boom" in err
+
+
 @pytest.mark.parametrize("literal", [
     '"1.5"', '"1e5"', '" 3/4 "', '"1_000"', '"1e2000000"', '"+3"', '"1/0"',
     pytest.param("1" * 4400, id="int-past-digit-limit"),  # JSON integer, not a string

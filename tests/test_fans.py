@@ -7,9 +7,7 @@ from toricfilt.fans import (
     Fan,
     cone_from_generators,
     cone_intersection,
-    dual_membership,
     is_face_of,
-    perp_and_quotient,
     validate_fan,
 )
 
@@ -91,17 +89,17 @@ def test_cone_intersection_opposite_rays():
 
 def test_dual_membership_basics(p2):
     c = p2.cone([0, 1])
-    assert dual_membership((1, 0), c)
-    assert not dual_membership((-1, 0), c)
-    assert dual_membership((0, 0), c)
+    assert c.dual_contains((1, 0))
+    assert not c.dual_contains((-1, 0))
+    assert c.dual_contains((0, 0))
     zero_cone = cone_from_generators(2, ())
-    assert dual_membership((0, 0), zero_cone)
-    assert dual_membership((5, -7), zero_cone)
+    assert zero_cone.dual_contains((0, 0))
+    assert zero_cone.dual_contains((5, -7))
 
 
 def test_perp_and_quotient_single_ray():
     c = cone_from_generators(2, ((1, 0),))
-    perp, quot = perp_and_quotient(c)
+    perp, quot = c.perp_basis, c.quotient()
     assert perp == ((0, 1),)
     assert quot.same_class((3, 5), (3, 9))
     assert not quot.same_class((3, 5), (4, 5))
@@ -112,14 +110,14 @@ def test_perp_and_quotient_single_ray():
 
 def test_perp_top_dimensional_cone(p2):
     c = p2.cone([0, 1])
-    perp, quot = perp_and_quotient(c)
+    perp, quot = c.perp_basis, c.quotient()
     assert perp == ()
     assert quot.canonical_representative((2, -3)) == (2, -3)
 
 
 def test_perp_zero_cone():
     c = cone_from_generators(2, ())
-    perp, quot = perp_and_quotient(c)
+    perp, quot = c.perp_basis, c.quotient()
     assert len(perp) == 2
     assert quot.same_class((1, 2), (-5, 7))
     assert quot.canonical_representative((1, 2)) == (0, 0)
@@ -148,7 +146,7 @@ def test_dim_plus_perp_dim(p2, square_fan):
 def test_invertible_monomials_iff_perp(p2):
     c = p2.cone([0, 1])
     for u in itertools.product(range(-2, 3), repeat=2):
-        both = dual_membership(u, c) and dual_membership(tuple(-x for x in u), c)
+        both = c.dual_contains(u) and c.dual_contains(tuple(-x for x in u))
         in_perp = all(
             sum(a * b for a, b in zip(u, g)) == 0 for g in c.generators
         )
