@@ -159,6 +159,11 @@ def _require_valid_bundle(path: str) -> bundles.CocharBundleData:
     report = bundles.validate_bundle(data)
     if not report.valid:
         raise PreconditionError("bundle data fails validation; run validate-bundle")
+    # a maximal cone containing a line keeps the cone factory's own message
+    for k in range(len(data.fan.maximal_cones)):
+        data.fan.maximal_cone(k)
+    if not validate_fan(data.fan).valid:
+        raise PreconditionError("bundle fan fails validation; run validate-fan")
     return data
 
 

@@ -32,6 +32,10 @@ from .linalg import QMatrix, dot, rank_of
 
 IntVec = Tuple[int, ...]
 
+# bound on each of the two cone caches below, so a long-lived process that
+# meets many distinct fans keeps a fixed footprint
+CONE_CACHE_SIZE = 1024
+
 
 # ---------------------------------------------------------------------------
 # double description
@@ -210,7 +214,7 @@ class Cone:
         return _build_quotient(self.rank, self.perp_basis)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
     """Canonical cone spanned by the given integer vectors.  Raises
     NotPointedError when the span contains a line."""
@@ -233,7 +237,7 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
     return Cone(rank, tuple(extreme), tuple(dual_rays), tuple(perp), rank - len(perp))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def cone_intersection(a: Cone, b: Cone) -> Cone:
     """Intersection via combined inequality systems, extreme rays recovered."""
     if a.rank != b.rank:
@@ -248,15 +252,16 @@ def cone_intersection(a: Cone, b: Cone) -> Cone:
 
 def is_face_of(face: Cone, cone: Cone) -> bool:
     """Check that `face` equals the face of `cone` cut out by the supporting
-    covectors of `cone` tight on all of `face`."""
+    covectors of `cone` tight on all of `face`.  Every face of a pointed
+    cone is spanned by the extreme rays of the cone that it contains, so
+    comparing those rays with the generators of `face` decides it."""
     if not all(cone.contains(g) for g in face.generators):
         return False
     tight = [a for a in cone.dual_rays
              if all(sum(x * g for x, g in zip(a, gen)) == 0 for gen in face.generators)]
-    _, rays = dual_description(
-        cone.rank, cone.dual_rays, equations=list(cone.perp_basis) + tight
-    )
-    return set(rays) == set(face.generators)
+    cut = {gen for gen in cone.generators
+           if all(sum(x * g for x, g in zip(a, gen)) == 0 for a in tight)}
+    return cut == set(face.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,32 @@ def test_non_pointed_cone_exits_two(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["glue", "bundle.json"],
+    ["assoc", "bundle.json"],
+    ["algebra-check", "bundle.json"],
+    ["reduce", "bundle.json", "--to", "torus"],
+    ["reduce", "bundle.json", "--to", "sl"],
+])
+def test_bundle_commands_reject_invalid_fan(tmp_path, capsys, argv):
+    # the two maximal cones overlap in their interiors; every cone is
+    # pointed, so only the fan validator sees the defect
+    fan = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1], [-1, 1]],
+           "maximal_cones": [[0, 1], [2, 3]]}
+    write_json(tmp_path / "fan.json", fan)
+    write_json(tmp_path / "bundle.json", {
+        "group": {"kind": "GL", "n": 1}, "fan": "fan.json",
+        "cones": [{"cone": k, "frame": [["1"]], "chars": [[0, 0]]} for k in (0, 1)]})
+    code, out, _ = run(capsys, "validate-fan", str(tmp_path / "fan.json"))
+    assert code == 1
+    assert json.loads(out)["issues"] == [{"kind": "intersection_not_a_face", "cones": [0, 1]}]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == "bundle fan fails validation; run validate-fan"
+    assert "Traceback" not in err
+
+
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     import toricfilt.cli as cli
 

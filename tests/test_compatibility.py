@@ -3,11 +3,13 @@ import random
 import pytest
 
 from oracle import exhaustive_adapted_search
-from toricfilt import compatibility
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
     VERDICT_REFUTATION,
+    _grid,
+    _integral_character,
     cone_compatibility,
+    graded_pieces,
     global_compatibility,
     tensor_certificate,
     verify_cone_decomposition,
@@ -66,27 +68,77 @@ def test_spec_two_line_certificate(p2):
 def test_four_lines_refuted(four_lines):
     res = cone_compatibility(four_lines, (0, 1, 2, 3))
     assert res.verdict == VERDICT_REFUTATION
-    assert res.refutation.kind == "distributivity"
+    assert res.refutation.kind == "reconstruction"
+    assert res.refutation.detail == {"rays": [0, 1, 2, 3], "graded_dim": 4, "fiber_dim": 2}
     # oracle: exhaustive search over adapted decompositions finds none
     assert exhaustive_adapted_search(four_lines, (0, 1, 2, 3)) is None
 
 
-def test_reconstruction_refutation_agrees_with_oracle(monkeypatch):
+def test_reconstruction_refutation_agrees_with_oracle():
     """Three distinct lines in Q^2 on a smooth cone: every tuple is integral,
-    so with the distributivity scan silenced the dimension count refutes."""
+    and the dimension count refutes."""
     fan = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 2]])
     full = Subspace.full(2)
     data = FiltrationData.make(fan, 2, [
         RayFiltration.make(2, [(0, full), (1, span_canonical([l], 2))])
         for l in ([1, 0], [0, 1], [1, 1])
     ])
-    assert cone_compatibility(data, (0, 1, 2)).refutation.kind == "distributivity"
-    monkeypatch.setattr(compatibility, "_distributivity_witness", lambda *args: None)
     res = cone_compatibility(data, (0, 1, 2))
     assert res.verdict == VERDICT_REFUTATION
     assert res.refutation.kind == "reconstruction"
     assert res.refutation.detail == {"rays": [0, 1, 2], "graded_dim": 3, "fiber_dim": 2}
     assert exhaustive_adapted_search(data, (0, 1, 2)) is None
+
+
+def test_reconstruction_decided_before_integrality(square_fan):
+    """Three distinct lines and a trivial chain on the square cone: the
+    pieces overfill the fiber, and the line tuple (1, 0, 0, 0) has no
+    integral character (a + d != b + c).  The dimension count is the
+    refutation; no integral character is consulted first."""
+    full = Subspace.full(2)
+    data = FiltrationData.make(square_fan, 2, [
+        RayFiltration.make(2, [(0, full), (1, span_canonical([l], 2))])
+        for l in ([1, 0], [0, 1], [1, 1])
+    ] + [RayFiltration.trivial(2)])
+    idx = (0, 1, 2, 3)
+    filts, tuples = _grid(data, idx)
+    pieces = graded_pieces(filts, tuples, 2)
+    assert pieces[(1, 0, 0, 0)].dim == 1
+    assert _integral_character(data, idx, (1, 0, 0, 0)) is None
+    res = cone_compatibility(data, idx)
+    assert res.verdict == VERDICT_REFUTATION
+    assert res.refutation.kind == "reconstruction"
+    assert res.refutation.detail == {"rays": [0, 1, 2, 3], "graded_dim": 3, "fiber_dim": 2}
+    assert exhaustive_adapted_search(data, idx) is None
+
+
+def test_refutation_kind_names_the_deciding_stage():
+    """On random data over P^3 and the square cone, `reconstruction` is
+    reported exactly when the piece dimensions exceed the fiber dimension,
+    `integrality` only for direct pieces whose witness tuple has no integral
+    character, and the exhaustive search confirms every refutation."""
+    p3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+    rng = random.Random(2024)
+    kinds = set()
+    for n in range(24):
+        fan = (p3, square_cone_fan())[n % 2]
+        dim = 2 + n % 3
+        data = random_filtration_data(rng, fan, dim, index_lo=-1, index_hi=1)
+        for idx in fan.maximal_cones:
+            res = cone_compatibility(data, idx)
+            filts, tuples = _grid(data, idx)
+            graded_dim = sum(p.dim for p in graded_pieces(filts, tuples, dim).values())
+            kind = res.refutation.kind if res.refutation else None
+            kinds.add(kind)
+            assert (kind == "reconstruction") == (graded_dim > dim)
+            if kind == "integrality":
+                assert graded_dim == dim
+                t = tuple(res.refutation.detail["tuple"])
+                assert _integral_character(data, idx, t) is None
+            if res.verdict == VERDICT_REFUTATION:
+                assert exhaustive_adapted_search(data, idx) is None
+    assert kinds == {None, "reconstruction", "integrality"}
 
 
 def test_four_lines_global_names_cone(four_lines):

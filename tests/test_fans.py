@@ -4,6 +4,7 @@ import pytest
 
 from toricfilt.errors import InputError
 from toricfilt.fans import (
+    CONE_CACHE_SIZE,
     Fan,
     cone_from_generators,
     cone_intersection,
@@ -160,6 +161,35 @@ def test_face_relation(p2):
     assert not is_face_of(cone_from_generators(2, ((1, 1),)), big)
 
 
+def test_face_relation_matches_double_description():
+    """`is_face_of` compares extreme rays; the reference computes the face cut
+    out by the tight covectors with a double description pass."""
+    import random
+
+    from toricfilt.fans import dual_description
+    from toricfilt.lattice import primitive_vector
+
+    rng = random.Random(5)
+    checked = faces = 0
+    for _ in range(6):
+        gens = {primitive_vector((rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(1, 3)))
+                for _ in range(5)}
+        cone = cone_from_generators(3, tuple(sorted(gens)))
+        for size in range(len(cone.generators) + 1):
+            for sub in itertools.combinations(cone.generators, size):
+                face = cone_from_generators(3, sub)
+                tight = [a for a in cone.dual_rays
+                         if all(sum(x * g for x, g in zip(a, gen)) == 0
+                                for gen in face.generators)]
+                _, rays = dual_description(
+                    3, cone.dual_rays, equations=list(cone.perp_basis) + tight)
+                expected = set(rays) == set(face.generators)
+                assert is_face_of(face, cone) == expected
+                checked += 1
+                faces += expected
+    assert 0 < faces < checked
+
+
 def _cross2(a, b):
     return a[0] * b[1] - a[1] * b[0]
 
@@ -278,3 +308,18 @@ def test_malformed_fan_inputs():
         Fan.make(2, [[1, 0]], [[1]])  # bad index
     with pytest.raises(InputError):
         Fan.make(2, [[1]], [[0]])  # wrong ray length
+
+
+def test_cone_caches_are_bounded():
+    """Building more distinct cones and intersections than the cache bound
+    keeps both caches at or below it."""
+    bound = CONE_CACHE_SIZE
+    base = 10**6  # rays no other test builds
+    rays = [cone_from_generators(2, ((1, base + k),)) for k in range(bound + 8)]
+    for a, b in zip(rays, rays[1:]):
+        assert cone_intersection(a, b).dim == 0
+    for cached in (cone_from_generators, cone_intersection):
+        info = cached.cache_info()
+        assert info.maxsize == bound
+        assert info.currsize <= bound
+        assert info.misses > bound
