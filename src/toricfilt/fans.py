@@ -2,9 +2,11 @@
 
 A cone carries both of its descriptions: primitive extreme ray generators
 and supporting covectors (the extreme rays of the dual cone), together with
-an integral basis of the perpendicular lattice.  Conversion between the two
-descriptions is a from-scratch double description pass at desk scale
-(rank <= 6, a few dozen rays); the exponential worst case is accepted.
+an integral basis of the perpendicular lattice.  One double description pass
+on the generators gives the covectors and the perpendicular lattice (the
+lineality of the dual cone); pointedness and extremality are then ranks of
+covector sets, read off `linalg.rref`.  The pass runs from scratch at desk
+scale (rank <= 6, a few dozen rays); the exponential worst case is accepted.
 
 Cones are never assumed simplicial.  Non-pointed generator sets are detected
 and reported (the fan validator flags them; the cone factory refuses them
@@ -28,7 +30,7 @@ from .lattice import (
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, dot, rank_of
+from .linalg import QMatrix, dot, rref
 
 IntVec = Tuple[int, ...]
 
@@ -63,7 +65,8 @@ def dual_description(rank: int,
 
     Returns (lineality basis, extreme rays).  Rays are primitive integer
     vectors in a deterministic (lexicographic) order; the lineality basis is
-    the Hermite form of the integral kernel of the active constraints.
+    the Hermite form of the integral kernel of the active constraints, and
+    empty without any lattice work when the tracked lineality is zero.
     """
     constraints: List[IntVec] = []
     for e in equations:
@@ -76,7 +79,7 @@ def dual_description(rank: int,
         tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)
     ]
     rays: List[Tuple[Fraction, ...]] = []
-    processed: List[IntVec] = []
+    processed: List[Tuple[Fraction, ...]] = []
 
     def prune(candidates: List[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
         lam = len(lin)
@@ -86,17 +89,17 @@ def dual_description(rank: int,
             canon = _ray_canonical(r)
             if canon is None or canon in seen:
                 continue
-            tight = [a for a in processed if dot(_fraction_rows([a])[0], r) == 0]
+            tight = [a for a in processed if dot(a, r) == 0]
             if len(tight) == len(processed) and lam > 0:
                 continue  # fell into the lineality space
-            if rank_of(_fraction_rows(tight), rank) == rank - lam - 1:
+            if len(rref(tight, rank)[1]) == rank - lam - 1:
                 seen.add(canon)
                 kept.append(tuple(Fraction(x) for x in canon))
         return kept
 
     for a in constraints:
         af = tuple(Fraction(x) for x in a)
-        processed.append(a)
+        processed.append(af)
         vals = [dot(af, l) for l in lin]
         j0 = next((j for j, v in enumerate(vals) if v != 0), None)
         if j0 is not None:
@@ -131,7 +134,9 @@ def dual_description(rank: int,
             rays = prune(pos + zer + combos)
 
     ray_out = sorted(_ray_canonical(r) for r in rays)
-    if constraints:
+    if not lin:
+        lin_out = ()
+    elif constraints:
         lin_out = hermite_normal_form(integer_kernel_basis(constraints), rank)
     else:
         lin_out = hermite_normal_form(
@@ -173,9 +178,6 @@ class CharQuotient:
             coords[i] = 0
         return tuple(sum(coords[i] * self.v_inv[i][j] for i in range(self.rank))
                      for j in range(self.rank))
-
-    def same_class(self, u1: Sequence[int], u2: Sequence[int]) -> bool:
-        return self.class_index(u1) == self.class_index(u2)
 
 
 def _build_quotient(rank: int, perp: Tuple[IntVec, ...]) -> CharQuotient:
@@ -229,12 +231,20 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
             [[1 if i == j else 0 for j in range(rank)] for i in range(rank)], rank
         )
         return Cone(rank, (), (), tuple(perp), 0)
-    perp = hermite_normal_form(integer_kernel_basis(gens), rank)
-    _, dual_rays = dual_description(rank, gens)
-    lin2, extreme = dual_description(rank, dual_rays, equations=perp)
-    if lin2:
+    # the dual cone is perp + cone(dual_rays); the cone is pointed iff that is
+    # full-dimensional, and g spans an extreme ray iff the face of the dual
+    # cone tight on g has codimension one
+    perp, dual_rays = dual_description(rank, gens)
+
+    def span_dim(covectors: Tuple[IntVec, ...]) -> int:
+        return len(rref(_fraction_rows(perp + covectors), rank)[1])
+
+    if span_dim(dual_rays) < rank:
         raise NotPointedError("generators span a cone containing a line")
-    return Cone(rank, tuple(extreme), tuple(dual_rays), tuple(perp), rank - len(perp))
+    extreme = {primitive_vector(g) for g in gens
+               if span_dim(tuple(a for a in dual_rays
+                                 if sum(x * y for x, y in zip(a, g)) == 0)) == rank - 1}
+    return Cone(rank, tuple(sorted(extreme)), dual_rays, perp, rank - len(perp))
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)

@@ -82,18 +82,6 @@ class RayFiltration:
             probe.append(probe[-1] + 1)
         return next((i for i in probe if self.value(i) != other(i)), None)
 
-    def level_of(self, v: Sequence) -> int:
-        """Largest i with v in the chain at i; requires a nonzero member vector."""
-        best = None
-        for j, s in self.jumps:
-            if s.contains(v):
-                best = j
-            else:
-                break
-        if best is None:
-            raise ValueError("vector does not belong to the filtration's full space")
-        return best
-
     def issues(self) -> List[dict]:
         out: List[dict] = []
         if self.dim > 0:

@@ -5,6 +5,11 @@ a canonical form for a row space, so two subspaces are equal exactly when
 their stored bases are bit-identical; every operation below returns that
 canonical representative, which keeps downstream certificates reproducible
 byte for byte.  There is no floating point anywhere in this package.
+
+Gaussian elimination lives in `rref`: spans, kernels, inverses, ranks and
+complements all read their pivots off it.  `QMatrix.det` keeps its own
+forward elimination, and `Subspace.reduce` only reads coordinates against a
+basis that is already reduced.
 """
 
 from __future__ import annotations
@@ -295,62 +300,27 @@ def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
     return kernel(QMatrix(tuple(conditions), ambient))
 
 
-class Eliminator:
-    """Incremental Gaussian elimination used for independence bookkeeping."""
-
-    def __init__(self, ambient: int, seed: Iterable[Sequence[Fraction]] = ()):
-        self.ambient = ambient
-        self.rows: List[Tuple[int, Vector]] = []  # (pivot column, normalized row)
-        for v in seed:
-            self.add(v)
-
-    def residue(self, v: Sequence[Fraction]) -> Vector:
-        w = list(v)
-        for lead, row in self.rows:
-            c = w[lead]
-            if c != 0:
-                for j in range(lead, self.ambient):
-                    w[j] -= c * row[j]
-        return tuple(w)
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Insert v; returns True when v was independent of the rows so far."""
-        w = self.residue(v)
-        lead = next((j for j, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            return False
-        inv = 1 / w[lead]
-        self.rows.append((lead, tuple(x * inv for x in w)))
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def rank_of(rows: Sequence[Sequence[Fraction]], ambient: int) -> int:
-    elim = Eliminator(ambient)
-    for r in rows:
-        elim.add(tuple(Fraction(x) for x in r))
-    return elim.rank
-
-
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     """A deterministic complement C with inner + C = outer, inner ∩ C = 0.
 
     Greedy rule: walk the canonical basis of `outer` in order and keep each
-    vector that is independent of `inner` plus the vectors already kept.
+    vector that is independent of `inner` plus the vectors before it.  The
+    coordinates of `inner` in that basis are its entries at the pivot
+    columns of `outer`; reduced with the columns in reverse order, row k is
+    a pivot exactly when it adds no rank, so the kept rows are the non-pivot
+    ones.  A subset of RREF rows is again in RREF, hence canonical.
     """
     if inner.ambient != outer.ambient:
         raise ValueError("ambient dimension mismatch")
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    elim = Eliminator(inner.ambient, inner.basis)
-    picked: List[Vector] = []
-    for row in outer.basis:
-        if elim.add(row):
-            picked.append(row)
-    return span_canonical(picked, inner.ambient)
+    leads = [next(j for j, x in enumerate(row) if x != 0) for row in outer.basis]
+    m = len(leads)
+    coords = [[row[leads[k]] for k in reversed(range(m))] for row in inner.basis]
+    _, pivots = rref(coords, m)
+    dependent = {m - 1 - j for j in pivots}
+    return Subspace(inner.ambient, tuple(
+        row for k, row in enumerate(outer.basis) if k not in dependent))
 
 
 def kron(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:

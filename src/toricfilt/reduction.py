@@ -1,11 +1,16 @@
 """Equivariant reduction of structure group for two concrete subgroups of
 GL(n): SL(n) and the diagonal torus.
 
-The SL criterion is decided on the given presentation: every cone's
-characters must sum to zero (this makes the determinant of each homomorphism
-the trivial character), and frames are rescaled into SL by dividing one
-column by the determinant.  The verdict NO-IN-PRESENTATION deliberately does
-not claim non-reducibility in any other presentation.
+SL reduction asks for the determinant line bundle to be trivial.  Its
+character on a maximal cone, the sum of that cone's characters, is unique
+only modulo the characters perpendicular to the cone (Cox-Little-Schenck,
+Toric Varieties, 4.2), so the bundle reduces exactly when every cone's sum
+has class zero in the cone's character quotient.  A sum that is zero in
+class but not as a vector is subtracted from the cone's first character:
+its monomial is a unit on the chart and on every overlap, so the bundle is
+the same up to isomorphism.  Frames are then rescaled into SL by dividing
+one column by the determinant.  The verdict NO-IN-PRESENTATION is
+definitive.
 
 Torus reduction asks whether the associated filtration data splits into
 rank-one summands whose level tuples are realized by integral characters on
@@ -48,10 +53,13 @@ def check_sl_reduction(data: CocharBundleData) -> SlReductionResult:
     if data.group.kind != "GL":
         raise PreconditionError("SL reduction is decided for GL bundles")
     rank = data.fan.rank
+    chars = []
     for k, cone_chars in enumerate(data.chars):
         total = tuple(sum(u[j] for u in cone_chars) for j in range(rank))
-        if any(x != 0 for x in total):
+        if any(data.fan.maximal_cone(k).quotient().class_index(total)):
             return SlReductionResult(SL_NO, failing_cone=k, character_sum=total)
+        first = tuple(x - p for x, p in zip(cone_chars[0], total))
+        chars.append((first,) + tuple(cone_chars[1:]))
     # rescale the first column of each frame by 1/det to land in SL; a
     # diagonal factor commutes with the character diagonal, so the presented
     # homomorphisms are unchanged
@@ -64,7 +72,7 @@ def check_sl_reduction(data: CocharBundleData) -> SlReductionResult:
         ]
         frames.append(QMatrix.from_rows(rows))
     sl_data = CocharBundleData.make(
-        GroupSpec("SL", data.group.n), data.fan, frames, data.chars
+        GroupSpec("SL", data.group.n), data.fan, frames, chars
     )
     return SlReductionResult(SL_REDUCES, sl_presentation=sl_data)
 

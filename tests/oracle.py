@@ -1,5 +1,12 @@
 """Independent reference implementations for the tests.
 
+- `Eliminator`, `reference_complement` and `level_of`: incremental Gaussian
+  elimination for independence bookkeeping, the greedy complement walk that
+  `toricfilt.linalg.complement_in` must agree with, and the exact level of
+  a vector in a ray chain.  They use no elimination from the package.
+- `reference_cone` and `reference_is_face_of`: extreme rays and faces
+  computed by a second double description pass over the supporting
+  covectors, which `toricfilt.fans` reads off ranks instead.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
@@ -30,9 +37,68 @@ from toricfilt.compatibility import (
     _sorted_cone_rays,
     verify_cone_decomposition,
 )
-from toricfilt.fans import cone_intersection
-from toricfilt.filtrations import FiltrationData
-from toricfilt.linalg import Eliminator, QMatrix, Subspace, intersect_all, span_canonical
+from toricfilt.fans import Cone, NotPointedError, cone_intersection, dual_description
+from toricfilt.lattice import hermite_normal_form, integer_kernel_basis
+from toricfilt.filtrations import FiltrationData, RayFiltration
+from toricfilt.linalg import QMatrix, Subspace, intersect_all, span_canonical
+
+
+# ---------------------------------------------------------------------------
+# elimination
+
+
+class Eliminator:
+    """Incremental Gaussian elimination used for independence bookkeeping."""
+
+    def __init__(self, ambient: int, seed: Sequence[Sequence[Fraction]] = ()):
+        self.ambient = ambient
+        self.rows: List[Tuple[int, Tuple[Fraction, ...]]] = []  # (pivot column, normalized row)
+        for v in seed:
+            self.add(v)
+
+    def residue(self, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
+        w = [Fraction(x) for x in v]
+        for lead, row in self.rows:
+            c = w[lead]
+            if c != 0:
+                for j in range(lead, self.ambient):
+                    w[j] -= c * row[j]
+        return tuple(w)
+
+    def add(self, v: Sequence[Fraction]) -> bool:
+        """Insert v; returns True when v was independent of the rows so far."""
+        w = self.residue(v)
+        lead = next((j for j, x in enumerate(w) if x != 0), None)
+        if lead is None:
+            return False
+        inv = 1 / w[lead]
+        self.rows.append((lead, tuple(x * inv for x in w)))
+        return True
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+
+def reference_complement(inner: Subspace, outer: Subspace) -> Subspace:
+    """Walk the canonical basis of `outer` in order and keep each vector
+    that is independent of `inner` plus the vectors already kept."""
+    elim = Eliminator(inner.ambient, inner.basis)
+    picked = [row for row in outer.basis if elim.add(row)]
+    return span_canonical(picked, inner.ambient)
+
+
+def level_of(filt: RayFiltration, v: Sequence) -> int:
+    """Largest i with v in the chain at i; requires a nonzero member vector."""
+    best = None
+    for j, s in filt.jumps:
+        if s.contains(v):
+            best = j
+        else:
+            break
+    if best is None:
+        raise ValueError("vector does not belong to the filtration's full space")
+    return best
 
 
 def exhaustive_adapted_search(data: FiltrationData,
@@ -82,7 +148,7 @@ def exhaustive_adapted_search(data: FiltrationData,
 
     groups: Dict[Tuple[int, ...], List[tuple]] = {}
     for _, v in found:
-        exact = tuple(f.level_of(v) for f in filts)
+        exact = tuple(level_of(f, v) for f in filts)
         groups.setdefault(exact, []).append(v)
     pieces = []
     for t in sorted(groups):
@@ -96,6 +162,38 @@ def exhaustive_adapted_search(data: FiltrationData,
     if verify_cone_decomposition(data, idx, dec) is not None:
         return None
     return dec
+
+
+# ---------------------------------------------------------------------------
+# cones
+
+
+def reference_cone(rank: int, gens: Sequence[Sequence[int]]) -> Cone:
+    """The cone spanned by nonzero integer vectors, with its extreme rays
+    taken from a double description of the dual cone; raises
+    NotPointedError when the span contains a line."""
+    gens = [tuple(g) for g in gens]
+    if not gens:
+        return Cone(rank, (), (), hermite_normal_form(
+            [[int(i == j) for j in range(rank)] for i in range(rank)], rank), 0)
+    perp = hermite_normal_form(integer_kernel_basis(gens), rank)
+    _, dual_rays = dual_description(rank, gens)
+    lin, extreme = dual_description(rank, dual_rays, equations=perp)
+    if lin:
+        raise NotPointedError("generators span a cone containing a line")
+    return Cone(rank, extreme, dual_rays, perp, rank - len(perp))
+
+
+def reference_is_face_of(face: Cone, cone: Cone) -> bool:
+    """`face` equals the face of `cone` cut out by the supporting covectors
+    tight on all of `face`, with that face's rays from a double description."""
+    if not all(cone.contains(g) for g in face.generators):
+        return False
+    tight = [a for a in cone.dual_rays
+             if all(sum(x * g for x, g in zip(a, gen)) == 0 for gen in face.generators)]
+    _, rays = dual_description(cone.rank, cone.dual_rays,
+                               equations=list(cone.perp_basis) + tight)
+    return set(rays) == set(face.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,22 @@ def test_reduce_commands(tmp_path, capsys):
     assert json.loads(out)["lines"] is not None
 
 
+@pytest.mark.parametrize("char", [[0, 1], [0, 0]])
+def test_reduce_sl_on_lower_dimensional_cone(tmp_path, capsys, char):
+    # (0, 1) is perpendicular to the only cone, so both bundles are the
+    # trivial line bundle and the presentation moves the character to zero
+    bundle = {
+        "group": {"kind": "GL", "n": 1},
+        "fan": {"rank": 2, "rays": [[1, 0]], "maximal_cones": [[0]]},
+        "cones": [{"cone": 0, "frame": [["1"]], "chars": [char]}],
+    }
+    code, out, _ = run(capsys, "reduce", write_json(tmp_path / "b.json", bundle), "--to", "sl")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "REDUCES"
+    assert report["sl_presentation"]["cones"][0]["chars"] == [[0, 0]]
+
+
 def test_reduce_torus_precondition_violation(tmp_path, capsys):
     bundle = {
         "group": {"kind": "GL", "n": 1},

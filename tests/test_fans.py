@@ -1,11 +1,14 @@
 import itertools
+import random
 
 import pytest
 
+from oracle import reference_cone, reference_is_face_of
 from toricfilt.errors import InputError
 from toricfilt.fans import (
     CONE_CACHE_SIZE,
     Fan,
+    NotPointedError,
     cone_from_generators,
     cone_intersection,
     is_face_of,
@@ -102,10 +105,10 @@ def test_perp_and_quotient_single_ray():
     c = cone_from_generators(2, ((1, 0),))
     perp, quot = c.perp_basis, c.quotient()
     assert perp == ((0, 1),)
-    assert quot.same_class((3, 5), (3, 9))
-    assert not quot.same_class((3, 5), (4, 5))
+    assert quot.class_index((3, 5)) == quot.class_index((3, 9))
+    assert quot.class_index((3, 5)) != quot.class_index((4, 5))
     rep = quot.canonical_representative((3, 5))
-    assert quot.same_class(rep, (3, 5))
+    assert quot.class_index(rep) == quot.class_index((3, 5))
     assert rep == quot.canonical_representative((3, 9))
 
 
@@ -120,7 +123,7 @@ def test_perp_zero_cone():
     c = cone_from_generators(2, ())
     perp, quot = c.perp_basis, c.quotient()
     assert len(perp) == 2
-    assert quot.same_class((1, 2), (-5, 7))
+    assert quot.class_index((1, 2)) == quot.class_index((-5, 7))
     assert quot.canonical_representative((1, 2)) == (0, 0)
 
 
@@ -164,9 +167,6 @@ def test_face_relation(p2):
 def test_face_relation_matches_double_description():
     """`is_face_of` compares extreme rays; the reference computes the face cut
     out by the tight covectors with a double description pass."""
-    import random
-
-    from toricfilt.fans import dual_description
     from toricfilt.lattice import primitive_vector
 
     rng = random.Random(5)
@@ -178,16 +178,72 @@ def test_face_relation_matches_double_description():
         for size in range(len(cone.generators) + 1):
             for sub in itertools.combinations(cone.generators, size):
                 face = cone_from_generators(3, sub)
-                tight = [a for a in cone.dual_rays
-                         if all(sum(x * g for x, g in zip(a, gen)) == 0
-                                for gen in face.generators)]
-                _, rays = dual_description(
-                    3, cone.dual_rays, equations=list(cone.perp_basis) + tight)
-                expected = set(rays) == set(face.generators)
+                expected = reference_is_face_of(face, cone)
                 assert is_face_of(face, cone) == expected
                 checked += 1
                 faces += expected
     assert 0 < faces < checked
+
+
+def _random_gens(rng, rank, pointed):
+    """Nonzero integer vectors; with `pointed` every one has a positive last
+    entry, otherwise a vector and its negative are sometimes both present."""
+    gens = []
+    for _ in range(rng.randint(1, 6)):
+        g = [rng.randint(-2, 2) for _ in range(rank)]
+        if pointed:
+            g[-1] = rng.randint(1, 2)
+        elif not any(g):
+            g[rng.randrange(rank)] = 1
+        gens.append(tuple(g))
+    if not pointed and rng.random() < 0.3:
+        gens.append(tuple(-x for x in rng.choice(gens)))
+    return tuple(gens)
+
+
+def _cone_or_line(build, rank, gens):
+    try:
+        return build(rank, gens)
+    except NotPointedError:
+        return "not pointed"
+
+
+def test_extreme_rays_match_second_double_description():
+    """Pointedness and extreme rays read off ranks of covector sets equal a
+    second double description over the supporting covectors, in ranks 1-4,
+    duplicate, non-primitive and non-pointed generator sets included."""
+    rng = random.Random(61)
+    outcomes = set()
+    for rank in range(1, 5):
+        for trial in range(80):
+            gens = _random_gens(rng, rank, pointed=trial % 2 == 0)
+            got = _cone_or_line(cone_from_generators, rank, gens)
+            assert got == _cone_or_line(reference_cone, rank, gens), gens
+            outcomes.add(got == "not pointed")
+    assert outcomes == {True, False}
+
+
+def test_intersection_and_faces_match_second_double_description():
+    """`cone_intersection` and `is_face_of` on random pairs of pointed cones
+    in ranks 2-4 equal the reference cone of the combined inequalities and
+    the double-description face check."""
+    from toricfilt.fans import dual_description
+
+    rng = random.Random(62)
+    verdicts = set()
+    for rank in range(2, 5):
+        for _ in range(40):
+            a, b = (cone_from_generators(rank, _random_gens(rng, rank, pointed=True))
+                    for _ in range(2))
+            inter = cone_intersection(a, b)
+            _, rays = dual_description(rank, a.dual_rays + b.dual_rays,
+                                       equations=a.perp_basis + b.perp_basis)
+            assert inter == reference_cone(rank, rays)
+            for face, cone in ((inter, a), (inter, b), (a, b)):
+                verdict = is_face_of(face, cone)
+                assert verdict == reference_is_face_of(face, cone)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _cross2(a, b):
@@ -226,7 +282,7 @@ def test_double_description_against_3d_facet_oracle():
     import random
 
     from toricfilt.lattice import primitive_vector
-    from toricfilt.linalg import rank_of
+    from toricfilt.linalg import rref
     from fractions import Fraction
 
     rng = random.Random(72)
@@ -256,7 +312,7 @@ def test_double_description_against_3d_facet_oracle():
         for g in gens:
             tight = [[Fraction(x) for x in n] for n in facets
                      if sum(x * y for x, y in zip(n, g)) == 0]
-            if rank_of(tight, 3) == 2:
+            if len(rref(tight, 3)[1]) == 2:
                 expected_extreme.add(g)
         assert set(cone.generators) == expected_extreme
 

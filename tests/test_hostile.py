@@ -1,0 +1,65 @@
+"""Hostile inputs for the CLI: each row must finish within a fixed budget
+with the expected exit code.
+
+The fans below have six or seven small rays in rank 5 whose supporting
+covectors carry entries up to 296; `smith_normal_form` on the nine
+covectors of the six-ray cone does not finish in 10 s, so no command may
+reach it.  Each command runs in its own process with a 5 s timeout.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import toricfilt
+
+BUDGET_S = 5
+
+HOSTILE_RAYS = [[1, -3, -3, -2, -2], [0, -1, -3, 3, 1], [-1, 3, -1, 0, -3],
+                [-3, -3, -2, 1, 2], [-2, -3, 1, -1, -1], [1, 0, -2, 1, 0],
+                [1, -3, 3, 0, -1]]
+
+HOSTILE_FANS = {
+    "six_rays": {"rank": 5, "rays": HOSTILE_RAYS[:6],
+                 "maximal_cones": [[0, 1, 2, 3, 4, 5]]},
+    "two_cones": {"rank": 5, "rays": HOSTILE_RAYS,
+                  "maximal_cones": [[0, 1, 2, 3, 4, 5], [0, 1, 3, 4, 6]]},
+}
+
+
+def _trivial_data(fan):
+    full = [["1", "0"], ["0", "1"]]
+    return {"fan": fan, "dim": 2,
+            "filtrations": {str(i): [{"i": 0, "basis": full}] for i in range(len(fan["rays"]))}}
+
+
+def _line_bundle(fan):
+    return {"group": {"kind": "GL", "n": 1}, "fan": fan,
+            "cones": [{"cone": k, "frame": [["1"]], "chars": [[0] * fan["rank"]]}
+                      for k in range(len(fan["maximal_cones"]))]}
+
+
+# (command, input builder, extra arguments, expected exit code)
+HOSTILE_COMMANDS = [
+    ("validate-fan", lambda fan: fan, [], 0),
+    ("compat", _trivial_data, [], 0),
+    ("glue", _line_bundle, [], 0),
+    ("reduce", _line_bundle, ["--to", "torus"], 0),
+]
+
+
+@pytest.mark.parametrize("fan_name", sorted(HOSTILE_FANS))
+@pytest.mark.parametrize("command,build,extra,code", HOSTILE_COMMANDS,
+                         ids=[row[0] for row in HOSTILE_COMMANDS])
+def test_hostile_fan_within_budget(tmp_path, fan_name, command, build, extra, code):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(build(HOSTILE_FANS[fan_name])), encoding="utf-8")
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricfilt.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "toricfilt.cli", command, str(path), *extra],
+                          capture_output=True, env=env, timeout=BUDGET_S)
+    assert proc.returncode == code, proc.stderr.decode()

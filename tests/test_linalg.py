@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from oracle import reference_complement
 from toricfilt.linalg import (
     QMatrix,
     Subspace,
@@ -188,3 +189,17 @@ def test_complement_properties(inner_rows, outer_extra):
     c = complement_in(inner, outer)
     assert intersect(c, inner) == Subspace.zero(4)
     assert subspace_sum(c, inner) == outer
+
+
+def test_complement_matches_greedy_walk():
+    """The pivot reading of `complement_in` keeps the same rows of `outer`
+    as the incremental greedy walk, in ambient dimensions 1-10."""
+    rng = random.Random(41)
+    for n in range(1, 11):
+        for _ in range(60):
+            def rows(k):
+                return [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(n)]
+                        for _ in range(k)]
+            inner = span_canonical(rows(rng.randint(0, n)), n)
+            outer = subspace_sum(inner, span_canonical(rows(rng.randint(0, n)), n))
+            assert complement_in(inner, outer) == reference_complement(inner, outer)

@@ -13,6 +13,7 @@ from toricfilt.bundles import (
 )
 from toricfilt.compatibility import graded_pieces
 from toricfilt.errors import PreconditionError
+from toricfilt.fans import Fan
 from toricfilt.filtrations import change_basis, direct_sum
 from toricfilt.lattice import solve_integer
 from toricfilt.linalg import QMatrix, span_canonical
@@ -82,6 +83,67 @@ def test_sl_requires_gl(p1):
                                  [[(0,)], [(0,)]])
     with pytest.raises(PreconditionError):
         check_sl_reduction(data)
+
+
+def test_sl_decided_modulo_perpendicular_characters():
+    """On the rank-2 fan with the one ray (1,0), the GL(1) bundles with
+    character (0,1) and (0,0) are isomorphic through the unit monomial of
+    (0,1); both reduce, and the first presentation moves its sum off the
+    character."""
+    fan = Fan.make(2, [[1, 0]], [[0]])
+    for u in ((0, 1), (0, 0)):
+        data = CocharBundleData.make(GroupSpec("GL", 1), fan, [QMatrix.identity(1)], [[u]])
+        res = check_sl_reduction(data)
+        assert res.verdict == SL_REDUCES
+        assert validate_bundle(res.sl_presentation).valid
+        assert res.sl_presentation.chars == (((0, 0),),)
+        assert associated_klyachko(res.sl_presentation) == associated_klyachko(data)
+
+
+def test_sl_verdict_invariant_under_perpendicular_shifts():
+    """Shifting characters by characters perpendicular to their cone keeps
+    the verdict, which is REDUCES exactly when every cone's character sum
+    pairs to zero with the cone's rays."""
+    fans = [Fan.make(2, [[1, 0], [-1, 0]], [[0], [1]]),
+            Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]], [[0, 1], [2], [3]])]
+    rng = random.Random(23)
+    verdicts = set()
+    for fan in fans:
+        cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
+
+        def shift(cone, u):
+            coeffs = [rng.randint(-3, 3) for _ in cone.perp_basis]
+            return tuple(x + sum(c * p[j] for c, p in zip(coeffs, cone.perp_basis))
+                         for j, x in enumerate(u))
+
+        def shifted(chars):
+            return [[shift(cone, u) for u in cone_chars]
+                    for cone, cone_chars in zip(cones, chars)]
+
+        for trial in range(30):
+            n = rng.randint(1, 3)
+            data = random_bundle(rng, fan, n)
+            chars = [list(c) for c in data.chars]
+            if trial % 2:
+                for cone_chars in chars:
+                    rest = [sum(u[j] for u in cone_chars[1:]) for j in range(fan.rank)]
+                    cone_chars[0] = tuple(-x for x in rest)
+                chars = shifted(chars)
+            base = CocharBundleData.make(data.group, fan, data.frames, chars)
+            verdict = check_sl_reduction(base).verdict
+            sums = [[sum(u[j] for u in c) for j in range(fan.rank)] for c in chars]
+            expected = all(sum(x * y for x, y in zip(s, g)) == 0
+                           for s, cone in zip(sums, cones) for g in cone.generators)
+            assert verdict == (SL_REDUCES if expected else SL_NO)
+            verdicts.add(verdict)
+            for _ in range(3):
+                moved = CocharBundleData.make(data.group, fan, data.frames, shifted(chars))
+                res = check_sl_reduction(moved)
+                assert res.verdict == verdict
+                if verdict == SL_REDUCES:
+                    assert validate_bundle(res.sl_presentation).valid
+                    assert associated_klyachko(res.sl_presentation) == associated_klyachko(moved)
+    assert verdicts == {SL_REDUCES, SL_NO}
 
 
 def test_torus_dt_embedded_reduces(p2):
