@@ -46,7 +46,6 @@ from .linalg import (  # noqa: F401
     complement_in,
     intersect,
     intersect_all,
-    span_canonical,
     sum_all,
     tensor_product,
 )
@@ -164,12 +163,12 @@ def graded_pieces(filts: Sequence[RayFiltration],
 
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
-        rows = []
+        successors = []
         for k, i in enumerate(t):
             up = next_index[k].get(i)
             if up is not None:
-                rows.extend(meet(t[:k] + (up,) + t[k + 1:]).basis)
-        pieces[t] = complement_in(span_canonical(rows, ambient), meet(t))
+                successors.append(meet(t[:k] + (up,) + t[k + 1:]))
+        pieces[t] = complement_in(sum_all(successors, ambient), meet(t))
     return pieces
 
 

@@ -43,10 +43,6 @@ CONE_CACHE_SIZE = 1024
 # double description
 
 
-def _fraction_rows(rows: Sequence[Sequence[int]]) -> List[Tuple[Fraction, ...]]:
-    return [tuple(Fraction(x) for x in r) for r in rows]
-
-
 def _ray_canonical(v: Sequence[Fraction]) -> Optional[IntVec]:
     """Primitive integer representative of the ray through v (direction kept)."""
     if all(x == 0 for x in v):
@@ -237,7 +233,7 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
     perp, dual_rays = dual_description(rank, gens)
 
     def span_dim(covectors: Tuple[IntVec, ...]) -> int:
-        return len(rref(_fraction_rows(perp + covectors), rank)[1])
+        return len(rref(perp + covectors, rank)[1])
 
     if span_dim(dual_rays) < rank:
         raise NotPointedError("generators span a cone containing a line")

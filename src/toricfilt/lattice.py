@@ -3,7 +3,11 @@ linear solving, primitive vectors.
 
 Everything here works on plain tuples/lists of Python ints (arbitrary
 precision).  Sizes are desk scale (rank <= 6, a few dozen rows), so the
-classical elimination algorithms are used directly.
+classical elimination algorithms are used directly.  The Smith form moves
+the smallest nonzero entry of the trailing block to the pivot in every
+round and reduces with nearest-integer quotients, so each round either
+clears the pivot's row and column or leaves a nonzero entry of at most half
+the pivot's magnitude for the next round.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ def _identity(n: int) -> List[List[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _nearest_quotient(a: int, b: int) -> int:
+    """The integer nearest to a / b (halves round up), for b != 0."""
+    return (2 * a + b) // (2 * b)
+
+
 def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal with
     nonnegative entries satisfying d_1 | d_2 | ...  A may be any shape."""
@@ -70,46 +79,33 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
 
     t = 0
     while t < min(m, n):
-        # move a minimal-magnitude nonzero entry of the trailing block to (t, t)
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
         while True:
-            dirty = False
+            # move a minimal-magnitude nonzero entry of the trailing block to
+            # (t, t) and reduce row t and column t by nearest-integer
+            # quotients: every remainder is at most half the pivot
+            best = min(((abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n)
+                        if d[i][j]), default=None)
+            if best is None:
+                break
+            swap_rows(t, best[1])
+            swap_cols(t, best[2])
+            p = d[t][t]
             for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(i, t)
-                        dirty = True
+                if d[i][t]:
+                    add_row(i, t, -_nearest_quotient(d[i][t], p))
             for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(j, t)
-                        dirty = True
-            if dirty:
+                if d[t][j]:
+                    add_col(j, t, -_nearest_quotient(d[t][j], p))
+            if any(d[i][t] for i in range(t + 1, m)) or any(d[t][t + 1:]):
                 continue
-            # pivot must divide every entry of the trailing block
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if d[i][j] % d[t][t] != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            # the pivot must divide every entry of the trailing block
+            culprit = next((i for i in range(t + 1, m)
+                            if any(x % p for x in d[i][t + 1:])), None)
             if culprit is None:
                 break
             add_row(t, culprit, 1)
+        if best is None:
+            break
         if d[t][t] < 0:
             d[t] = [-x for x in d[t]]
             u[t] = [-x for x in u[t]]

@@ -6,16 +6,26 @@ their stored bases are bit-identical; every operation below returns that
 canonical representative, which keeps downstream certificates reproducible
 byte for byte.  There is no floating point anywhere in this package.
 
-Gaussian elimination lives in `rref`: spans, kernels, inverses, ranks and
-complements all read their pivots off it.  `QMatrix.det` keeps its own
-forward elimination, and `Subspace.reduce` only reads coordinates against a
-basis that is already reduced.
+Elimination runs over Python ints, never over Fractions.  `_eliminate` is
+Gauss-Jordan on primitive integer rows (each row divided by the gcd of its
+entries after every step, which keeps coefficients small); a row of
+Fractions enters it times the lcm of its denominators, and only the final
+pivot rows are divided by their pivots.  RREF is unique, so this gives the
+same canonical rows as elimination over Fractions.  `rref` is the public
+entry point; spans, sums, kernels, intersections, complements and
+containment tests work on the primitive integer rows that each `Subspace`
+keeps next to its basis, so no basis is cleared of denominators twice.
+`QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
+integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
+use Bareiss's exact division: its entries then grow as minors of the whole
+input, which is slow on the tall spanning sets of tensor products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
@@ -44,10 +54,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]):
     if len(u) != len(v):
         raise ValueError("dot product of vectors of different lengths")
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def is_zero_vector(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -105,26 +111,34 @@ class QMatrix:
         )
 
     def det(self) -> Fraction:
+        """Bareiss forward elimination on the rows with denominators cleared:
+        every step divides exactly, and the last pivot is the determinant of
+        the integer matrix, which the row scales then divide."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        m = [list(r) for r in self.entries]
-        result = Fraction(1)
+        m: List[List[int]] = []
+        scale = 1
+        for row in self.entries:
+            ints, row_scale = _clear_denominators(row)
+            m.append(ints)
+            scale *= row_scale
+        sign, prev = 1, 1
         for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if pivot is None:
+            pr = next((r for r in range(c, n) if m[r][c]), None)
+            if pr is None:
                 return Fraction(0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                result = -result
-            result *= m[c][c]
-            inv = 1 / m[c][c]
-            m[c] = [x * inv for x in m[c]]
+            if pr != c:
+                m[c], m[pr] = m[pr], m[c]
+                sign = -sign
+            top = m[c]
+            p = top[c]
             for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-        return result
+                row = m[r]
+                f = row[c]
+                m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
+            prev = p
+        return Fraction(sign * prev, scale)
 
     def inverse(self) -> "QMatrix":
         if self.nrows != self.ncols:
@@ -146,29 +160,80 @@ class QMatrix:
         return tuple(dot(r, v) for r in self.entries)
 
 
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat: List[List[Fraction]] = [list(r) for r in rows]
+_ZERO = Fraction(0)
+
+
+def _clear_denominators(row: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(row times the lcm of its denominators, that lcm); ints pass as they are."""
+    scale = lcm(*[x.denominator for x in row])
+    if scale == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def _primitive(row: List[int]) -> List[int]:
+    c = gcd(*row)
+    return [x // c for x in row] if c > 1 else row
+
+
+def _integer_row(row: Sequence[Fraction]) -> List[int]:
+    """The primitive integer row on the same line as `row`."""
+    return _primitive(_clear_denominators(row)[0])
+
+
+def _eliminate(mat: List[List[int]], ncols: int) -> List[int]:
+    """Gauss-Jordan in place over primitive integer rows; returns the pivot
+    columns, and the first len(pivots) rows of `mat` become the pivot rows.
+
+    Each row r is replaced by (p/g) r - (f/g) pivot_row, with p the pivot,
+    f the entry of r in the pivot column and g = gcd(p, f), and then divided
+    by its content.  Rows are replaced, never mutated, so callers may pass
+    rows they keep."""
+    nrows = len(mat)
     pivots: List[int] = []
     prow = 0
     for col in range(ncols):
-        pr = next((r for r in range(prow, len(mat)) if mat[r][col] != 0), None)
+        pr = next((r for r in range(prow, nrows) if mat[r][col]), None)
         if pr is None:
             continue
         mat[prow], mat[pr] = mat[pr], mat[prow]
-        pv = mat[prow][col]
-        if pv != 1:
-            inv = 1 / pv
-            mat[prow] = [x * inv for x in mat[prow]]
-        for r in range(len(mat)):
-            if r != prow and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[prow])]
+        top = mat[prow]
+        p = top[col]
+        for r in range(nrows):
+            row = mat[r]
+            f = row[col]
+            if f and r != prow:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                mat[r] = _primitive([a * x - b * y for x, y in zip(row, top)])
         pivots.append(col)
         prow += 1
-        if prow == len(mat):
+        if prow == nrows:
             break
-    return tuple(tuple(r) for r in mat[:prow]), tuple(pivots)
+    return pivots
+
+
+def _reduced_rows(mat: List[List[int]], pivots: List[int]) -> Tuple[Vector, ...]:
+    """The eliminated pivot rows divided by their pivots: the unique RREF."""
+    return tuple(tuple(Fraction(x, row[col]) if x else _ZERO for x in row)
+                 for row, col in zip(mat, pivots))
+
+
+def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+    Rows of ints or Fractions; elimination runs over primitive integer rows
+    and only the returned rows are Fractions."""
+    mat = [_integer_row(r) for r in rows]
+    pivots = _eliminate(mat, ncols)
+    return _reduced_rows(mat, pivots), tuple(pivots)
+
+
+def _space(ambient: int, mat: List[List[int]]) -> "Subspace":
+    """The row space of primitive integer rows, keeping its pivot rows."""
+    pivots = _eliminate(mat, ambient)
+    space = Subspace(ambient, _reduced_rows(mat, pivots))
+    object.__setattr__(space, "_ints", tuple(mat[:len(pivots)]))
+    return space
 
 
 @dataclass(frozen=True)
@@ -197,26 +262,24 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def reduce(self, v: Sequence[Scalar]) -> Vector:
-        """Residue of v after elimination by the basis; zero iff v lies here."""
-        w = list(vector(v))
-        if len(w) != self.ambient:
-            raise ValueError("vector/ambient dimension mismatch")
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            c = w[lead]
-            if c != 0:
-                for j in range(self.ambient):
-                    w[j] -= c * row[j]
-        return tuple(w)
+    def _rows(self) -> Tuple[List[int], ...]:
+        """Primitive integer rows spanning the same lines as `basis`; cached."""
+        rows = self.__dict__.get("_ints")
+        if rows is None:
+            rows = tuple(_integer_row(r) for r in self.basis)
+            object.__setattr__(self, "_ints", rows)
+        return rows
 
     def contains(self, v: Sequence[Scalar]) -> bool:
-        return is_zero_vector(self.reduce(v))
+        w = vector(v)
+        if len(w) != self.ambient:
+            raise ValueError("vector/ambient dimension mismatch")
+        return len(_eliminate([*self._rows(), _integer_row(w)], self.ambient)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return all(self.contains(row) for row in other.basis)
+        return len(_eliminate([*self._rows(), *other._rows()], self.ambient)) == self.dim
 
 
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
@@ -234,38 +297,41 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
     for r in rows:
         if len(r) != ambient:
             raise ValueError("vector/ambient dimension mismatch")
-    reduced, _ = rref(rows, ambient)
-    return Subspace(ambient, reduced)
+    return _space(ambient, [_integer_row(r) for r in rows])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return span_canonical(list(a.basis) + list(b.basis), a.ambient)
+    return sum_all((a, b), a.ambient)
 
 
 def sum_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
-    rows: List[Vector] = []
+    rows: List[List[int]] = []
     for s in spaces:
         if s.ambient != ambient:
             raise ValueError("ambient dimension mismatch")
-        rows.extend(s.basis)
-    return span_canonical(rows, ambient)
+        rows.extend(s._rows())
+    return _space(ambient, rows)
+
+
+def _kernel(mat: List[List[int]], n: int) -> Subspace:
+    """{x : M x = 0} for the primitive integer rows of M.  The generator of
+    free column f is the RREF solution with x_f = 1, scaled by the lcm of
+    the pivots so that it stays integral."""
+    pivots = _eliminate(mat, n)
+    scale = lcm(*[mat[i][p] for i, p in enumerate(pivots)])
+    gens: List[List[int]] = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = scale
+        for row, p in zip(mat, pivots):
+            v[p] = -row[f] * (scale // row[p])
+        gens.append(_primitive(v))
+    return _space(n, gens)
 
 
 def kernel(matrix: QMatrix) -> Subspace:
     """Canonical basis of {x : M x = 0}, x read as a row vector of length ncols."""
-    reduced, pivots = rref(matrix.entries, matrix.ncols)
-    n = matrix.ncols
-    free = [j for j in range(n) if j not in pivots]
-    gens: List[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -reduced[i][f]
-        gens.append(tuple(v))
-    return span_canonical(gens, n)
+    return _kernel([_integer_row(r) for r in matrix.entries], matrix.ncols)
 
 
 def annihilator(a: Subspace) -> Subspace:
@@ -274,7 +340,7 @@ def annihilator(a: Subspace) -> Subspace:
     instance: hot paths intersect the same subspaces repeatedly."""
     cached = a.__dict__.get("_ann")
     if cached is None:
-        cached = kernel(QMatrix(a.basis, a.ambient))
+        cached = _kernel(list(a._rows()), a.ambient)
         object.__setattr__(a, "_ann", cached)
     return cached
 
@@ -287,17 +353,16 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
         return a
     if b.is_zero() or a.is_full():
         return b
-    conditions = list(annihilator(a).basis) + list(annihilator(b).basis)
-    return kernel(QMatrix(tuple(conditions), a.ambient))
+    return intersect_all((a, b), a.ambient)
 
 
 def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
-    conditions: List[Vector] = []
+    conditions: List[List[int]] = []
     for s in spaces:
         if s.ambient != ambient:
             raise ValueError("ambient dimension mismatch")
-        conditions.extend(annihilator(s).basis)
-    return kernel(QMatrix(tuple(conditions), ambient))
+        conditions.extend(annihilator(s)._rows())
+    return _kernel(conditions, ambient)
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
@@ -314,21 +379,20 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    leads = [next(j for j, x in enumerate(row) if x != 0) for row in outer.basis]
+    leads = [next(j for j, x in enumerate(row) if x) for row in outer._rows()]
     m = len(leads)
-    coords = [[row[leads[k]] for k in reversed(range(m))] for row in inner.basis]
-    _, pivots = rref(coords, m)
-    dependent = {m - 1 - j for j in pivots}
-    return Subspace(inner.ambient, tuple(
-        row for k, row in enumerate(outer.basis) if k not in dependent))
-
-
-def kron(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    """Kronecker product of row vectors; index (i, j) maps to i*len(v)+j."""
-    return tuple(a * b for a in u for b in v)
+    coords = [_primitive([row[leads[k]] for k in reversed(range(m))])
+              for row in inner._rows()]
+    dependent = {m - 1 - j for j in _eliminate(coords, m)}
+    kept = [k for k in range(m) if k not in dependent]
+    space = Subspace(inner.ambient, tuple(outer.basis[k] for k in kept))
+    object.__setattr__(space, "_ints", tuple(outer._rows()[k] for k in kept))
+    return space
 
 
 def tensor_product(a: Subspace, b: Subspace) -> Subspace:
-    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis."""
-    rows = [kron(x, y) for x in a.basis for y in b.basis]
-    return span_canonical(rows, a.ambient * b.ambient)
+    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis,
+    spanned by the Kronecker products of the basis rows (index (i, j) maps to
+    i*rb+j).  The Kronecker product of primitive integer rows is primitive."""
+    rows = [[x * y for x in u for y in v] for u in a._rows() for v in b._rows()]
+    return _space(a.ambient * b.ambient, rows)

@@ -4,6 +4,9 @@
   elimination for independence bookkeeping, the greedy complement walk that
   `toricfilt.linalg.complement_in` must agree with, and the exact level of
   a vector in a ray chain.  They use no elimination from the package.
+- `reference_rref`, `reference_det` and `reference_reduce`: elimination
+  over Fractions, the integer kernel of `toricfilt.linalg.rref`,
+  `QMatrix.det` and `Subspace.contains` must agree with.
 - `reference_cone` and `reference_is_face_of`: extreme rays and faces
   computed by a second double description pass over the supporting
   covectors, which `toricfilt.fans` reads off ranks instead.
@@ -88,11 +91,69 @@ def reference_complement(inner: Subspace, outer: Subspace) -> Subspace:
     return span_canonical(picked, inner.ambient)
 
 
+def reference_rref(rows: Sequence[Sequence[Fraction]],
+                   ncols: int) -> Tuple[Tuple[Tuple[Fraction, ...], ...], Tuple[int, ...]]:
+    """Gauss-Jordan over Fractions: (nonzero rows, pivot columns)."""
+    mat: List[List[Fraction]] = [[Fraction(x) for x in r] for r in rows]
+    pivots: List[int] = []
+    prow = 0
+    for col in range(ncols):
+        pr = next((r for r in range(prow, len(mat)) if mat[r][col] != 0), None)
+        if pr is None:
+            continue
+        mat[prow], mat[pr] = mat[pr], mat[prow]
+        inv = 1 / mat[prow][col]
+        mat[prow] = [x * inv for x in mat[prow]]
+        for r in range(len(mat)):
+            if r != prow and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[prow])]
+        pivots.append(col)
+        prow += 1
+        if prow == len(mat):
+            break
+    return tuple(tuple(r) for r in mat[:prow]), tuple(pivots)
+
+
+def reference_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Forward elimination over Fractions, the product of the pivots."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] for r in rows]
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            result = -result
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(c + 1, n):
+            if m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return result
+
+
+def reference_reduce(space: Subspace, v: Sequence) -> Tuple[Fraction, ...]:
+    """Residue of v after elimination by the RREF basis of `space`; zero
+    exactly when v lies in it."""
+    w = [Fraction(x) for x in v]
+    for row in space.basis:
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        c = w[lead]
+        if c != 0:
+            w = [a - c * b for a, b in zip(w, row)]
+    return tuple(w)
+
+
 def level_of(filt: RayFiltration, v: Sequence) -> int:
     """Largest i with v in the chain at i; requires a nonzero member vector."""
     best = None
     for j, s in filt.jumps:
-        if s.contains(v):
+        if not any(reference_reduce(s, v)):
             best = j
         else:
             break

@@ -2,19 +2,23 @@
 with the expected exit code.
 
 The fans below have six or seven small rays in rank 5 whose supporting
-covectors carry entries up to 296; `smith_normal_form` on the nine
-covectors of the six-ray cone does not finish in 10 s, so no command may
-reach it.  Each command runs in its own process with a 5 s timeout.
+covectors carry entries up to 296.  The tensor row multiplies two random
+dimension-9 filtrations on P^1 into an 81-dimensional ambient space, where
+elimination with unchecked coefficient growth runs for several seconds.
+Each command runs in its own process with a 5 s timeout.
 """
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import toricfilt
+from toricfilt.sampling import p1_fan, random_filtration_data
+from toricfilt.serialize import filtration_to_obj
 
 BUDGET_S = 5
 
@@ -57,9 +61,24 @@ HOSTILE_COMMANDS = [
 def test_hostile_fan_within_budget(tmp_path, fan_name, command, build, extra, code):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(build(HOSTILE_FANS[fan_name])), encoding="utf-8")
+    proc = _run_cli(command, str(path), *extra)
+    assert proc.returncode == code, proc.stderr.decode()
+
+
+def test_tensor_within_budget(tmp_path):
+    rng = random.Random(9)
+    paths = []
+    for name in ("a", "b"):
+        data = random_filtration_data(rng, p1_fan(), 9)
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(filtration_to_obj(data)), encoding="utf-8")
+    proc = _run_cli("tensor", *map(str, paths))
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
+def _run_cli(*argv):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(toricfilt.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "toricfilt.cli", command, str(path), *extra],
+    return subprocess.run([sys.executable, "-m", "toricfilt.cli", *argv],
                           capture_output=True, env=env, timeout=BUDGET_S)
-    assert proc.returncode == code, proc.stderr.decode()

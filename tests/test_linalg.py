@@ -5,7 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_complement
+from oracle import reference_complement, reference_det, reference_reduce, reference_rref
 from toricfilt.linalg import (
     QMatrix,
     Subspace,
@@ -121,15 +121,21 @@ def from_sympy(matrix):
 def test_rref_det_inverse_match_sympy():
     rng = random.Random(1406)
     singular = 0
+
+    def entry(bound):
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-bound, bound))
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 5))
+
     for _ in range(150):
         n, ncols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(n)]
-        reduced, pivots = rref([[Fraction(x) for x in r] for r in rows], ncols)
+        rows = [[entry(4) for _ in range(ncols)] for _ in range(n)]
+        reduced, pivots = rref(rows, ncols)
         ref, ref_pivots = sympy.Matrix(rows).rref()
         assert pivots == ref_pivots
         assert [list(r) for r in reduced] == from_sympy(ref)[:len(pivots)]
 
-        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        rows = [[entry(2) for _ in range(n)] for _ in range(n)]
         square, ref = QMatrix.from_rows(rows), sympy.Matrix(rows)
         assert square.det() == ref.det()
         if ref.det() == 0:
@@ -139,6 +145,69 @@ def test_rref_det_inverse_match_sympy():
         else:
             assert [list(r) for r in square.inverse().entries] == from_sympy(ref.inv())
     assert singular > 0
+
+
+def _random_rows(rng, nrows, ncols, ints=False):
+    """Rows with about 30% zeros and denominators 1-6; duplicate and zero
+    rows are mixed in."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0 if ints else Fraction(0)
+        if ints:
+            return rng.randint(-9, 9)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), list(rng.choice(rows)))
+    if rng.random() < 0.2:
+        rows.insert(rng.randint(0, len(rows)), [0 if ints else Fraction(0)] * ncols)
+    return rows
+
+
+def test_rref_matches_fraction_elimination():
+    """The integer kernel returns exactly the RREF of elimination over
+    Fractions: 0-12 rows by 1-12 columns, tall 20x16 inputs, int rows."""
+    rng = random.Random(2718)
+    shapes = [(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(400)]
+    shapes += [(20, 16)] * 20
+    for k, (nrows, ncols) in enumerate(shapes):
+        rows = _random_rows(rng, nrows, ncols, ints=k % 4 == 0)
+        reduced, pivots = rref(rows, ncols)
+        assert (reduced, pivots) == reference_rref(rows, ncols)
+        assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_det_matches_fraction_elimination():
+    rng = random.Random(3141)
+    singular = 0
+    for n in range(1, 9):
+        for _ in range(40):
+            rows = _random_rows(rng, n, n)[:n]
+            while len(rows) < n:
+                rows.append([Fraction(rng.randint(-3, 3)) for _ in range(n)])
+            if n > 1 and rng.random() < 0.3:
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+            det = QMatrix.from_rows(rows).det()
+            assert det == reference_det(rows)
+            singular += det == 0
+    assert 0 < singular < 8 * 40
+    assert QMatrix((), 0).det() == 1
+
+
+def test_containment_matches_reference_reduce():
+    rng = random.Random(1618)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        a = span_canonical(_random_rows(rng, rng.randint(0, n), n), n)
+        b = span_canonical(_random_rows(rng, rng.randint(0, 3), n), n)
+        assert a.contains_subspace(b) == all(
+            not any(reference_reduce(a, v)) for v in b.basis)
+        assert a.contains_subspace(intersect(a, b))
+        v = _random_rows(rng, 1, n)[0]
+        assert a.contains(v) == (not any(reference_reduce(a, v)))
+    with pytest.raises(ValueError):
+        Subspace.full(2).contains([1, 2, 3])
 
 
 def test_kernel_matches_annihilator():

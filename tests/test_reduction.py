@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from toricfilt.sampling import (
     random_invertible_matrix,
     random_split_bundle,
 )
+from toricfilt.serialize import filtration_to_obj
 
 I2 = QMatrix.identity(2)
 
@@ -288,3 +290,54 @@ def test_torus_universe_matches_full_grid(p2, tangent_p2_bundle):
         assert res.verdict == _full_grid_torus_verdict(data)
         verdicts.add(res.verdict)
     assert verdicts == {TORUS_REDUCES, TORUS_NONE}
+
+
+def _gauge(rng, data):
+    """The same bundle in another frame on every cone: the frame columns
+    are permuted together with the characters and scaled by nonzero
+    rationals."""
+    n = data.group.n
+    frames, chars = [], []
+    for frame, cone_chars in zip(data.frames, data.chars):
+        perm = rng.sample(range(n), n)
+        scale = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)) for _ in perm]
+        frames.append(QMatrix.from_rows(
+            [[row[p] * c for p, c in zip(perm, scale)] for row in frame.entries], n))
+        chars.append([cone_chars[p] for p in perm])
+    return CocharBundleData.make(data.group, data.fan, frames, chars)
+
+
+def test_sl_verdict_and_assoc_invariant_under_frame_gauge(p2, tangent_p2_bundle):
+    """Permuting and rescaling the frame columns of each cone, characters
+    along, changes neither the SL verdict nor the associated filtration
+    data that `assoc` prints."""
+    rng = random.Random(31)
+    instances = [tangent_p2_bundle]
+    for _ in range(6):
+        for fan in (p1_fan(), p2):
+            instances.append(random_split_bundle(rng, fan, rng.randint(1, 3)))
+            data = random_bundle(rng, fan, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                chars = [list(c) for c in data.chars]
+                for cone_chars in chars:
+                    rest = [sum(u[j] for u in cone_chars[1:]) for j in range(fan.rank)]
+                    cone_chars[0] = tuple(-x for x in rest)
+                data = CocharBundleData.make(data.group, fan, data.frames, chars)
+            instances.append(data)
+
+    def assoc(data):
+        if not check_gluing(data).glues:
+            return None
+        return filtration_to_obj(associated_klyachko(data))
+
+    verdicts, glued = set(), 0
+    for data in instances:
+        verdict, printed = check_sl_reduction(data).verdict, assoc(data)
+        verdicts.add(verdict)
+        glued += printed is not None
+        for _ in range(3):
+            moved = _gauge(rng, data)
+            assert check_sl_reduction(moved).verdict == verdict
+            assert assoc(moved) == printed
+    assert verdicts == {SL_REDUCES, SL_NO}
+    assert glued >= 12
