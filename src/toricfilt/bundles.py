@@ -129,9 +129,10 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     change M = g_a^-1 g_b, and the constant outer frames do not affect
     regularity, so T_ab is regular iff every nonzero M[k, l] carries an
     exponent u_a[k] - u_b[l] in the dual of the overlap; the direction
-    (b, a) uses M^-1.  Reports the first failure in deterministic order
-    (pairs by index, then the direction (s, t) before (t, s), frame entries
-    row major).  Requires all maximal cones top-dimensional, the standing
+    (b, a) uses g_b^-1 g_a = M^-1.  Each frame change is the right block of
+    one rref([g_a | g_b]), and a singular g_a raises ValueError.  Reports
+    the first failure in deterministic order (pairs by index, then the
+    direction (s, t) before (t, s), frame entries row major).  Requires all maximal cones top-dimensional, the standing
     assumption of the per-cone trivialization picture."""
     fan = data.fan
     cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
@@ -143,8 +144,8 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     n = data.group.n
     for s, t in itertools.combinations(range(len(cones)), 2):
         overlap = cone_intersection(cones[s], cones[t])
-        change = data.frames[s].inverse() @ data.frames[t]
-        for (a, b), m in (((s, t), change), ((t, s), change.inverse())):
+        g_s, g_t = data.frames[s], data.frames[t]
+        for (a, b), m in (((s, t), g_s.solve(g_t)), ((t, s), g_t.solve(g_s))):
             for k, l in itertools.product(range(n), repeat=2):
                 if m.entries[k][l] == 0:
                     continue

@@ -5,8 +5,12 @@ and supporting covectors (the extreme rays of the dual cone), together with
 an integral basis of the perpendicular lattice.  One double description pass
 on the generators gives the covectors and the perpendicular lattice (the
 lineality of the dual cone); pointedness and extremality are then ranks of
-covector sets, read off `linalg.rref`.  The pass runs from scratch at desk
-scale (rank <= 6, a few dozen rays); the exponential worst case is accepted.
+covector sets, read off `linalg.rref`.  The pass runs on primitive integer
+vectors only: each step adds an integer multiple of one vector to a
+positive multiple of another and divides out the content, so every
+direction is kept and no Fraction is made.  It runs from scratch at desk
+scale (rank <= 6, a few dozen rays); the exponential worst case is
+accepted.
 
 Cones are never assumed simplicial.  Non-pointed generator sets are detected
 and reported (the fan validator flags them; the cone factory refuses them
@@ -17,10 +21,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
 from .lattice import (
@@ -30,7 +32,7 @@ from .lattice import (
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, dot, rref
+from .linalg import QMatrix, rref
 
 IntVec = Tuple[int, ...]
 
@@ -41,17 +43,6 @@ CONE_CACHE_SIZE = 1024
 
 # ---------------------------------------------------------------------------
 # double description
-
-
-def _ray_canonical(v: Sequence[Fraction]) -> Optional[IntVec]:
-    """Primitive integer representative of the ray through v (direction kept)."""
-    if all(x == 0 for x in v):
-        return None
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive_vector(ints)
 
 
 def dual_description(rank: int,
@@ -71,65 +62,63 @@ def dual_description(rank: int,
     for a in inequalities:
         constraints.append(tuple(int(x) for x in a))
 
-    lin: List[Tuple[Fraction, ...]] = [
-        tuple(Fraction(1 if i == j else 0) for j in range(rank)) for i in range(rank)
-    ]
-    rays: List[Tuple[Fraction, ...]] = []
-    processed: List[Tuple[Fraction, ...]] = []
+    def pair(a: IntVec, v: IntVec) -> int:
+        return sum(x * y for x, y in zip(a, v))
 
-    def prune(candidates: List[Tuple[Fraction, ...]]) -> List[Tuple[Fraction, ...]]:
+    lin: List[IntVec] = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    rays: List[IntVec] = []
+    processed: List[IntVec] = []
+
+    def prune(candidates: List[IntVec]) -> List[IntVec]:
         lam = len(lin)
-        kept: List[Tuple[Fraction, ...]] = []
+        kept: List[IntVec] = []
         seen = set()
         for r in candidates:
-            canon = _ray_canonical(r)
-            if canon is None or canon in seen:
+            if not any(r):
                 continue
-            tight = [a for a in processed if dot(a, r) == 0]
+            canon = primitive_vector(r)
+            if canon in seen:
+                continue
+            tight = [a for a in processed if pair(a, canon) == 0]
             if len(tight) == len(processed) and lam > 0:
                 continue  # fell into the lineality space
             if len(rref(tight, rank)[1]) == rank - lam - 1:
                 seen.add(canon)
-                kept.append(tuple(Fraction(x) for x in canon))
+                kept.append(canon)
         return kept
 
     for a in constraints:
-        af = tuple(Fraction(x) for x in a)
-        processed.append(af)
-        vals = [dot(af, l) for l in lin]
+        processed.append(a)
+        vals = [pair(a, l) for l in lin]
         j0 = next((j for j, v in enumerate(vals) if v != 0), None)
         if j0 is not None:
+            # with v0 = <a,l0> > 0, v0 x - <a,x> l0 is a positive multiple of
+            # the projection of x along l0 onto <a,.> = 0, so every direction
+            # is kept
             l0 = lin[j0]
             v0 = vals[j0]
             if v0 < 0:
                 l0 = tuple(-x for x in l0)
                 v0 = -v0
-            new_lin = []
-            for j, l in enumerate(lin):
-                if j == j0:
-                    continue
-                c = dot(af, l) / v0
-                new_lin.append(tuple(x - c * y for x, y in zip(l, l0)))
-            new_rays = []
-            for r in rays:
-                c = dot(af, r) / v0
-                new_rays.append(tuple(x - c * y for x, y in zip(r, l0)))
-            new_rays.append(l0)
-            lin = new_lin
-            rays = prune(new_rays)
+
+            def project(x: IntVec) -> IntVec:
+                c = pair(a, x)
+                return tuple(v0 * p - c * q for p, q in zip(x, l0))
+
+            lin = [primitive_vector(project(l)) for j, l in enumerate(lin) if j != j0]
+            rays = prune([project(r) for r in rays] + [l0])
         else:
-            pos = [r for r in rays if dot(af, r) > 0]
-            zer = [r for r in rays if dot(af, r) == 0]
-            neg = [r for r in rays if dot(af, r) < 0]
+            pos = [r for r in rays if pair(a, r) > 0]
+            zer = [r for r in rays if pair(a, r) == 0]
+            neg = [r for r in rays if pair(a, r) < 0]
             combos = []
             for p in pos:
-                ap = dot(af, p)
+                ap = pair(a, p)
                 for m in neg:
-                    am = dot(af, m)
+                    am = pair(a, m)
                     combos.append(tuple(ap * x - am * y for x, y in zip(m, p)))
             rays = prune(pos + zer + combos)
 
-    ray_out = sorted(_ray_canonical(r) for r in rays)
     if not lin:
         lin_out = ()
     elif constraints:
@@ -138,7 +127,7 @@ def dual_description(rank: int,
         lin_out = hermite_normal_form(
             [[1 if i == j else 0 for j in range(rank)] for i in range(rank)], rank
         )
-    return tuple(lin_out), tuple(ray_out)
+    return tuple(lin_out), tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def dual(a: FiltrationData) -> FiltrationData:
 
 def _block_embed(s: Subspace, offset: int, total: int) -> List[Tuple]:
     rows = []
-    for r in s.basis:
+    for r in s.rows:
         row = [0] * total
         for j, x in enumerate(r):
             row[offset + j] = x
@@ -222,7 +222,7 @@ def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Opti
         raise InputError("morphism matrix shape does not match the operands")
     for ray_idx, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
         for i in sorted(set(fa.jump_indices()) | set(fb.jump_indices())):
-            image_rows = [phi.apply_to_row(v) for v in fa.value(i).basis]
+            image_rows = [phi.apply_to_row(v) for v in fa.value(i).rows]
             image = span_canonical(image_rows, b.dim)
             if not fb.value(i).contains_subspace(image):
                 return {"ray": ray_idx, "index": i}
@@ -242,7 +242,6 @@ def change_basis(data: FiltrationData, m: QMatrix) -> FiltrationData:
     for f in data.filtrations:
         pairs = []
         for i, s in f.jumps:
-            rows = [tuple(x for x in (QMatrix((v,), data.dim) @ m).entries[0]) for v in s.basis]
-            pairs.append((i, span_canonical(rows, data.dim)))
+            pairs.append((i, span_canonical(QMatrix(s.rows, data.dim) @ m)))
         rays.append(RayFiltration.make(data.dim, pairs))
     return FiltrationData.make(data.fan, data.dim, rays)

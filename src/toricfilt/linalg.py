@@ -1,20 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Subspaces of Q^n are stored as bases in reduced row echelon form.  RREF is
-a canonical form for a row space, so two subspaces are equal exactly when
-their stored bases are bit-identical; every operation below returns that
-canonical representative, which keeps downstream certificates reproducible
-byte for byte.  There is no floating point anywhere in this package.
+A subspace of Q^n is stored as the rows of its reduced row echelon form,
+each scaled to a primitive integer row (so its pivot is positive).  RREF is
+a canonical form for a row space and a line has exactly two primitive
+integer rows, so two subspaces are equal exactly when their stored rows are
+identical; every operation below returns that canonical representative,
+which keeps downstream certificates reproducible byte for byte.  There is
+no floating point anywhere in this package.
 
 Elimination runs over Python ints, never over Fractions.  `_eliminate` is
 Gauss-Jordan on primitive integer rows (each row divided by the gcd of its
 entries after every step, which keeps coefficients small); a row of
-Fractions enters it times the lcm of its denominators, and only the final
-pivot rows are divided by their pivots.  RREF is unique, so this gives the
-same canonical rows as elimination over Fractions.  `rref` is the public
-entry point; spans, sums, kernels, intersections, complements and
-containment tests work on the primitive integer rows that each `Subspace`
-keeps next to its basis, so no basis is cleared of denominators twice.
+Fractions enters it times the lcm of its denominators.  Fractions appear
+only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
+its pivot, which gives the same unique RREF as elimination over Fractions.
+Spans, sums, kernels, intersections, complements and containment tests
+feed the stored integer rows straight back into `_eliminate`.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
@@ -141,14 +142,20 @@ class QMatrix:
         return Fraction(sign * prev, scale)
 
     def inverse(self) -> "QMatrix":
+        return self.solve(QMatrix.identity(self.nrows))
+
+    def solve(self, rhs: "QMatrix") -> "QMatrix":
+        """The X with self @ X = rhs, that is self^-1 rhs: the right block of
+        rref([self | rhs]), whose left block must be the identity."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        if rhs.nrows != self.nrows:
+            raise ValueError("matrix shapes do not compose")
         n = self.nrows
-        aug = [r + identity for r, identity in zip(self.entries, QMatrix.identity(n).entries)]
-        reduced, pivots = rref(aug, 2 * n)
+        reduced, pivots = rref([r + b for r, b in zip(self.entries, rhs.entries)], n + rhs.ncols)
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return QMatrix(tuple(row[n:] for row in reduced), n)
+        return QMatrix(tuple(row[n:] for row in reduced), rhs.ncols)
 
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
@@ -213,10 +220,14 @@ def _eliminate(mat: List[List[int]], ncols: int) -> List[int]:
     return pivots
 
 
-def _reduced_rows(mat: List[List[int]], pivots: List[int]) -> Tuple[Vector, ...]:
-    """The eliminated pivot rows divided by their pivots: the unique RREF."""
-    return tuple(tuple(Fraction(x, row[col]) if x else _ZERO for x in row)
-                 for row, col in zip(mat, pivots))
+def _reduced_rows(mat: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
+    """Eliminated pivot rows divided by their pivots (each row's first
+    nonzero entry): the unique RREF."""
+    out = []
+    for row in mat:
+        p = next(x for x in row if x)
+        out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
+    return tuple(out)
 
 
 def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
@@ -225,36 +236,43 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, 
     and only the returned rows are Fractions."""
     mat = [_integer_row(r) for r in rows]
     pivots = _eliminate(mat, ncols)
-    return _reduced_rows(mat, pivots), tuple(pivots)
+    return _reduced_rows(mat[:len(pivots)]), tuple(pivots)
 
 
 def _space(ambient: int, mat: List[List[int]]) -> "Subspace":
-    """The row space of primitive integer rows, keeping its pivot rows."""
+    """The row space of primitive integer rows: the eliminated pivot rows,
+    each negated when its pivot is negative."""
     pivots = _eliminate(mat, ambient)
-    space = Subspace(ambient, _reduced_rows(mat, pivots))
-    object.__setattr__(space, "_ints", tuple(mat[:len(pivots)]))
-    return space
+    return Subspace(ambient, tuple(
+        tuple(row) if row[col] > 0 else tuple(-x for x in row)
+        for row, col in zip(mat, pivots)))
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient in canonical form: `basis` rows are the
-    RREF of any spanning set, with zero rows dropped."""
+    """A linear subspace of Q^ambient in canonical form: `rows` are the RREF
+    of any spanning set, with zero rows dropped and each row scaled to a
+    primitive integer row with a positive pivot."""
 
     ambient: int
-    basis: Tuple[Vector, ...]
+    rows: Tuple[Tuple[int, ...], ...]
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, QMatrix.identity(n).entries)
+        return Subspace(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @staticmethod
     def zero(n: int) -> "Subspace":
         return Subspace(n, ())
 
     @property
+    def basis(self) -> Tuple[Vector, ...]:
+        """The RREF rows over Q: each stored row divided by its pivot."""
+        return _reduced_rows(self.rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_full(self) -> bool:
         return self.dim == self.ambient
@@ -262,24 +280,16 @@ class Subspace:
     def is_zero(self) -> bool:
         return self.dim == 0
 
-    def _rows(self) -> Tuple[List[int], ...]:
-        """Primitive integer rows spanning the same lines as `basis`; cached."""
-        rows = self.__dict__.get("_ints")
-        if rows is None:
-            rows = tuple(_integer_row(r) for r in self.basis)
-            object.__setattr__(self, "_ints", rows)
-        return rows
-
     def contains(self, v: Sequence[Scalar]) -> bool:
         w = vector(v)
         if len(w) != self.ambient:
             raise ValueError("vector/ambient dimension mismatch")
-        return len(_eliminate([*self._rows(), _integer_row(w)], self.ambient)) == self.dim
+        return len(_eliminate([*self.rows, _integer_row(w)], self.ambient)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return len(_eliminate([*self._rows(), *other._rows()], self.ambient)) == self.dim
+        return len(_eliminate([*self.rows, *other.rows], self.ambient)) == self.dim
 
 
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
@@ -309,7 +319,7 @@ def sum_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
     for s in spaces:
         if s.ambient != ambient:
             raise ValueError("ambient dimension mismatch")
-        rows.extend(s._rows())
+        rows.extend(s.rows)
     return _space(ambient, rows)
 
 
@@ -340,7 +350,7 @@ def annihilator(a: Subspace) -> Subspace:
     instance: hot paths intersect the same subspaces repeatedly."""
     cached = a.__dict__.get("_ann")
     if cached is None:
-        cached = _kernel(list(a._rows()), a.ambient)
+        cached = _kernel(list(a.rows), a.ambient)
         object.__setattr__(a, "_ann", cached)
     return cached
 
@@ -361,7 +371,7 @@ def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
     for s in spaces:
         if s.ambient != ambient:
             raise ValueError("ambient dimension mismatch")
-        conditions.extend(annihilator(s)._rows())
+        conditions.extend(annihilator(s).rows)
     return _kernel(conditions, ambient)
 
 
@@ -379,20 +389,18 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    leads = [next(j for j, x in enumerate(row) if x) for row in outer._rows()]
+    leads = [next(j for j, x in enumerate(row) if x) for row in outer.rows]
     m = len(leads)
     coords = [_primitive([row[leads[k]] for k in reversed(range(m))])
-              for row in inner._rows()]
+              for row in inner.rows]
     dependent = {m - 1 - j for j in _eliminate(coords, m)}
-    kept = [k for k in range(m) if k not in dependent]
-    space = Subspace(inner.ambient, tuple(outer.basis[k] for k in kept))
-    object.__setattr__(space, "_ints", tuple(outer._rows()[k] for k in kept))
-    return space
+    return Subspace(inner.ambient, tuple(row for k, row in enumerate(outer.rows)
+                                         if k not in dependent))
 
 
 def tensor_product(a: Subspace, b: Subspace) -> Subspace:
     """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis,
     spanned by the Kronecker products of the basis rows (index (i, j) maps to
     i*rb+j).  The Kronecker product of primitive integer rows is primitive."""
-    rows = [[x * y for x in u for y in v] for u in a._rows() for v in b._rows()]
+    rows = [[x * y for x in u for y in v] for u in a.rows for v in b.rows]
     return _space(a.ambient * b.ambient, rows)

@@ -31,7 +31,6 @@ from typing import List, Optional, Sequence, Tuple
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
 from .compatibility import graded_pieces
 from .errors import PreconditionError
-from .fans import _ray_canonical
 from .filtrations import FiltrationData
 from .linalg import QMatrix, span_canonical
 
@@ -131,14 +130,14 @@ def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:
     pieces = graded_pieces(kly.filtrations, universe, kly.dim)
     lines, levels = [], []
     for t in universe:
-        for v in pieces[t].basis:
+        for v in pieces[t].rows:
             lines.append(v)
             levels.append(t)
     if not _splitting_reconstructs(kly, lines, levels):
         return TorusReductionResult(TORUS_NONE, universe_size=len(universe))
     return TorusReductionResult(
         TORUS_REDUCES,
-        lines=tuple(_ray_canonical(v) for v in lines),
+        lines=tuple(lines),
         line_levels=tuple(levels),
         universe_size=len(universe),
     )

@@ -7,9 +7,12 @@
 - `reference_rref`, `reference_det` and `reference_reduce`: elimination
   over Fractions, the integer kernel of `toricfilt.linalg.rref`,
   `QMatrix.det` and `Subspace.contains` must agree with.
+- `reference_dual_description`: the double description method over
+  Fractions with its ranks from `reference_rref`, which the integer pass
+  `toricfilt.fans.dual_description` must agree with.
 - `reference_cone` and `reference_is_face_of`: extreme rays and faces
-  computed by a second double description pass over the supporting
-  covectors, which `toricfilt.fans` reads off ranks instead.
+  computed by a second pass of `reference_dual_description` over the
+  supporting covectors, which `toricfilt.fans` reads off ranks instead.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
@@ -28,6 +31,7 @@
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from toricfilt.algebras import Mono, TruncatedAlgebra
@@ -40,8 +44,8 @@ from toricfilt.compatibility import (
     _sorted_cone_rays,
     verify_cone_decomposition,
 )
-from toricfilt.fans import Cone, NotPointedError, cone_intersection, dual_description
-from toricfilt.lattice import hermite_normal_form, integer_kernel_basis
+from toricfilt.fans import Cone, NotPointedError, cone_intersection
+from toricfilt.lattice import hermite_normal_form, integer_kernel_basis, primitive_vector
 from toricfilt.filtrations import FiltrationData, RayFiltration
 from toricfilt.linalg import QMatrix, Subspace, intersect_all, span_canonical
 
@@ -229,6 +233,80 @@ def exhaustive_adapted_search(data: FiltrationData,
 # cones
 
 
+def _ray_canonical(v: Sequence[Fraction]) -> Optional[Tuple[int, ...]]:
+    """Primitive integer representative of the ray through v (direction kept)."""
+    if all(x == 0 for x in v):
+        return None
+    denom = lcm(*[x.denominator for x in v])
+    return primitive_vector([int(x * denom) for x in v])
+
+
+def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def reference_dual_description(rank: int, inequalities: Sequence[Sequence[int]],
+                               equations: Sequence[Sequence[int]] = ()):
+    """The double description method over Fractions: (lineality basis,
+    extreme rays) of {x : <a,x> >= 0, <e,x> = 0}, rays primitive and sorted,
+    the lineality basis the Hermite form of the integral kernel of the
+    constraints.  A lineality step moves each vector along l0 onto the new
+    hyperplane by a Fraction coefficient."""
+    constraints: List[Tuple[int, ...]] = []
+    for e in equations:
+        constraints.append(tuple(int(x) for x in e))
+        constraints.append(tuple(-int(x) for x in e))
+    for a in inequalities:
+        constraints.append(tuple(int(x) for x in a))
+
+    lin = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
+    rays: List[Tuple[Fraction, ...]] = []
+    processed: List[Tuple[Fraction, ...]] = []
+
+    def prune(candidates):
+        lam = len(lin)
+        kept, seen = [], set()
+        for r in candidates:
+            canon = _ray_canonical(r)
+            if canon is None or canon in seen:
+                continue
+            tight = [a for a in processed if _dot(a, r) == 0]
+            if len(tight) == len(processed) and lam > 0:
+                continue  # fell into the lineality space
+            if len(reference_rref(tight, rank)[1]) == rank - lam - 1:
+                seen.add(canon)
+                kept.append(tuple(Fraction(x) for x in canon))
+        return kept
+
+    for a in constraints:
+        af = tuple(Fraction(x) for x in a)
+        processed.append(af)
+        vals = [_dot(af, l) for l in lin]
+        j0 = next((j for j, v in enumerate(vals) if v != 0), None)
+        if j0 is not None:
+            l0, v0 = lin[j0], vals[j0]
+            if v0 < 0:
+                l0, v0 = tuple(-x for x in l0), -v0
+            lin = [tuple(x - _dot(af, l) / v0 * y for x, y in zip(l, l0))
+                   for j, l in enumerate(lin) if j != j0]
+            rays = prune([tuple(x - _dot(af, r) / v0 * y for x, y in zip(r, l0))
+                          for r in rays] + [l0])
+        else:
+            pos = [r for r in rays if _dot(af, r) > 0]
+            zer = [r for r in rays if _dot(af, r) == 0]
+            neg = [r for r in rays if _dot(af, r) < 0]
+            combos = [tuple(_dot(af, p) * x - _dot(af, m) * y for x, y in zip(m, p))
+                      for p in pos for m in neg]
+            rays = prune(pos + zer + combos)
+
+    ray_out = tuple(sorted(_ray_canonical(r) for r in rays))
+    if not lin:
+        return (), ray_out
+    kernel = integer_kernel_basis(constraints) if constraints else [
+        [int(i == j) for j in range(rank)] for i in range(rank)]
+    return tuple(hermite_normal_form(kernel, rank)), ray_out
+
+
 def reference_cone(rank: int, gens: Sequence[Sequence[int]]) -> Cone:
     """The cone spanned by nonzero integer vectors, with its extreme rays
     taken from a double description of the dual cone; raises
@@ -238,8 +316,8 @@ def reference_cone(rank: int, gens: Sequence[Sequence[int]]) -> Cone:
         return Cone(rank, (), (), hermite_normal_form(
             [[int(i == j) for j in range(rank)] for i in range(rank)], rank), 0)
     perp = hermite_normal_form(integer_kernel_basis(gens), rank)
-    _, dual_rays = dual_description(rank, gens)
-    lin, extreme = dual_description(rank, dual_rays, equations=perp)
+    _, dual_rays = reference_dual_description(rank, gens)
+    lin, extreme = reference_dual_description(rank, dual_rays, equations=perp)
     if lin:
         raise NotPointedError("generators span a cone containing a line")
     return Cone(rank, extreme, dual_rays, perp, rank - len(perp))
@@ -252,8 +330,8 @@ def reference_is_face_of(face: Cone, cone: Cone) -> bool:
         return False
     tight = [a for a in cone.dual_rays
              if all(sum(x * g for x, g in zip(a, gen)) == 0 for gen in face.generators)]
-    _, rays = dual_description(cone.rank, cone.dual_rays,
-                               equations=list(cone.perp_basis) + tight)
+    _, rays = reference_dual_description(cone.rank, cone.dual_rays,
+                                         equations=list(cone.perp_basis) + tight)
     return set(rays) == set(face.generators)
 
 

@@ -77,6 +77,18 @@ def test_validate_singular_frame(p1):
     assert any(i["kind"] == "singular_frame" for i in report.issues)
 
 
+def test_gluing_rejects_singular_frame(p1):
+    """A singular frame on either side of the overlap raises instead of
+    reading a frame change off a reduced form whose left block is not the
+    identity; with zero characters every frame change would glue."""
+    singular = QMatrix.from_rows([[1, 1], [1, 1]])
+    for frames in ([singular, I2], [I2, singular]):
+        data = CocharBundleData.make(GroupSpec("GL", 2), p1, frames,
+                                     [[(0,), (0,)], [(0,), (0,)]])
+        with pytest.raises(ValueError, match="matrix is singular"):
+            check_gluing(data)
+
+
 def test_transition_identity_when_charts_agree(p1):
     data = CocharBundleData.make(
         GroupSpec("GL", 2), p1, [I2, I2],

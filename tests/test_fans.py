@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracle import reference_cone, reference_is_face_of
+from oracle import reference_cone, reference_dual_description, reference_is_face_of
 from toricfilt.errors import InputError
 from toricfilt.fans import (
     CONE_CACHE_SIZE,
@@ -11,6 +11,7 @@ from toricfilt.fans import (
     NotPointedError,
     cone_from_generators,
     cone_intersection,
+    dual_description,
     is_face_of,
     validate_fan,
 )
@@ -227,8 +228,6 @@ def test_intersection_and_faces_match_second_double_description():
     """`cone_intersection` and `is_face_of` on random pairs of pointed cones
     in ranks 2-4 equal the reference cone of the combined inequalities and
     the double-description face check."""
-    from toricfilt.fans import dual_description
-
     rng = random.Random(62)
     verdicts = set()
     for rank in range(2, 5):
@@ -236,14 +235,30 @@ def test_intersection_and_faces_match_second_double_description():
             a, b = (cone_from_generators(rank, _random_gens(rng, rank, pointed=True))
                     for _ in range(2))
             inter = cone_intersection(a, b)
-            _, rays = dual_description(rank, a.dual_rays + b.dual_rays,
-                                       equations=a.perp_basis + b.perp_basis)
+            _, rays = reference_dual_description(rank, a.dual_rays + b.dual_rays,
+                                                 equations=a.perp_basis + b.perp_basis)
             assert inter == reference_cone(rank, rays)
             for face, cone in ((inter, a), (inter, b), (a, b)):
                 verdict = is_face_of(face, cone)
                 assert verdict == reference_is_face_of(face, cone)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_dual_description_matches_fraction_reference():
+    """The integer double description equals the one over Fractions on
+    seeded systems of rank 1-5 with 0-8 inequalities and 0-2 equations,
+    entries in [-4, 4]: the same lineality basis and the same rays."""
+    rng = random.Random(81)
+    shapes = set()
+    for _ in range(3000):
+        rank = rng.randint(1, 5)
+        ineqs = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rng.randint(0, 8))]
+        eqs = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rng.randint(0, 2))]
+        got = dual_description(rank, ineqs, eqs)
+        assert got == reference_dual_description(rank, ineqs, eqs), (rank, ineqs, eqs)
+        shapes.add((bool(got[0]), bool(got[1])))
+    assert shapes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _cross2(a, b):

@@ -1,10 +1,14 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+import toricfilt
 from oracle import reference_complement, reference_det, reference_reduce, reference_rref
 from toricfilt.linalg import (
     QMatrix,
@@ -208,6 +212,47 @@ def test_containment_matches_reference_reduce():
         assert a.contains(v) == (not any(reference_reduce(a, v)))
     with pytest.raises(ValueError):
         Subspace.full(2).contains([1, 2, 3])
+
+
+def test_rows_are_canonical():
+    """Spans of shuffled spanning sets, of sets rescaled by negative and
+    fractional scalars and of sets with redundant rows are equal with equal
+    hashes; each stored row is a primitive integer row with a positive
+    pivot, and `basis` is the RREF of the spanning set."""
+    rng = random.Random(2718)
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        gens = _random_rows(rng, rng.randint(0, n + 1), n)
+        space = span_canonical(gens, n)
+        shuffled = rng.sample(gens, len(gens))
+        rescaled = [[c * x for x in g] for g in gens
+                    for c in [Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3]), rng.randint(1, 5))]]
+        redundant = gens + [[0] * n]
+        for _ in range(2):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            redundant.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(n)])
+        for rows in (shuffled, rescaled, redundant):
+            other = span_canonical(rows, n)
+            assert other == space and hash(other) == hash(space)
+        for row in space.rows:
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert next(x for x in row if x) > 0
+        assert space.basis == reference_rref(gens, n)[0]
+    assert span_canonical([[-2, 0], [0, Fraction(-1, 3)]], 2) == Subspace.full(2)
+    assert Subspace.full(3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def test_fractions_imported_only_by_linalg_and_serialize():
+    """The representation decision stays inside `linalg`: only it and the
+    serializer at the output boundary import `fractions`."""
+    importers = set()
+    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "fractions" in names:
+                importers.add(path.stem)
+    assert importers == {"linalg", "serialize"}
 
 
 def test_kernel_matches_annihilator():
