@@ -12,21 +12,27 @@ exercising multiplicativity, the graded product rule, and commutation of the
 coaction with the grading.  Products that leave the truncation are skipped,
 not errored: the axioms are degree local.
 
-The basis must be sorted by total degree: the in-truncation partners of a
-monomial then form a run of the basis, and the product walk stops at the
-first product that leaves the truncation.  Δ(f) is never expanded: its left
-legs are exactly the monomials with f's row degrees (row sums of the
-exponent matrix), each with a positive count, so the coaction commutes with
-the grading iff the class is constant on every row-degree group.  The
-degree has a budget: C(2n^2+d, d), the number of ordered monomial pairs
-inside the truncation, may not exceed MAX_PRODUCT_PAIRS.
+The checks run over basis indices.  The basis must be sorted by total
+degree: the in-truncation partners of a monomial then form a run of the
+basis, and the walk stops at the first partner whose degree sum passes the
+bound.  The walk runs once per algebra and yields the product table, the
+triples (i, j, k) with basis[i] * basis[j] = basis[k] and i <= j, which
+every check then scans with each monomial's levels or class computed once
+(a class is memoized by weight, of which it is a function).  The scans stay
+exhaustive, so they also judge corrupted weight tables.  Δ(f) is never
+expanded: its left legs are exactly the monomials with f's row degrees (row
+sums of the exponent matrix), each with a positive count, so the coaction
+commutes with the grading iff the class is constant on every row-degree
+group.  The degree has a budget: C(2n^2+d, d), the number of ordered
+monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from .bundles import CocharBundleData
 from .errors import InputError, PreconditionError
@@ -135,16 +141,45 @@ def build_truncation(data: CocharBundleData, cone_index: int,
     )
 
 
-def _products(alg: TruncatedAlgebra) -> Iterator[Tuple[Mono, Mono, Mono]]:
-    """(f, g, fg) for the basis pairs f <= g whose product stays in the
-    truncation, in basis order.  The basis is degree-sorted, so the walk over
-    g stops at the first product that leaves the truncation."""
-    for i, f in enumerate(alg.basis):
-        for g in alg.basis[i:]:
-            prod = alg.multiply(f, g)
-            if prod is None:
-                break
-            yield f, g, prod
+def _products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
+    """The index triples (i, j, k) with basis[i] * basis[j] = basis[k] and
+    i <= j, for the pairs whose product stays in the truncation, in basis
+    order.  The basis is degree-sorted, so the walk over j stops at the first
+    pair whose degrees sum past the bound.  Cached per instance like the
+    annihilator of a Subspace: the table depends only on the basis and the
+    degree, never on the weights."""
+    table = alg.__dict__.get("_products")
+    if table is None:
+        index = {m: k for k, m in enumerate(alg.basis)}
+        degrees = [sum(m) for m in alg.basis]
+        table = []
+        for i, f in enumerate(alg.basis):
+            room = alg.degree - degrees[i]
+            for j in range(i, len(alg.basis)):
+                if degrees[j] > room:
+                    break
+                table.append((i, j, index[tuple(map(add, f, alg.basis[j]))]))
+        object.__setattr__(alg, "_products", table)
+    return table
+
+
+def _classes(alg: TruncatedAlgebra) -> List[Tuple[int, ...]]:
+    """The class of every basis monomial, in basis order.  The class is a
+    function of the weight, so `class_index` runs once per distinct weight;
+    the memo is kept on the instance, shared by the checks, and stays sound
+    when the weight table is edited."""
+    memo = alg.__dict__.get("_class_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(alg, "_class_memo", memo)
+    out = []
+    for m in alg.basis:
+        w = alg.weights[m]
+        c = memo.get(w)
+        if c is None:
+            c = memo[w] = alg.quotient.class_index(w)
+        out.append(c)
+    return out
 
 
 def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
@@ -153,9 +188,11 @@ def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
     in-truncation products; weight additivity makes this an identity for an
     uncorrupted weight table."""
     for ray in alg.rays:
-        for f, g, prod in _products(alg):
-            if alg.level(prod, ray) < alg.level(f, ray) + alg.level(g, ray):
-                return False, {"ray": list(ray), "f": list(f), "g": list(g)}
+        lv = [alg.level(m, ray) for m in alg.basis]
+        for i, j, k in _products(alg):
+            if lv[k] < lv[i] + lv[j]:
+                return False, {"ray": list(ray), "f": list(alg.basis[i]),
+                               "g": list(alg.basis[j])}
     return True, None
 
 
@@ -163,14 +200,13 @@ def check_compatible_algebra(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict
     """Graded pieces indexed by character classes of the cone: the product of
     a piece of class [u] and a piece of class [v] must land in class [u]+[v].
     Returns (ok, witness, piece dimensions by class)."""
-    cls = {m: alg.quotient.class_index(alg.weights[m]) for m in alg.basis}
+    cls = _classes(alg)
     dims: Dict[Tuple[int, ...], int] = {}
-    for m in alg.basis:
-        dims[cls[m]] = dims.get(cls[m], 0) + 1
-    for f, g, prod in _products(alg):
-        expected = tuple(a + b for a, b in zip(cls[f], cls[g]))
-        if cls[prod] != expected:
-            return False, {"f": list(f), "g": list(g)}, dims
+    for c in cls:
+        dims[c] = dims.get(c, 0) + 1
+    for i, j, k in _products(alg):
+        if cls[k] != tuple(map(add, cls[i], cls[j])):
+            return False, {"f": list(alg.basis[i]), "g": list(alg.basis[j])}, dims
     return True, None, dims
 
 
@@ -183,13 +219,14 @@ def check_coaction_commutes(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]
     the row convention; the column convention breaks it whenever two row
     characters differ."""
     n = alg.n
-    groups: Dict[Tuple[int, ...], List[Mono]] = {}
-    for m in alg.basis:
+    cls = _classes(alg)
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for k, m in enumerate(alg.basis):
         rows = tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
-        groups.setdefault(rows, []).append(m)
+        groups.setdefault(rows, []).append(k)
     for first, *rest in groups.values():
-        first_cls = alg.quotient.class_index(alg.weights[first])
-        for m in rest:
-            if alg.quotient.class_index(alg.weights[m]) != first_cls:
-                return False, {"monomial": list(first), "left_leg": list(m)}
+        for k in rest:
+            if cls[k] != cls[first]:
+                return False, {"monomial": list(alg.basis[first]),
+                               "left_leg": list(alg.basis[k])}
     return True, None

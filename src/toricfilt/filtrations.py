@@ -21,6 +21,7 @@ from .linalg import (
     QMatrix,
     Subspace,
     annihilator,
+    image,
     span_canonical,
     sum_all,
     tensor_product,
@@ -220,11 +221,10 @@ def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Opti
     _require_same_fan(a, b)
     if phi.nrows != b.dim or phi.ncols != a.dim:
         raise InputError("morphism matrix shape does not match the operands")
+    rows_map = phi.transpose()
     for ray_idx, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
         for i in sorted(set(fa.jump_indices()) | set(fb.jump_indices())):
-            image_rows = [phi.apply_to_row(v) for v in fa.value(i).rows]
-            image = span_canonical(image_rows, b.dim)
-            if not fb.value(i).contains_subspace(image):
+            if not fb.value(i).contains_subspace(image(fa.value(i), rows_map)):
                 return {"ray": ray_idx, "index": i}
     return None
 
@@ -242,6 +242,6 @@ def change_basis(data: FiltrationData, m: QMatrix) -> FiltrationData:
     for f in data.filtrations:
         pairs = []
         for i, s in f.jumps:
-            pairs.append((i, span_canonical(QMatrix(s.rows, data.dim) @ m)))
+            pairs.append((i, image(s, m)))
         rays.append(RayFiltration.make(data.dim, pairs))
     return FiltrationData.make(data.fan, data.dim, rays)

@@ -15,7 +15,8 @@ Fractions enters it times the lcm of its denominators.  Fractions appear
 only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
 its pivot, which gives the same unique RREF as elimination over Fractions.
 Spans, sums, kernels, intersections, complements and containment tests
-feed the stored integer rows straight back into `_eliminate`.
+feed the stored integer rows straight back into `_eliminate`; `image`
+multiplies them by a matrix scaled once to integers.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
@@ -160,12 +162,6 @@ class QMatrix:
     def is_invertible(self) -> bool:
         return self.nrows == self.ncols and self.det() != 0
 
-    def apply_to_row(self, v: Sequence[Fraction]) -> Vector:
-        """Image of a row vector under the linear map x -> A x (columns act)."""
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match matrix columns")
-        return tuple(dot(r, v) for r in self.entries)
-
 
 _ZERO = Fraction(0)
 
@@ -296,10 +292,10 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
                    ambient: Optional[int] = None) -> Subspace:
     """Row space of the given vectors in canonical RREF form."""
     if isinstance(vectors, QMatrix):
-        rows: Sequence[Vector] = vectors.entries
+        rows: Sequence[Sequence[Scalar]] = vectors.entries
         ambient = vectors.ncols
     else:
-        rows = [vector(r) for r in vectors]
+        rows = [_exact(r) for r in vectors]
         if ambient is None:
             if not rows:
                 raise ValueError("ambient dimension required for an empty span")
@@ -308,6 +304,26 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
         if len(r) != ambient:
             raise ValueError("vector/ambient dimension mismatch")
     return _space(ambient, [_integer_row(r) for r in rows])
+
+
+def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
+    """The row with every entry an int or a Fraction; only other entries
+    go through `to_fraction`, which parses strings and rejects the rest."""
+    return tuple(x if type(x) is int or type(x) is Fraction else to_fraction(x)
+                 for x in row)
+
+
+def image(s: Subspace, m: QMatrix) -> Subspace:
+    """The span of the rows of `s` times `m` (a row vector v maps to v @ m).
+    `m` is scaled once by the lcm of all its denominators, which moves no
+    row space, and the products run over ints."""
+    if m.nrows != s.ambient:
+        raise ValueError("matrix shapes do not compose")
+    scale = lcm(*[x.denominator for row in m.entries for x in row])
+    cols = [[x.numerator * (scale // x.denominator) for x in col]
+            for col in zip(*m.entries)]
+    return _space(m.ncols, [_primitive([sum(map(mul, row, col)) for col in cols])
+                            for row in s.rows])
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

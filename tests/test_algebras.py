@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from oracle import (
     reference_multiplicative,
 )
 from toricfilt.algebras import (
+    _products,
     build_truncation,
     check_coaction_commutes,
     check_compatible_algebra,
@@ -222,7 +224,8 @@ def row_degrees(m, n):
 def test_checks_match_reference_scans():
     rng = random.Random(303)
     refuted = {"compatible": 0, "coaction": 0}
-    cases = [(p1_fan(), 1, 4), (p1_fan(), 2, 3), (p2_fan(), 2, 3), (p2_fan(), 3, 2)]
+    cases = [(p1_fan(), 1, 4), (p1_fan(), 2, 3), (p2_fan(), 2, 3), (p2_fan(), 3, 2),
+             (p1_fan(), 4, 2)]
     for trial in range(40):
         fan, n, degree = cases[trial % len(cases)]
         data = random_bundle(rng, fan, n)
@@ -254,3 +257,37 @@ def test_checks_match_reference_scans():
             group = {m for m in alg.basis if row_degrees(m, n) == row_degrees(f, n)}
             assert {left for left, _ in coproduct(alg, f)} == group
     assert all(refuted.values()), refuted  # corrupted tables reach the witnesses
+
+    # the last monomial moved off its weight: the checks pass on the clean
+    # table, then see the table edited in place, and every witness comes
+    # from the end of the walk
+    for fan, n, degree in cases:
+        alg = build_truncation(random_bundle(rng, fan, n), 0, degree)
+        assert check_multiplicative(alg)[0]
+        assert check_compatible_algebra(alg)[0]
+        assert check_coaction_commutes(alg)[0]
+        last = alg.basis[-1]
+        alg.weights[last] = tuple(w - r for w, r in zip(alg.weights[last], alg.rays[0]))
+        ok, witness = check_multiplicative(alg)
+        assert (ok, witness) == reference_multiplicative(alg)
+        assert alg.multiply(tuple(witness["f"]), tuple(witness["g"])) == last
+        compatible = check_compatible_algebra(alg)
+        assert compatible == reference_compatible_algebra(alg)
+        assert alg.multiply(tuple(compatible[1]["f"]), tuple(compatible[1]["g"])) == last
+        ok, witness = check_coaction_commutes(alg)
+        assert ok == reference_coaction_commutes(alg)[0] == (n == 1)
+        if n > 1:
+            assert witness["left_leg"] == list(last)
+
+
+def test_product_table_matches_pair_scan(p1):
+    """The index table lists, in walk order, exactly the pairs f <= g of the
+    basis whose product stays in the truncation."""
+    for n in range(1, 5):
+        for degree in range(1, 4):
+            alg = build_truncation(random_bundle(random.Random(n), p1, n), 0, degree)
+            index = {m: k for k, m in enumerate(alg.basis)}
+            expected = [(index[f], index[g], index[alg.multiply(f, g)])
+                        for f, g in itertools.combinations_with_replacement(alg.basis, 2)
+                        if alg.multiply(f, g) is not None]
+            assert _products(alg) == expected

@@ -4,7 +4,9 @@ with the expected exit code.
 The fans below have six or seven small rays in rank 5 whose supporting
 covectors carry entries up to 296.  The tensor row multiplies two random
 dimension-9 filtrations on P^1 into an 81-dimensional ambient space, where
-elimination with unchecked coefficient growth runs for several seconds.
+elimination with unchecked coefficient growth runs for several seconds.  The
+algebra-check rows run on a P^1 bundle at the largest truncation degree
+inside the budget, so the degree budget must bound the time as well.
 Each command runs in its own process with a 5 s timeout.
 """
 
@@ -74,6 +76,24 @@ def test_tensor_within_budget(tmp_path):
         paths[-1].write_text(json.dumps(filtration_to_obj(data)), encoding="utf-8")
     proc = _run_cli("tensor", *map(str, paths))
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+P1_FAN = {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]}
+
+
+@pytest.mark.parametrize("n,degree", [(1, 445), (2, 11)])
+def test_algebra_check_at_degree_budget(tmp_path, n, degree):
+    """The largest in-budget truncation degree also finishes in time."""
+    frame = [[str(int(i == j)) for j in range(n)] for i in range(n)]
+    bundle = {"group": {"kind": "GL", "n": n}, "fan": P1_FAN,
+              "cones": [{"cone": k, "frame": frame, "chars": [[i + 2 * k - 1] for i in range(n)]}
+                        for k in range(2)]}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle), encoding="utf-8")
+    proc = _run_cli("algebra-check", str(path), "--degree", str(degree))
+    assert proc.returncode == 0, proc.stderr.decode()
+    over = _run_cli("algebra-check", str(path), "--degree", str(degree + 1))
+    assert over.returncode == 2, over.stderr.decode()
 
 
 def _run_cli(*argv):

@@ -15,6 +15,7 @@ from toricfilt.linalg import (
     Subspace,
     annihilator,
     complement_in,
+    image,
     intersect,
     kernel,
     rref,
@@ -108,6 +109,16 @@ def test_floats_rejected():
         to_fraction(0.5)
     with pytest.raises(TypeError):
         span_canonical([[0.5, 1]])
+
+
+def test_span_entry_types():
+    """Ints and Fractions are taken as they are, "p/q" strings are parsed,
+    and booleans and floats are rejected wherever they sit in a row."""
+    for row in ([1, True], [Fraction(1, 2), 0.5], [False, 0], [1.0, 2]):
+        with pytest.raises(TypeError):
+            span_canonical([[1, 2], row])
+    assert span_canonical([["1/2", "3"], ["-2", 4]]) == span_canonical([[Fraction(1, 2), 3], [-2, 4]])
+    assert span_canonical([["-4/6", Fraction(2, 3), 0]]) == span_canonical([[-1, 1, 0]])
 
 
 def test_matrix_inverse_and_det():
@@ -212,6 +223,31 @@ def test_containment_matches_reference_reduce():
         assert a.contains(v) == (not any(reference_reduce(a, v)))
     with pytest.raises(ValueError):
         Subspace.full(2).contains([1, 2, 3])
+
+
+def test_image_matches_matrix_product():
+    """The image of a subspace under v -> v @ m equals the span of its rows
+    times m, for singular, non-square and zero rational matrices whose rows
+    have different denominators."""
+    rng = random.Random(4242)
+    kinds = {"singular": 0, "zero": 0}
+    for _ in range(300):
+        n, k = rng.randint(1, 6), rng.randint(0, 6)
+        s = span_canonical(_random_rows(rng, rng.randint(0, n), n), n)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(k)]
+                for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            rows[-1] = [a + c * b for a, b in zip(rows[0], rows[1])]
+            kinds["singular"] += 1
+        if rng.random() < 0.1:
+            rows = [[Fraction(0)] * k for _ in range(n)]
+            kinds["zero"] += 1
+        m = QMatrix(tuple(map(tuple, rows)), k)
+        assert image(s, m) == span_canonical(QMatrix(s.rows, n) @ m)
+    assert all(kinds.values()), kinds
+    with pytest.raises(ValueError):
+        image(Subspace.full(2), QMatrix.identity(3))
 
 
 def test_rows_are_canonical():
