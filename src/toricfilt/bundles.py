@@ -11,6 +11,7 @@ checked.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -123,6 +124,24 @@ class GluingReport:
     witness: Optional[dict] = None  # pair, direction, frame entry, exponent, violated ray
 
 
+def _cached_on_data(fn):
+    """fn(data), cached on the instance the way `linalg.annihilator` caches
+    on a Subspace.  Only a returned value is cached: an exception is raised
+    again on every call."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(data: CocharBundleData):
+        value = data.__dict__.get(key)
+        if value is None:
+            value = fn(data)
+            object.__setattr__(data, key, value)
+        return value
+
+    return cached
+
+
+@_cached_on_data
 def check_gluing(data: CocharBundleData) -> GluingReport:
     """Both transition directions must be regular on the overlap cone of each
     pair of maximal cones.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the frame
@@ -188,6 +207,7 @@ def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltrat
     return RayFiltration.make(n, pairs)
 
 
+@_cached_on_data
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     """Filtration data of the associated standard-representation bundle: on a
     ray of a maximal cone the chain at i is the span of the frame columns

@@ -14,6 +14,13 @@ in any adapted splitting; so the chains split exactly when the piece
 dimensions add up to the fiber dimension, and then the pieces rebuild every
 chain (Klyachko 1990; Payne 2008).
 
+The chains must be nested; `graded_pieces` checks this once per chain with
+annihilator products and raises InputError otherwise.  Nesting makes W
+monotone, so the stored dimensions settle most tuples: W(t) = 0 gives the
+piece W(t), no nonzero successor gives W(t), and a successor as large as
+W(t) gives 0.  Only the remaining tuples take a complement, and only those
+with two or more nonzero successors a sum.
+
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
 
@@ -27,7 +34,14 @@ the refutation:
 
 3. Certificate.  Otherwise the pieces, graded by character class, are
    returned.  Certificates are always re-verified, and a failed
-   re-verification raises instead of becoming a verdict.
+   re-verification raises instead of becoming a verdict.  The integral
+   characters of one cone come from one Smith form of its ray matrix
+   (`lattice.integer_solver`).
+
+The verifier forms no sum per chain index: once the pieces are a direct sum
+of the fiber, a chain value equals the sum of the pieces pairing at least
+its index exactly when their dimensions add up to its dimension and each of
+them lies in it (see `verify_cone_decomposition`).
 """
 
 from __future__ import annotations
@@ -46,10 +60,11 @@ from .linalg import (  # noqa: F401
     complement_in,
     intersect,
     intersect_all,
+    lies_in,
     sum_all,
     tensor_product,
 )
-from .lattice import solve_integer
+from .lattice import integer_solver
 
 VERDICT_CERTIFICATE = "certificate"
 VERDICT_REFUTATION = "refutation"
@@ -108,7 +123,14 @@ def _grid(data: FiltrationData, idx: Tuple[int, ...]):
 def verify_cone_decomposition(data: FiltrationData,
                               ray_indices: Sequence[int],
                               dec: ConeDecomposition) -> Optional[str]:
-    """Exact re-verification of a certificate; returns a reason on failure."""
+    """Exact re-verification of a certificate; returns a reason on failure.
+
+    Once the piece dimensions add up to the fiber dimension and the pieces
+    span it, the pieces are a direct sum.  So at each probe j of a ray (the
+    probes of `RayFiltration.first_difference`, in its order) the sum of
+    the pieces pairing at least j equals the chain value V exactly when
+    their dimensions add up to dim V and each of them lies in V, which is
+    an annihilator product against the cached ann(V); no sum is formed."""
     idx = _sorted_cone_rays(data, ray_indices)
     cone = _cone_of(data, idx)
     quotient = cone.quotient()
@@ -131,16 +153,26 @@ def verify_cone_decomposition(data: FiltrationData,
 
     for ray_idx in idx:
         ray = data.fan.rays[ray_idx]
+        chain = data.ray(ray_idx)
         pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
-        i = data.ray(ray_idx).first_difference(
-            lambda j: sum_all(
-                [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j], r
-            ),
-            pairings,
-        )
-        if i is not None:
-            return f"reconstruction fails on ray {ray_idx} at index {i}"
+        for j in chain.probes(pairings):
+            value = chain.value(j)
+            above = [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j]
+            if (sum(piece.dim for piece in above) != value.dim
+                    or not all(lies_in(piece, value) for piece in above)):
+                return f"reconstruction fails on ray {ray_idx} at index {j}"
     return None
+
+
+def _require_nested(filts: Sequence[RayFiltration]) -> None:
+    """Each jump subspace of each chain lies in the one before it; chain k
+    is the k-th of `filts` (the k-th ray of the cone in sorted order, or
+    fan ray k for the torus universe)."""
+    for k, f in enumerate(filts):
+        for (i1, s1), (i2, s2) in zip(f.jumps, f.jumps[1:]):
+            if not lies_in(s2, s1):
+                raise InputError(f"ray chain {k} is not nested: its subspace at "
+                                 f"index {i2} does not lie in the one at {i1}")
 
 
 def graded_pieces(filts: Sequence[RayFiltration],
@@ -150,34 +182,55 @@ def graded_pieces(filts: Sequence[RayFiltration],
     `filts`): a deterministic complement, inside the intersection W(t) of
     the chains at t, of the sum of W over the immediate successors of t.
     W is monotone, so that sum is everything W(t) gets from strictly
-    dominating tuples."""
+    dominating tuples.
+
+    The chains must be nested (InputError otherwise); then every successor
+    lies in W(t), and the dimensions settle most tuples without a sum: the
+    piece is W(t) when W(t) is zero or no successor is nonzero, and zero
+    when a successor is all of W(t).  One nonzero successor is complemented
+    directly; only two or more are summed first."""
+    _require_nested(filts)
     next_index = [dict(zip(f.jump_indices(), f.jump_indices()[1:])) for f in filts]
     w: Dict[Tuple[int, ...], Subspace] = {}
 
     def meet(t: Tuple[int, ...]) -> Subspace:
         if t not in w:
-            w[t] = intersect_all(
-                [f.value(i) for f, i in zip(filts, t)], ambient
-            ) if t else Subspace.full(ambient)
+            w[t] = intersect_all([f.value(i) for f, i in zip(filts, t)], ambient)
         return w[t]
 
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
+        whole = meet(t)
         successors = []
-        for k, i in enumerate(t):
-            up = next_index[k].get(i)
-            if up is not None:
-                successors.append(meet(t[:k] + (up,) + t[k + 1:]))
-        pieces[t] = complement_in(sum_all(successors, ambient), meet(t))
+        if whole.dim:
+            for k, i in enumerate(t):
+                up = next_index[k].get(i)
+                if up is not None:
+                    s = meet(t[:k] + (up,) + t[k + 1:])
+                    if s.dim:
+                        successors.append(s)
+        if not successors:
+            pieces[t] = whole
+        elif any(s.dim == whole.dim for s in successors):
+            pieces[t] = Subspace.zero(ambient)
+        elif len(successors) == 1:
+            pieces[t] = complement_in(successors[0], whole)
+        else:
+            pieces[t] = complement_in(sum_all(successors, ambient), whole)
     return pieces
+
+
+def _character_solver(data: FiltrationData, idx: Tuple[int, ...]):
+    """t -> an integral character pairing to t_k with ray idx[k], or None;
+    one Smith form of the cone's ray matrix serves every t."""
+    if not idx:
+        return lambda t: tuple([0] * data.fan.rank)
+    return integer_solver([data.fan.rays[i] for i in idx])
 
 
 def _integral_character(data: FiltrationData, idx: Tuple[int, ...],
                         t: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-    if not idx:
-        return tuple([0] * data.fan.rank)
-    rows = [data.fan.rays[i] for i in idx]
-    return solve_integer(rows, list(t))
+    return _character_solver(data, idx)(t)
 
 
 def cone_compatibility(data: FiltrationData,
@@ -200,9 +253,10 @@ def cone_compatibility(data: FiltrationData,
             ),
         )
 
+    solve = _character_solver(data, idx)
     chars: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for t in nonzero:
-        chars[t] = _integral_character(data, idx, t)
+        chars[t] = solve(t)
         if chars[t] is None:
             return ConeCompatibility(
                 idx, VERDICT_REFUTATION,

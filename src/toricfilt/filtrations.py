@@ -22,6 +22,7 @@ from .linalg import (
     Subspace,
     annihilator,
     image,
+    lies_in,
     span_canonical,
     sum_all,
     tensor_product,
@@ -71,17 +72,22 @@ class RayFiltration:
     def jump_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.jumps)
 
+    def probes(self, changes: Iterable[int] = ()) -> List[int]:
+        """The jump indices, `changes` and one past their maximum, sorted.
+        A chain that changes only at `changes` agrees with this one
+        everywhere exactly when it agrees at these indices."""
+        probe = sorted(set(self.jump_indices()) | set(changes))
+        if probe:
+            probe.append(probe[-1] + 1)
+        return probe
+
     def first_difference(self, other: Callable[[int], Subspace],
                          changes: Iterable[int] = ()) -> Optional[int]:
         """First index at which this chain differs from `other` (index ->
         subspace), or None.  `changes` must hold every i with
         other(i) != other(i + 1); then both sides are constant between
-        consecutive probes, which are the jump indices, `changes` and one past
-        their maximum."""
-        probe = sorted(set(self.jump_indices()) | set(changes))
-        if probe:
-            probe.append(probe[-1] + 1)
-        return next((i for i in probe if self.value(i) != other(i)), None)
+        consecutive `probes`."""
+        return next((i for i in self.probes(changes) if self.value(i) != other(i)), None)
 
     def issues(self) -> List[dict]:
         out: List[dict] = []
@@ -92,7 +98,7 @@ class RayFiltration:
                 out.append({"kind": "not_full",
                             "detail": "first jump subspace is a proper subspace"})
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
-            if not s1.contains_subspace(s2):
+            if not lies_in(s2, s1):
                 out.append({"kind": "not_nested", "indices": [i1, i2]})
             elif s1.dim <= s2.dim:
                 out.append({"kind": "not_strictly_decreasing", "indices": [i1, i2]})

@@ -1,5 +1,8 @@
 """Integer lattice computations: Smith and Hermite normal forms, integral
-linear solving, primitive vectors.
+linear solving, primitive vectors.  `integer_solver(a)` computes the Smith
+form of A once and returns a solver for A x = b, so a caller with many
+right-hand sides against one matrix (the per-cone character solves of the
+compatibility checker) pays for one Smith form.
 
 Everything here works on plain tuples/lists of Python ints (arbitrary
 precision).  Sizes are desk scale (rank <= 6, a few dozen rows), so the
@@ -13,7 +16,7 @@ the pivot's magnitude for the next round.
 from __future__ import annotations
 
 from math import gcd
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
 IntMatrix = Tuple[IntVector, ...]
@@ -115,28 +118,39 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
     return freeze(u), freeze(d), freeze(v)
 
 
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:
-    """One integral solution x of A x = b, or None.  Free coordinates are set
-    to zero, which makes the returned solution deterministic."""
+def integer_solver(a: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[IntVector]]:
+    """The map b -> one integral solution x of A x = b, or None.  The Smith
+    form U A V = D is computed once, here; each call then solves D y = U b
+    coordinatewise and returns x = V y.  Free coordinates of y are set to
+    zero, which makes the returned solution deterministic."""
     m = len(a)
     n = len(a[0]) if m else 0
-    if len(b) != m:
-        raise ValueError("right-hand side length mismatch")
-    if m == 0:
-        return tuple([0] * n)
-    u, d, v = smith_normal_form(a)
-    c = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
-    y = [0] * n
+    u, d, v = smith_normal_form(a) if m else ((), (), ())
     r = min(m, n)
-    for i in range(m):
-        di = d[i][i] if i < r else 0
-        if di != 0:
-            if c[i] % di != 0:
+
+    def solve(b: Sequence[int]) -> Optional[IntVector]:
+        if len(b) != m:
+            raise ValueError("right-hand side length mismatch")
+        if m == 0:
+            return tuple([0] * n)
+        c = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
+        y = [0] * n
+        for i in range(m):
+            di = d[i][i] if i < r else 0
+            if di != 0:
+                if c[i] % di != 0:
+                    return None
+                y[i] = c[i] // di
+            elif c[i] != 0:
                 return None
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            return None
-    return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
+        return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
+
+    return solve
+
+
+def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:
+    """One integral solution x of A x = b, or None: `integer_solver(a)(b)`."""
+    return integer_solver(a)(b)
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> IntMatrix:

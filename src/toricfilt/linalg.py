@@ -16,7 +16,12 @@ only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
 its pivot, which gives the same unique RREF as elimination over Fractions.
 Spans, sums, kernels, intersections, complements and containment tests
 feed the stored integer rows straight back into `_eliminate`; `image`
-multiplies them by a matrix scaled once to integers.
+multiplies them by a matrix scaled once to integers.  A kernel (and so an
+annihilator or an intersection) takes one elimination: reduced with its
+columns reversed, the conditions give generators that already are the
+canonical rows (see `_kernel`).  `intersect_all` eliminates only for two
+or more proper members, and `lies_in` tests containment by annihilator
+products against the cached annihilator.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
@@ -340,19 +345,30 @@ def sum_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
 
 
 def _kernel(mat: List[List[int]], n: int) -> Subspace:
-    """{x : M x = 0} for the primitive integer rows of M.  The generator of
-    free column f is the RREF solution with x_f = 1, scaled by the lcm of
-    the pivots so that it stays integral."""
-    pivots = _eliminate(mat, n)
-    scale = lcm(*[mat[i][p] for i, p in enumerate(pivots)])
-    gens: List[List[int]] = []
-    for f in sorted(set(range(n)) - set(pivots)):
+    """{x : M x = 0} for the primitive integer rows of M, in one elimination.
+
+    The rows are reduced with their columns in reverse order, so each pivot
+    row is supported on its pivot and on free columns to the left of it.
+    The generator of free column f (x_f = 1, solved for the pivots, scaled
+    by the lcm of the pivots so that it stays integral) is then zero left of
+    f and at every other free column: in the order of f, made primitive,
+    the generators already are the canonical rows."""
+    rev = [row[::-1] for row in mat]
+    pivots = [n - 1 - c for c in _eliminate(rev, n)]
+    scale = lcm(*[row[n - 1 - p] for row, p in zip(rev, pivots)])
+    bound = set(pivots)
+    gens: List[Tuple[int, ...]] = []
+    for f in range(n):
+        if f in bound:
+            continue
         v = [0] * n
         v[f] = scale
-        for row, p in zip(mat, pivots):
-            v[p] = -row[f] * (scale // row[p])
-        gens.append(_primitive(v))
-    return _space(n, gens)
+        for row, p in zip(rev, pivots):
+            x = row[n - 1 - f]
+            if x:
+                v[p] = -x * (scale // row[n - 1 - p])
+        gens.append(tuple(_primitive(v)))
+    return Subspace(n, tuple(gens))
 
 
 def kernel(matrix: QMatrix) -> Subspace:
@@ -373,22 +389,43 @@ def annihilator(a: Subspace) -> Subspace:
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection, computed as the kernel of the stacked dual conditions."""
-    if a.ambient != b.ambient:
-        raise ValueError("ambient dimension mismatch")
-    if a.is_zero() or b.is_full():
-        return a
-    if b.is_zero() or a.is_full():
-        return b
     return intersect_all((a, b), a.ambient)
 
 
 def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
-    conditions: List[List[int]] = []
+    """The intersection of `spaces` in Q^ambient.  Full members are skipped,
+    a zero member is the answer, and a single proper member is returned as
+    it is; only two or more proper members go through the kernel of their
+    stacked annihilators."""
+    proper: List[Subspace] = []
     for s in spaces:
         if s.ambient != ambient:
             raise ValueError("ambient dimension mismatch")
+        if s.dim < ambient:
+            proper.append(s)
+    zero = next((s for s in proper if not s.dim), None)
+    if zero is not None:
+        return zero
+    if len(proper) <= 1:
+        return proper[0] if proper else Subspace.full(ambient)
+    conditions: List[Tuple[int, ...]] = []
+    for s in proper:
         conditions.extend(annihilator(s).rows)
     return _kernel(conditions, ambient)
+
+
+def lies_in(inner: Subspace, outer: Subspace) -> bool:
+    """inner ⊆ outer, decided by annihilator products: every row of
+    ann(outer) vanishes on every row of `inner`.  ann(outer) is cached, so
+    repeated tests against one subspace eliminate once."""
+    if inner.ambient != outer.ambient:
+        raise ValueError("ambient dimension mismatch")
+    if inner.dim > outer.dim:
+        return False
+    if inner.dim == 0 or outer.dim == outer.ambient:
+        return True
+    return not any(sum(map(mul, c, r))
+                   for c in annihilator(outer).rows for r in inner.rows)
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:

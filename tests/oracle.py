@@ -7,17 +7,25 @@
 - `reference_rref`, `reference_det` and `reference_reduce`: elimination
   over Fractions, the integer kernel of `toricfilt.linalg.rref`,
   `QMatrix.det` and `Subspace.contains` must agree with.
+- `reference_kernel` and `reference_intersection`: kernels and
+  intersections from `reference_rref`, which the one-pass kernel and the
+  short paths of `toricfilt.linalg.intersect_all` must agree with.
 - `reference_dual_description`: the double description method over
   Fractions with its ranks from `reference_rref`, which the integer pass
   `toricfilt.fans.dual_description` must agree with.
 - `reference_cone` and `reference_is_face_of`: extreme rays and faces
   computed by a second pass of `reference_dual_description` over the
   supporting covectors, which `toricfilt.fans` reads off ranks instead.
+- `reference_graded_pieces` and `reference_verify_cone_decomposition`:
+  the graded pieces with a sum and a complement at every tuple, and the
+  certificate check that rebuilds every chain as a sum of pieces, which
+  the dimension shortcuts and the count-and-product check of
+  `toricfilt.compatibility` must agree with.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
   construction, only the input checks, the integral-character solver and
-  the certificate re-verification.
+  the reference certificate re-verification.
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
   over all basis pairs and expanded coproducts that the product walk and the
   row-degree grouping in `toricfilt.algebras` must agree with.
@@ -42,12 +50,18 @@ from toricfilt.compatibility import (
     _grid,
     _integral_character,
     _sorted_cone_rays,
-    verify_cone_decomposition,
 )
 from toricfilt.fans import Cone, NotPointedError, cone_intersection
 from toricfilt.lattice import hermite_normal_form, integer_kernel_basis, primitive_vector
 from toricfilt.filtrations import FiltrationData, RayFiltration
-from toricfilt.linalg import QMatrix, Subspace, intersect_all, span_canonical
+from toricfilt.linalg import (
+    QMatrix,
+    Subspace,
+    complement_in,
+    intersect_all,
+    span_canonical,
+    sum_all,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +133,38 @@ def reference_rref(rows: Sequence[Sequence[Fraction]],
     return tuple(tuple(r) for r in mat[:prow]), tuple(pivots)
 
 
+def _canonical_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[int, ...], ...]:
+    """The RREF of `rows` over Fractions, each row scaled to a primitive
+    integer row with a positive pivot: the rows a `Subspace` stores."""
+    out = []
+    for row in reference_rref(rows, ncols)[0]:
+        scale = lcm(*[x.denominator for x in row])
+        ints = [int(x * scale) for x in row]
+        out.append(tuple(primitive_vector(ints)))
+    return tuple(out)
+
+
+def reference_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> Subspace:
+    """{x : M x = 0}: one generator per free column of the Fraction RREF of
+    M, brought to canonical rows by a second Fraction elimination."""
+    reduced, pivots = reference_rref(rows, ncols)
+    gens = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(ncols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        gens.append(v)
+    return Subspace(ncols, _canonical_rows(gens, ncols))
+
+
+def reference_intersection(spaces: Sequence[Subspace], ambient: int) -> Subspace:
+    """The kernel of the stacked reference annihilators of `spaces`."""
+    conditions = [row for s in spaces for row in reference_kernel(s.rows, ambient).rows]
+    return reference_kernel(conditions, ambient)
+
+
 def reference_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Forward elimination over Fractions, the product of the pivots."""
     n = len(rows)
@@ -164,6 +210,71 @@ def level_of(filt: RayFiltration, v: Sequence) -> int:
     if best is None:
         raise ValueError("vector does not belong to the filtration's full space")
     return best
+
+
+def reference_graded_pieces(filts: Sequence[RayFiltration],
+                            tuples: Sequence[Tuple[int, ...]],
+                            ambient: int) -> Dict[Tuple[int, ...], Subspace]:
+    """The graded piece at every tuple t with no shortcut: the complement,
+    inside W(t), of the sum of W over all immediate successors of t."""
+    next_index = [dict(zip(f.jump_indices(), f.jump_indices()[1:])) for f in filts]
+    w: Dict[Tuple[int, ...], Subspace] = {}
+
+    def meet(t: Tuple[int, ...]) -> Subspace:
+        if t not in w:
+            w[t] = intersect_all(
+                [f.value(i) for f, i in zip(filts, t)], ambient
+            ) if t else Subspace.full(ambient)
+        return w[t]
+
+    pieces: Dict[Tuple[int, ...], Subspace] = {}
+    for t in tuples:
+        successors = []
+        for k, i in enumerate(t):
+            up = next_index[k].get(i)
+            if up is not None:
+                successors.append(meet(t[:k] + (up,) + t[k + 1:]))
+        pieces[t] = complement_in(sum_all(successors, ambient), meet(t))
+    return pieces
+
+
+def reference_verify_cone_decomposition(data: FiltrationData,
+                                        ray_indices: Sequence[int],
+                                        dec: ConeDecomposition) -> Optional[str]:
+    """Re-verification that rebuilds every chain as the sum of the pieces
+    pairing at least j and compares it with the chain at every probe."""
+    idx = _sorted_cone_rays(data, ray_indices)
+    cone = _cone_of(data, idx)
+    quotient = cone.quotient()
+    r = data.dim
+
+    total = 0
+    for char, piece in dec.pieces:
+        if piece.ambient != r or piece.dim == 0:
+            return "certificate contains an empty or mismatched piece"
+        if len(char) != data.fan.rank:
+            return "character has wrong length"
+        total += piece.dim
+    if total != r:
+        return "piece dimensions do not add up to the fiber dimension"
+    if sum_all([p for _, p in dec.pieces], r).dim != r:
+        return "pieces do not span the fiber"
+    classes = [quotient.class_index(char) for char, _ in dec.pieces]
+    if len(set(classes)) != len(classes):
+        return "character classes are not pairwise distinct"
+
+    for ray_idx in idx:
+        ray = data.fan.rays[ray_idx]
+        pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
+        i = data.ray(ray_idx).first_difference(
+            lambda j: sum_all(
+                [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j], r
+            ),
+            pairings,
+        )
+        if i is not None:
+            return f"reconstruction fails on ray {ray_idx} at index {i}"
+    return None
 
 
 def exhaustive_adapted_search(data: FiltrationData,
@@ -224,7 +335,7 @@ def exhaustive_adapted_search(data: FiltrationData,
         pieces.append((rep, span_canonical(groups[t], r)))
     pieces.sort(key=lambda p: p[0])
     dec = ConeDecomposition(idx, tuple(pieces))
-    if verify_cone_decomposition(data, idx, dec) is not None:
+    if reference_verify_cone_decomposition(data, idx, dec) is not None:
         return None
     return dec
 

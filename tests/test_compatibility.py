@@ -2,12 +2,19 @@ import random
 
 import pytest
 
-from oracle import exhaustive_adapted_search
+from oracle import (
+    exhaustive_adapted_search,
+    reference_graded_pieces,
+    reference_verify_cone_decomposition,
+)
+from toricfilt.bundles import associated_klyachko, check_gluing
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
     VERDICT_REFUTATION,
+    ConeDecomposition,
     _grid,
     _integral_character,
+    _require_nested,
     cone_compatibility,
     graded_pieces,
     global_compatibility,
@@ -24,11 +31,19 @@ from toricfilt.filtrations import (
     tensor,
 )
 from toricfilt.linalg import QMatrix, Subspace, span_canonical
+from toricfilt.reduction import _realized_tuples
 from toricfilt.sampling import (
+    p1_fan,
+    p2_fan,
+    random_bundle,
     random_filtration_data,
     random_split_bundle,
+    random_subspace,
     square_cone_fan,
 )
+
+P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
 
 def test_trivial_data_single_zero_class(p2):
@@ -117,12 +132,10 @@ def test_refutation_kind_names_the_deciding_stage():
     reported exactly when the piece dimensions exceed the fiber dimension,
     `integrality` only for direct pieces whose witness tuple has no integral
     character, and the exhaustive search confirms every refutation."""
-    p3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-                  [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     rng = random.Random(2024)
     kinds = set()
     for n in range(24):
-        fan = (p3, square_cone_fan())[n % 2]
+        fan = (P3, square_cone_fan())[n % 2]
         dim = 2 + n % 3
         data = random_filtration_data(rng, fan, dim, index_lo=-1, index_hi=1)
         for idx in fan.maximal_cones:
@@ -373,3 +386,126 @@ def test_morphism_duality(p2):
         forward = check_morphism(phi, a, b)
         backward = check_morphism(phi.transpose(), dual(b), dual(a))
         assert forward == backward
+
+
+def test_graded_pieces_match_reference():
+    """The dimension shortcuts change no piece: on P^2, P^3 and the square
+    cone at fiber dimensions 2-10, and on the torus universe of random and
+    split bundles, the pieces equal those of the reference engine, which
+    sums and complements at every tuple."""
+    rng = random.Random(31)
+    nonzero = 0
+    for fan in (p2_fan(), P3, square_cone_fan()):
+        for dim in range(2, 11):
+            data = random_filtration_data(rng, fan, dim)
+            for idx in fan.maximal_cones:
+                filts, tuples = _grid(data, idx)
+                pieces = graded_pieces(filts, tuples, dim)
+                assert pieces == reference_graded_pieces(filts, tuples, dim)
+                nonzero += sum(p.dim > 0 for p in pieces.values())
+    assert nonzero > 0
+    universes = 0
+    for _ in range(12):
+        for fan in (p1_fan(), p2_fan()):
+            for data in (random_bundle(rng, fan, rng.randint(1, 3), -1, 1),
+                         random_split_bundle(rng, fan, rng.randint(1, 3))):
+                if not check_gluing(data).glues:
+                    continue
+                kly = associated_klyachko(data)
+                universe = _realized_tuples(data)
+                assert (graded_pieces(kly.filtrations, universe, kly.dim)
+                        == reference_graded_pieces(kly.filtrations, universe, kly.dim))
+                universes += bool(universe)
+    assert universes > 0
+
+
+def _corruptions(rng, cert, dim):
+    """Certificates broken in the five ways the verifier must name."""
+    pieces = list(cert.pieces)
+    k = rng.randrange(len(pieces))
+    l = (k + 1) % len(pieces)
+    char, piece = pieces[k]
+    j0, step = rng.randrange(len(char)), rng.choice([-1, 1])
+    moved = tuple(c + step * (j == j0) for j, c in enumerate(char))
+    yield "moved", pieces[:k] + [(moved, piece)] + pieces[k + 1:]
+    yield "swapped", (pieces[:k] + [(char, random_subspace(rng, dim, piece.dim))]
+                      + pieces[k + 1:])
+    exchanged = list(pieces)
+    exchanged[k], exchanged[l] = (pieces[k][0], pieces[l][1]), (pieces[l][0], pieces[k][1])
+    yield "exchanged", exchanged
+    yield "dropped", pieces[:k] + pieces[k + 1:]
+    yield "duplicated", pieces[:l] + [(char, pieces[l][1])] + pieces[l + 1:]
+
+
+def test_verifier_reasons_match_reference_on_corrupted_certificates():
+    """Each corrupted certificate gets the same reason (or None) from the
+    count-and-product verifier as from the reference, which rebuilds every
+    chain as a sum of pieces."""
+    rng = random.Random(37)
+    reasons = {}
+    checked = 0
+    for n in range(40):
+        fan = (p2_fan(), P3, square_cone_fan())[n % 3]
+        dim = 2 + n % 4
+        data = (random_filtration_data(rng, fan, dim, index_lo=-1, index_hi=1)
+                if n % 2 else associated_klyachko(random_split_bundle(rng, p2_fan(), dim)))
+        for res in global_compatibility(data).cones:
+            cert = res.certificate
+            if cert is None or len(cert.pieces) < 2:
+                continue
+            for kind, pieces in _corruptions(rng, cert, data.dim):
+                dec = ConeDecomposition(cert.ray_indices, tuple(pieces))
+                got = verify_cone_decomposition(data, cert.ray_indices, dec)
+                assert got == reference_verify_cone_decomposition(data, cert.ray_indices, dec)
+                reasons.setdefault(kind, set()).add(got.split(" on ray")[0] if got else None)
+                checked += 1
+    assert checked > 100
+    assert "reconstruction fails" in reasons["swapped"] & reasons["exchanged"]
+    assert reasons["dropped"] == {"piece dimensions do not add up to the fiber dimension"}
+    assert reasons["duplicated"] == {"character classes are not pairwise distinct"}
+
+
+def _not_nested_data(fan):
+    """Data of dimension 3 whose chain on ray 1 jumps from a plane to a line
+    outside it."""
+    full = Subspace.full(3)
+    bad = RayFiltration.make(3, [(0, full), (1, span_canonical([[1, 0, 0], [0, 1, 0]])),
+                                 (2, span_canonical([[0, 0, 1]]))])
+    return FiltrationData.make(fan, 3, [RayFiltration.trivial(3), bad]
+                               + [RayFiltration.trivial(3)] * (len(fan.rays) - 2))
+
+
+def test_not_nested_chain_raises_input_error(p2):
+    data = _not_nested_data(p2)
+    with pytest.raises(InputError, match="not nested"):
+        cone_compatibility(data, (0, 1))
+    with pytest.raises(InputError, match="not nested"):
+        global_compatibility(data)
+
+
+def test_not_nested_chain_cli_exits_two(p2, tmp_path, capsys):
+    """The CLI validates before it decides, so `compat` keeps its message."""
+    import json
+
+    from toricfilt.cli import main
+    from toricfilt.serialize import filtration_to_obj
+
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(filtration_to_obj(_not_nested_data(p2))), encoding="utf-8")
+    code = main(["compat", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert json.loads(out)["error"] == "filtration data fails validation; run validate-filt"
+
+
+def test_associated_chains_are_nested():
+    rng = random.Random(43)
+    checked = 0
+    for _ in range(20):
+        for fan in (p1_fan(), p2_fan()):
+            data = random_bundle(rng, fan, rng.randint(1, 4))
+            if check_gluing(data).glues:
+                _require_nested(associated_klyachko(data).filtrations)
+                checked += 1
+            _require_nested(associated_klyachko(random_split_bundle(rng, fan, 3)).filtrations)
+    assert checked > 0

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from toricfilt.lattice import (
     hermite_normal_form,
     integer_kernel_basis,
+    integer_solver,
     is_primitive,
     primitive_vector,
     smith_normal_form,
@@ -189,3 +190,36 @@ def test_solve_integer_matches_sympy_invariant_factors():
             solvable += 1
             assert [sum(r * y for r, y in zip(row, sol)) for row in a] == b
     assert 0 < solvable < 300
+
+
+def test_integer_solver_matches_solve_integer():
+    """One solver per matrix gives solve_integer's answer for every
+    right-hand side: a solution of A x = b, or None exactly when sympy's
+    invariant factors say there is none."""
+    def factors(m):
+        inv = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+        return [abs(f) for f in inv if f != 0]
+
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(120):
+        a, n = _lattice_rows(rng)
+        solve = integer_solver(a)
+        for _ in range(4):
+            b = [rng.randint(-6, 6) for _ in a]
+            if rng.random() < 0.5:
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                b = [sum(r * y for r, y in zip(row, x)) for row in a]
+            sol = solve(b)
+            assert sol == solve_integer(a, b)
+            fa, fab = factors(a), factors([row + [c] for row, c in zip(a, b)])
+            assert (sol is not None) == (len(fa) == len(fab) and sympy.prod(fa) == sympy.prod(fab))
+            if sol is not None:
+                assert [sum(r * y for r, y in zip(row, sol)) for row in a] == b
+            outcomes.add(sol is None)
+    assert outcomes == {True, False}
+    assert integer_solver([])([]) == ()
+    assert integer_solver([[2, 0]])([4]) == (2, 0)
+    assert integer_solver([[2, 0]])([3]) is None
+    with pytest.raises(ValueError):
+        integer_solver([[1, 2]])([1, 2])

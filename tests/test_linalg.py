@@ -9,15 +9,25 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import toricfilt
-from oracle import reference_complement, reference_det, reference_reduce, reference_rref
+from oracle import (
+    reference_complement,
+    reference_det,
+    reference_intersection,
+    reference_kernel,
+    reference_reduce,
+    reference_rref,
+)
 from toricfilt.linalg import (
     QMatrix,
     Subspace,
     annihilator,
     complement_in,
+    _kernel,
     image,
     intersect,
+    intersect_all,
     kernel,
+    lies_in,
     rref,
     span_canonical,
     subspace_sum,
@@ -353,3 +363,66 @@ def test_complement_matches_greedy_walk():
             inner = span_canonical(rows(rng.randint(0, n)), n)
             outer = subspace_sum(inner, span_canonical(rows(rng.randint(0, n)), n))
             assert complement_in(inner, outer) == reference_complement(inner, outer)
+
+
+def _random_matrix(rng, m, n, lo=-4, hi=4):
+    return [[rng.choice([0, rng.randint(lo, hi)]) for _ in range(n)] for _ in range(m)]
+
+
+def test_one_pass_kernel_matches_reference():
+    """The reversed-column kernel gives the canonical rows of the Fraction
+    kernel on seeded matrices, zero, full-rank and empty ones included."""
+    rng = random.Random(17)
+    cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0]], 2),
+             ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3), ([[2, 1], [1, 1]], 2), ([[3, -6, 9]], 3)]
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        cases.append((_random_matrix(rng, rng.randint(0, n + 1), n), n))
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        cases.append(([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n))
+    for rows, n in cases:
+        expected = reference_kernel(rows, n)
+        assert kernel(QMatrix.from_rows(rows, n)) == expected
+        assert _kernel([list(r) for r in rows], n) == expected
+        if rows:
+            halves = [[Fraction(x, 2) for x in r] for r in rows]
+            assert kernel(QMatrix.from_rows(halves, n)) == expected
+
+
+def test_intersect_all_short_paths_match_reference():
+    rng = random.Random(19)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        full, zero = Subspace.full(n), Subspace.zero(n)
+        proper = span_canonical(_random_matrix(rng, rng.randint(1, n), n) or [[0] * n], n)
+        other = span_canonical(_random_matrix(rng, rng.randint(1, n), n), n)
+        # all members full
+        assert intersect_all([full, full], n) == full == reference_intersection([full, full], n)
+        assert intersect_all([], n) == full
+        # one zero member
+        members = [proper, zero, other]
+        assert intersect_all(members, n) == zero == reference_intersection(members, n)
+        # one proper member among full ones: its rows, unchanged
+        members = [full, proper, full]
+        got = intersect_all(members, n)
+        assert got.rows == proper.rows
+        assert got == reference_intersection(members, n)
+        # two proper members go through the kernel
+        members = [proper, full, other]
+        assert intersect_all(members, n) == reference_intersection(members, n)
+        assert intersect(proper, other) == reference_intersection([proper, other], n)
+    with pytest.raises(ValueError):
+        intersect_all([Subspace.zero(2), Subspace.full(3)], 2)
+
+
+def test_lies_in_matches_contains_subspace():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        a = span_canonical(_random_matrix(rng, rng.randint(0, n), n), n)
+        b = span_canonical(_random_matrix(rng, rng.randint(0, n), n) + list(a.rows)
+                           if rng.random() < 0.5 else _random_matrix(rng, rng.randint(0, n), n),
+                           n)
+        assert lies_in(a, b) == b.contains_subspace(a)
+        assert lies_in(b, b) and lies_in(Subspace.zero(n), b) and lies_in(b, Subspace.full(n))
