@@ -60,7 +60,6 @@ from .linalg import (  # noqa: F401
     complement_in,
     intersect,
     intersect_all,
-    lies_in,
     sum_all,
     tensor_product,
 )
@@ -159,7 +158,7 @@ def verify_cone_decomposition(data: FiltrationData,
             value = chain.value(j)
             above = [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j]
             if (sum(piece.dim for piece in above) != value.dim
-                    or not all(lies_in(piece, value) for piece in above)):
+                    or not all(value.contains_subspace(piece) for piece in above)):
                 return f"reconstruction fails on ray {ray_idx} at index {j}"
     return None
 
@@ -169,10 +168,10 @@ def _require_nested(filts: Sequence[RayFiltration]) -> None:
     is the k-th of `filts` (the k-th ray of the cone in sorted order, or
     fan ray k for the torus universe)."""
     for k, f in enumerate(filts):
-        for (i1, s1), (i2, s2) in zip(f.jumps, f.jumps[1:]):
-            if not lies_in(s2, s1):
-                raise InputError(f"ray chain {k} is not nested: its subspace at "
-                                 f"index {i2} does not lie in the one at {i1}")
+        bad = next(f.unnested(), None)
+        if bad is not None:
+            raise InputError(f"ray chain {k} is not nested: its subspace at "
+                             f"index {bad[1]} does not lie in the one at {bad[0]}")
 
 
 def graded_pieces(filts: Sequence[RayFiltration],
@@ -226,11 +225,6 @@ def _character_solver(data: FiltrationData, idx: Tuple[int, ...]):
     if not idx:
         return lambda t: tuple([0] * data.fan.rank)
     return integer_solver([data.fan.rays[i] for i in idx])
-
-
-def _integral_character(data: FiltrationData, idx: Tuple[int, ...],
-                        t: Tuple[int, ...]) -> Optional[Tuple[int, ...]]:
-    return _character_solver(data, idx)(t)
 
 
 def cone_compatibility(data: FiltrationData,

@@ -13,7 +13,7 @@ the serialized form, is canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Fan
@@ -22,7 +22,6 @@ from .linalg import (
     Subspace,
     annihilator,
     image,
-    lies_in,
     span_canonical,
     sum_all,
     tensor_product,
@@ -89,6 +88,13 @@ class RayFiltration:
         consecutive `probes`."""
         return next((i for i in self.probes(changes) if self.value(i) != other(i)), None)
 
+    def unnested(self) -> Iterator[Tuple[int, int]]:
+        """Consecutive jump indices (i1, i2) whose subspace at i2 does not
+        lie in the one at i1."""
+        for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
+            if not s1.contains_subspace(s2):
+                yield i1, i2
+
     def issues(self) -> List[dict]:
         out: List[dict] = []
         if self.dim > 0:
@@ -97,8 +103,9 @@ class RayFiltration:
             elif self.jumps[0][1].dim != self.dim:
                 out.append({"kind": "not_full",
                             "detail": "first jump subspace is a proper subspace"})
+        unnested = set(self.unnested())
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
-            if not lies_in(s2, s1):
+            if (i1, i2) in unnested:
                 out.append({"kind": "not_nested", "indices": [i1, i2]})
             elif s1.dim <= s2.dim:
                 out.append({"kind": "not_strictly_decreasing", "indices": [i1, i2]})

@@ -20,8 +20,8 @@ multiplies them by a matrix scaled once to integers.  A kernel (and so an
 annihilator or an intersection) takes one elimination: reduced with its
 columns reversed, the conditions give generators that already are the
 canonical rows (see `_kernel`).  `intersect_all` eliminates only for two
-or more proper members, and `lies_in` tests containment by annihilator
-products against the cached annihilator.
+or more proper members, and `Subspace.contains_subspace` tests containment
+by annihilator products against the cached annihilator.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
@@ -288,9 +288,17 @@ class Subspace:
         return len(_eliminate([*self.rows, _integer_row(w)], self.ambient)) == self.dim
 
     def contains_subspace(self, other: "Subspace") -> bool:
+        """other ⊆ self, decided by annihilator products: every row of
+        ann(self) vanishes on every row of `other`.  ann(self) is cached,
+        so repeated tests against one subspace eliminate once."""
         if other.ambient != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        return len(_eliminate([*self.rows, *other.rows], self.ambient)) == self.dim
+        if other.dim > self.dim:
+            return False
+        if other.dim == 0 or self.dim == self.ambient:
+            return True
+        return not any(sum(map(mul, c, r))
+                       for c in annihilator(self).rows for r in other.rows)
 
 
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
@@ -412,20 +420,6 @@ def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
     for s in proper:
         conditions.extend(annihilator(s).rows)
     return _kernel(conditions, ambient)
-
-
-def lies_in(inner: Subspace, outer: Subspace) -> bool:
-    """inner ⊆ outer, decided by annihilator products: every row of
-    ann(outer) vanishes on every row of `inner`.  ann(outer) is cached, so
-    repeated tests against one subspace eliminate once."""
-    if inner.ambient != outer.ambient:
-        raise ValueError("ambient dimension mismatch")
-    if inner.dim > outer.dim:
-        return False
-    if inner.dim == 0 or outer.dim == outer.ambient:
-        return True
-    return not any(sum(map(mul, c, r))
-                   for c in annihilator(outer).rows for r in inner.rows)
 
 
 def complement_in(inner: Subspace, outer: Subspace) -> Subspace:

@@ -46,9 +46,9 @@ from toricfilt.algebras import Mono, TruncatedAlgebra
 from toricfilt.bundles import CocharBundleData, GluingReport
 from toricfilt.compatibility import (
     ConeDecomposition,
+    _character_solver,
     _cone_of,
     _grid,
-    _integral_character,
     _sorted_cone_rays,
 )
 from toricfilt.fans import Cone, NotPointedError, cone_intersection
@@ -328,7 +328,7 @@ def exhaustive_adapted_search(data: FiltrationData,
         groups.setdefault(exact, []).append(v)
     pieces = []
     for t in sorted(groups):
-        char = _integral_character(data, idx, t)
+        char = _character_solver(data, idx)(t)
         if char is None:
             return None
         rep = quotient.canonical_representative(char)

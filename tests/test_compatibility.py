@@ -12,8 +12,8 @@ from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
     VERDICT_REFUTATION,
     ConeDecomposition,
+    _character_solver,
     _grid,
-    _integral_character,
     _require_nested,
     cone_compatibility,
     graded_pieces,
@@ -119,7 +119,7 @@ def test_reconstruction_decided_before_integrality(square_fan):
     filts, tuples = _grid(data, idx)
     pieces = graded_pieces(filts, tuples, 2)
     assert pieces[(1, 0, 0, 0)].dim == 1
-    assert _integral_character(data, idx, (1, 0, 0, 0)) is None
+    assert _character_solver(data, idx)((1, 0, 0, 0)) is None
     res = cone_compatibility(data, idx)
     assert res.verdict == VERDICT_REFUTATION
     assert res.refutation.kind == "reconstruction"
@@ -148,7 +148,7 @@ def test_refutation_kind_names_the_deciding_stage():
             if kind == "integrality":
                 assert graded_dim == dim
                 t = tuple(res.refutation.detail["tuple"])
-                assert _integral_character(data, idx, t) is None
+                assert _character_solver(data, idx)(t) is None
             if res.verdict == VERDICT_REFUTATION:
                 assert exhaustive_adapted_search(data, idx) is None
     assert kinds == {None, "reconstruction", "integrality"}

@@ -27,7 +27,6 @@ from toricfilt.linalg import (
     intersect,
     intersect_all,
     kernel,
-    lies_in,
     rref,
     span_canonical,
     subspace_sum,
@@ -229,6 +228,12 @@ def test_containment_matches_reference_reduce():
         assert a.contains_subspace(b) == all(
             not any(reference_reduce(a, v)) for v in b.basis)
         assert a.contains_subspace(intersect(a, b))
+        # a space built around `a`, so that the annihilator product also
+        # runs on proper outer spaces that do contain the inner one
+        c = span_canonical([*a.rows, *_random_rows(rng, rng.randint(0, 2), n)], n)
+        assert c.contains_subspace(a)
+        assert c.contains_subspace(b) == all(
+            not any(reference_reduce(c, v)) for v in b.basis)
         v = _random_rows(rng, 1, n)[0]
         assert a.contains(v) == (not any(reference_reduce(a, v)))
     with pytest.raises(ValueError):
@@ -414,15 +419,3 @@ def test_intersect_all_short_paths_match_reference():
         assert intersect(proper, other) == reference_intersection([proper, other], n)
     with pytest.raises(ValueError):
         intersect_all([Subspace.zero(2), Subspace.full(3)], 2)
-
-
-def test_lies_in_matches_contains_subspace():
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randint(1, 5)
-        a = span_canonical(_random_matrix(rng, rng.randint(0, n), n), n)
-        b = span_canonical(_random_matrix(rng, rng.randint(0, n), n) + list(a.rows)
-                           if rng.random() < 0.5 else _random_matrix(rng, rng.randint(0, n), n),
-                           n)
-        assert lies_in(a, b) == b.contains_subspace(a)
-        assert lies_in(b, b) and lies_in(Subspace.zero(n), b) and lies_in(b, Subspace.full(n))
