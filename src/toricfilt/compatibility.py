@@ -38,10 +38,11 @@ the refutation:
    characters of one cone come from one Smith form of its ray matrix
    (`lattice.integer_solver`).
 
-The verifier forms no sum per chain index: once the pieces are a direct sum
-of the fiber, a chain value equals the sum of the pieces pairing at least
-its index exactly when their dimensions add up to its dimension and each of
-them lies in it (see `verify_cone_decomposition`).
+The verifier forms no sum per chain index: once it has checked that the
+pieces are a direct sum of the fiber, it tests the reconstruction equation
+on each ray with `RayFiltration.reconstruction_failure`, which compares
+dimensions and tests containment.  The torus check of `reduction` uses the
+same test.
 """
 
 from __future__ import annotations
@@ -125,11 +126,9 @@ def verify_cone_decomposition(data: FiltrationData,
     """Exact re-verification of a certificate; returns a reason on failure.
 
     Once the piece dimensions add up to the fiber dimension and the pieces
-    span it, the pieces are a direct sum.  So at each probe j of a ray (the
-    probes of `RayFiltration.first_difference`, in its order) the sum of
-    the pieces pairing at least j equals the chain value V exactly when
-    their dimensions add up to dim V and each of them lies in V, which is
-    an annihilator product against the cached ann(V); no sum is formed."""
+    span it, the pieces are a direct sum, which is the precondition of
+    `RayFiltration.reconstruction_failure`; each ray's chain is then tested
+    against the pieces, levelled by their pairings with the ray."""
     idx = _sorted_cone_rays(data, ray_indices)
     cone = _cone_of(data, idx)
     quotient = cone.quotient()
@@ -144,7 +143,8 @@ def verify_cone_decomposition(data: FiltrationData,
         total += piece.dim
     if total != r:
         return "piece dimensions do not add up to the fiber dimension"
-    if sum_all([p for _, p in dec.pieces], r).dim != r:
+    pieces = [piece for _, piece in dec.pieces]
+    if sum_all(pieces, r).dim != r:
         return "pieces do not span the fiber"
     classes = [quotient.class_index(char) for char, _ in dec.pieces]
     if len(set(classes)) != len(classes):
@@ -152,14 +152,10 @@ def verify_cone_decomposition(data: FiltrationData,
 
     for ray_idx in idx:
         ray = data.fan.rays[ray_idx]
-        chain = data.ray(ray_idx)
         pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
-        for j in chain.probes(pairings):
-            value = chain.value(j)
-            above = [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j]
-            if (sum(piece.dim for piece in above) != value.dim
-                    or not all(value.contains_subspace(piece) for piece in above)):
-                return f"reconstruction fails on ray {ray_idx} at index {j}"
+        j = data.ray(ray_idx).reconstruction_failure(pieces, pairings)
+        if j is not None:
+            return f"reconstruction fails on ray {ray_idx} at index {j}"
     return None
 
 

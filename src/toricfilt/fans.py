@@ -41,6 +41,10 @@ IntVec = Tuple[int, ...]
 CONE_CACHE_SIZE = 1024
 
 
+def _unit_rows(rank: int) -> Tuple[IntVec, ...]:
+    return tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+
+
 # ---------------------------------------------------------------------------
 # double description
 
@@ -124,9 +128,7 @@ def dual_description(rank: int,
     elif constraints:
         lin_out = hermite_normal_form(integer_kernel_basis(constraints), rank)
     else:
-        lin_out = hermite_normal_form(
-            [[1 if i == j else 0 for j in range(rank)] for i in range(rank)], rank
-        )
+        lin_out = _unit_rows(rank)  # the identity is its own Hermite form
     return tuple(lin_out), tuple(sorted(rays))
 
 
@@ -212,10 +214,7 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
         if all(x == 0 for x in g):
             raise InputError("zero vector cannot generate a ray")
     if not gens:
-        perp = hermite_normal_form(
-            [[1 if i == j else 0 for j in range(rank)] for i in range(rank)], rank
-        )
-        return Cone(rank, (), (), tuple(perp), 0)
+        return Cone(rank, (), (), _unit_rows(rank), 0)
     # the dual cone is perp + cone(dual_rays); the cone is pointed iff that is
     # full-dimensional, and g spans an extreme ray iff the face of the dual
     # cone tight on g has codimension one

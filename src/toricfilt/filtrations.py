@@ -8,6 +8,14 @@ below the first jump (fullness forces the first stored subspace to be Q^r).
 Constructors normalize (sort, drop zero-dimensional jumps, merge equal
 consecutive values keeping the later index) so the representation, and hence
 the serialized form, is canonical.
+
+The calculus builds chain values from canonical rows without eliminating
+them where it can: a tensor product of two subspaces is the span of the
+Kronecker products of their rows (`linalg.tensor_product`) and a direct sum
+is the two blocks of rows padded with zeros (`linalg.block_sum`).  A chain
+is rebuilt from pieces that form a direct sum of the fiber by
+`RayFiltration.reconstruction_failure`, the one test of the reconstruction
+equation; the certificate verifier and the torus check both call it.
 """
 
 from __future__ import annotations
@@ -21,8 +29,8 @@ from .linalg import (
     QMatrix,
     Subspace,
     annihilator,
+    block_sum,
     image,
-    span_canonical,
     sum_all,
     tensor_product,
 )
@@ -87,6 +95,24 @@ class RayFiltration:
         other(i) != other(i + 1); then both sides are constant between
         consecutive `probes`."""
         return next((i for i in self.probes(changes) if self.value(i) != other(i)), None)
+
+    def reconstruction_failure(self, pieces: Sequence[Subspace],
+                               levels: Sequence[int]) -> Optional[int]:
+        """First probe j (see `probes`, with `levels` as the changes) at
+        which the sum of the pieces of level at least j is not this chain's
+        value, or None.
+
+        The pieces must form a direct sum of the fiber.  Then that sum
+        equals the value V exactly when their dimensions add up to dim V and
+        each of them lies in V, an annihilator product against the cached
+        ann(V); no sum is formed."""
+        for j in self.probes(levels):
+            value = self.value(j)
+            above = [s for s, level in zip(pieces, levels) if level >= j]
+            if (sum(s.dim for s in above) != value.dim
+                    or not all(value.contains_subspace(s) for s in above)):
+                return j
+        return None
 
     def unnested(self) -> Iterator[Tuple[int, int]]:
         """Consecutive jump indices (i1, i2) whose subspace at i2 does not
@@ -201,28 +227,15 @@ def dual(a: FiltrationData) -> FiltrationData:
     return FiltrationData.make(a.fan, a.dim, rays)
 
 
-def _block_embed(s: Subspace, offset: int, total: int) -> List[Tuple]:
-    rows = []
-    for r in s.rows:
-        row = [0] * total
-        for j, x in enumerate(r):
-            row[offset + j] = x
-        rows.append(tuple(row))
-    return rows
-
-
 def direct_sum(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     """Blockwise direct sum on Q^(ra+rb): the chain at i is the block sum of
-    the operand chains at i."""
+    the operand chains at i, whose padded rows are already canonical."""
     _require_same_fan(a, b)
     dim = a.dim + b.dim
     rays: List[RayFiltration] = []
     for fa, fb in zip(a.filtrations, b.filtrations):
         candidates = sorted(set(fa.jump_indices()) | set(fb.jump_indices()))
-        pairs = []
-        for i in candidates:
-            rows = _block_embed(fa.value(i), 0, dim) + _block_embed(fb.value(i), a.dim, dim)
-            pairs.append((i, span_canonical(rows, dim)))
+        pairs = [(i, block_sum(fa.value(i), fb.value(i))) for i in candidates]
         rays.append(RayFiltration.make(dim, pairs))
     return FiltrationData.make(a.fan, dim, rays)
 

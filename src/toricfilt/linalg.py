@@ -14,18 +14,19 @@ entries after every step, which keeps coefficients small); a row of
 Fractions enters it times the lcm of its denominators.  Fractions appear
 only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
 its pivot, which gives the same unique RREF as elimination over Fractions.
-Spans, sums, kernels, intersections, complements and containment tests
-feed the stored integer rows straight back into `_eliminate`; `image`
-multiplies them by a matrix scaled once to integers.  A kernel (and so an
-annihilator or an intersection) takes one elimination: reduced with its
-columns reversed, the conditions give generators that already are the
-canonical rows (see `_kernel`).  `intersect_all` eliminates only for two
-or more proper members, and `Subspace.contains_subspace` tests containment
-by annihilator products against the cached annihilator.
+Spans and sums feed the stored integer rows straight back into
+`_eliminate`; `image` multiplies them by a matrix scaled once to integers.
+A kernel (and so an annihilator or an intersection) takes one elimination:
+reduced with its columns reversed, the conditions give generators that
+already are the canonical rows (see `_kernel`).  `intersect_all` eliminates
+only for two or more proper members, and containment of a vector or a
+subspace is an annihilator product against the cached annihilator.
+`tensor_product` and `block_sum` eliminate nothing: their Kronecker and
+padded rows are canonical by construction (each docstring gives the proof).
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
-input, which is slow on the tall spanning sets of tensor products.
+input, which is slow on the tall spanning sets of tensor filtrations.
 """
 
 from __future__ import annotations
@@ -275,17 +276,13 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient
-
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
     def contains(self, v: Sequence[Scalar]) -> bool:
-        w = vector(v)
+        """v ∈ self, by the rule of `contains_subspace`: every row of the
+        cached ann(self) vanishes on v."""
+        w = _exact(v)
         if len(w) != self.ambient:
             raise ValueError("vector/ambient dimension mismatch")
-        return len(_eliminate([*self.rows, _integer_row(w)], self.ambient)) == self.dim
+        return not any(sum(map(mul, c, w)) for c in annihilator(self).rows)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         """other ⊆ self, decided by annihilator products: every row of
@@ -446,8 +443,31 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
 
 
 def tensor_product(a: Subspace, b: Subspace) -> Subspace:
-    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis,
-    spanned by the Kronecker products of the basis rows (index (i, j) maps to
-    i*rb+j).  The Kronecker product of primitive integer rows is primitive."""
-    rows = [[x * y for x in u for y in v] for u in a.rows for v in b.rows]
-    return _space(a.ambient * b.ambient, rows)
+    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis
+    (index (i, j) maps to i*rb+j): the Kronecker products u⊗v of the stored
+    rows, u of `a` and v of `b` in that order, with no elimination.
+
+    These rows are canonical.  u⊗v is zero at (i, j) unless u[i] and v[j]
+    are nonzero, so its first nonzero entry is at (pivot u, pivot v); in the
+    order of (u, v) these pivots increase lexicographically.  At that
+    column every other product u'⊗v' is u'[pivot u] v'[pivot v] = 0, because
+    the rows of `a` (of `b`) are zero at each other's pivots.  So the rows
+    are in RREF.  The content of u⊗v is content(u) content(v) = 1 (Gauss's
+    lemma), and its pivot, a product of two positive pivots, is positive."""
+    return Subspace(a.ambient * b.ambient,
+                    tuple(tuple(x * y for x in u for y in v) for u in a.rows for v in b.rows))
+
+
+def block_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a ⊕ b inside Q^(ra+rb): the rows of `a` padded with rb zeros on the
+    right, then the rows of `b` padded with ra zeros on the left, with no
+    elimination.
+
+    These rows are canonical: the pivots of the rows of `a` lie in the first
+    ra columns and those of `b` after them, in increasing order; each pivot
+    column is zero in the other rows of its own block by RREF and in every
+    row of the other block by the padding; and padding changes neither the
+    content nor the pivot of a row."""
+    pad_a, pad_b = (0,) * b.ambient, (0,) * a.ambient
+    return Subspace(a.ambient + b.ambient,
+                    tuple(u + pad_a for u in a.rows) + tuple(pad_b + v for v in b.rows))

@@ -20,19 +20,21 @@ maximal cone is the level tuple of one of that cone's characters.  On each
 cone the multiset of level tuples of an adapted splitting is an invariant
 of the chains, so every line of any splitting has its tuple in R, and every
 tuple in R is integral by construction: the verdict NONE-FOUND is
-definitive.
+definitive.  The nonzero pieces over R split the data exactly when their
+dimensions add up to n, they span the fiber (so they are a direct sum), and
+`RayFiltration.reconstruction_failure` finds no failure on any chain; the
+rows of the pieces are then the splitting lines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
 from .compatibility import graded_pieces
 from .errors import PreconditionError
-from .filtrations import FiltrationData
-from .linalg import QMatrix, span_canonical
+from .linalg import QMatrix, sum_all
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
@@ -102,42 +104,29 @@ def _realized_tuples(data: CocharBundleData) -> List[Tuple[int, ...]]:
     return sorted(tuple(p[i] for i in range(len(fan.rays))) for p in partial)
 
 
-def _splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple],
-                            levels: Sequence[Tuple[int, ...]]) -> bool:
-    """n lines whose sums by level rebuild every chain; the chains are full,
-    so the lines then span the fiber and are independent."""
-    n = kly.dim
-    return len(lines) == n and all(
-        chain.first_difference(
-            lambda i: span_canonical([v for v, lv in zip(lines, levels) if lv[k] >= i], n),
-            [lv[k] for lv in levels],
-        ) is None
-        for k, chain in enumerate(kly.filtrations)
-    )
-
-
 def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:
     """Split the associated filtration data into rank-one summands with
     integral characters on every maximal cone, or report that none exists.
-    The graded pieces over the universe R give the candidate lines; they are
-    accepted only when there are n of them and they rebuild every chain."""
+    The nonzero graded pieces over the universe R are accepted when they are
+    a direct sum of the fiber that rebuilds every chain; their rows are the
+    lines, each levelled by its piece's tuple."""
     if data.group.kind != "GL":
         raise PreconditionError("torus reduction is decided for GL bundles")
     if not check_gluing(data).glues:
         raise PreconditionError("bundle data does not glue; reduction undefined")
     kly = associated_klyachko(data)
+    n = kly.dim
     universe = _realized_tuples(data)
-    pieces = graded_pieces(kly.filtrations, universe, kly.dim)
-    lines, levels = [], []
-    for t in universe:
-        for v in pieces[t].rows:
-            lines.append(v)
-            levels.append(t)
-    if not _splitting_reconstructs(kly, lines, levels):
+    pieces = graded_pieces(kly.filtrations, universe, n)
+    nonzero = [t for t in universe if pieces[t].dim]
+    parts = [pieces[t] for t in nonzero]
+    if (sum(p.dim for p in parts) != n or sum_all(parts, n).dim != n
+            or any(chain.reconstruction_failure(parts, [t[k] for t in nonzero]) is not None
+                   for k, chain in enumerate(kly.filtrations))):
         return TorusReductionResult(TORUS_NONE, universe_size=len(universe))
     return TorusReductionResult(
         TORUS_REDUCES,
-        lines=tuple(lines),
-        line_levels=tuple(levels),
+        lines=tuple(v for t in nonzero for v in pieces[t].rows),
+        line_levels=tuple(t for t in nonzero for _ in pieces[t].rows),
         universe_size=len(universe),
     )

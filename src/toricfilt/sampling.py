@@ -87,7 +87,7 @@ def random_split_bundle(rng: random.Random, fan: Fan, n: int,
 def random_subspace(rng: random.Random, ambient: int, dim: int):
     while True:
         rows = [[rng.randint(-3, 3) for _ in range(ambient)] for _ in range(dim)]
-        s = span_canonical(rows, ambient) if rows else span_canonical([], ambient)
+        s = span_canonical(rows, ambient)
         if s.dim == dim:
             return s
 

@@ -19,8 +19,13 @@
 - `reference_graded_pieces` and `reference_verify_cone_decomposition`:
   the graded pieces with a sum and a complement at every tuple, and the
   certificate check that rebuilds every chain as a sum of pieces, which
-  the dimension shortcuts and the count-and-product check of
-  `toricfilt.compatibility` must agree with.
+  the dimension shortcuts of `toricfilt.compatibility` and the
+  count-and-product test `RayFiltration.reconstruction_failure` must agree
+  with.
+- `reference_splitting_reconstructs`: the torus-splitting check that spans
+  the lines of each level at every probe of every chain, which
+  `toricfilt.reduction.check_torus_reduction` (a direct-sum test, then
+  `reconstruction_failure`) must agree with.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
@@ -275,6 +280,20 @@ def reference_verify_cone_decomposition(data: FiltrationData,
         if i is not None:
             return f"reconstruction fails on ray {ray_idx} at index {i}"
     return None
+
+
+def reference_splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple],
+                                     levels: Sequence[Tuple[int, ...]]) -> bool:
+    """n lines whose spans by level rebuild every chain at every probe; the
+    chains are full, so the lines then span the fiber and are independent."""
+    n = kly.dim
+    return len(lines) == n and all(
+        chain.first_difference(
+            lambda i: span_canonical([v for v, lv in zip(lines, levels) if lv[k] >= i], n),
+            [lv[k] for lv in levels],
+        ) is None
+        for k, chain in enumerate(kly.filtrations)
+    )
 
 
 def exhaustive_adapted_search(data: FiltrationData,

@@ -15,8 +15,14 @@ from toricfilt.filtrations import (
     tensor,
     validate,
 )
-from toricfilt.linalg import QMatrix, Subspace, span_canonical
-from toricfilt.sampling import p1_fan, random_filtration_data, random_ray_filtration
+from toricfilt.linalg import QMatrix, Subspace, span_canonical, sum_all
+from toricfilt.sampling import (
+    p1_fan,
+    random_filtration_data,
+    random_invertible_matrix,
+    random_ray_filtration,
+    random_subspace,
+)
 from toricfilt.serialize import filtration_from_obj, filtration_to_obj
 
 
@@ -116,6 +122,43 @@ def test_random_chain_fits_short_index_range():
         assert f.issues() == []
         assert f.jumps[0][1].dim == 8
         assert all(-2 <= i <= 3 for i in f.jump_indices())
+
+
+def _span_failure(chain, pieces, levels, dim):
+    """The first probe at which the span of the pieces of level at least j
+    differs from the chain."""
+    return chain.first_difference(
+        lambda j: sum_all([s for s, lv in zip(pieces, levels) if lv >= j], dim), levels)
+
+
+def test_reconstruction_failure_matches_span_reference():
+    """On seeded direct sums of the fiber, the count-and-containment test
+    finds the same first failing probe as the span of the pieces: with the
+    levels the chain was built from, with one piece's level shifted, and
+    with one piece swapped for another subspace of the same dimension that
+    keeps the sum direct."""
+    rng = random.Random(61)
+    found = {"matching": set(), "shifted": set(), "swapped": set()}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        frame = random_invertible_matrix(rng, n).entries
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+        pieces = [span_canonical(frame[i:j], n) for i, j in zip([0] + cuts, cuts + [n])]
+        levels = [rng.randint(-2, 2) for _ in pieces]
+        chain = RayFiltration.make(n, [
+            (j, sum_all([s for s, lv in zip(pieces, levels) if lv >= j], n))
+            for j in set(levels)])
+        k = rng.randrange(len(pieces))
+        shifted = levels[:k] + [levels[k] + rng.choice([-1, 1])] + levels[k + 1:]
+        swapped = pieces[:k] + [random_subspace(rng, n, pieces[k].dim)] + pieces[k + 1:]
+        cases = {"matching": (pieces, levels), "shifted": (pieces, shifted)}
+        if sum_all(swapped, n).dim == n:
+            cases["swapped"] = (swapped, levels)
+        for kind, (ps, lvs) in cases.items():
+            got = chain.reconstruction_failure(ps, lvs)
+            assert got == _span_failure(chain, ps, lvs, n)
+            found[kind].add(got is None)
+    assert found == {"matching": {True}, "shifted": {False}, "swapped": {True, False}}
 
 
 def test_direct_sum_with_zero(p1, tangent_p2):

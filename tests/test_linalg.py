@@ -17,10 +17,12 @@ from oracle import (
     reference_reduce,
     reference_rref,
 )
+from toricfilt import linalg
 from toricfilt.linalg import (
     QMatrix,
     Subspace,
     annihilator,
+    block_sum,
     complement_in,
     _kernel,
     image,
@@ -306,6 +308,28 @@ def test_fractions_imported_only_by_linalg_and_serialize():
     assert importers == {"linalg", "serialize"}
 
 
+def test_no_unused_imports():
+    """Every name a module of the package imports is used in it.  The one
+    exception is `compatibility.intersect`, which the benchmark's tests read
+    to check that the tracer wraps re-imported bindings too."""
+    allowed = {("compatibility", "intersect")}
+    unused = []
+    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in sorted(imported)
+                   if name not in used and (path.stem, name) not in allowed]
+    assert unused == []
+
+
 def test_kernel_matches_annihilator():
     m = QMatrix.from_rows([[1, 2, 3]])
     k = kernel(m)
@@ -316,6 +340,49 @@ def test_kernel_matches_annihilator():
 def test_tensor_product_of_lines():
     t = tensor_product(span_canonical([[1, 2]]), span_canonical([[3, 0]]))
     assert t == span_canonical([[3, 0, 6, 0]])
+
+
+def _seeded_pairs(rng):
+    """Pairs of subspaces of ambient 0-5: zero and full spaces, then seeded
+    spans of random rows."""
+    for n in range(6):
+        for m in range(6):
+            yield Subspace.zero(n), Subspace.full(m)
+            yield Subspace.full(n), Subspace.zero(m)
+            yield Subspace.full(n), Subspace.full(m)
+    for _ in range(300):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        yield (span_canonical(_random_rows(rng, rng.randint(0, n + 1), n), n),
+               span_canonical(_random_rows(rng, rng.randint(0, m + 1), m), m))
+
+
+def test_tensor_and_block_rows_are_canonical():
+    """The Kronecker rows of `tensor_product` and the padded rows of
+    `block_sum` are the canonical rows of the span of the same raw rows."""
+    pairs = 0
+    for a, b in _seeded_pairs(random.Random(53)):
+        n, m = a.ambient, b.ambient
+        kron = [[x * y for x in u for y in v] for u in a.rows for v in b.rows]
+        assert tensor_product(a, b) == span_canonical(kron, n * m)
+        blocks = [list(u) + [0] * m for u in a.rows] + [[0] * n + list(v) for v in b.rows]
+        assert block_sum(a, b) == span_canonical(blocks, n + m)
+        pairs += a.dim > 1 and b.dim > 1
+    assert pairs > 20
+
+
+def test_tensor_and_block_sum_eliminate_nothing(monkeypatch):
+    """With elimination made to raise, both still return their results."""
+    rng = random.Random(59)
+    pairs = list(_seeded_pairs(rng))[-40:]
+    expected = [(tensor_product(a, b), block_sum(a, b)) for a, b in pairs]
+
+    def no_elimination(mat, ncols):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(linalg, "_eliminate", no_elimination)
+    with pytest.raises(AssertionError):
+        span_canonical([[1, 2]])
+    assert [(tensor_product(a, b), block_sum(a, b)) for a, b in pairs] == expected
 
 
 @settings(max_examples=60, deadline=None)

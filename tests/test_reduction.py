@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import reference_splitting_reconstructs
 from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
@@ -23,6 +24,7 @@ from toricfilt.reduction import (
     SL_REDUCES,
     TORUS_NONE,
     TORUS_REDUCES,
+    _realized_tuples,
     check_sl_reduction,
     check_torus_reduction,
 )
@@ -252,44 +254,83 @@ def _full_grid_torus_verdict(data):
     return TORUS_REDUCES if splits and integral else TORUS_NONE
 
 
-def test_torus_universe_matches_full_grid(p2, tangent_p2_bundle):
-    """The realized-tuple universe loses no splitting: its verdict equals the
-    full-grid reference on random bundles over P^1 and P^2 (n <= 3), split
-    bundles, and twisted, moved and extended tangent bundles of P^2."""
-    rng = random.Random(8)
+def _twist(data, line):
+    """`data` tensored with the line bundle `line` on P^2: each cone's
+    characters shifted by the line's character there."""
+    return CocharBundleData.make(data.group, data.fan, data.frames, [
+        [tuple(a + b for a, b in zip(u, lu[0])) for u in cone_chars]
+        for cone_chars, lu in zip(data.chars, line.chars)
+    ])
 
-    def twist(data, line):
-        return CocharBundleData.make(data.group, p2, data.frames, [
-            [tuple(a + b for a, b in zip(u, lu[0])) for u in cone_chars]
-            for cone_chars, lu in zip(data.chars, line.chars)
-        ])
 
-    def plus_line(data, line, h):
-        frames = [
-            h @ QMatrix.from_rows([list(r) + [0] for r in f.entries] + [[0, 0, g.entries[0][0]]])
-            for f, g in zip(data.frames, line.frames)
-        ]
-        chars = [tuple(a) + tuple(b) for a, b in zip(data.chars, line.chars)]
-        return CocharBundleData.make(GroupSpec("GL", 3), p2, frames, chars)
+def _plus_line(data, line, h):
+    """The rank-2 `data` plus the line bundle `line`, in the frame h."""
+    frames = [
+        h @ QMatrix.from_rows([list(r) + [0] for r in f.entries] + [[0, 0, g.entries[0][0]]])
+        for f, g in zip(data.frames, line.frames)
+    ]
+    chars = [tuple(a) + tuple(b) for a, b in zip(data.chars, line.chars)]
+    return CocharBundleData.make(GroupSpec("GL", 3), data.fan, frames, chars)
 
+
+def _torus_instances(rng, p2, tangent_p2_bundle):
+    """Random bundles over P^1 and P^2 (n <= 3), split bundles, and twisted,
+    moved and extended tangent bundles of P^2."""
     instances = []
     for _ in range(8):
         for fan in (p1_fan(), p2):
             instances.append(random_bundle(rng, fan, rng.randint(1, 3), -1, 1))
         instances.append(random_split_bundle(rng, p2, rng.randint(1, 3)))
-        t = twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
+        t = _twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
         h = random_invertible_matrix(rng, 2)
         instances.append(CocharBundleData.make(t.group, p2, [h @ f for f in t.frames], t.chars))
-        instances.append(plus_line(t, random_split_bundle(rng, p2, 1),
-                                   random_invertible_matrix(rng, 3)))
+        instances.append(_plus_line(t, random_split_bundle(rng, p2, 1),
+                                    random_invertible_matrix(rng, 3)))
+    return instances
+
+
+def test_torus_universe_matches_full_grid(p2, tangent_p2_bundle):
+    """The realized-tuple universe loses no splitting: its verdict equals the
+    full-grid reference on random bundles over P^1 and P^2 (n <= 3), split
+    bundles, and twisted, moved and extended tangent bundles of P^2."""
     verdicts = set()
-    for data in instances:
+    for data in _torus_instances(random.Random(8), p2, tangent_p2_bundle):
         if not check_gluing(data).glues:
             continue
         res = check_torus_reduction(data)
         assert res.verdict == _full_grid_torus_verdict(data)
         verdicts.add(res.verdict)
     assert verdicts == {TORUS_REDUCES, TORUS_NONE}
+
+
+def test_torus_check_matches_reference_splitting(p2, tangent_p2_bundle):
+    """The direct-sum test plus `reconstruction_failure` gives the verdict,
+    lines and levels of the reference, which spans the lines of each level
+    at every probe, on the instances above and on tangent bundles of P^2
+    twisted by line bundles and extended by them in the identity frame."""
+    rng = random.Random(8)
+    instances = _torus_instances(rng, p2, tangent_p2_bundle)
+    for _ in range(8):
+        t = _twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
+        instances += [t, _plus_line(t, random_split_bundle(rng, p2, 1), QMatrix.identity(3))]
+    verdicts = {TORUS_REDUCES: 0, TORUS_NONE: 0}
+    nonempty_none = 0
+    for data in instances:
+        if not check_gluing(data).glues:
+            continue
+        kly = associated_klyachko(data)
+        universe = _realized_tuples(data)
+        pieces = graded_pieces(kly.filtrations, universe, kly.dim)
+        lines = tuple(v for t in universe for v in pieces[t].rows)
+        levels = tuple(t for t in universe for _ in pieces[t].rows)
+        res = check_torus_reduction(data)
+        if reference_splitting_reconstructs(kly, lines, levels):
+            assert (res.verdict, res.lines, res.line_levels) == (TORUS_REDUCES, lines, levels)
+        else:
+            assert (res.verdict, res.lines, res.line_levels) == (TORUS_NONE, None, None)
+            nonempty_none += bool(lines)
+        verdicts[res.verdict] += 1
+    assert all(verdicts.values()) and nonempty_none, (verdicts, nonempty_none)
 
 
 def _gauge(rng, data):
