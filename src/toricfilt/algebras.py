@@ -5,12 +5,20 @@ coordinates taken in the frame of the chosen maximal cone, truncated at a
 total degree bound.  The torus acts by left translation through the cone's
 homomorphism and the group by right translation, so the generator weight is
 determined by the ROW index: weight(x'_{ij}) = -u_i.  Weights extend
-additively to monomials; the per-ray chains take a monomial at level i when
-its weight pairs >= i against the ray.  Working in the polynomial bialgebra
-(matrix monoid coordinates) avoids localizing at the determinant while still
-exercising multiplicativity, the graded product rule, and commutation of the
-coaction with the grading.  Products that leave the truncation are skipped,
+additively to monomials, so a monomial with row degrees d_i (the sums of
+the rows of its exponent matrix) has weight -sum_i d_i u_i; the per-ray
+chains take a monomial at level i when its weight pairs >= i against the
+ray.  Working in the polynomial bialgebra (matrix monoid coordinates)
+avoids localizing at the determinant while still exercising
+multiplicativity, the graded product rule, and commutation of the coaction
+with the grading.  Products that leave the truncation are skipped,
 not errored: the axioms are degree local.
+
+The basis is built in one pass.  For each degree d, the multisets of d
+generators from `itertools.combinations_with_replacement` come in the
+reverse of basis order (total degree, then the exponent tuple), so each
+degree block is reversed; the row degrees are counted while each exponent
+vector is built, and a weight is computed once per row-degree vector.
 
 The checks run over basis indices.  The basis must be sorted by total
 degree: the in-truncation partners of a monomial then form a run of the
@@ -30,6 +38,7 @@ monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import comb
 from operator import add
 from typing import Dict, List, Optional, Tuple
@@ -37,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from .bundles import CocharBundleData
 from .errors import InputError, PreconditionError
 from .fans import CharQuotient
+from .linalg import cached_on_instance
 
 Mono = Tuple[int, ...]  # exponent vector over the n^2 generators, row major
 Weight = Tuple[int, ...]
@@ -45,28 +55,11 @@ DEFAULT_DEGREE = 3
 MAX_PRODUCT_PAIRS = 100_000
 
 
-def _monomials(num_gens: int, max_degree: int) -> List[Mono]:
-    out: List[Mono] = []
-
-    def rec(prefix: List[int], remaining: int, budget: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], num_gens, max_degree)
-    out.sort(key=lambda m: (sum(m), m))
-    return out
-
-
 @dataclass(frozen=True)
 class TruncatedAlgebra:
     n: int
     degree: int
     rank: int
-    cone_index: int
-    ray_indices: Tuple[int, ...]
     rays: Tuple[Tuple[int, ...], ...]       # primitive generators of the cone's rays
     basis: Tuple[Mono, ...]
     weights: Dict[Mono, Weight]
@@ -92,25 +85,6 @@ class TruncatedAlgebra:
         return [m for m in self.basis if self.level(m, ray) >= i]
 
 
-def row_weight_table(chars: Tuple[Tuple[int, ...], ...], basis: List[Mono],
-                     n: int, rank: int) -> Dict[Mono, Weight]:
-    """Monomial weights under the left-translation convention: the generator
-    x'_{ij} carries -u_i (row index)."""
-    gen_weights = []
-    for g in range(n * n):
-        i = g // n
-        gen_weights.append(tuple(-x for x in chars[i]))
-    table: Dict[Mono, Weight] = {}
-    for m in basis:
-        w = [0] * rank
-        for g, e in enumerate(m):
-            if e:
-                for j in range(rank):
-                    w[j] += e * gen_weights[g][j]
-        table[m] = tuple(w)
-    return table
-
-
 def build_truncation(data: CocharBundleData, cone_index: int,
                      degree: int = DEFAULT_DEGREE) -> TruncatedAlgebra:
     if data.group.kind != "GL":
@@ -126,41 +100,57 @@ def build_truncation(data: CocharBundleData, cone_index: int,
         raise InputError(f"truncation degree {degree} is over budget for GL({n}): "
                          f"{pairs} monomial pairs > {MAX_PRODUCT_PAIRS}")
     rank = data.fan.rank
-    idx = data.fan.maximal_cones[cone_index]
-    cone = data.fan.maximal_cone(cone_index)
-    basis = _monomials(n * n, degree)
-    weights = row_weight_table(data.chars[cone_index], basis, n, rank)
+    chars = data.chars[cone_index]
+    row_of = [g // n for g in range(n * n)]
+    by_rows: Dict[Tuple[int, ...], Weight] = {}
+    weights: Dict[Mono, Weight] = {}
+    for d in range(degree + 1):
+        # the multisets of degree d come in the reverse of basis order
+        block = []
+        for gens in combinations_with_replacement(range(n * n), d):
+            exps, rows = [0] * (n * n), [0] * n
+            for g in gens:
+                exps[g] += 1
+                rows[row_of[g]] += 1
+            block.append((tuple(exps), tuple(rows)))
+        for m, rows in reversed(block):
+            w = by_rows.get(rows)
+            if w is None:
+                w = by_rows[rows] = tuple(-sum(r * u[j] for r, u in zip(rows, chars))
+                                          for j in range(rank))
+            weights[m] = w
     return TruncatedAlgebra(
         n=n, degree=degree, rank=rank,
-        cone_index=cone_index,
-        ray_indices=tuple(idx),
-        rays=tuple(data.fan.rays[i] for i in idx),
-        basis=tuple(basis),
+        rays=tuple(data.fan.rays[i] for i in data.fan.maximal_cones[cone_index]),
+        basis=tuple(weights),
         weights=weights,
-        quotient=cone.quotient(),
+        quotient=data.fan.maximal_cone(cone_index).quotient(),
     )
 
 
+@cached_on_instance
 def _products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
     """The index triples (i, j, k) with basis[i] * basis[j] = basis[k] and
     i <= j, for the pairs whose product stays in the truncation, in basis
     order.  The basis is degree-sorted, so the walk over j stops at the first
-    pair whose degrees sum past the bound.  Cached per instance like the
-    annihilator of a Subspace: the table depends only on the basis and the
-    degree, never on the weights."""
-    table = alg.__dict__.get("_products")
-    if table is None:
-        index = {m: k for k, m in enumerate(alg.basis)}
-        degrees = [sum(m) for m in alg.basis]
-        table = []
-        for i, f in enumerate(alg.basis):
-            room = alg.degree - degrees[i]
-            for j in range(i, len(alg.basis)):
-                if degrees[j] > room:
-                    break
-                table.append((i, j, index[tuple(map(add, f, alg.basis[j]))]))
-        object.__setattr__(alg, "_products", table)
+    pair whose degrees sum past the bound.  Cached on the instance: the
+    table depends only on the basis and the degree, never on the weights."""
+    index = {m: k for k, m in enumerate(alg.basis)}
+    degrees = [sum(m) for m in alg.basis]
+    table = []
+    for i, f in enumerate(alg.basis):
+        room = alg.degree - degrees[i]
+        for j in range(i, len(alg.basis)):
+            if degrees[j] > room:
+                break
+            table.append((i, j, index[tuple(map(add, f, alg.basis[j]))]))
     return table
+
+
+@cached_on_instance
+def _class_memo(alg: TruncatedAlgebra) -> Dict[Weight, Tuple[int, ...]]:
+    """Class by weight, shared by the checks of one algebra."""
+    return {}
 
 
 def _classes(alg: TruncatedAlgebra) -> List[Tuple[int, ...]]:
@@ -168,10 +158,7 @@ def _classes(alg: TruncatedAlgebra) -> List[Tuple[int, ...]]:
     function of the weight, so `class_index` runs once per distinct weight;
     the memo is kept on the instance, shared by the checks, and stays sound
     when the weight table is edited."""
-    memo = alg.__dict__.get("_class_memo")
-    if memo is None:
-        memo = {}
-        object.__setattr__(alg, "_class_memo", memo)
+    memo = _class_memo(alg)
     out = []
     for m in alg.basis:
         w = alg.weights[m]

@@ -7,11 +7,16 @@ and decides it on the frame change g_s^-1 g_t, so transitions are never
 expanded.  Transitions compose by construction: the product T_st T_tu
 telescopes to T_su for any frames and characters, so that identity is never
 checked.
+
+Validation takes one determinant per frame, which decides both
+invertibility and SL membership.  `check_gluing` and `associated_klyachko`
+are cached on the data by `linalg.cached_on_instance`, and the decomposition
+that the frame columns induce on a cone is graded by
+`compatibility.graded_decomposition`.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -19,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, PreconditionError
 from .fans import Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
-from .compatibility import ConeDecomposition
-from .linalg import QMatrix, span_canonical
+from .compatibility import ConeDecomposition, graded_decomposition
+from .linalg import QMatrix, cached_on_instance, span_canonical
 
 IntVec = Tuple[int, ...]
 
@@ -37,23 +42,6 @@ class GroupSpec:
             raise InputError(f"unknown group kind {self.kind!r}")
         if not isinstance(self.n, int) or self.n < 1:
             raise InputError("matrix size must be a positive integer")
-
-    def contains(self, m: QMatrix) -> bool:
-        if m.nrows != self.n or m.ncols != self.n:
-            return False
-        if self.kind == "GL":
-            return m.det() != 0
-        if self.kind == "SL":
-            return m.det() == 1
-        # diagonal torus: diagonal with nonzero diagonal entries
-        for i in range(self.n):
-            for j in range(self.n):
-                entry = m.entries[i][j]
-                if i == j and entry == 0:
-                    return False
-                if i != j and entry != 0:
-                    return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -104,13 +92,17 @@ def validate_bundle(data: CocharBundleData) -> BundleValidationReport:
     cone must sum to zero (forced by det of the homomorphism); for the
     diagonal torus the frame must itself be diagonal."""
     issues: List[dict] = []
+    kind = data.group.kind
     for k, (frame, cone_chars) in enumerate(zip(data.frames, data.chars)):
-        if not frame.is_invertible():
+        det = frame.det()
+        if det == 0:
             issues.append({"kind": "singular_frame", "cone": k})
             continue
-        if not data.group.contains(frame):
+        # an invertible diagonal frame has a nonzero diagonal
+        if (kind == "SL" and det != 1) or (kind == "DT" and any(
+                x for i, row in enumerate(frame.entries) for j, x in enumerate(row) if i != j)):
             issues.append({"kind": "frame_not_in_group", "cone": k})
-        if data.group.kind == "SL":
+        if kind == "SL":
             total = tuple(sum(u[j] for u in cone_chars) for j in range(data.fan.rank))
             if any(x != 0 for x in total):
                 issues.append({"kind": "character_sum_nonzero", "cone": k,
@@ -124,24 +116,7 @@ class GluingReport:
     witness: Optional[dict] = None  # pair, direction, frame entry, exponent, violated ray
 
 
-def _cached_on_data(fn):
-    """fn(data), cached on the instance the way `linalg.annihilator` caches
-    on a Subspace.  Only a returned value is cached: an exception is raised
-    again on every call."""
-    key = "_" + fn.__name__
-
-    @functools.wraps(fn)
-    def cached(data: CocharBundleData):
-        value = data.__dict__.get(key)
-        if value is None:
-            value = fn(data)
-            object.__setattr__(data, key, value)
-        return value
-
-    return cached
-
-
-@_cached_on_data
+@cached_on_instance
 def check_gluing(data: CocharBundleData) -> GluingReport:
     """Both transition directions must be regular on the overlap cone of each
     pair of maximal cones.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the frame
@@ -169,11 +144,9 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
                 if m.entries[k][l] == 0:
                     continue
                 e = tuple(x - y for x, y in zip(data.chars[a][k], data.chars[b][l]))
-                if not overlap.dual_contains(e):
-                    bad_ray = next(
-                        g for g in overlap.generators
-                        if sum(x * y for x, y in zip(e, g)) < 0
-                    )
+                bad_ray = next((g for g in overlap.generators
+                                if sum(x * y for x, y in zip(e, g)) < 0), None)
+                if bad_ray is not None:
                     return GluingReport(False, {
                         "pair": [s, t],
                         "direction": [a, b],
@@ -207,7 +180,7 @@ def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltrat
     return RayFiltration.make(n, pairs)
 
 
-@_cached_on_data
+@cached_on_instance
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     """Filtration data of the associated standard-representation bundle: on a
     ray of a maximal cone the chain at i is the span of the frame columns
@@ -239,22 +212,11 @@ def canonical_cone_decomposition(data: CocharBundleData, k: int) -> ConeDecompos
     """The decomposition induced by the frame columns of cone k, graded by the
     character classes of its quotient lattice."""
     fan = data.fan
-    idx = fan.maximal_cones[k]
-    cone = fan.maximal_cone(k)
-    quotient = cone.quotient()
+    frame = data.frames[k]
     n = data.group.n
-    groups: Dict[IntVec, List[int]] = {}
-    reps: Dict[IntVec, IntVec] = {}
-    for c, u in enumerate(data.chars[k]):
-        rep = quotient.canonical_representative(u)
-        key = quotient.class_index(rep)
-        groups.setdefault(key, []).append(c)
-        reps[key] = rep
-    pieces = tuple(sorted(
-        (reps[key], span_canonical([data.frames[k].col(c) for c in cols], n))
-        for key, cols in groups.items()
-    ))
-    return ConeDecomposition(tuple(idx), pieces)
+    return graded_decomposition(
+        fan.maximal_cones[k], fan.maximal_cone(k).quotient(),
+        ((u, span_canonical([frame.col(c)], n)) for c, u in enumerate(data.chars[k])), n)
 
 
 def determinant_data(data: CocharBundleData) -> CocharBundleData:

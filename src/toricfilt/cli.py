@@ -16,12 +16,11 @@ NONE-FOUND.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 import traceback
 from typing import List, Optional
 
-from . import algebras, bundles, compatibility, filtrations, reduction, sampling
+from . import algebras, bundles, compatibility, filtrations, reduction
 from .errors import InputError, PreconditionError
 from .fans import validate_fan
 from .serialize import (
@@ -29,7 +28,6 @@ from .serialize import (
     decomposition_to_obj,
     dump_report,
     filtration_to_obj,
-    jsonable,
     load_bundle,
     load_fan,
     load_filtration,
@@ -54,7 +52,7 @@ def cmd_validate_fan(args) -> int:
         "command": "validate-fan",
         "valid": report.valid,
         "top_dimensional": report.top_dimensional,
-        "issues": [jsonable(i) for i in report.issues],
+        "issues": report.issues,
     }
     summary = "fan valid" if report.valid else "fan INVALID"
     summary += ", all maximal cones top-dimensional" if report.top_dimensional \
@@ -67,7 +65,7 @@ def cmd_validate_filt(args) -> int:
     obj = {
         "command": "validate-filt",
         "valid": report.valid,
-        "issues": [jsonable(i) for i in report.issues],
+        "issues": report.issues,
     }
     return _emit(obj, "filtration data valid" if report.valid else "filtration data INVALID",
                  EXIT_OK if report.valid else EXIT_FAIL)
@@ -82,7 +80,7 @@ def _cone_result_obj(res: compatibility.ConeCompatibility) -> dict:
     }
     if res.refutation is not None:
         obj["refutation"] = {"kind": res.refutation.kind,
-                             "detail": jsonable(res.refutation.detail)}
+                             "detail": res.refutation.detail}
     return obj
 
 
@@ -137,7 +135,7 @@ def cmd_morphism(args) -> int:
     b = load_filtration(args.b)
     failure = filtrations.morphism_failure(phi, a, b)
     obj = {"command": "morphism", "is_morphism": failure is None,
-           "witness": jsonable(failure)}
+           "witness": failure}
     return _emit(obj, "morphism respects filtrations" if failure is None
                  else "NOT a morphism of filtered data",
                  EXIT_OK if failure is None else EXIT_FAIL)
@@ -148,7 +146,7 @@ def cmd_validate_bundle(args) -> int:
     obj = {
         "command": "validate-bundle",
         "valid": report.valid,
-        "issues": [jsonable(i) for i in report.issues],
+        "issues": report.issues,
     }
     return _emit(obj, "bundle data valid" if report.valid else "bundle data INVALID",
                  EXIT_OK if report.valid else EXIT_FAIL)
@@ -171,7 +169,7 @@ def cmd_glue(args) -> int:
     data = _require_valid_bundle(args.bundle)
     report = bundles.check_gluing(data)
     obj = {"command": "glue", "glues": report.glues,
-           "witness": jsonable(report.witness)}
+           "witness": report.witness}
     return _emit(obj, "transitions glue" if report.glues else "gluing FAILS",
                  EXIT_OK if report.glues else EXIT_FAIL)
 
@@ -182,7 +180,7 @@ def cmd_assoc(args) -> int:
         result = bundles.associated_klyachko(data)
     except bundles.RayConsistencyError as exc:
         obj = {"command": "assoc", "error": "ray-consistency",
-               "witness": jsonable(exc.witness)}
+               "witness": exc.witness}
         return _emit(obj, "ray chains inconsistent across cones", EXIT_FAIL)
     return _emit(filtration_to_obj(result), "associated filtration data computed", EXIT_OK)
 
@@ -212,7 +210,7 @@ def cmd_algebra_check(args) -> int:
             "piece_dimensions": [
                 {"class": list(c), "dim": d} for c, d in sorted(dims.items())
             ],
-            "witness": jsonable(mult_wit or comp_wit or coact_wit),
+            "witness": mult_wit or comp_wit or coact_wit,
         })
     obj = {"command": "algebra-check", "ok": all_ok, "cones": cones}
     return _emit(obj, "algebra axioms hold" if all_ok else "algebra axioms FAIL",
@@ -253,6 +251,10 @@ def cmd_reduce(args) -> int:
 
 
 def _selftest_checks(seed: int) -> dict:
+    # imported here: no other command needs them at start-up
+    import random
+
+    from . import sampling
     from .filtrations import dual
     from .linalg import intersect, subspace_sum
     from .serialize import bundle_from_obj, filtration_from_obj

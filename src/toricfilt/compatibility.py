@@ -43,13 +43,18 @@ pieces are a direct sum of the fiber, it tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
 dimensions and tests containment.  The torus check of `reduction` uses the
 same test.
+
+A decomposition that is built from subspaces labelled by characters, not
+from the chains, is graded by `graded_decomposition`: the tensor certificate
+(Nori's tensor structure merges the two gradings) and the canonical
+decomposition of bundle data both take the sum of each class's subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Cone, CharQuotient
@@ -288,20 +293,26 @@ def tensor_certificate(cert_a: ConeDecomposition,
     pieces are tensor products of pieces, graded by the sum of the characters."""
     if cert_a.ray_indices != cert_b.ray_indices:
         raise InputError("certificates belong to different cones")
-    merged: Dict[Tuple[int, ...], List[Subspace]] = {}
-    reps: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    for char_a, piece_a in cert_a.pieces:
-        for char_b, piece_b in cert_b.pieces:
-            s = tuple(x + y for x, y in zip(char_a, char_b))
-            rep = quotient.canonical_representative(s)
-            key = quotient.class_index(rep)
-            merged.setdefault(key, []).append(tensor_product(piece_a, piece_b))
-            reps[key] = rep
     ambient = (
         (cert_a.pieces[0][1].ambient if cert_a.pieces else 0)
         * (cert_b.pieces[0][1].ambient if cert_b.pieces else 0)
     )
-    pieces = tuple(
-        sorted((reps[key], sum_all(parts, ambient)) for key, parts in merged.items())
-    )
-    return ConeDecomposition(cert_a.ray_indices, pieces)
+    return graded_decomposition(
+        cert_a.ray_indices, quotient,
+        ((tuple(x + y for x, y in zip(char_a, char_b)), tensor_product(piece_a, piece_b))
+         for char_a, piece_a in cert_a.pieces for char_b, piece_b in cert_b.pieces),
+        ambient)
+
+
+def graded_decomposition(ray_indices: Sequence[int], quotient: CharQuotient,
+                         parts: Iterable[Tuple[Tuple[int, ...], Subspace]],
+                         ambient: int) -> ConeDecomposition:
+    """The decomposition of a cone whose piece of each character class is the
+    sum of the subspaces of `parts` (character, subspace) in that class.  A
+    piece is keyed by its class's canonical representative, which the class
+    determines, and the pieces are sorted by it."""
+    classes: Dict[Tuple[int, ...], List[Subspace]] = {}
+    for char, space in parts:
+        classes.setdefault(quotient.canonical_representative(char), []).append(space)
+    return ConeDecomposition(tuple(ray_indices), tuple(sorted(
+        (rep, sum_all(spaces, ambient)) for rep, spaces in classes.items())))

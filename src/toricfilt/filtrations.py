@@ -129,12 +129,8 @@ class RayFiltration:
             elif self.jumps[0][1].dim != self.dim:
                 out.append({"kind": "not_full",
                             "detail": "first jump subspace is a proper subspace"})
-        unnested = set(self.unnested())
-        for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
-            if (i1, i2) in unnested:
-                out.append({"kind": "not_nested", "indices": [i1, i2]})
-            elif s1.dim <= s2.dim:
-                out.append({"kind": "not_strictly_decreasing", "indices": [i1, i2]})
+        # `make` merges equal neighbours, so nested neighbours strictly decrease
+        out.extend({"kind": "not_nested", "indices": [i1, i2]} for i1, i2 in self.unnested())
         return out
 
 
@@ -174,12 +170,10 @@ class FiltrationValidationReport:
 
 
 def validate(data: FiltrationData) -> FiltrationValidationReport:
-    """Monotone decreasing chains, fullness, and ambient agreement per ray."""
+    """Fullness and nesting per ray; `FiltrationData.make` has already
+    checked that every chain lives in the fiber."""
     issues: List[dict] = []
     for idx, f in enumerate(data.filtrations):
-        if f.dim != data.dim:
-            issues.append({"kind": "ambient_mismatch", "ray": idx})
-            continue
         for item in f.issues():
             issues.append({"ray": idx, **item})
     return FiltrationValidationReport(not issues, tuple(issues))

@@ -21,6 +21,9 @@ reduced with its columns reversed, the conditions give generators that
 already are the canonical rows (see `_kernel`).  `intersect_all` eliminates
 only for two or more proper members, and containment of a vector or a
 subspace is an annihilator product against the cached annihilator.
+`cached_on_instance` is the package's one per-instance cache: it keeps
+`annihilator` here, and the gluing report, the associated data and the
+algebra tables elsewhere, in the instance dict of a frozen dataclass.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
@@ -31,6 +34,7 @@ input, which is slow on the tall spanning sets of tensor filtrations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -381,15 +385,31 @@ def kernel(matrix: QMatrix) -> Subspace:
     return _kernel([_integer_row(r) for r in matrix.entries], matrix.ncols)
 
 
+def cached_on_instance(fn):
+    """fn(obj), which is never None, cached in the instance dict of a frozen
+    dataclass under "_" + fn's name.  The cached attribute is not a field, so equality,
+    hashing and `dataclasses.replace` ignore it (a replaced instance starts
+    with no cache).  Only a returned value is cached: an exception is raised
+    again on every call."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(obj):
+        value = obj.__dict__.get(key)
+        if value is None:
+            value = fn(obj)
+            object.__setattr__(obj, key, value)
+        return value
+
+    return cached
+
+
+@cached_on_instance
 def annihilator(a: Subspace) -> Subspace:
     """Covectors vanishing on `a`, inside the dual of Q^ambient (identified with
     Q^ambient via the standard pairing).  dim = ambient - dim(a).  Cached per
     instance: hot paths intersect the same subspaces repeatedly."""
-    cached = a.__dict__.get("_ann")
-    if cached is None:
-        cached = _kernel(list(a.rows), a.ambient)
-        object.__setattr__(a, "_ann", cached)
-    return cached
+    return _kernel(list(a.rows), a.ambient)
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:

@@ -4,6 +4,11 @@ Rational numbers serialize as "p/q" strings (q > 0, gcd(p, q) = 1, plain "p"
 when q = 1) in every format.  JSON floats are rejected everywhere: the tool
 is exact or nothing.  Serialization is canonical, so re-parsing any emitted
 object yields an equal in-memory value.
+
+Reports are already JSON: every issue, witness and detail that reaches
+`dump_report` is built from ints, strings, bools, None, lists, tuples and
+dicts with string keys, and `json.dumps` writes a tuple as a list.  A
+Fraction there would raise TypeError, never print a wrong value.
 """
 
 from __future__ import annotations
@@ -263,17 +268,6 @@ def decomposition_to_obj(dec: ConeDecomposition) -> dict:
             for char, piece in dec.pieces
         ],
     }
-
-
-def jsonable(value: Any) -> Any:
-    """Recursively convert Fractions to 'p/q' strings and tuples to lists."""
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, (list, tuple)):
-        return [jsonable(x) for x in value]
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    return value
 
 
 def dump_report(obj: Any) -> str:

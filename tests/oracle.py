@@ -391,7 +391,7 @@ def reference_dual_description(rank: int, inequalities: Sequence[Sequence[int]],
 
     lin = [tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank)]
     rays: List[Tuple[Fraction, ...]] = []
-    processed: List[Tuple[Fraction, ...]] = []
+    processed: List[Tuple[int, ...]] = []
 
     def prune(candidates):
         lam = len(lin)
@@ -400,7 +400,8 @@ def reference_dual_description(rank: int, inequalities: Sequence[Sequence[int]],
             canon = _ray_canonical(r)
             if canon is None or canon in seen:
                 continue
-            tight = [a for a in processed if _dot(a, r) == 0]
+            # r is a positive multiple of canon: the same zero test, over ints
+            tight = [a for a in processed if sum(x * y for x, y in zip(a, canon)) == 0]
             if len(tight) == len(processed) and lam > 0:
                 continue  # fell into the lineality space
             if len(reference_rref(tight, rank)[1]) == rank - lam - 1:
@@ -408,26 +409,27 @@ def reference_dual_description(rank: int, inequalities: Sequence[Sequence[int]],
                 kept.append(tuple(Fraction(x) for x in canon))
         return kept
 
+    def along(v, c, l0):
+        return tuple(x - c * y for x, y in zip(v, l0))
+
     for a in constraints:
         af = tuple(Fraction(x) for x in a)
-        processed.append(af)
+        processed.append(a)
         vals = [_dot(af, l) for l in lin]
         j0 = next((j for j, v in enumerate(vals) if v != 0), None)
         if j0 is not None:
             l0, v0 = lin[j0], vals[j0]
             if v0 < 0:
                 l0, v0 = tuple(-x for x in l0), -v0
-            lin = [tuple(x - _dot(af, l) / v0 * y for x, y in zip(l, l0))
-                   for j, l in enumerate(lin) if j != j0]
-            rays = prune([tuple(x - _dot(af, r) / v0 * y for x, y in zip(r, l0))
-                          for r in rays] + [l0])
+            lin = [along(l, v / v0, l0) for j, (l, v) in enumerate(zip(lin, vals)) if j != j0]
+            rays = prune([along(r, _dot(af, r) / v0, l0) for r in rays] + [l0])
         else:
-            pos = [r for r in rays if _dot(af, r) > 0]
-            zer = [r for r in rays if _dot(af, r) == 0]
-            neg = [r for r in rays if _dot(af, r) < 0]
-            combos = [tuple(_dot(af, p) * x - _dot(af, m) * y for x, y in zip(m, p))
-                      for p in pos for m in neg]
-            rays = prune(pos + zer + combos)
+            paired = [(_dot(af, r), r) for r in rays]
+            pos = [(d, r) for d, r in paired if d > 0]
+            neg = [(d, r) for d, r in paired if d < 0]
+            combos = [tuple(dp * x - dm * y for x, y in zip(m, p))
+                      for dp, p in pos for dm, m in neg]
+            rays = prune([r for _, r in pos] + [r for d, r in paired if d == 0] + combos)
 
     ray_out = tuple(sorted(_ray_canonical(r) for r in rays))
     if not lin:

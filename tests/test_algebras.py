@@ -11,6 +11,7 @@ from oracle import (
     reference_multiplicative,
 )
 from toricfilt.algebras import (
+    _class_memo,
     _products,
     build_truncation,
     check_coaction_commutes,
@@ -278,6 +279,38 @@ def test_checks_match_reference_scans():
         assert ok == reference_coaction_commutes(alg)[0] == (n == 1)
         if n > 1:
             assert witness["left_leg"] == list(last)
+
+
+def test_one_pass_basis_matches_brute_force(p1, p2):
+    """The basis is every exponent vector of degree at most D, sorted by
+    (degree, vector), and each weight is the sum of its generators' -u_i."""
+    rng = random.Random(12)
+    for n in range(1, 4):
+        for degree in range(1, 4):
+            fan = (p1, p2)[(n + degree) % 2]
+            data = random_bundle(rng, fan, n)
+            alg = build_truncation(data, 0, degree)
+            basis = sorted((m for m in itertools.product(range(degree + 1), repeat=n * n)
+                            if sum(m) <= degree), key=lambda m: (sum(m), m))
+            weights = {}
+            for m in basis:
+                w = [0] * fan.rank
+                for g, e in enumerate(m):
+                    for t in range(fan.rank):
+                        w[t] -= e * data.chars[0][g // n][t]
+                weights[m] = tuple(w)
+            assert list(alg.basis) == basis == list(alg.weights)
+            assert alg.weights == weights
+
+
+def test_replaced_truncation_starts_without_cached_tables(p1):
+    alg = build_truncation(random_bundle(random.Random(4), p1, 2), 0, 2)
+    assert check_compatible_algebra(alg)[0]
+    table, memo = _products(alg), _class_memo(alg)
+    assert memo and _products(alg) is table and _class_memo(alg) is memo
+    other = dataclasses.replace(alg, weights=dict(alg.weights))
+    assert _products(other) == table and _products(other) is not table
+    assert _class_memo(other) == {}
 
 
 def test_product_table_matches_pair_scan(p1):

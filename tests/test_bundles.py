@@ -77,6 +77,33 @@ def test_validate_singular_frame(p1):
     assert any(i["kind"] == "singular_frame" for i in report.issues)
 
 
+def test_validate_issue_table(p1):
+    """The exact issues of a frame on cone 0 (identity on cone 1) for each
+    group kind: SL asks for det 1, DT for a diagonal frame."""
+    identity, diag = I2, QMatrix.from_rows([[2, 0], [0, 1]])
+    singular = QMatrix.from_rows([[1, 1], [1, 1]])
+    unimodular = QMatrix.from_rows([[1, 1], [0, 1]])
+    not_in_group = [{"kind": "frame_not_in_group", "cone": 0}]
+    singular_issue = [{"kind": "singular_frame", "cone": 0}]
+    table = {
+        "GL": ([], [], singular_issue, []),
+        "SL": ([], not_in_group, singular_issue, []),
+        "DT": ([], [], singular_issue, not_in_group),
+    }
+    for kind, expected in table.items():
+        for frame, issues in zip((identity, diag, singular, unimodular), expected):
+            data = CocharBundleData.make(GroupSpec(kind, 2), p1, [frame, I2],
+                                         [[(0,), (0,)], [(0,), (0,)]])
+            report = validate_bundle(data)
+            assert list(report.issues) == issues, (kind, frame)
+            assert report.valid == (not issues)
+    # both SL issues of one cone, in order
+    data = CocharBundleData.make(GroupSpec("SL", 2), p1, [diag, I2],
+                                 [[(1,), (0,)], [(0,), (0,)]])
+    assert list(validate_bundle(data).issues) == not_in_group + [
+        {"kind": "character_sum_nonzero", "cone": 0, "sum": [1]}]
+
+
 def test_gluing_rejects_singular_frame(p1):
     """A singular frame on either side of the overlap raises instead of
     reading a frame change off a reduced form whose left block is not the
@@ -234,6 +261,16 @@ def test_assoc_failure_names_shared_ray(p2):
     assert err.value.witness["ray"] == 1  # the ray through e2
 
 
+def test_assoc_failure_raises_on_every_call(p2):
+    """Only returned values are cached: data that does not glue raises the
+    same obstruction again on each call."""
+    data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
+    for _ in range(3):
+        with pytest.raises(RayConsistencyError) as err:
+            associated_klyachko(data)
+        assert err.value.witness == {"cones": [0, 1], "ray": 1, "index": 1}
+
+
 def test_assoc_matches_tangent_data(tangent_p2_bundle, tangent_p2):
     assert associated_klyachko(tangent_p2_bundle) == tangent_p2
 
@@ -243,6 +280,23 @@ def test_canonical_cone_decomposition_verifies(tangent_p2_bundle, tangent_p2):
         dec = canonical_cone_decomposition(tangent_p2_bundle, k)
         idx = tangent_p2_bundle.fan.maximal_cones[k]
         assert verify_cone_decomposition(tangent_p2, idx, dec) is None
+
+
+def test_canonical_decomposition_merges_classes_on_a_lower_cone():
+    """On a maximal cone that is not top-dimensional, characters that differ
+    by the cone's perpendicular lattice share a class: their frame columns
+    form one piece, keyed by the class's canonical representative."""
+    fan = Fan.make(2, [[1, 0]], [[0]])
+    frame = QMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    data = CocharBundleData.make(GroupSpec("GL", 3), fan, [frame],
+                                 [[(1, 0), (0, 2), (1, 3)]])
+    quotient = fan.maximal_cone(0).quotient()
+    rep = quotient.canonical_representative((1, 3))
+    assert rep == quotient.canonical_representative((1, 0))
+    dec = canonical_cone_decomposition(data, 0)
+    assert [(char, piece.dim) for char, piece in dec.pieces] == sorted(
+        [(rep, 2), (quotient.canonical_representative((0, 2)), 1)])
+    assert verify_cone_decomposition(associated_klyachko(data), (0,), dec) is None
 
 
 def test_determinant_data_sums(p1):

@@ -18,6 +18,7 @@ from toricfilt.compatibility import (
     cone_compatibility,
     graded_pieces,
     global_compatibility,
+    graded_decomposition,
     tensor_certificate,
     verify_cone_decomposition,
 )
@@ -336,6 +337,35 @@ def test_tensor_compatibility_closure(p2):
             )
             assert verify_cone_decomposition(t, idx, merged) is None
         assert global_compatibility(t).verdict == "compatible"
+
+
+def test_graded_decomposition_merges_repeated_characters(p2):
+    """Equal characters on one cone give one piece, the sum of their
+    subspaces; the pieces come sorted by character."""
+    quotient = p2.maximal_cone(0).quotient()
+    e1, e2, e3 = ([int(i == j) for j in range(3)] for i in range(3))
+    parts = [((1, 0), span_canonical([e1], 3)), ((0, 1), span_canonical([e2], 3)),
+             ((1, 0), span_canonical([e3], 3))]
+    dec = graded_decomposition((0, 1), quotient, parts, 3)
+    assert dec == ConeDecomposition((0, 1), (
+        ((0, 1), span_canonical([e2], 3)), ((1, 0), span_canonical([e1, e3], 3))))
+
+
+def test_graded_decomposition_keys_by_class_on_a_lower_cone():
+    """On a one-ray maximal cone of a rank-2 fan, (1, 0) and (1, 3) differ
+    by the perpendicular lattice: one piece, keyed by the canonical
+    representative of their class; the tensor certificate of two such
+    decompositions merges the same way."""
+    fan = Fan.make(2, [[1, 0]], [[0]])
+    quotient = fan.maximal_cone(0).quotient()
+    rep = quotient.canonical_representative((1, 3))
+    assert rep == quotient.canonical_representative((1, 0))
+    lines = [span_canonical([[1, 0]], 2), span_canonical([[0, 1]], 2)]
+    dec = graded_decomposition((0,), quotient, zip([(1, 0), (1, 3)], lines), 2)
+    assert dec == ConeDecomposition((0,), ((rep, Subspace.full(2)),))
+    split = ConeDecomposition((0,), tuple(zip([(0, 0), (0, 5)], lines)))
+    merged = tensor_certificate(split, dec, quotient)
+    assert merged.pieces == ((rep, Subspace.full(4)),)
 
 
 def test_direct_sum_certificates_merge(p2):

@@ -80,6 +80,27 @@ def test_normalization_drops_zero_and_merges():
     assert f.jumps == ((1, full),)
 
 
+def test_make_normalizes_to_strictly_decreasing_or_unnested():
+    """Whatever jumps `make` is given (equal, unnested and zero subspaces
+    among them), consecutive stored values differ, and each consecutive pair
+    either strictly decreases and is nested or is listed by `unnested`;
+    `issues` names exactly those pairs."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        pool = [Subspace.zero(dim), Subspace.full(dim)]
+        pool += [random_subspace(rng, dim, rng.randint(1, dim)) for _ in range(3)]
+        indices = rng.sample(range(-4, 5), rng.randint(0, 7))
+        f = RayFiltration.make(dim, [(i, rng.choice(pool)) for i in indices])
+        unnested = list(f.unnested())
+        assert all(s.dim > 0 for _, s in f.jumps)
+        for (i1, s1), (i2, s2) in zip(f.jumps, f.jumps[1:]):
+            assert i1 < i2 and s1 != s2
+            assert (i1, i2) in unnested or (s2.dim < s1.dim and s1.contains_subspace(s2))
+        assert [i["indices"] for i in f.issues() if i["kind"] == "not_nested"] == [
+            list(pair) for pair in unnested]
+
+
 def test_tensor_of_line_data(p1):
     # expanding the convolution formula for two rank-one chains: the result
     # is full at j exactly when j <= a + b, so the jump indices add

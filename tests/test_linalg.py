@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from toricfilt.linalg import (
     Subspace,
     annihilator,
     block_sum,
+    cached_on_instance,
     complement_in,
     _kernel,
     image,
@@ -103,6 +105,55 @@ def test_complement_greedy_rule():
 def test_complement_containment_violation():
     with pytest.raises(ValueError):
         complement_in(span_canonical([[1, 0]]), span_canonical([[0, 1]]))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Box:
+    value: int
+
+
+def test_cached_on_instance_calls_once_per_instance():
+    calls = []
+
+    @cached_on_instance
+    def doubled(box):
+        calls.append(box.value)
+        return (2 * box.value,)
+
+    a, b = _Box(1), _Box(1)
+    first = doubled(a)
+    assert doubled(a) is first and calls == [1]
+    assert doubled(b) == first and doubled(b) is not first and calls == [1, 1]
+
+
+def test_cached_on_instance_does_not_cache_exceptions():
+    """A call that raises leaves no value behind: the next call runs the
+    function again, and only its returned value is cached."""
+    calls = []
+
+    @cached_on_instance
+    def flaky(box):
+        calls.append(box.value)
+        if len(calls) == 1:
+            raise ValueError("first call fails")
+        return ("ok",)
+
+    box = _Box(3)
+    with pytest.raises(ValueError):
+        flaky(box)
+    assert flaky(box) == ("ok",)
+    assert flaky(box) is flaky(box) and len(calls) == 2
+
+
+def test_cached_annihilator_leaves_equality_and_hash_alone():
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(rng.randint(0, 3))]
+        a, b = span_canonical(rows, 4), span_canonical(rows, 4)
+        before = hash(a)
+        assert annihilator(a) is annihilator(a)
+        assert a == b and hash(a) == before == hash(b)
+        assert {a: 1}[b] == 1
 
 
 def test_annihilator_extremes():
@@ -328,6 +379,19 @@ def test_no_unused_imports():
         unused += [(path.stem, name) for name in sorted(imported)
                    if name not in used and (path.stem, name) not in allowed]
     assert unused == []
+
+
+def test_one_per_instance_cache():
+    """`object.__setattr__` appears only in `linalg.cached_on_instance`:
+    every per-instance cache of the package goes through it."""
+    found = []
+    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                        and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                    found.append((path.stem, getattr(top, "name", None)))
+    assert found == [("linalg", "cached_on_instance")]
 
 
 def test_kernel_matches_annihilator():
