@@ -37,7 +37,6 @@ monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add
@@ -46,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 from .bundles import CocharBundleData
 from .errors import InputError, PreconditionError
 from .fans import CharQuotient
-from .linalg import cached_on_instance
+from .linalg import cached_on_instance, record
 
 Mono = Tuple[int, ...]  # exponent vector over the n^2 generators, row major
 Weight = Tuple[int, ...]
@@ -55,7 +54,7 @@ DEFAULT_DEGREE = 3
 MAX_PRODUCT_PAIRS = 100_000
 
 
-@dataclass(frozen=True)
+@record
 class TruncatedAlgebra:
     n: int
     degree: int

@@ -18,21 +18,20 @@ that the frame columns induce on a cone is graded by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
 from .fans import Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .compatibility import ConeDecomposition, graded_decomposition
-from .linalg import QMatrix, cached_on_instance, span_canonical
+from .linalg import QMatrix, cached_on_instance, record, span_canonical
 
 IntVec = Tuple[int, ...]
 
 GROUP_KINDS = ("GL", "SL", "DT")
 
 
-@dataclass(frozen=True)
+@record
 class GroupSpec:
     kind: str  # "GL" | "SL" | "DT" (diagonal torus)
     n: int
@@ -44,7 +43,7 @@ class GroupSpec:
             raise InputError("matrix size must be a positive integer")
 
 
-@dataclass(frozen=True)
+@record
 class CocharBundleData:
     """Frame + character presentation of the per-maximal-cone homomorphisms.
     `frames[k]` and `chars[k]` belong to fan.maximal_cones[k]; chars[k] is an
@@ -81,7 +80,7 @@ class CocharBundleData:
         return CocharBundleData(group, fan, frames_t, tuple(chars_t))
 
 
-@dataclass(frozen=True)
+@record
 class BundleValidationReport:
     valid: bool
     issues: Tuple[dict, ...]
@@ -110,7 +109,7 @@ def validate_bundle(data: CocharBundleData) -> BundleValidationReport:
     return BundleValidationReport(not issues, tuple(issues))
 
 
-@dataclass(frozen=True)
+@record
 class GluingReport:
     glues: bool
     witness: Optional[dict] = None  # pair, direction, frame entry, exponent, violated ray

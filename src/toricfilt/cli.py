@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from typing import List, Optional
 
 from . import algebras, bundles, compatibility, filtrations, reduction
@@ -378,7 +377,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
     except Exception as exc:
-        # a crash must never read as exit 1, the negative-verdict code
+        # a crash must never read as exit 1, the negative-verdict code; the
+        # traceback module is imported only here, off the start-up path
+        import traceback
+
         sys.stdout.write(dump_report({
             "command": args.command,
             "error": f"internal error: {type(exc).__name__}: {exc}",

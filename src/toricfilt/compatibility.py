@@ -53,7 +53,6 @@ decomposition of bundle data both take the sum of each class's subspaces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -66,6 +65,7 @@ from .linalg import (  # noqa: F401
     complement_in,
     intersect,
     intersect_all,
+    record,
     sum_all,
     tensor_product,
 )
@@ -75,7 +75,7 @@ VERDICT_CERTIFICATE = "certificate"
 VERDICT_REFUTATION = "refutation"
 
 
-@dataclass(frozen=True)
+@record
 class ConeDecomposition:
     """Certificate: graded pieces (character representative, subspace),
     sorted by character.  Characters are canonical representatives of their
@@ -85,13 +85,13 @@ class ConeDecomposition:
     pieces: Tuple[Tuple[Tuple[int, ...], Subspace], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Refutation:
     kind: str      # "reconstruction" | "integrality"
     detail: dict
 
 
-@dataclass(frozen=True)
+@record
 class ConeCompatibility:
     ray_indices: Tuple[int, ...]
     verdict: str
@@ -272,7 +272,7 @@ def cone_compatibility(data: FiltrationData,
     return ConeCompatibility(idx, VERDICT_CERTIFICATE, certificate=dec)
 
 
-@dataclass(frozen=True)
+@record
 class GlobalCompatibilityReport:
     verdict: str  # "compatible" | "incompatible"
     cones: Tuple[ConeCompatibility, ...]

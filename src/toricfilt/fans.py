@@ -20,7 +20,6 @@ with NotPointedError, an InputError).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from .lattice import (
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, rref
+from .linalg import QMatrix, record, rref
 
 IntVec = Tuple[int, ...]
 
@@ -140,7 +139,7 @@ class NotPointedError(InputError):
     """Generator set spans a cone containing a line; not a valid fan cone."""
 
 
-@dataclass(frozen=True)
+@record
 class CharQuotient:
     """Deterministic presentation of M -> M/perp for a cone, built from the
     Smith form of the perpendicular lattice.  Two characters have equal class
@@ -182,7 +181,7 @@ def _build_quotient(rank: int, perp: Tuple[IntVec, ...]) -> CharQuotient:
     return CharQuotient(rank, k, tuple(tuple(r) for r in v), v_inv_int)
 
 
-@dataclass(frozen=True)
+@record
 class Cone:
     """A pointed rational polyhedral cone with both descriptions cached."""
 
@@ -262,7 +261,7 @@ def is_face_of(face: Cone, cone: Cone) -> bool:
 # fans
 
 
-@dataclass(frozen=True)
+@record
 class Fan:
     """Lattice rank, primitive ray generators, and maximal cones given as
     sorted tuples of ray indices.  Ray order is significant: filtrations and
@@ -305,7 +304,7 @@ class Fan:
         return self.cone(self.maximal_cones[k])
 
 
-@dataclass(frozen=True)
+@record
 class FanValidationReport:
     valid: bool
     top_dimensional: bool

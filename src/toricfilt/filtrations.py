@@ -20,7 +20,6 @@ equation; the certificate verifier and the torus check both call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -31,12 +30,13 @@ from .linalg import (
     annihilator,
     block_sum,
     image,
+    record,
     sum_all,
     tensor_product,
 )
 
 
-@dataclass(frozen=True)
+@record
 class RayFiltration:
     dim: int
     jumps: Tuple[Tuple[int, Subspace], ...]
@@ -134,7 +134,7 @@ class RayFiltration:
         return out
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationData:
     """One full decreasing filtration of Q^dim per fan ray."""
 
@@ -163,7 +163,7 @@ class FiltrationData:
         return self.filtrations[idx]
 
 
-@dataclass(frozen=True)
+@record
 class FiltrationValidationReport:
     valid: bool
     issues: Tuple[dict, ...]

@@ -21,9 +21,13 @@ reduced with its columns reversed, the conditions give generators that
 already are the canonical rows (see `_kernel`).  `intersect_all` eliminates
 only for two or more proper members, and containment of a vector or a
 subspace is an annihilator product against the cached annihilator.
+`record` makes the package's frozen value classes (as
+`dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
+whose `inspect` and `ast` imports cost a CLI command more start-up time than
+most commands compute), and `replace` copies one with changed fields.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator` here, and the gluing report, the associated data and the
-algebra tables elsewhere, in the instance dict of a frozen dataclass.
+algebra tables elsewhere, in the instance dict of a frozen record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
@@ -35,7 +39,6 @@ input, which is slow on the tall spanning sets of tensor filtrations.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -43,6 +46,87 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
 Scalar = Union[int, str, Fraction]
+
+_RECORD_METHODS = '''
+def __init__(self, {params}):
+{sets}
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({mine}) == ({theirs})
+    return NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+def __repr__(self):
+    return self.__class__.__qualname__ + f"({shown})"
+'''
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make `cls` a frozen record of its annotated fields, in annotation
+    order, with what `dataclasses.dataclass(frozen=True)` would give it and
+    without that module's import cost: an `__init__` generated once (class
+    attributes are the defaults; `__post_init__` runs last), equality on the
+    field tuple between instances of the same class, `hash` of the field
+    tuple, `QualName(field=repr, ...)`, and AttributeError on assignment and
+    deletion.  The instance dict stays, for `cached_on_instance`; only these
+    two helpers write it."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
+    if any(f in cls.__dict__ for f in names[:len(names) - len(defaults)]):
+        raise TypeError(f"{cls.__name__}: a field without default follows a default")
+    sets = [f"    _set(self, {f!r}, {f})" for f in names]
+    if hasattr(cls, "__post_init__"):
+        sets.append("    self.__post_init__()")
+    namespace = {"_set": object.__setattr__}
+    exec(_RECORD_METHODS.format(
+        params=", ".join(names), sets="\n".join(sets),
+        mine="".join(f"self.{f}," for f in names),
+        theirs="".join(f"other.{f}," for f in names),
+        shown=", ".join(f"{f}={{self.{f}!r}}" for f in names)), namespace)
+    namespace["__init__"].__defaults__ = defaults
+    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    cls._fields = names
+    return cls
+
+
+def replace(obj, **changes):
+    """A copy of the record `obj` with `changes` to its fields, built through
+    `__init__`: `__post_init__` runs again and the copy starts with no cache."""
+    fields = {f: getattr(obj, f) for f in obj._fields}
+    fields.update(changes)
+    return obj.__class__(**fields)
+
+
+def cached_on_instance(fn):
+    """fn(obj), which is never None, cached in the instance dict of a frozen
+    record under "_" + fn's name.  The cached attribute is not a field, so
+    equality, hashing and `replace` ignore it (a replaced instance starts
+    with no cache).  Only a returned value is cached: an exception is raised
+    again on every call."""
+    key = "_" + fn.__name__
+
+    @functools.wraps(fn)
+    def cached(obj):
+        value = obj.__dict__.get(key)
+        if value is None:
+            value = fn(obj)
+            object.__setattr__(obj, key, value)
+        return value
+
+    return cached
 
 
 def to_fraction(x: Scalar) -> Fraction:
@@ -69,7 +153,7 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]):
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-@dataclass(frozen=True)
+@record
 class QMatrix:
     """Dense matrix of Fractions.  `ncols` is explicit so that matrices with
     zero rows keep their width."""
@@ -254,7 +338,7 @@ def _space(ambient: int, mat: List[List[int]]) -> "Subspace":
         for row, col in zip(mat, pivots)))
 
 
-@dataclass(frozen=True)
+@record
 class Subspace:
     """A linear subspace of Q^ambient in canonical form: `rows` are the RREF
     of any spanning set, with zero rows dropped and each row scaled to a
@@ -383,25 +467,6 @@ def _kernel(mat: List[List[int]], n: int) -> Subspace:
 def kernel(matrix: QMatrix) -> Subspace:
     """Canonical basis of {x : M x = 0}, x read as a row vector of length ncols."""
     return _kernel([_integer_row(r) for r in matrix.entries], matrix.ncols)
-
-
-def cached_on_instance(fn):
-    """fn(obj), which is never None, cached in the instance dict of a frozen
-    dataclass under "_" + fn's name.  The cached attribute is not a field, so equality,
-    hashing and `dataclasses.replace` ignore it (a replaced instance starts
-    with no cache).  Only a returned value is cached: an exception is raised
-    again on every call."""
-    key = "_" + fn.__name__
-
-    @functools.wraps(fn)
-    def cached(obj):
-        value = obj.__dict__.get(key)
-        if value is None:
-            value = fn(obj)
-            object.__setattr__(obj, key, value)
-        return value
-
-    return cached
 
 
 @cached_on_instance

@@ -28,13 +28,12 @@ rows of the pieces are then the splitting lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
 from .compatibility import graded_pieces
 from .errors import PreconditionError
-from .linalg import QMatrix, sum_all
+from .linalg import QMatrix, record, sum_all
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
@@ -42,7 +41,7 @@ TORUS_REDUCES = "REDUCES"
 TORUS_NONE = "NONE-FOUND"
 
 
-@dataclass(frozen=True)
+@record
 class SlReductionResult:
     verdict: str
     sl_presentation: Optional[CocharBundleData] = None
@@ -78,7 +77,7 @@ def check_sl_reduction(data: CocharBundleData) -> SlReductionResult:
     return SlReductionResult(SL_REDUCES, sl_presentation=sl_data)
 
 
-@dataclass(frozen=True)
+@record
 class TorusReductionResult:
     verdict: str
     lines: Optional[Tuple[Tuple[int, ...], ...]] = None

@@ -40,8 +40,12 @@
   with, a transition evaluated at a rational torus point
   (`random_torus_point`) straight from the frames and characters, and the
   expansion evaluated at the same point.
+- `dataclass_twin`: `dataclasses.dataclass(frozen=True)` applied to the
+  annotations, defaults and `__post_init__` of a class made by
+  `toricfilt.linalg.record`, which the record must behave like.
 """
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -627,3 +631,19 @@ def transition_at(data: CocharBundleData, s: int, t: int,
     g_s, g_t = data.frames[s], data.frames[t]
     return (g_s @ character(s, 1) @ g_s.inverse()
             @ g_t @ character(t, -1) @ g_t.inverse())
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def dataclass_twin(cls: type) -> type:
+    """A frozen dataclass with the name, qualified name, annotations, defaults
+    and `__post_init__` of the record class `cls`, and nothing else."""
+    annotations = dict(cls.__dict__.get("__annotations__", {}))
+    namespace = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
+                 "__annotations__": annotations}
+    namespace.update((f, cls.__dict__[f]) for f in annotations if f in cls.__dict__)
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

@@ -35,7 +35,7 @@ from toricfilt.compatibility import (
 )
 from toricfilt.fans import Fan, cone_intersection
 from toricfilt.filtrations import dual, tensor
-from toricfilt.linalg import QMatrix, intersect, span_canonical, subspace_sum
+from toricfilt.linalg import QMatrix, intersect, replace, span_canonical, subspace_sum
 from toricfilt.reduction import (
     SL_REDUCES,
     TORUS_NONE,
@@ -209,8 +209,6 @@ def test_criterion_5_filtered_algebra_axioms():
                 assert check_coaction_commutes(alg)[0]
 
         # negative controls
-        import dataclasses
-
         fan = p2_fan()
         chars = [[(1, 0), (0, 0)]] * 3
         data = CocharBundleData.make(GroupSpec("GL", 2), fan,
@@ -219,7 +217,7 @@ def test_criterion_5_filtered_algebra_axioms():
         flipped = dict(alg.weights)
         gen = alg.generator(0, 0)
         flipped[gen] = tuple(-w for w in flipped[gen])
-        broken = dataclasses.replace(alg, weights=flipped)
+        broken = replace(alg, weights=flipped)
         assert not check_multiplicative(broken)[0]
 
         column = {}
@@ -230,7 +228,7 @@ def test_criterion_5_filtered_algebra_axioms():
                 for t in range(2):
                     w[t] -= e * chars[0][j][t]
             column[m] = tuple(w)
-        broken_col = dataclasses.replace(alg, weights=column)
+        broken_col = replace(alg, weights=column)
         assert not check_coaction_commutes(broken_col)[0]
 
         elapsed = time.time() - start

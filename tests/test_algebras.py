@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -20,7 +19,7 @@ from toricfilt.algebras import (
 )
 from toricfilt.bundles import CocharBundleData, GroupSpec
 from toricfilt.errors import InputError, PreconditionError
-from toricfilt.linalg import QMatrix
+from toricfilt.linalg import QMatrix, replace
 from toricfilt.sampling import p1_fan, p2_fan, random_bundle
 
 I1 = QMatrix.identity(1)
@@ -139,7 +138,7 @@ def test_flipped_weight_negative_control(p2):
     x11 = alg.generator(0, 0)
     corrupted = dict(alg.weights)
     corrupted[x11] = tuple(-w for w in corrupted[x11])
-    broken = dataclasses.replace(alg, weights=corrupted)
+    broken = replace(alg, weights=corrupted)
     assert not check_multiplicative(broken)[0]
     assert not check_compatible_algebra(broken)[0]
     assert not check_coaction_commutes(broken)[0]
@@ -151,7 +150,7 @@ def test_column_convention_negative_control(p2):
     chars = [[(1, 0), (0, 0)]] * 3
     data = gl2_bundle(p2, chars)
     alg = build_truncation(data, 0, 3)
-    broken = dataclasses.replace(alg, weights=column_weight_table(alg, chars[0]))
+    broken = replace(alg, weights=column_weight_table(alg, chars[0]))
     assert check_multiplicative(broken)[0]
     assert check_compatible_algebra(broken)[0]
     assert not check_coaction_commutes(broken)[0]
@@ -235,7 +234,7 @@ def test_checks_match_reference_scans():
             weights = dict(alg.weights)
             for m in rng.sample(alg.basis, rng.randint(1, 3)):
                 weights[m] = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
-            alg = dataclasses.replace(alg, weights=weights)
+            alg = replace(alg, weights=weights)
         assert check_multiplicative(alg) == reference_multiplicative(alg)
         compatible = check_compatible_algebra(alg)
         assert compatible == reference_compatible_algebra(alg)
@@ -308,7 +307,7 @@ def test_replaced_truncation_starts_without_cached_tables(p1):
     assert check_compatible_algebra(alg)[0]
     table, memo = _products(alg), _class_memo(alg)
     assert memo and _products(alg) is table and _class_memo(alg) is memo
-    other = dataclasses.replace(alg, weights=dict(alg.weights))
+    other = replace(alg, weights=dict(alg.weights))
     assert _products(other) == table and _products(other) is not table
     assert _class_memo(other) == {}
 

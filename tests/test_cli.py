@@ -1,8 +1,13 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import toricfilt
 from toricfilt.cli import main
 from toricfilt.serialize import (
     dump_report,
@@ -376,6 +381,22 @@ def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     assert json.loads(out) == {"command": "validate-filt",
                                "error": "internal error: RuntimeError: boom"}
     assert "Traceback" in err and "RuntimeError: boom" in err
+
+
+def test_cli_start_up_imports_no_introspection_modules():
+    """Importing the CLI loads none of `dataclasses`, `inspect`, `ast`, `dis`
+    or `traceback`, each of which costs start-up time on every command.  The
+    child runs with -S so that what the interpreter's site packages import
+    cannot decide the result."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(toricfilt.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, toricfilt.cli; print(sorted(sys.modules))"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "toricfilt.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "traceback"} == set()
 
 
 @pytest.mark.parametrize("literal", [
