@@ -11,12 +11,22 @@ order; one-line human summaries go to standard error.  Exit codes:
 Every verdict is definitive: the compatibility checker answers with a
 certificate or a refutation, and torus reduction with a splitting or
 NONE-FOUND.
+
+One table, `COMMANDS`, drives both the parser and dispatch: each row gives a
+subcommand's name, help, handler, positional names and options.  `main` calls
+the handler with the parsed arguments and the values of the row's
+positionals, in order.  `validate-fan`, `validate-filt` and `validate-bundle`
+share `cmd_validate` (a loader, a validator and a noun per row), and `tensor`,
+`dual` and `dsum` share `cmd_calculus` (an operation and a summary per row).
+Every verdict reaches its exit code through `_verdict`, and `--cone` is
+range-checked by `Fan.maximal_cone`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import List, Optional
 
 from . import algebras, bundles, compatibility, filtrations, reduction
@@ -39,116 +49,81 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 70  # sysexits EX_SOFTWARE
 
 
-def _emit(report: dict, summary: str, code: int) -> int:
+def _emit(report: dict, summary: str, code: int = EXIT_OK) -> int:
     sys.stdout.write(dump_report(report))
     sys.stderr.write(summary + "\n")
     return code
 
 
-def cmd_validate_fan(args) -> int:
-    report = validate_fan(load_fan(args.fan))
-    obj = {
-        "command": "validate-fan",
-        "valid": report.valid,
-        "top_dimensional": report.top_dimensional,
-        "issues": report.issues,
-    }
-    summary = "fan valid" if report.valid else "fan INVALID"
-    summary += ", all maximal cones top-dimensional" if report.top_dimensional \
+def _verdict(report: dict, ok: bool, passed: str, failed: str) -> int:
+    """Emit a checking command's report: exit 0 with the `passed` summary
+    when the check holds, exit 1 with `failed` when it does not."""
+    return _emit(report, passed if ok else failed, EXIT_OK if ok else EXIT_FAIL)
+
+
+def _fields(rec) -> dict:
+    """A record's fields, in declaration order, as report entries."""
+    return {f: getattr(rec, f) for f in rec._fields}
+
+
+def _cone_indices(fan, cone: Optional[int]) -> List[int]:
+    """The maximal cones a command runs on: every one, or the one `--cone`
+    names, which `Fan.maximal_cone` range-checks."""
+    if cone is None:
+        return list(range(len(fan.maximal_cones)))
+    fan.maximal_cone(cone)
+    return [cone]
+
+
+def cmd_validate(load, validate, noun: str, args, path: str) -> int:
+    report = validate(load(path))
+    top = getattr(report, "top_dimensional", None)
+    clause = "" if top is None else ", all maximal cones top-dimensional" if top \
         else ", some maximal cone is not top-dimensional"
-    return _emit(obj, summary, EXIT_OK if report.valid else EXIT_FAIL)
-
-
-def cmd_validate_filt(args) -> int:
-    report = filtrations.validate(load_filtration(args.data))
-    obj = {
-        "command": "validate-filt",
-        "valid": report.valid,
-        "issues": report.issues,
-    }
-    return _emit(obj, "filtration data valid" if report.valid else "filtration data INVALID",
-                 EXIT_OK if report.valid else EXIT_FAIL)
+    return _verdict({"command": args.command, **_fields(report)}, report.valid,
+                    f"{noun} valid{clause}", f"{noun} INVALID{clause}")
 
 
 def _cone_result_obj(res: compatibility.ConeCompatibility) -> dict:
-    obj = {
+    return {
         "rays": list(res.ray_indices),
         "verdict": res.verdict,
         "certificate": decomposition_to_obj(res.certificate) if res.certificate else None,
-        "refutation": None,
+        "refutation": _fields(res.refutation) if res.refutation else None,
     }
-    if res.refutation is not None:
-        obj["refutation"] = {"kind": res.refutation.kind,
-                             "detail": res.refutation.detail}
-    return obj
 
 
-_COMPAT_EXIT = {
-    compatibility.VERDICT_CERTIFICATE: EXIT_OK,
-    compatibility.VERDICT_REFUTATION: EXIT_FAIL,
-}
-
-
-def cmd_compat(args) -> int:
-    data = load_filtration(args.data)
-    report = filtrations.validate(data)
-    if not report.valid:
+def cmd_compat(args, path: str) -> int:
+    data = load_filtration(path)
+    if not filtrations.validate(data).valid:
         raise PreconditionError("filtration data fails validation; run validate-filt")
-    if args.cone is not None:
-        if not 0 <= args.cone < len(data.fan.maximal_cones):
-            raise InputError("maximal cone index out of range")
+    indices = _cone_indices(data.fan, args.cone)
+    if args.cone is None:
+        glob = compatibility.global_compatibility(data)
+        verdict, results, summary = glob.verdict, glob.cones, "global compatibility"
+        ok = verdict == "compatible"
+    else:
         res = compatibility.cone_compatibility(data, data.fan.maximal_cones[args.cone])
-        obj = {"command": "compat", "verdict": res.verdict,
-               "cones": [{"cone": args.cone, **_cone_result_obj(res)}]}
-        return _emit(obj, f"cone {args.cone}: {res.verdict}", _COMPAT_EXIT[res.verdict])
-    glob = compatibility.global_compatibility(data)
-    obj = {
-        "command": "compat",
-        "verdict": glob.verdict,
-        "cones": [
-            {"cone": k, **_cone_result_obj(res)} for k, res in enumerate(glob.cones)
-        ],
-    }
-    return _emit(obj, f"global compatibility: {glob.verdict}",
-                 EXIT_OK if glob.verdict == "compatible" else EXIT_FAIL)
+        verdict, results, summary = res.verdict, [res], f"cone {args.cone}"
+        ok = verdict == compatibility.VERDICT_CERTIFICATE
+    obj = {"command": "compat", "verdict": verdict,
+           "cones": [{"cone": k, **_cone_result_obj(r)} for k, r in zip(indices, results)]}
+    summary += f": {verdict}"
+    return _verdict(obj, ok, summary, summary)
 
 
-def cmd_tensor(args) -> int:
-    result = filtrations.tensor(load_filtration(args.a), load_filtration(args.b))
-    return _emit(filtration_to_obj(result), "tensor product computed", EXIT_OK)
+def cmd_calculus(operation, summary: str, args, *paths: str) -> int:
+    result = operation(*[load_filtration(p) for p in paths])
+    return _emit(filtration_to_obj(result), summary)
 
 
-def cmd_dual(args) -> int:
-    result = filtrations.dual(load_filtration(args.a))
-    return _emit(filtration_to_obj(result), "dual computed", EXIT_OK)
-
-
-def cmd_dsum(args) -> int:
-    result = filtrations.direct_sum(load_filtration(args.a), load_filtration(args.b))
-    return _emit(filtration_to_obj(result), "direct sum computed", EXIT_OK)
-
-
-def cmd_morphism(args) -> int:
-    phi = load_matrix(args.matrix)
-    a = load_filtration(args.a)
-    b = load_filtration(args.b)
-    failure = filtrations.morphism_failure(phi, a, b)
+def cmd_morphism(args, matrix: str, a: str, b: str) -> int:
+    failure = filtrations.morphism_failure(load_matrix(matrix), load_filtration(a),
+                                           load_filtration(b))
     obj = {"command": "morphism", "is_morphism": failure is None,
            "witness": failure}
-    return _emit(obj, "morphism respects filtrations" if failure is None
-                 else "NOT a morphism of filtered data",
-                 EXIT_OK if failure is None else EXIT_FAIL)
-
-
-def cmd_validate_bundle(args) -> int:
-    report = bundles.validate_bundle(load_bundle(args.bundle))
-    obj = {
-        "command": "validate-bundle",
-        "valid": report.valid,
-        "issues": report.issues,
-    }
-    return _emit(obj, "bundle data valid" if report.valid else "bundle data INVALID",
-                 EXIT_OK if report.valid else EXIT_FAIL)
+    return _verdict(obj, failure is None, "morphism respects filtrations",
+                    "NOT a morphism of filtered data")
 
 
 def _require_valid_bundle(path: str) -> bundles.CocharBundleData:
@@ -164,42 +139,31 @@ def _require_valid_bundle(path: str) -> bundles.CocharBundleData:
     return data
 
 
-def cmd_glue(args) -> int:
-    data = _require_valid_bundle(args.bundle)
-    report = bundles.check_gluing(data)
-    obj = {"command": "glue", "glues": report.glues,
-           "witness": report.witness}
-    return _emit(obj, "transitions glue" if report.glues else "gluing FAILS",
-                 EXIT_OK if report.glues else EXIT_FAIL)
+def cmd_glue(args, path: str) -> int:
+    report = bundles.check_gluing(_require_valid_bundle(path))
+    return _verdict({"command": "glue", **_fields(report)}, report.glues,
+                    "transitions glue", "gluing FAILS")
 
 
-def cmd_assoc(args) -> int:
-    data = _require_valid_bundle(args.bundle)
+def cmd_assoc(args, path: str) -> int:
+    data = _require_valid_bundle(path)
     try:
         result = bundles.associated_klyachko(data)
     except bundles.RayConsistencyError as exc:
         obj = {"command": "assoc", "error": "ray-consistency",
                "witness": exc.witness}
         return _emit(obj, "ray chains inconsistent across cones", EXIT_FAIL)
-    return _emit(filtration_to_obj(result), "associated filtration data computed", EXIT_OK)
+    return _emit(filtration_to_obj(result), "associated filtration data computed")
 
 
-def cmd_algebra_check(args) -> int:
-    data = _require_valid_bundle(args.bundle)
-    if args.cone is not None:
-        if not 0 <= args.cone < len(data.fan.maximal_cones):
-            raise InputError("maximal cone index out of range")
-        indices = [args.cone]
-    else:
-        indices = list(range(len(data.fan.maximal_cones)))
+def cmd_algebra_check(args, path: str) -> int:
+    data = _require_valid_bundle(path)
     cones = []
-    all_ok = True
-    for k in indices:
+    for k in _cone_indices(data.fan, args.cone):
         alg = algebras.build_truncation(data, k, args.degree)
         mult_ok, mult_wit = algebras.check_multiplicative(alg)
         comp_ok, comp_wit, dims = algebras.check_compatible_algebra(alg)
         coact_ok, coact_wit = algebras.check_coaction_commutes(alg)
-        all_ok = all_ok and mult_ok and comp_ok and coact_ok
         cones.append({
             "cone": k,
             "degree": args.degree,
@@ -211,13 +175,14 @@ def cmd_algebra_check(args) -> int:
             ],
             "witness": mult_wit or comp_wit or coact_wit,
         })
-    obj = {"command": "algebra-check", "ok": all_ok, "cones": cones}
-    return _emit(obj, "algebra axioms hold" if all_ok else "algebra axioms FAIL",
-                 EXIT_OK if all_ok else EXIT_FAIL)
+    ok = all(c["multiplicative"] and c["compatible"] and c["coaction_commutes"]
+             for c in cones)
+    return _verdict({"command": "algebra-check", "ok": ok, "cones": cones}, ok,
+                    "algebra axioms hold", "algebra axioms FAIL")
 
 
-def cmd_reduce(args) -> int:
-    data = _require_valid_bundle(args.bundle)
+def cmd_reduce(args, path: str) -> int:
+    data = _require_valid_bundle(path)
     if args.to == "sl":
         res = reduction.check_sl_reduction(data)
         obj = {
@@ -228,11 +193,12 @@ def cmd_reduce(args) -> int:
             "sl_presentation": bundle_to_obj(res.sl_presentation)
             if res.sl_presentation else None,
         }
-        if res.verdict != reduction.SL_REDUCES:
+        ok = res.verdict == reduction.SL_REDUCES
+        if not ok:
             obj["witness"] = {"cone": res.failing_cone,
                               "character_sum": list(res.character_sum)}
-        return _emit(obj, f"SL reduction: {res.verdict}",
-                     EXIT_OK if res.verdict == reduction.SL_REDUCES else EXIT_FAIL)
+        summary = f"SL reduction: {res.verdict}"
+        return _verdict(obj, ok, summary, summary)
     res = reduction.check_torus_reduction(data)
     obj = {
         "command": "reduce",
@@ -245,8 +211,8 @@ def cmd_reduce(args) -> int:
                 "restricts to a character's levels on each maximal cone, and "
                 "so the level tuples of any splitting into rank-one summands",
     }
-    return _emit(obj, f"torus reduction: {res.verdict}",
-                 EXIT_OK if res.verdict == reduction.TORUS_REDUCES else EXIT_FAIL)
+    summary = f"torus reduction: {res.verdict}"
+    return _verdict(obj, res.verdict == reduction.TORUS_REDUCES, summary, summary)
 
 
 def _selftest_checks(seed: int) -> dict:
@@ -291,8 +257,41 @@ def cmd_selftest(args) -> int:
     checks = _selftest_checks(args.seed)
     ok = all(checks.values())
     obj = {"command": "selftest", "seed": args.seed, "checks": checks, "ok": ok}
-    return _emit(obj, "selftest passed" if ok else "selftest FAILED",
-                 EXIT_OK if ok else EXIT_FAIL)
+    return _verdict(obj, ok, "selftest passed", "selftest FAILED")
+
+
+# (name, help, handler, positional names, options as (flag, add_argument keywords))
+COMMANDS = (
+    ("validate-fan", "validate a fan file",
+     partial(cmd_validate, load_fan, validate_fan, "fan"), ("fan",), ()),
+    ("validate-filt", "validate filtration data",
+     partial(cmd_validate, load_filtration, filtrations.validate, "filtration data"),
+     ("data",), ()),
+    ("compat", "per-cone compatibility with certificates", cmd_compat, ("data",),
+     (("--cone", {"type": int, "default": None,
+                  "help": "check a single maximal cone (by index)"}),)),
+    ("tensor", "tensor product of two filtration files",
+     partial(cmd_calculus, filtrations.tensor, "tensor product computed"), ("a", "b"), ()),
+    ("dual", "dual filtration data",
+     partial(cmd_calculus, filtrations.dual, "dual computed"), ("a",), ()),
+    ("dsum", "direct sum of two filtration files",
+     partial(cmd_calculus, filtrations.direct_sum, "direct sum computed"), ("a", "b"), ()),
+    ("morphism", "check a matrix is a morphism of filtered data", cmd_morphism,
+     ("matrix", "a", "b"), ()),
+    ("validate-bundle", "validate bundle data",
+     partial(cmd_validate, load_bundle, bundles.validate_bundle, "bundle data"), ("bundle",), ()),
+    ("glue", "check that both transition directions are regular on "
+             "every overlap, decided on the frame changes", cmd_glue, ("bundle",), ()),
+    ("assoc", "associated filtration data of the standard representation", cmd_assoc,
+     ("bundle",), ()),
+    ("algebra-check", "truncated coordinate-algebra axioms", cmd_algebra_check, ("bundle",),
+     (("--degree", {"type": int, "default": algebras.DEFAULT_DEGREE}),
+      ("--cone", {"type": int, "default": None}))),
+    ("reduce", "equivariant reduction of structure group", cmd_reduce, ("bundle",),
+     (("--to", {"choices": ["sl", "torus"], "required": True}),)),
+    ("selftest", "randomized property self-checks", cmd_selftest, (),
+     (("--seed", {"type": int, "default": 0}),)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,77 +300,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact checks for equivariant principal-bundle data on toric fans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate-fan", help="validate a fan file")
-    p.add_argument("fan")
-    p.set_defaults(func=cmd_validate_fan)
-
-    p = sub.add_parser("validate-filt", help="validate filtration data")
-    p.add_argument("data")
-    p.set_defaults(func=cmd_validate_filt)
-
-    p = sub.add_parser("compat", help="per-cone compatibility with certificates")
-    p.add_argument("data")
-    p.add_argument("--cone", type=int, default=None,
-                   help="check a single maximal cone (by index)")
-    p.set_defaults(func=cmd_compat)
-
-    p = sub.add_parser("tensor", help="tensor product of two filtration files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_tensor)
-
-    p = sub.add_parser("dual", help="dual filtration data")
-    p.add_argument("a")
-    p.set_defaults(func=cmd_dual)
-
-    p = sub.add_parser("dsum", help="direct sum of two filtration files")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_dsum)
-
-    p = sub.add_parser("morphism", help="check a matrix is a morphism of filtered data")
-    p.add_argument("matrix")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=cmd_morphism)
-
-    p = sub.add_parser("validate-bundle", help="validate bundle data")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_validate_bundle)
-
-    p = sub.add_parser("glue", help="check that both transition directions are regular on "
-                                    "every overlap, decided on the frame changes")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_glue)
-
-    p = sub.add_parser("assoc", help="associated filtration data of the standard representation")
-    p.add_argument("bundle")
-    p.set_defaults(func=cmd_assoc)
-
-    p = sub.add_parser("algebra-check", help="truncated coordinate-algebra axioms")
-    p.add_argument("bundle")
-    p.add_argument("--degree", type=int, default=algebras.DEFAULT_DEGREE)
-    p.add_argument("--cone", type=int, default=None)
-    p.set_defaults(func=cmd_algebra_check)
-
-    p = sub.add_parser("reduce", help="equivariant reduction of structure group")
-    p.add_argument("bundle")
-    p.add_argument("--to", choices=["sl", "torus"], required=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("selftest", help="randomized property self-checks")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
-
+    for name, help_text, handler, positionals, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler, operands=positionals)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, *[getattr(args, name) for name in args.operands])
     except (InputError, PreconditionError) as exc:
         sys.stdout.write(dump_report({"command": args.command, "error": str(exc)}))
         sys.stderr.write(f"error: {exc}\n")

@@ -24,7 +24,10 @@ subspace is an annihilator product against the cached annihilator.
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
-most commands compute), and `replace` copies one with changed fields.
+most commands compute); it compiles only `__init__` from source, and
+`replace` copies a record with changed fields.  Scalars are ints or
+Fractions: `serialize.parse_rational` is the one parser of rational
+literals, so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator` here, and the gluing report, the associated data and the
 algebra tables elsewhere, in the instance dict of a frozen record.
@@ -41,23 +44,15 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
-Scalar = Union[int, str, Fraction]
+Scalar = Union[int, Fraction]
 
-_RECORD_METHODS = '''
+_RECORD_INIT = '''
 def __init__(self, {params}):
 {sets}
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({mine}) == ({theirs})
-    return NotImplemented
-def __hash__(self):
-    return hash(({mine}))
-def __repr__(self):
-    return self.__class__.__qualname__ + f"({shown})"
 '''
 
 
@@ -76,8 +71,11 @@ def record(cls):
     attributes are the defaults; `__post_init__` runs last), equality on the
     field tuple between instances of the same class, `hash` of the field
     tuple, `QualName(field=repr, ...)`, and AttributeError on assignment and
-    deletion.  The instance dict stays, for `cached_on_instance`; only these
-    two helpers write it."""
+    deletion.  Only `__init__` is compiled from source, so that its signature
+    and its errors for missing or extra arguments are those of a plain
+    function; the other methods are closures over the field getter.  The
+    instance dict stays, for `cached_on_instance`; only these two helpers
+    write it."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = tuple(cls.__dict__[f] for f in names if f in cls.__dict__)
     if any(f in cls.__dict__ for f in names[:len(names) - len(defaults)]):
@@ -86,16 +84,29 @@ def record(cls):
     if hasattr(cls, "__post_init__"):
         sets.append("    self.__post_init__()")
     namespace = {"_set": object.__setattr__}
-    exec(_RECORD_METHODS.format(
-        params=", ".join(names), sets="\n".join(sets),
-        mine="".join(f"self.{f}," for f in names),
-        theirs="".join(f"other.{f}," for f in names),
-        shown=", ".join(f"{f}={{self.{f}!r}}" for f in names)), namespace)
+    exec(_RECORD_INIT.format(params=", ".join(names), sets="\n".join(sets) or "    pass"),
+         namespace)
+    # the field tuple; `attrgetter` gives a bare value for one name and
+    # takes no zero names
+    values = attrgetter(*names) if len(names) > 1 else \
+        lambda obj: tuple(getattr(obj, f) for f in names)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
     namespace["__init__"].__defaults__ = defaults
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        method = namespace[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+    for method in (namespace["__init__"], __eq__, __hash__, __repr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     cls._fields = names
@@ -130,15 +141,15 @@ def cached_on_instance(fn):
 
 
 def to_fraction(x: Scalar) -> Fraction:
-    """Coerce an int, Fraction or "p/q" string to a Fraction.  Floats are
-    rejected: tolerance-based arithmetic would make subspace checks unsound."""
+    """Coerce an int or a Fraction to a Fraction.  Everything else is
+    rejected: floats, because tolerance-based arithmetic would make subspace
+    checks unsound, and strings, because `serialize.parse_rational` is the
+    one parser of rational literals."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("boolean is not a rational scalar")
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
@@ -406,7 +417,7 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
 
 def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
     """The row with every entry an int or a Fraction; only other entries
-    go through `to_fraction`, which parses strings and rejects the rest."""
+    go through `to_fraction`, which rejects them."""
     return tuple(x if type(x) is int or type(x) is Fraction else to_fraction(x)
                  for x in row)
 

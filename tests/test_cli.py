@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -8,7 +9,7 @@ import time
 import pytest
 
 import toricfilt
-from toricfilt.cli import main
+from toricfilt.cli import build_parser, main
 from toricfilt.serialize import (
     dump_report,
     filtration_from_obj,
@@ -20,6 +21,42 @@ P2_FAN_OBJ = {
     "rays": [[1, 0], [0, 1], [-1, -1]],
     "maximal_cones": [[0, 1], [1, 2], [0, 2]],
 }
+
+
+# four pairwise distinct lines on the rays of the square cone: no compatible
+# decomposition exists
+FOUR_LINES_OBJ = {
+    "fan": {"rank": 3, "rays": [[0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]],
+            "maximal_cones": [[0, 1, 2, 3]]},
+    "dim": 2,
+    "filtrations": {str(k): [{"i": 0, "basis": [["1", "0"], ["0", "1"]]},
+                             {"i": 1, "basis": [line]}]
+                    for k, line in enumerate([["1", "0"], ["0", "1"], ["1", "1"], ["1", "2"]])},
+}
+
+# every subcommand in order: help, positional names, and for each option its
+# flags, type, default, choices, whether it is required, and its help
+PARSER_STRUCTURE = [
+    ("validate-fan", "validate a fan file", ["fan"], []),
+    ("validate-filt", "validate filtration data", ["data"], []),
+    ("compat", "per-cone compatibility with certificates", ["data"],
+     [(["--cone"], int, None, None, False, "check a single maximal cone (by index)")]),
+    ("tensor", "tensor product of two filtration files", ["a", "b"], []),
+    ("dual", "dual filtration data", ["a"], []),
+    ("dsum", "direct sum of two filtration files", ["a", "b"], []),
+    ("morphism", "check a matrix is a morphism of filtered data", ["matrix", "a", "b"], []),
+    ("validate-bundle", "validate bundle data", ["bundle"], []),
+    ("glue", "check that both transition directions are regular on every overlap, "
+             "decided on the frame changes", ["bundle"], []),
+    ("assoc", "associated filtration data of the standard representation", ["bundle"], []),
+    ("algebra-check", "truncated coordinate-algebra axioms", ["bundle"],
+     [(["--degree"], int, 3, None, False, None),
+      (["--cone"], int, None, None, False, None)]),
+    ("reduce", "equivariant reduction of structure group", ["bundle"],
+     [(["--to"], None, None, ["sl", "torus"], True, None)]),
+    ("selftest", "randomized property self-checks", [],
+     [(["--seed"], int, 0, None, False, None)]),
+]
 
 
 def write_json(path, obj):
@@ -41,6 +78,19 @@ def line_data_obj(fan_obj, jumps):
             str(i): [{"i": j, "basis": [["1"]]}] for i, j in enumerate(jumps)
         },
     }
+
+
+def test_parser_structure():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    found = []
+    for name, p in sub.choices.items():
+        positionals = [a.dest for a in p._actions if not a.option_strings]
+        options = [(a.option_strings, a.type, a.default, a.choices, a.required, a.help)
+                   for a in p._actions if a.option_strings and a.dest != "help"]
+        found.append((name, helps[name], positionals, options))
+    assert found == PARSER_STRUCTURE
 
 
 def test_validate_fan_ok(tmp_path, capsys):
@@ -301,17 +351,36 @@ def test_selftest(capsys):
     assert report["ok"] and all(report["checks"].values())
 
 
-def test_exit_code_table(tmp_path):
-    from toricfilt.cli import _COMPAT_EXIT, EXIT_FAIL, EXIT_OK
-    from toricfilt.compatibility import VERDICT_CERTIFICATE, VERDICT_REFUTATION
+def test_exit_code_table(tmp_path, capsys):
+    """`compat --cone` exits 0 on a certificate and 1 on a refutation."""
+    from toricfilt.cli import EXIT_FAIL, EXIT_OK
 
-    assert _COMPAT_EXIT == {VERDICT_CERTIFICATE: EXIT_OK, VERDICT_REFUTATION: EXIT_FAIL}
     assert (EXIT_OK, EXIT_FAIL) == (0, 1)
-    # the retired exhaustive-search cap is an unknown option
     path = write_json(tmp_path / "filt.json", line_data_obj(P2_FAN_OBJ, [0, 0, 0]))
+    code, out, _ = run(capsys, "compat", path, "--cone", "2")
+    assert (code, json.loads(out)["verdict"]) == (0, "certificate")
+    code, out, _ = run(capsys, "compat", write_json(tmp_path / "four.json", FOUR_LINES_OBJ),
+                       "--cone", "0")
+    assert (code, json.loads(out)["verdict"]) == (1, "refutation")
+    # the retired exhaustive-search cap is an unknown option
     with pytest.raises(SystemExit) as exc:
         main(["compat", path, "--dim-cap", "4"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["compat", "algebra-check"])
+@pytest.mark.parametrize("cone", ["3", "-1"])
+def test_cone_index_out_of_range_exits_two(tmp_path, capsys, command, cone):
+    path = write_json(tmp_path / "in.json", {
+        "compat": line_data_obj(P2_FAN_OBJ, [0, 0, 0]),
+        "algebra-check": {"group": {"kind": "GL", "n": 1}, "fan": P2_FAN_OBJ,
+                          "cones": [{"cone": k, "frame": [["1"]], "chars": [[0, 0]]}
+                                    for k in range(3)]}}[command])
+    code, out, err = run(capsys, command, path, "--cone", cone)
+    assert code == 2
+    assert json.loads(out) == {"command": command,
+                               "error": "maximal cone index out of range"}
+    assert err == "error: maximal cone index out of range\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,11 +439,13 @@ def test_bundle_commands_reject_invalid_fan(tmp_path, capsys, argv):
 
 def test_internal_error_exits_70(tmp_path, capsys, monkeypatch):
     import toricfilt.cli as cli
+    import toricfilt.serialize as serialize
 
-    def crash(args):
+    def crash(path):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "cmd_validate_filt", crash)
+    # a crash inside the library, reached through the command's loader
+    monkeypatch.setattr(serialize, "load_json", crash)
     path = write_json(tmp_path / "filt.json", line_data_obj(P2_FAN_OBJ, [0, 0, 0]))
     code, out, err = run(capsys, "validate-filt", path)
     assert code == cli.EXIT_INTERNAL == 70

@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -36,6 +37,7 @@ from toricfilt.linalg import (
     subspace_sum,
     tensor_product,
     to_fraction,
+    vector,
 )
 
 scalars = st.integers(min_value=-6, max_value=6)
@@ -174,13 +176,27 @@ def test_floats_rejected():
 
 
 def test_span_entry_types():
-    """Ints and Fractions are taken as they are, "p/q" strings are parsed,
-    and booleans and floats are rejected wherever they sit in a row."""
-    for row in ([1, True], [Fraction(1, 2), 0.5], [False, 0], [1.0, 2]):
+    """Ints and Fractions are taken as they are, and booleans, floats and
+    strings are rejected wherever they sit in a row."""
+    for row in ([1, True], [Fraction(1, 2), 0.5], [False, 0], [1.0, 2], [1, "2"]):
         with pytest.raises(TypeError):
             span_canonical([[1, 2], row])
-    assert span_canonical([["1/2", "3"], ["-2", 4]]) == span_canonical([[Fraction(1, 2), 3], [-2, 4]])
-    assert span_canonical([["-4/6", Fraction(2, 3), 0]]) == span_canonical([[-1, 1, 0]])
+    assert (span_canonical([[Fraction(1, 2), Fraction(3)], [Fraction(-2), 4]])
+            == span_canonical([[Fraction(1, 2), 3], [-2, 4]]))
+    assert span_canonical([[Fraction(-4, 6), Fraction(2, 3), 0]]) == span_canonical([[-1, 1, 0]])
+
+
+def test_strings_rejected_without_parsing():
+    """Rational literals are parsed only by `serialize.parse_rational`: a
+    string reaching `linalg` raises TypeError before any parsing, however
+    long its decimal expansion would be."""
+    for literal in ("1/2", "1e2000000"):
+        start = time.perf_counter()
+        for build in (to_fraction, lambda x: vector([x]), lambda x: QMatrix.from_rows([[x]]),
+                      lambda x: span_canonical([[x]])):
+            with pytest.raises(TypeError):
+                build(literal)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_matrix_inverse_and_det():

@@ -173,7 +173,8 @@ def test_post_init_errors_match_dataclass_twins():
 
 def test_nested_record_matches_its_dataclass_twin():
     """A class defined in a function: its qualified name, not its name,
-    starts the repr; a default and a `__post_init__` check come along."""
+    starts the repr; a default and a `__post_init__` check come along.  A
+    one-field record hashes and compares its one-element field tuple."""
 
     @record
     class Interval:
@@ -192,6 +193,16 @@ def test_nested_record_matches_its_dataclass_twin():
     assert Interval.hi == 0
     _assert_agrees([Interval(-1), Interval(0, 5), Interval(0, 5), Interval(-2)],
                    {Interval: twin})
+
+    @record
+    class Point:
+        x: tuple
+
+    twin = dataclass_twin(Point)
+    for args in [(), ((1,),), ((1,), 2)]:
+        assert _outcome(Point, *args) == _outcome(twin, *args)
+    assert hash(Point((1, 2))) == hash(((1, 2),)) != hash((1, 2))
+    _assert_agrees([Point((1, 2)), Point((1, 2)), Point(()), Point(([],))], {Point: twin})
 
 
 def test_record_rejects_a_required_field_after_a_default():
