@@ -14,33 +14,46 @@ multiplicativity, the graded product rule, and commutation of the coaction
 with the grading.  Products that leave the truncation are skipped,
 not errored: the axioms are degree local.
 
-The basis is built in one pass.  For each degree d, the multisets of d
-generators from `itertools.combinations_with_replacement` come in the
-reverse of basis order (total degree, then the exponent tuple), so each
-degree block is reversed; the row degrees are counted while each exponent
-vector is built, and a weight is computed once per row-degree vector.
+Everything but the weights is a function of (n, degree) alone, so
+`_shape(n, degree)` computes it once and every truncation of that shape
+shares it: the basis, each monomial's row degrees, the product table and
+the row-degree groups.  The basis is built in one pass.  For each degree d,
+the multisets of d generators from `itertools.combinations_with_replacement`
+come in the reverse of basis order (total degree, then the exponent tuple),
+so each degree block is reversed; the row degrees are counted while each
+exponent vector is built, and `build_truncation` computes a weight once per
+row-degree vector.
 
 The checks run over basis indices.  The basis must be sorted by total
 degree: the in-truncation partners of a monomial then form a run of the
 basis, and the walk stops at the first partner whose degree sum passes the
-bound.  The walk runs once per algebra and yields the product table, the
-triples (i, j, k) with basis[i] * basis[j] = basis[k] and i <= j, which
-every check then scans with each monomial's levels or class computed once
-(a class is memoized by weight, of which it is a function).  The scans stay
-exhaustive, so they also judge corrupted weight tables.  Δ(f) is never
+bound.  The walk runs once per (n, degree), not once per algebra (an
+algebra whose basis is not its shape's, such as a copy made with another
+degree, walks its own), and yields the product table, the triples
+(i, j, k) with basis[i] * basis[j] = basis[k] and i <= j, kept as three
+index columns.  The multiplicativity and graded-product scans map the
+columns to weight or class ids and test each distinct id triple once; a
+pair's verdict depends only on its triple, so the scans stay exhaustive
+and also judge corrupted or edited weight tables.  A failure is located
+by walking the table in order, so the witness is the first failing pair.
+A class is memoized by weight, of which it is a function; nothing else
+derived from the weights is kept between calls.  Δ(f) is never
 expanded: its left legs are exactly the monomials with f's row degrees (row
 sums of the exponent matrix), each with a positive count, so the coaction
 commutes with the grading iff the class is constant on every row-degree
 group.  The degree has a budget: C(2n^2+d, d), the number of ordered
-monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS.
+monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS;
+it is checked before a shape is built, so a cached shape never holds more
+than that many triples.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from operator import add
-from typing import Dict, List, Optional, Tuple
+from operator import add, mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bundles import CocharBundleData
 from .errors import InputError, PreconditionError
@@ -52,6 +65,14 @@ Weight = Tuple[int, ...]
 
 DEFAULT_DEGREE = 3
 MAX_PRODUCT_PAIRS = 100_000
+# bound on the shape cache: a process meets few (n, degree) shapes, and at
+# the degree budget one shape holds under 3 MB
+SHAPE_CACHE_SIZE = 8
+
+Columns = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
+Groups = Tuple[Tuple[int, ...], ...]
+# (basis, row degrees of each monomial, product columns, row-degree groups)
+Shape = Tuple[Tuple[Mono, ...], Tuple[Tuple[int, ...], ...], Columns, Groups]
 
 
 @record
@@ -84,6 +105,64 @@ class TruncatedAlgebra:
         return [m for m in self.basis if self.level(m, ray) >= i]
 
 
+def _pairs(n: int, degree: int) -> int:
+    """Ordered monomial pairs inside the truncation, the degree budget's measure."""
+    return comb(2 * n * n + degree, degree)
+
+
+def _walk(basis: Tuple[Mono, ...], degree: int) -> Columns:
+    """The product table of a degree-sorted basis as index columns I, J, K:
+    basis[I[t]] * basis[J[t]] = basis[K[t]] with I[t] <= J[t], for the pairs
+    whose product stays in the truncation, in basis order.  The walk over j
+    stops at the first pair whose degrees sum past the bound."""
+    index = {m: k for k, m in enumerate(basis)}
+    degrees = [sum(m) for m in basis]
+    I, J, K = [], [], []
+    for i, f in enumerate(basis):
+        room = degree - degrees[i]
+        for j in range(i, len(basis)):
+            if degrees[j] > room:
+                break
+            I.append(i)
+            J.append(j)
+            K.append(index[tuple(map(add, f, basis[j]))])
+    return tuple(I), tuple(J), tuple(K)
+
+
+@lru_cache(maxsize=SHAPE_CACHE_SIZE)
+def _shape(n: int, degree: int) -> Shape:
+    """(basis, row degrees of each monomial, product columns, row-degree
+    groups) of the GL(n) truncation at `degree`.  The groups are tuples of
+    basis indices, in order of first appearance.  Every value is a tuple, so
+    the truncations that share a shape cannot edit one another's tables."""
+    row_of = [g // n for g in range(n * n)]
+    basis: List[Mono] = []
+    rows: List[Tuple[int, ...]] = []
+    for d in range(degree + 1):
+        # the multisets of degree d come in the reverse of basis order
+        block = []
+        for gens in combinations_with_replacement(range(n * n), d):
+            exps, r = [0] * (n * n), [0] * n
+            for g in gens:
+                exps[g] += 1
+                r[row_of[g]] += 1
+            block.append((tuple(exps), tuple(r)))
+        for m, r in reversed(block):
+            basis.append(m)
+            rows.append(r)
+    basis_t = tuple(basis)
+    return basis_t, tuple(rows), _walk(basis_t, degree), _row_groups(rows)
+
+
+def _row_groups(rows: Sequence[Tuple[int, ...]]) -> Groups:
+    """The basis indices grouped by row-degree vector, in order of first
+    appearance."""
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for k, r in enumerate(rows):
+        groups.setdefault(r, []).append(k)
+    return tuple(map(tuple, groups.values()))
+
+
 def build_truncation(data: CocharBundleData, cone_index: int,
                      degree: int = DEFAULT_DEGREE) -> TruncatedAlgebra:
     if data.group.kind != "GL":
@@ -94,56 +173,51 @@ def build_truncation(data: CocharBundleData, cone_index: int,
     if not 0 <= cone_index < len(data.fan.maximal_cones):
         raise InputError("maximal cone index out of range")
     n = data.group.n
-    pairs = comb(2 * n * n + degree, degree)
+    pairs = _pairs(n, degree)
     if pairs > MAX_PRODUCT_PAIRS:
         raise InputError(f"truncation degree {degree} is over budget for GL({n}): "
                          f"{pairs} monomial pairs > {MAX_PRODUCT_PAIRS}")
+    basis, rows, _, groups = _shape(n, degree)
     rank = data.fan.rank
-    chars = data.chars[cone_index]
-    row_of = [g // n for g in range(n * n)]
+    # coordinate j of every row character u_1..u_n
+    coords = tuple(zip(*data.chars[cone_index]))
     by_rows: Dict[Tuple[int, ...], Weight] = {}
-    weights: Dict[Mono, Weight] = {}
-    for d in range(degree + 1):
-        # the multisets of degree d come in the reverse of basis order
-        block = []
-        for gens in combinations_with_replacement(range(n * n), d):
-            exps, rows = [0] * (n * n), [0] * n
-            for g in gens:
-                exps[g] += 1
-                rows[row_of[g]] += 1
-            block.append((tuple(exps), tuple(rows)))
-        for m, rows in reversed(block):
-            w = by_rows.get(rows)
-            if w is None:
-                w = by_rows[rows] = tuple(-sum(r * u[j] for r, u in zip(rows, chars))
-                                          for j in range(rank))
-            weights[m] = w
+    for group in groups:
+        r = rows[group[0]]
+        by_rows[r] = tuple(-sum(map(mul, r, u)) for u in coords)
     return TruncatedAlgebra(
         n=n, degree=degree, rank=rank,
         rays=tuple(data.fan.rays[i] for i in data.fan.maximal_cones[cone_index]),
-        basis=tuple(weights),
-        weights=weights,
+        basis=basis,
+        weights=dict(zip(basis, map(by_rows.__getitem__, rows))),
         quotient=data.fan.maximal_cone(cone_index).quotient(),
     )
 
 
+def _own_shape(alg: TruncatedAlgebra) -> Optional[Shape]:
+    """The shape of alg's (n, degree) when alg's basis is that shape's basis,
+    else None.  No shape is built for an over-budget degree."""
+    if _pairs(alg.n, alg.degree) <= MAX_PRODUCT_PAIRS:
+        shape = _shape(alg.n, alg.degree)
+        if shape[0] is alg.basis:
+            return shape
+    return None
+
+
+@cached_on_instance
+def _columns(alg: TruncatedAlgebra) -> Columns:
+    """The product table of alg as index columns: its shape's, or a walk of
+    its own basis.  The table depends only on the basis and the degree,
+    never on the weights."""
+    shape = _own_shape(alg)
+    return shape[2] if shape is not None else _walk(alg.basis, alg.degree)
+
+
 @cached_on_instance
 def _products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
-    """The index triples (i, j, k) with basis[i] * basis[j] = basis[k] and
-    i <= j, for the pairs whose product stays in the truncation, in basis
-    order.  The basis is degree-sorted, so the walk over j stops at the first
-    pair whose degrees sum past the bound.  Cached on the instance: the
-    table depends only on the basis and the degree, never on the weights."""
-    index = {m: k for k, m in enumerate(alg.basis)}
-    degrees = [sum(m) for m in alg.basis]
-    table = []
-    for i, f in enumerate(alg.basis):
-        room = alg.degree - degrees[i]
-        for j in range(i, len(alg.basis)):
-            if degrees[j] > room:
-                break
-            table.append((i, j, index[tuple(map(add, f, alg.basis[j]))]))
-    return table
+    """The product table of alg as a list of index triples (i, j, k), in
+    walk order."""
+    return list(zip(*_columns(alg)))
 
 
 @cached_on_instance
@@ -158,24 +232,33 @@ def _classes(alg: TruncatedAlgebra) -> List[Tuple[int, ...]]:
     the memo is kept on the instance, shared by the checks, and stays sound
     when the weight table is edited."""
     memo = _class_memo(alg)
-    out = []
-    for m in alg.basis:
-        w = alg.weights[m]
-        c = memo.get(w)
-        if c is None:
-            c = memo[w] = alg.quotient.class_index(w)
-        out.append(c)
-    return out
+    weights = list(map(alg.weights.__getitem__, alg.basis))
+    for w in set(weights).difference(memo):
+        memo[w] = alg.quotient.class_index(w)
+    return list(map(memo.__getitem__, weights))
+
+
+def _id_triples(values: List, columns: Columns) -> Tuple[dict, set]:
+    """An id for each distinct value, in order of first appearance, and the
+    distinct (id_i, id_j, id_k) triples of the product table under them."""
+    ids = {v: x for x, v in enumerate(dict.fromkeys(values))}
+    of = list(map(ids.__getitem__, values)).__getitem__
+    return ids, set(zip(*(map(of, c) for c in columns)))
 
 
 def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
     """Chain multiplicativity: products of chain members at levels i and j
     must land at level i+j.  Verified exhaustively over basis pairs with
-    in-truncation products; weight additivity makes this an identity for an
-    uncorrupted weight table."""
+    in-truncation products, one test per distinct weight triple; weight
+    additivity makes this an identity for an uncorrupted weight table."""
+    columns = _columns(alg)
+    ids, triples = _id_triples(list(map(alg.weights.__getitem__, alg.basis)), columns)
     for ray in alg.rays:
+        lv = [sum(map(mul, w, ray)) for w in ids]
+        if all(lv[c] >= lv[a] + lv[b] for a, b, c in triples):
+            continue
         lv = [alg.level(m, ray) for m in alg.basis]
-        for i, j, k in _products(alg):
+        for i, j, k in zip(*columns):
             if lv[k] < lv[i] + lv[j]:
                 return False, {"ray": list(ray), "f": list(alg.basis[i]),
                                "g": list(alg.basis[j])}
@@ -184,15 +267,21 @@ def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
 
 def check_compatible_algebra(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict], Dict[Tuple[int, ...], int]]:
     """Graded pieces indexed by character classes of the cone: the product of
-    a piece of class [u] and a piece of class [v] must land in class [u]+[v].
-    Returns (ok, witness, piece dimensions by class)."""
+    a piece of class [u] and a piece of class [v] must land in class [u]+[v],
+    one test per distinct class triple.  Returns (ok, witness, piece
+    dimensions by class)."""
     cls = _classes(alg)
     dims: Dict[Tuple[int, ...], int] = {}
     for c in cls:
         dims[c] = dims.get(c, 0) + 1
-    for i, j, k in _products(alg):
-        if cls[k] != tuple(map(add, cls[i], cls[j])):
-            return False, {"f": list(alg.basis[i]), "g": list(alg.basis[j])}, dims
+    columns = _columns(alg)
+    ids, triples = _id_triples(cls, columns)
+    distinct = list(ids)
+    if not all(ids.get(tuple(map(add, distinct[a], distinct[b]))) == c
+               for a, b, c in triples):
+        for i, j, k in zip(*columns):
+            if cls[k] != tuple(map(add, cls[i], cls[j])):
+                return False, {"f": list(alg.basis[i]), "g": list(alg.basis[j])}, dims
     return True, None, dims
 
 
@@ -204,13 +293,15 @@ def check_coaction_commutes(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]
     first member of that group whose class differs.  Holds identically for
     the row convention; the column convention breaks it whenever two row
     characters differ."""
-    n = alg.n
+    shape = _own_shape(alg)
+    if shape is not None:
+        groups = shape[3]
+    else:
+        n = alg.n
+        groups = _row_groups([tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
+                              for m in alg.basis])
     cls = _classes(alg)
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for k, m in enumerate(alg.basis):
-        rows = tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
-        groups.setdefault(rows, []).append(k)
-    for first, *rest in groups.values():
+    for first, *rest in groups:
         for k in rest:
             if cls[k] != cls[first]:
                 return False, {"monomial": list(alg.basis[first]),

@@ -325,8 +325,16 @@ def validate_fan(fan: Fan) -> FanValidationReport:
         if fan.rays[i] == fan.rays[j]:
             issues.append({"kind": "duplicate_ray", "rays": [i, j]})
     if issues:
-        # geometry below assumes clean rays
-        return FanValidationReport(False, False, tuple(issues))
+        # the geometry below assumes clean rays; top dimensionality needs
+        # only the span of each cone's listed rays, to which zero rays add
+        # nothing
+        top = True
+        for k, idx in enumerate(fan.maximal_cones):
+            dim = len(rref([fan.rays[i] for i in idx], fan.rank)[1])
+            if dim != fan.rank:
+                top = False
+                issues.append({"kind": "not_top_dimensional", "cone": k, "dim": dim})
+        return FanValidationReport(False, top, tuple(issues))
 
     cones: Dict[int, Cone] = {}
     top = True

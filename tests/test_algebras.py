@@ -11,7 +11,10 @@ from oracle import (
 )
 from toricfilt.algebras import (
     _class_memo,
+    _columns,
     _products,
+    _shape,
+    _walk,
     build_truncation,
     check_coaction_commutes,
     check_compatible_algebra,
@@ -323,3 +326,93 @@ def test_product_table_matches_pair_scan(p1):
                         for f, g in itertools.combinations_with_replacement(alg.basis, 2)
                         if alg.multiply(f, g) is not None]
             assert _products(alg) == expected
+
+
+def test_truncations_of_one_shape_share_tables(p1, p2):
+    """Two bundles on different fans, GL(2) at degree 3: one basis object and
+    one set of product columns, while each instance keeps its own triples."""
+    a = build_truncation(gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]]), 1, 3)
+    b = build_truncation(gl2_bundle(p2, [[(1, 0), (0, 1)]] * 3), 2, 3)
+    basis, _, columns, _ = _shape(2, 3)
+    assert a.basis is b.basis is basis
+    assert list(a.weights) == list(basis) and a.weights != b.weights
+    assert _columns(a) is _columns(b) is columns
+    assert _products(a) == _products(b) == list(zip(*columns))
+    assert _products(a) is not _products(b)
+
+
+def test_over_budget_degree_builds_no_shape(p1):
+    data = gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]])
+    info = _shape.cache_info()
+    with pytest.raises(InputError, match="over budget"):
+        build_truncation(data, 0, 12)
+    after = _shape.cache_info()
+    assert (after.misses, after.currsize) == (info.misses, info.currsize)
+
+
+def test_shape_holds_only_tuples():
+    def tuples_all_the_way(x):
+        return isinstance(x, int) or isinstance(x, tuple) and all(map(tuples_all_the_way, x))
+
+    for n, degree in ((1, 3), (2, 2), (3, 1)):
+        shape = _shape(n, degree)
+        assert isinstance(shape, tuple) and len(shape) == 4
+        assert all(map(tuples_all_the_way, shape))
+
+
+def test_replaced_degree_walks_its_own_basis(p1, p2):
+    """A truncation whose basis is not its shape's (here a degree-3 basis at
+    degree 2) gets its own walk; every check still equals the reference scan,
+    on the clean table and on corrupted ones."""
+    rng = random.Random(15)
+    refuted = 0
+    for fan, n in ((p1, 1), (p1, 2), (p2, 2)):
+        alg = build_truncation(random_bundle(rng, fan, n), 0, 3)
+        lower = replace(alg, degree=2)
+        assert lower.basis is not _shape(n, 2)[0]
+        assert _columns(lower) == _walk(alg.basis, 2) != _columns(alg)
+        assert _columns(lower) is not _shape(n, 2)[2]
+        for trial in range(4):
+            weights = dict(alg.weights)
+            for m in rng.sample(alg.basis, trial):
+                weights[m] = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+            case = replace(lower, weights=weights)
+            assert check_multiplicative(case) == reference_multiplicative(case)
+            compatible = check_compatible_algebra(case)
+            assert compatible == reference_compatible_algebra(case)
+            refuted += not compatible[0]
+            ok, witness = check_coaction_commutes(case)
+            ref_ok, ref_witness = reference_coaction_commutes(case)
+            assert ok == ref_ok
+            if not ok:
+                assert witness["monomial"] == ref_witness["monomial"]
+    assert refuted
+
+
+def test_witness_is_the_first_failing_pair(p1):
+    """GL(1) on P^1 at degree 4, levels 0, -1, -2, -3, -4 on the ray (1,).
+    Moving x^2 to level -5 and x^4 to level -9 makes the pairs (x, x) and
+    (x, x^3) fail, with distinct weight and class triples; both checks name
+    the earlier pair in the walk, as the reference scans do."""
+    alg = build_truncation(gl1_bundle(p1, [(1,), (1,)]), 0, 4)
+    weights = dict(alg.weights)
+    weights[(2,)], weights[(4,)] = (-5,), (-9,)
+    broken = replace(alg, weights=weights)
+    expected = (False, {"ray": [1], "f": [1], "g": [1]})
+    assert check_multiplicative(broken) == reference_multiplicative(broken) == expected
+    compatible = check_compatible_algebra(broken)
+    assert compatible == reference_compatible_algebra(broken)
+    assert compatible[1] == {"f": [1], "g": [1]}
+
+
+def test_class_sum_outside_every_class(p1):
+    """Moving x to weight -3 gives the classes 0, -3, -2 on 1, x, x^2: the
+    product x * x sums to class -6, which no monomial has."""
+    alg = build_truncation(gl1_bundle(p1, [(1,), (1,)]), 0, 2)
+    weights = dict(alg.weights)
+    weights[(1,)] = (-3,)
+    broken = replace(alg, weights=weights)
+    compatible = check_compatible_algebra(broken)
+    assert (-6,) not in compatible[2]
+    assert compatible == reference_compatible_algebra(broken)
+    assert compatible[:2] == (False, {"f": [1], "g": [1]})

@@ -89,8 +89,8 @@ SNAPSHOT = {
         'b07fee0926b87aa3a97107a7da0dd50fd938f6f5150827f748ac512733c5a008',
         '16172b0ea7520e6245f821076649327a18ec5ede92c4c7460467961d727cc88a'),
     'validate-fan/invalid': (['validate-fan', 'bad_fan.json'], 1,
-        'da098192d9b14c74114f9240fd5302d45ca2dcb0c5fc806e17205f0e3dce5570',
-        '9d91dd3a0fa62f019d3851ea22135ef1d2da64aebe137a0c1aa088b337f619f9'),
+        '843eae38812f62412ddbc8080d502a0d959d7610686eacb1329263ee4f0091d3',
+        'fadbb5c90f431d00d5a34528962e0da583f842ec75dd42266df3de1a3c1b0b04'),
     'validate-fan/missing-file': (['validate-fan', 'missing.json'], 2,
         '4d9a8c6bc8f971be6a3c89ac69555fa280d6e63d4c5de6cfecbcec369f7f1e25',
         'e088467e28c9ab0f82a3ccb7bb4bc41645d2bcb10215e8b20e9f6e52f94c55ef'),

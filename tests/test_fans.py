@@ -62,6 +62,18 @@ def test_not_top_dimensional_reported():
     assert not report.top_dimensional
 
 
+def test_top_dimension_decided_on_unclean_rays():
+    # a bad ray stops the geometric checks, but top dimensionality is still
+    # read off the span of each maximal cone's listed rays
+    report = validate_fan(Fan.make(2, [[2, 0], [0, 1]], [[0, 1]]))
+    assert not report.valid and report.top_dimensional
+    assert report.issues == ({"kind": "non_primitive_ray", "ray": 0, "vector": [2, 0]},)
+    report = validate_fan(Fan.make(2, [[0, 0], [1, 0]], [[0, 1]]))
+    assert not report.valid and not report.top_dimensional
+    assert report.issues == ({"kind": "zero_ray", "ray": 0},
+                             {"kind": "not_top_dimensional", "cone": 0, "dim": 1})
+
+
 def test_square_cone_is_a_valid_nonsimplicial_cone(square_fan):
     report = validate_fan(square_fan)
     assert report.valid and report.top_dimensional

@@ -413,6 +413,33 @@ def test_one_per_instance_cache():
     assert found == {("linalg", "record"), ("linalg", "cached_on_instance")}
 
 
+def test_module_caches_are_bounded():
+    """Every `lru_cache` of the package has a finite `maxsize`, and
+    `functools.cache` is not used, so a long-running process keeps a fixed
+    footprint however many fans and shapes it meets."""
+    bounded, unbounded = set(), set()
+    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.stem, getattr(top, "name", None))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools" and any(
+                        alias.name == "cache" for alias in node.names):
+                    unbounded.add(where)
+                elif isinstance(node, ast.Attribute) and node.attr == "cache" and isinstance(
+                        node.value, ast.Name) and node.value.id == "functools":
+                    unbounded.add(where)
+                elif isinstance(node, ast.Call) and "lru_cache" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                    if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                        unbounded.add(where)
+                    else:
+                        bounded.add(where)
+    assert unbounded == set()
+    assert bounded == {("fans", "cone_from_generators"), ("fans", "cone_intersection"),
+                       ("algebras", "_shape")}
+
+
 def test_kernel_matches_annihilator():
     m = QMatrix.from_rows([[1, 2, 3]])
     k = kernel(m)
