@@ -214,13 +214,6 @@ def _columns(alg: TruncatedAlgebra) -> Columns:
 
 
 @cached_on_instance
-def _products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
-    """The product table of alg as a list of index triples (i, j, k), in
-    walk order."""
-    return list(zip(*_columns(alg)))
-
-
-@cached_on_instance
 def _class_memo(alg: TruncatedAlgebra) -> Dict[Weight, Tuple[int, ...]]:
     """Class by weight, shared by the checks of one algebra."""
     return {}

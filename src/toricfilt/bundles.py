@@ -1,18 +1,26 @@
 """Equivariant principal-bundle data: one torus homomorphism into the group
 per maximal cone, presented in diagonalized form as an invertible frame g_k
 plus a tuple of characters (D_k is their diagonal).  The transition between
-two charts is T_st = g_s D_s g_s^-1 g_t D_t^-1 g_t^-1.  The gluing check asks
-for entrywise regularity of both transition directions on each overlap cone
-and decides it on the frame change g_s^-1 g_t, so transitions are never
-expanded.  Transitions compose by construction: the product T_st T_tu
-telescopes to T_su for any frames and characters, so that identity is never
-checked.
+two charts is T_st = g_s D_s g_s^-1 g_t D_t^-1 g_t^-1; transitions are never
+expanded.  They compose by construction: the product T_st T_tu telescopes to
+T_su for any frames and characters, so that identity is never checked.
 
-Validation takes one determinant per frame, which decides both
-invertibility and SL membership.  `check_gluing` and `associated_klyachko`
-are cached on the data by `linalg.cached_on_instance`, and the decomposition
-that the frame columns induce on a cone is graded by
-`compatibility.graded_decomposition`.
+Gluing asks for entrywise regularity of both transition directions on each
+overlap cone.  By Klyachko's gluing condition this holds exactly when the
+chains that neighbouring cones induce on each ray of their overlap agree,
+so `check_gluing` is decided by `associated_klyachko`, which builds those
+chains, on any fan whose rays all lie in maximal cones and where the
+extreme rays of each overlap are exactly the rays both cones list (every
+valid fan meets the second condition).  The frame-change scan over
+g_s^-1 g_t runs only when the chains disagree or that hypothesis fails, and
+then names the witness; `check_gluing` gives the proof.
+
+Validation, gluing and SL reduction share one determinant per frame, and
+the chains span subsets of a frame's columns through `linalg.column_span`,
+which clears each column's denominators once; both are cached on the frame.
+`check_gluing` and `associated_klyachko` are cached on the data by
+`linalg.cached_on_instance`, and the decomposition that the frame columns
+induce on a cone is graded by `compatibility.graded_decomposition`.
 """
 
 from __future__ import annotations
@@ -21,10 +29,10 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
-from .fans import Fan, cone_intersection
+from .fans import Cone, Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .compatibility import ConeDecomposition, graded_decomposition
-from .linalg import QMatrix, cached_on_instance, record, span_canonical
+from .linalg import QMatrix, cached_on_instance, column_span, record
 
 IntVec = Tuple[int, ...]
 
@@ -118,15 +126,35 @@ class GluingReport:
 @cached_on_instance
 def check_gluing(data: CocharBundleData) -> GluingReport:
     """Both transition directions must be regular on the overlap cone of each
-    pair of maximal cones.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the frame
-    change M = g_a^-1 g_b, and the constant outer frames do not affect
-    regularity, so T_ab is regular iff every nonzero M[k, l] carries an
-    exponent u_a[k] - u_b[l] in the dual of the overlap; the direction
-    (b, a) uses g_b^-1 g_a = M^-1.  Each frame change is the right block of
-    one rref([g_a | g_b]), and a singular g_a raises ValueError.  Reports
-    the first failure in deterministic order (pairs by index, then the
-    direction (s, t) before (t, s), frame entries row major).  Requires all maximal cones top-dimensional, the standing
-    assumption of the per-cone trivialization picture."""
+    pair of maximal cones.  Requires all maximal cones top-dimensional, the
+    standing assumption of the per-cone trivialization picture, and raises
+    ValueError("matrix is singular") for a frame of determinant 0.
+
+    Ray consistency decides.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the
+    frame change M = g_a^-1 g_b, and the constant outer frames do not affect
+    regularity, so T_ab is regular on the overlap iff every nonzero M[k, l]
+    carries an exponent u_a[k] - u_b[l] that pairs nonnegatively with each
+    extreme ray ρ of the overlap.  Column l of g_b is Σ_k M[k, l] (column k
+    of g_a), with unique coordinates since g_a is invertible, so it lies in
+    the chain that cone a induces on ρ at ⟨u_b[l], ρ⟩ iff M[k, l] = 0
+    whenever ⟨u_a[k] - u_b[l], ρ⟩ < 0.  Over the columns of g_b this says
+    that b's chain on ρ lies in a's; the direction (b, a) gives the reverse
+    inclusion.  So both directions are regular iff the two cones induce the
+    same chain on every extreme ray of the overlap.
+
+    Fan hypothesis: every ray lies in a maximal cone (so the associated
+    data exist), and for every pair the extreme rays of the overlap are
+    exactly the rays listed in both cones (so `associated_klyachko`, which
+    compares chains on listed rays, compares exactly these).  Every valid
+    fan whose rays all lie in maximal cones satisfies it; the fan is not
+    validated here, the hypothesis is checked on the cached
+    `cone_intersection` of each pair.  When it holds and
+    `associated_klyachko` returns, the data glue.  In every other case the
+    frame-change scan decides and names the witness: the first failure in
+    deterministic order (pairs by index, then the direction (s, t) before
+    (t, s), frame entries row major).  Under the hypothesis, inconsistent
+    chains with a scan that finds no failure contradict the proof above and
+    raise RuntimeError."""
     fan = data.fan
     cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
     for k, cone in enumerate(cones):
@@ -134,6 +162,35 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
             raise PreconditionError(
                 f"maximal cone {k} is not top-dimensional; gluing undefined"
             )
+    if any(frame.det() == 0 for frame in data.frames):
+        raise ValueError("matrix is singular")
+    if not _chains_decide(fan, cones):
+        return _frame_change_scan(data, cones)
+    try:
+        associated_klyachko(data)
+    except RayConsistencyError:
+        report = _frame_change_scan(data, cones)
+        if report.glues:
+            raise RuntimeError("ray chains disagree on a shared face, "
+                               "yet every frame change is regular")
+        return report
+    return GluingReport(True)
+
+
+def _chains_decide(fan: Fan, cones: Sequence[Cone]) -> bool:
+    """The fan hypothesis of `check_gluing`."""
+    if len(set().union(*fan.maximal_cones)) != len(fan.rays):
+        return False
+    return all(
+        set(cone_intersection(cones[s], cones[t]).generators)
+        == {fan.rays[i] for i in set(fan.maximal_cones[s]) & set(fan.maximal_cones[t])}
+        for s, t in itertools.combinations(range(len(cones)), 2))
+
+
+def _frame_change_scan(data: CocharBundleData, cones: Sequence[Cone]) -> GluingReport:
+    """The first irregular frame-change entry, in the order `check_gluing`
+    documents; each frame change is the right block of one
+    rref([g_a | g_b])."""
     n = data.group.n
     for s, t in itertools.combinations(range(len(cones)), 2):
         overlap = cone_intersection(cones[s], cones[t])
@@ -168,15 +225,12 @@ class RayConsistencyError(ValueError):
 
 
 def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
-    n = data.group.n
     ray = data.fan.rays[ray_idx]
     frame = data.frames[k]
     levels = [sum(c * g for c, g in zip(u, ray)) for u in data.chars[k]]
-    pairs = []
-    for v in sorted(set(levels)):
-        cols = [frame.col(c) for c in range(n) if levels[c] >= v]
-        pairs.append((v, span_canonical(cols, n)))
-    return RayFiltration.make(n, pairs)
+    return RayFiltration.make(data.group.n, [
+        (v, column_span(frame, [c for c, level in enumerate(levels) if level >= v]))
+        for v in sorted(set(levels))])
 
 
 @cached_on_instance
@@ -184,8 +238,9 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     """Filtration data of the associated standard-representation bundle: on a
     ray of a maximal cone the chain at i is the span of the frame columns
     whose character pairs at least i against the ray.  Raises
-    RayConsistencyError when two cones sharing a ray disagree; this is the
-    same obstruction check_gluing detects."""
+    RayConsistencyError when two cones sharing a ray disagree, which on a
+    fan satisfying `check_gluing`'s hypothesis is exactly a failure to
+    glue."""
     fan = data.fan
     n = data.group.n
     chains: Dict[int, Tuple[int, RayFiltration]] = {}
@@ -215,7 +270,7 @@ def canonical_cone_decomposition(data: CocharBundleData, k: int) -> ConeDecompos
     n = data.group.n
     return graded_decomposition(
         fan.maximal_cones[k], fan.maximal_cone(k).quotient(),
-        ((u, span_canonical([frame.col(c)], n)) for c, u in enumerate(data.chars[k])), n)
+        ((u, column_span(frame, [c])) for c, u in enumerate(data.chars[k])), n)
 
 
 def determinant_data(data: CocharBundleData) -> CocharBundleData:

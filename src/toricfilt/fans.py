@@ -312,9 +312,12 @@ class FanValidationReport:
 
 
 def validate_fan(fan: Fan) -> FanValidationReport:
-    """Primitivity, pointedness, extreme-ray, and face-intersection checks.
-    Top dimensionality of the maximal cones is reported separately (it is an
-    assumption of the classification theorems, not of fan validity)."""
+    """Primitivity, pointedness, extreme-ray, and face-intersection checks;
+    the geometric ones assume clean rays and are skipped when a ray is zero,
+    non-primitive or duplicated.  Top dimensionality of the maximal cones is
+    reported separately (it is an assumption of the classification theorems,
+    not of fan validity) and is decided for every maximal cone, pointed or
+    not, from the rank of its listed rays, to which zero rays add nothing."""
     issues: List[dict] = []
     for i, r in enumerate(fan.rays):
         if all(x == 0 for x in r):
@@ -324,37 +327,28 @@ def validate_fan(fan: Fan) -> FanValidationReport:
     for i, j in itertools.combinations(range(len(fan.rays)), 2):
         if fan.rays[i] == fan.rays[j]:
             issues.append({"kind": "duplicate_ray", "rays": [i, j]})
-    if issues:
-        # the geometry below assumes clean rays; top dimensionality needs
-        # only the span of each cone's listed rays, to which zero rays add
-        # nothing
-        top = True
-        for k, idx in enumerate(fan.maximal_cones):
-            dim = len(rref([fan.rays[i] for i in idx], fan.rank)[1])
-            if dim != fan.rank:
-                top = False
-                issues.append({"kind": "not_top_dimensional", "cone": k, "dim": dim})
-        return FanValidationReport(False, top, tuple(issues))
-
+    clean = not issues
     cones: Dict[int, Cone] = {}
     top = True
     for k, idx in enumerate(fan.maximal_cones):
-        try:
-            c = cone_from_generators(fan.rank, tuple(fan.rays[i] for i in idx))
-        except NotPointedError:
-            issues.append({"kind": "not_pointed", "cone": k})
-            continue
-        cones[k] = c
-        listed = set(fan.rays[i] for i in idx)
-        if listed != set(c.generators):
-            issues.append({
-                "kind": "extreme_ray_mismatch",
-                "cone": k,
-                "computed": [list(g) for g in c.generators],
-            })
-        if c.dim != fan.rank:
+        listed = [fan.rays[i] for i in idx]
+        if clean:
+            try:
+                c = cone_from_generators(fan.rank, tuple(listed))
+            except NotPointedError:
+                issues.append({"kind": "not_pointed", "cone": k})
+            else:
+                cones[k] = c
+                if set(listed) != set(c.generators):
+                    issues.append({
+                        "kind": "extreme_ray_mismatch",
+                        "cone": k,
+                        "computed": [list(g) for g in c.generators],
+                    })
+        dim = len(rref(listed, fan.rank)[1])
+        if dim != fan.rank:
             top = False
-            issues.append({"kind": "not_top_dimensional", "cone": k, "dim": c.dim})
+            issues.append({"kind": "not_top_dimensional", "cone": k, "dim": dim})
     for a, b in itertools.combinations(sorted(cones), 2):
         inter = cone_intersection(cones[a], cones[b])
         if not is_face_of(inter, cones[a]) or not is_face_of(inter, cones[b]):

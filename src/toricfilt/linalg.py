@@ -29,8 +29,10 @@ most commands compute); it compiles only `__init__` from source, and
 Fractions: `serialize.parse_rational` is the one parser of rational
 literals, so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
-`annihilator` here, and the gluing report, the associated data and the
-algebra tables elsewhere, in the instance dict of a frozen record.
+`annihilator`, a matrix's determinant and its primitive integer columns
+(which `column_span` spans) here, and the gluing report, the associated
+data and the algebra tables elsewhere, in the instance dict of a frozen
+record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
@@ -218,10 +220,12 @@ class QMatrix:
             other.ncols,
         )
 
+    @cached_on_instance
     def det(self) -> Fraction:
         """Bareiss forward elimination on the rows with denominators cleared:
         every step divides exactly, and the last pivot is the determinant of
-        the integer matrix, which the row scales then divide."""
+        the integer matrix, which the row scales then divide.  Cached on the
+        instance: validation, gluing and reduction each ask for it."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
@@ -413,6 +417,21 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
         if len(r) != ambient:
             raise ValueError("vector/ambient dimension mismatch")
     return _space(ambient, [_integer_row(r) for r in rows])
+
+
+@cached_on_instance
+def _integer_columns(m: QMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """The primitive integer row on the line of each column of `m`."""
+    return tuple(tuple(_integer_row(col)) for col in zip(*m.entries))
+
+
+def column_span(m: QMatrix, columns: Iterable[int]) -> Subspace:
+    """`span_canonical` of the chosen columns of `m`, inside Q^nrows.  Each
+    column's denominators are cleared once per matrix (the integer columns
+    are cached on it), so spanning many subsets of one frame eliminates
+    only."""
+    ints = _integer_columns(m)
+    return _space(m.nrows, [ints[j] for j in columns])
 
 
 def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:

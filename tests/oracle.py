@@ -33,13 +33,17 @@
   the reference certificate re-verification.
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
   over all basis pairs and expanded coproducts that the product walk and the
-  row-degree grouping in `toricfilt.algebras` must agree with.
+  row-degree grouping in `toricfilt.algebras` must agree with; `products`
+  lists the walk's product table as index triples.
 - `transition`, `reference_gluing`, `transition_at` and `evaluate_laurent`:
   the symbolic expansion of a transition as a matrix of Laurent polynomials,
   the gluing check on every expanded exponent that `check_gluing` must agree
   with, a transition evaluated at a rational torus point
   (`random_torus_point`) straight from the frames and characters, and the
   expansion evaluated at the same point.
+- `reference_frame_change_scan`: the frame-change scan run on every pair,
+  whose verdict and witness `check_gluing`, decided by ray consistency,
+  must equal.
 - `dataclass_twin`: `dataclasses.dataclass(frozen=True)` applied to the
   annotations, defaults and `__post_init__` of a class made by
   `toricfilt.linalg.record`, which the record must behave like.
@@ -51,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from toricfilt.algebras import Mono, TruncatedAlgebra
+from toricfilt.algebras import Mono, TruncatedAlgebra, _columns
 from toricfilt.bundles import CocharBundleData, GluingReport
 from toricfilt.compatibility import (
     ConeDecomposition,
@@ -496,6 +500,12 @@ def coproduct(alg: TruncatedAlgebra, m: Mono) -> Dict[Tuple[Mono, Mono], int]:
     return terms
 
 
+def products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
+    """The product table of alg as a list of index triples (i, j, k), with
+    basis[i] * basis[j] = basis[k], in walk order."""
+    return list(zip(*_columns(alg)))
+
+
 def reference_multiplicative(alg: TruncatedAlgebra):
     for ray in alg.rays:
         for f, g in itertools.combinations_with_replacement(alg.basis, 2):
@@ -608,6 +618,32 @@ def reference_gluing(data: CocharBundleData) -> GluingReport:
                                    if sum(x * y for x, y in zip(e, g)) < 0)
                     return GluingReport(False, {
                         "pair": [s, t], "direction": [a, b], "entry": [i, j],
+                        "exponent": list(e), "ray": list(bad_ray)})
+    return GluingReport(True)
+
+
+def reference_frame_change_scan(data: CocharBundleData) -> GluingReport:
+    """The frame-change scan of `check_gluing`, kept whole: both directions
+    of every pair of maximal cones, each frame change from `QMatrix.solve`,
+    and the first nonzero entry whose exponent pairs negatively with an
+    extreme ray of the overlap, with its pair, direction, entry, exponent
+    and ray."""
+    fan = data.fan
+    cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
+    n = data.group.n
+    for s, t in itertools.combinations(range(len(cones)), 2):
+        overlap = cone_intersection(cones[s], cones[t])
+        g_s, g_t = data.frames[s], data.frames[t]
+        for (a, b), m in (((s, t), g_s.solve(g_t)), ((t, s), g_t.solve(g_s))):
+            for k, l in itertools.product(range(n), repeat=2):
+                if m.entries[k][l] == 0:
+                    continue
+                e = tuple(x - y for x, y in zip(data.chars[a][k], data.chars[b][l]))
+                bad_ray = next((g for g in overlap.generators
+                                if sum(x * y for x, y in zip(e, g)) < 0), None)
+                if bad_ray is not None:
+                    return GluingReport(False, {
+                        "pair": [s, t], "direction": [a, b], "entry": [k, l],
                         "exponent": list(e), "ray": list(bad_ray)})
     return GluingReport(True)
 

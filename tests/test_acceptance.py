@@ -9,6 +9,7 @@ from oracle import (
     evaluate_laurent,
     exhaustive_adapted_search,
     random_torus_point,
+    reference_frame_change_scan,
     transition,
     transition_at,
 )
@@ -86,7 +87,9 @@ def test_criterion_1_equivalence_of_verdicts():
                 consistent = True
             except RayConsistencyError:
                 consistent = False
-            assert glues == consistent
+            # check_gluing is decided by ray consistency; the scan is the
+            # independent side of the equivalence
+            assert glues == consistent == reference_frame_change_scan(data).glues
             if glues:
                 glued += 1
                 assert global_compatibility(kly).verdict == "compatible"

@@ -5,6 +5,7 @@ import pytest
 
 from oracle import (
     coproduct,
+    products,
     reference_coaction_commutes,
     reference_compatible_algebra,
     reference_multiplicative,
@@ -12,7 +13,6 @@ from oracle import (
 from toricfilt.algebras import (
     _class_memo,
     _columns,
-    _products,
     _shape,
     _walk,
     build_truncation,
@@ -308,11 +308,11 @@ def test_one_pass_basis_matches_brute_force(p1, p2):
 def test_replaced_truncation_starts_without_cached_tables(p1):
     alg = build_truncation(random_bundle(random.Random(4), p1, 2), 0, 2)
     assert check_compatible_algebra(alg)[0]
-    table, memo = _products(alg), _class_memo(alg)
-    assert memo and _products(alg) is table and _class_memo(alg) is memo
+    memo = _class_memo(alg)
+    assert memo and _class_memo(alg) is memo and {"__columns", "__class_memo"} <= set(vars(alg))
     other = replace(alg, weights=dict(alg.weights))
-    assert _products(other) == table and _products(other) is not table
-    assert _class_memo(other) == {}
+    assert not {"__columns", "__class_memo"} & set(vars(other))
+    assert _columns(other) == _columns(alg) and _class_memo(other) == {}
 
 
 def test_product_table_matches_pair_scan(p1):
@@ -325,20 +325,18 @@ def test_product_table_matches_pair_scan(p1):
             expected = [(index[f], index[g], index[alg.multiply(f, g)])
                         for f, g in itertools.combinations_with_replacement(alg.basis, 2)
                         if alg.multiply(f, g) is not None]
-            assert _products(alg) == expected
+            assert products(alg) == expected
 
 
 def test_truncations_of_one_shape_share_tables(p1, p2):
     """Two bundles on different fans, GL(2) at degree 3: one basis object and
-    one set of product columns, while each instance keeps its own triples."""
+    one set of product columns."""
     a = build_truncation(gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]]), 1, 3)
     b = build_truncation(gl2_bundle(p2, [[(1, 0), (0, 1)]] * 3), 2, 3)
     basis, _, columns, _ = _shape(2, 3)
     assert a.basis is b.basis is basis
     assert list(a.weights) == list(basis) and a.weights != b.weights
     assert _columns(a) is _columns(b) is columns
-    assert _products(a) == _products(b) == list(zip(*columns))
-    assert _products(a) is not _products(b)
 
 
 def test_over_budget_degree_builds_no_shape(p1):

@@ -8,12 +8,15 @@ from oracle import (
     laurent_exponents,
     laurent_identity,
     random_torus_point,
+    reference_frame_change_scan,
     reference_gluing,
     transition,
     transition_at,
 )
+from toricfilt import bundles
 from toricfilt.bundles import (
     CocharBundleData,
+    GluingReport,
     GroupSpec,
     RayConsistencyError,
     associated_klyachko,
@@ -24,7 +27,7 @@ from toricfilt.bundles import (
 )
 from toricfilt.compatibility import verify_cone_decomposition
 from toricfilt.errors import InputError
-from toricfilt.fans import Fan
+from toricfilt.fans import Fan, cone_intersection
 from toricfilt.filtrations import FiltrationData, dual, tensor
 from toricfilt.linalg import QMatrix
 from toricfilt.sampling import random_bundle, random_split_bundle
@@ -216,6 +219,88 @@ def test_gluing_matches_reference(p1, p2):
         if data.group.n == 1:
             assert got.witness == want.witness
     assert min(verdicts.values()) >= 50
+
+
+P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+# cones {(1,0), (0,1)} and {(1,1), (-1,1)} overlap in their interiors, and
+# neither extreme ray of the overlap, (0,1) or (1,1), is listed by both
+OVERLAPPING = Fan.make(2, [[1, 0], [0, 1], [1, 1], [-1, 1]], [[0, 1], [2, 3]])
+# the P^2 fan with the ray (1, 1) listed by no maximal cone
+UNUSED_RAY = Fan.make(2, [[1, 0], [0, 1], [-1, -1], [1, 1]], [[0, 1], [1, 2], [0, 2]])
+
+
+def _seeded_gluing_cases(p1, p2):
+    """Glued and broken bundles on P^1, P^2, the 4-cone P^3 fan, the
+    overlapping fan and the fan with an unused ray, keyed by fan name."""
+    rng = random.Random(53)
+    cases = {name: [] for name in ("p1", "p2", "p3", "overlapping", "unused_ray")}
+    for i in range(60):
+        n = 1 + i % 3
+        for name, fan in (("p1", p1), ("p2", p2), ("p3", P3), ("unused_ray", UNUSED_RAY)):
+            data = random_split_bundle(rng, fan, n)
+            chars = [list(cone_chars) for cone_chars in data.chars]
+            if i % 2:
+                k, c = rng.randrange(len(chars)), rng.randrange(n)
+                chars[k][c] = tuple(x + rng.choice([-1, 1]) for x in chars[k][c])
+            cases[name].append(CocharBundleData.make(data.group, fan, data.frames, chars))
+            cases[name].append(random_bundle(rng, fan, n))
+        # equal charts glue on any fan; random ones rarely do
+        same = random_bundle(rng, OVERLAPPING, n)
+        cases["overlapping"] += [
+            CocharBundleData.make(same.group, OVERLAPPING, same.frames[:1] * 2,
+                                  same.chars[:1] * 2),
+            random_bundle(rng, OVERLAPPING, n)]
+    return cases
+
+
+def test_gluing_equals_frame_change_scan(p1, p2):
+    """Deciding by ray consistency gives the scan's report: the verdict and,
+    for data that does not glue, the same pair, direction, entry, exponent
+    and ray.  On the overlapping fan the chains on listed rays always agree,
+    so only the fan hypothesis keeps the verdict right there."""
+    cases = _seeded_gluing_cases(p1, p2)
+    for name, group in cases.items():
+        verdicts = {True: 0, False: 0}
+        for data in group:
+            report = check_gluing(data)
+            assert report == reference_frame_change_scan(data), (name, data)
+            verdicts[report.glues] += 1
+        # on P^1 the overlap is the origin, so everything glues
+        assert verdicts[True] >= 30 and (name == "p1" or verdicts[False] >= 30), name
+    for data in cases["overlapping"]:
+        associated_klyachko(data)
+    with pytest.raises(InputError, match="lies in no maximal cone"):
+        associated_klyachko(cases["unused_ray"][0])
+
+
+def test_glued_data_on_a_valid_fan_solves_nothing(p1, p2, monkeypatch):
+    """On a valid fan glued data is decided by the chains alone: no frame
+    change is solved, and each pair of maximal cones asks for its overlap
+    once."""
+    def no_solve(self, rhs):
+        raise AssertionError("QMatrix.solve called")
+
+    rng = random.Random(59)
+    monkeypatch.setattr(QMatrix, "solve", no_solve)
+    for fan in (p1, p2, P3):
+        pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
+        for n in (1, 2, 3):
+            data = random_split_bundle(rng, fan, n)
+            before = cone_intersection.cache_info()
+            assert check_gluing(data).glues
+            after = cone_intersection.cache_info()
+            assert (after.hits + after.misses) - (before.hits + before.misses) == pairs
+
+
+def test_gluing_contradiction_raises(p2, monkeypatch):
+    """Under the fan hypothesis, chains that disagree while every frame
+    change is regular contradict the proof in `check_gluing`: that is an
+    internal error, not a verdict."""
+    data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
+    monkeypatch.setattr(bundles, "_frame_change_scan", lambda data, cones: GluingReport(True))
+    with pytest.raises(RuntimeError, match="ray chains disagree"):
+        check_gluing(data)
 
 
 def test_transition_matches_frames_at_points(p2):

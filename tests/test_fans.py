@@ -63,8 +63,9 @@ def test_not_top_dimensional_reported():
 
 
 def test_top_dimension_decided_on_unclean_rays():
-    # a bad ray stops the geometric checks, but top dimensionality is still
-    # read off the span of each maximal cone's listed rays
+    # a bad ray stops the geometric checks, and a cone that is not pointed
+    # has no extreme rays, but top dimensionality is still read off the span
+    # of each maximal cone's listed rays
     report = validate_fan(Fan.make(2, [[2, 0], [0, 1]], [[0, 1]]))
     assert not report.valid and report.top_dimensional
     assert report.issues == ({"kind": "non_primitive_ray", "ray": 0, "vector": [2, 0]},)
@@ -72,6 +73,13 @@ def test_top_dimension_decided_on_unclean_rays():
     assert not report.valid and not report.top_dimensional
     assert report.issues == ({"kind": "zero_ray", "ray": 0},
                              {"kind": "not_top_dimensional", "cone": 0, "dim": 1})
+    report = validate_fan(Fan.make(2, [[1, 0], [-1, 0]], [[0, 1]]))
+    assert not report.valid and not report.top_dimensional
+    assert report.issues == ({"kind": "not_pointed", "cone": 0},
+                             {"kind": "not_top_dimensional", "cone": 0, "dim": 1})
+    report = validate_fan(Fan.make(2, [[1, 0], [-1, 0], [0, 1]], [[0, 1, 2]]))
+    assert not report.valid and report.top_dimensional
+    assert report.issues == ({"kind": "not_pointed", "cone": 0},)
 
 
 def test_square_cone_is_a_valid_nonsimplicial_cone(square_fan):

@@ -25,7 +25,10 @@ from toricfilt.linalg import (
     annihilator,
     block_sum,
     cached_on_instance,
+    column_span,
     complement_in,
+    _integer_columns,
+    _integer_row,
     _kernel,
     image,
     intersect,
@@ -286,6 +289,79 @@ def test_det_matches_fraction_elimination():
             singular += det == 0
     assert 0 < singular < 8 * 40
     assert QMatrix((), 0).det() == 1
+
+
+def test_cached_det_equals_bareiss():
+    """The determinant cached on the instance equals the uncached Bareiss
+    value, on the call that fills the cache and on the calls that read it."""
+    rng = random.Random(1729)
+    bareiss = QMatrix.det.__wrapped__
+    for k in range(1000):
+        n = 1 + k % 8
+        rows = _random_rows(rng, n, n)[:n]
+        while len(rows) < n:
+            rows.append([Fraction(rng.randint(-3, 3)) for _ in range(n)])
+        m = QMatrix.from_rows(rows)
+        want = bareiss(QMatrix.from_rows(rows))
+        assert m.det() == want and m.det() == want and vars(m)["_det"] == want
+
+
+def test_integer_columns_and_column_span():
+    """The cached integer columns are the primitive integer rows of the
+    columns, and a column span equals `span_canonical` of those columns."""
+    rng = random.Random(1730)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = _random_rows(rng, nrows, ncols)[:nrows]
+        m = QMatrix.from_rows(rows + [[Fraction(0)] * ncols] * (nrows - len(rows)))
+        cols = _integer_columns(m)
+        assert cols is _integer_columns(m)
+        assert [list(c) for c in cols] == [_integer_row(m.col(j)) for j in range(m.ncols)]
+        subset = [j for j in range(m.ncols) if rng.random() < 0.5]
+        assert column_span(m, subset) == span_canonical([m.col(j) for j in subset], m.nrows)
+
+
+def test_replace_starts_matrix_caches_empty():
+    m = QMatrix.from_rows([[1, Fraction(1, 2)], [3, 5]])
+    m.det()
+    _integer_columns(m)
+    assert {"_det", "__integer_columns"} <= set(vars(m))
+    copy = linalg.replace(m)
+    assert copy == m and not {"_det", "__integer_columns"} & set(vars(copy))
+
+
+def test_validation_gluing_and_sl_take_each_determinant_once(p1, p2, monkeypatch):
+    """`validate_bundle`, `check_gluing` and `check_sl_reduction` share one
+    Bareiss pass per frame object.  A pass clears the denominators of each
+    of the frame's own row tuples once, and nothing else on these paths
+    reads those tuples."""
+    from toricfilt.bundles import CocharBundleData, check_gluing, validate_bundle
+    from toricfilt.reduction import check_sl_reduction
+    from toricfilt.sampling import random_bundle, random_split_bundle
+
+    clear, owner, cleared = linalg._clear_denominators, {}, []
+
+    def spy(row):
+        if id(row) in owner:
+            cleared.append(owner[id(row)])
+        return clear(row)
+
+    monkeypatch.setattr(linalg, "_clear_denominators", spy)
+    rng = random.Random(1731)
+    for fan in (p1, p2):
+        for build in (random_bundle, random_split_bundle):
+            data = build(rng, fan, 3)
+            # the sampler took the determinants; copies start uncached, and
+            # a frame object shared by several cones stays shared
+            fresh = {id(f): linalg.replace(f) for f in data.frames}
+            data = CocharBundleData.make(data.group, fan,
+                                         [fresh[id(f)] for f in data.frames], data.chars)
+            owner = {id(row): id(f) for f in fresh.values() for row in f.entries}
+            cleared.clear()
+            assert validate_bundle(data).valid
+            check_gluing(data)
+            check_sl_reduction(data)
+            assert sorted(cleared) == sorted(id(f) for f in fresh.values() for _ in range(3))
 
 
 def test_containment_matches_reference_reduce():

@@ -16,7 +16,7 @@ import pytest
 
 import toricfilt
 from oracle import dataclass_twin
-from toricfilt.algebras import TruncatedAlgebra, _products, build_truncation
+from toricfilt.algebras import TruncatedAlgebra, _columns, build_truncation
 from toricfilt.bundles import CocharBundleData, GroupSpec, check_gluing, validate_bundle
 from toricfilt.compatibility import global_compatibility
 from toricfilt.errors import PreconditionError
@@ -151,7 +151,7 @@ def test_records_match_dataclass_twins():
     for b in found[CocharBundleData]:
         check_gluing(b)
     for a in found[TruncatedAlgebra]:
-        _products(a)
+        _columns(a)
     assert all(len(vars(s)) > len(s._fields) for s in found[Subspace])
     _assert_agrees([x for cls in classes for x in found[cls]], twins)
 
