@@ -16,23 +16,25 @@ g_s^-1 g_t runs only when the chains disagree or that hypothesis fails, and
 then names the witness; `check_gluing` gives the proof.
 
 Validation, gluing and SL reduction share one determinant per frame, and
-the chains span subsets of a frame's columns through `linalg.column_span`,
-which clears each column's denominators once; both are cached on the frame.
-`check_gluing` and `associated_klyachko` are cached on the data by
-`linalg.cached_on_instance`, and the decomposition that the frame columns
-induce on a cone is graded by `compatibility.graded_decomposition`.
+the chains and the cone decompositions span a frame's columns through
+`linalg.column_chain` and `linalg.column_span`, which clear each column's
+denominators once; both are cached on the frame.  `check_gluing` and
+`associated_klyachko` are cached on the data by `linalg.cached_on_instance`
+(the latter's `RayConsistencyError` as its witness), and the decomposition
+that the frame columns induce on a cone is graded by
+`compatibility.graded_decomposition`.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
 from .fans import Cone, Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .compatibility import ConeDecomposition, graded_decomposition
-from .linalg import QMatrix, cached_on_instance, column_span, record
+from .linalg import QMatrix, cached_on_instance, column_chain, column_span, record
 
 IntVec = Tuple[int, ...]
 
@@ -225,24 +227,35 @@ class RayConsistencyError(ValueError):
 
 
 def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
+    """The chain that cone k induces on the ray: frame column c at level
+    ⟨u_c, ρ⟩, spanned in one incremental reduction (`linalg.column_chain`)."""
     ray = data.fan.rays[ray_idx]
-    frame = data.frames[k]
     levels = [sum(c * g for c, g in zip(u, ray)) for u in data.chars[k]]
-    return RayFiltration.make(data.group.n, [
-        (v, column_span(frame, [c for c, level in enumerate(levels) if level >= v]))
-        for v in sorted(set(levels))])
+    return RayFiltration.make(data.group.n, column_chain(data.frames[k], levels))
 
 
-@cached_on_instance
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     """Filtration data of the associated standard-representation bundle: on a
     ray of a maximal cone the chain at i is the span of the frame columns
     whose character pairs at least i against the ray.  Raises
     RayConsistencyError when two cones sharing a ray disagree, which on a
     fan satisfying `check_gluing`'s hypothesis is exactly a failure to
-    glue."""
+    glue.  Either outcome is kept on the data (`_ray_chains`), so every
+    later call returns the same data, or raises a new error with the same
+    witness, without building a chain."""
+    chains = _ray_chains(data)
+    if isinstance(chains, tuple):
+        raise RayConsistencyError(*chains)
+    return chains
+
+
+@cached_on_instance
+def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, Tuple[int, int, int, int]]:
+    """The associated data, or the witness (first cone, other cone, ray,
+    index) of the first chain that disagrees with the first chain built on
+    its ray.  The witness is returned, not raised, so that it is cached like
+    a value: a kept exception would keep its traceback's frames alive."""
     fan = data.fan
-    n = data.group.n
     chains: Dict[int, Tuple[int, RayFiltration]] = {}
     for k, idx in enumerate(fan.maximal_cones):
         for ray_idx in idx:
@@ -253,12 +266,12 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
                 first_cone, existing = chains[ray_idx]
                 bad = existing.first_difference(chain.value, chain.jump_indices())
                 if bad is not None:
-                    raise RayConsistencyError(first_cone, k, ray_idx, bad)
+                    return first_cone, k, ray_idx, bad
     missing = [i for i in range(len(fan.rays)) if i not in chains]
     if missing:
         raise InputError(f"ray {missing[0]} lies in no maximal cone")
     return FiltrationData.make(
-        fan, n, [chains[i][1] for i in range(len(fan.rays))]
+        fan, data.group.n, [chains[i][1] for i in range(len(fan.rays))]
     )
 
 

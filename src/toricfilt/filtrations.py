@@ -10,9 +10,13 @@ consecutive values keeping the later index) so the representation, and hence
 the serialized form, is canonical.
 
 The calculus builds chain values from canonical rows without eliminating
-them where it can: a tensor product of two subspaces is the span of the
-Kronecker products of their rows (`linalg.tensor_product`) and a direct sum
-is the two blocks of rows padded with zeros (`linalg.block_sum`).  A chain
+them where it can: the tensor product of two chains is the chain spanned by
+the Kronecker products of their adapted bases at the sums of their levels,
+one incremental reduction per ray (`RayFiltration.adapted_basis`,
+`linalg.levelled_spans`; `tensor` gives the proof); a direct sum is the two
+blocks of rows padded with zeros (`linalg.block_sum`); and a morphism maps
+the rows of each chain value into the target's annihilator without
+eliminating their image (`linalg.maps_into`).  A chain
 is rebuilt from pieces that form a direct sum of the fiber by
 `RayFiltration.reconstruction_failure`, the one test of the reconstruction
 equation; the certificate verifier and the torus check both call it.
@@ -29,10 +33,11 @@ from .linalg import (
     Subspace,
     annihilator,
     block_sum,
+    echelon_contains,
     image,
+    levelled_spans,
+    maps_into,
     record,
-    sum_all,
-    tensor_product,
 )
 
 
@@ -116,10 +121,35 @@ class RayFiltration:
 
     def unnested(self) -> Iterator[Tuple[int, int]]:
         """Consecutive jump indices (i1, i2) whose subspace at i2 does not
-        lie in the one at i1."""
+        lie in the one at i1, by the cached annihilators, which validation
+        leaves for the compatibility engine to reuse.  `adapted_basis`,
+        whose callers use no annihilator, checks nesting by reduction."""
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
             if not s1.contains_subspace(s2):
                 yield i1, i2
+
+    def adapted_basis(self, ray: int) -> List[Tuple[int, Tuple[int, ...]]]:
+        """(level, row) pairs whose rows of level at least i span the value
+        at i, for every i: walking the jumps from the last (smallest) value
+        to the first, every row of the last value and then, from each larger
+        value, the canonical rows whose pivot is not yet taken, each at its
+        jump index.  No elimination; `tensor` gives the proof.  Nesting is
+        checked first, by reducing each value's rows against the canonical
+        rows of the value before it (`linalg.echelon_contains`), with no
+        kernel; the first pair that fails raises InputError naming `ray`
+        and the two jump indices."""
+        for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
+            if not echelon_contains(s1, s2):
+                raise InputError(f"the chain on ray {ray} is not nested: its subspace at "
+                                 f"index {i2} does not lie in the one at {i1}")
+        taken = set()
+        basis = []
+        for i, s in reversed(self.jumps):
+            for p, row in zip(s.pivots, s.rows):
+                if p not in taken:
+                    taken.add(p)
+                    basis.append((i, row))
+        return basis
 
     def issues(self) -> List[dict]:
         out: List[dict] = []
@@ -185,23 +215,46 @@ def _require_same_fan(a: FiltrationData, b: FiltrationData) -> None:
 
 
 def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
-    """Tensor product: the chain at j is the sum over p+q = j of the tensor
-    products of the operand chains, evaluated on the finite jump grids.  The
-    ambient Q^(ra*rb) uses the lexicographic e_i⊗f_j basis ordering."""
+    """Tensor product on Q^(ra*rb) with the lexicographic e_i⊗f_j basis
+    ordering (index (i, j) maps to i*rb+j): the chain at j is
+    F(j) = Σ_p F_a(p)⊗F_b(j−p), built from adapted bases of the operand
+    chains by one incremental reduction per ray.  Every operand chain must
+    be nested; otherwise InputError names the ray and the two indices.
+
+    Adapted bases (`RayFiltration.adapted_basis`).  Let a chain jump at
+    α_1 < … < α_m with values V_1 ⊋ … ⊋ V_m.  The pivots of a subspace are
+    the first nonzero positions of its vectors, read off its canonical rows,
+    so V_{k+1} ⊆ V_k gives piv V_{k+1} ⊆ piv V_k.  Keep every row of V_m at
+    level α_m and, from each V_k, the canonical rows whose pivot is not in
+    piv V_{k+1}, at level α_k.  By induction from k = m the kept rows of
+    level at least α_k have exactly the pivots piv V_k: those of level at
+    least α_{k+1} have piv V_{k+1}, and V_k adds its other pivots.  Vectors
+    with distinct pivots are independent, these dim V_k of them lie in V_k,
+    so they are a basis of V_k; the pivot complement is a complement of
+    V_{k+1} in V_k.  Hence, with a_k of level α(a_k) and b_l of level
+    β(b_l), F_a(p) is spanned by the a_k of level at least p and F_b(q) by
+    the b_l of level at least q, for every p and q (below α_1 the chain is
+    V_1, above α_m it is zero).
+
+    The formula.  F_a(p)⊗F_b(j−p) is then spanned by the a_k⊗b_l with
+    α(a_k) ≥ p and β(b_l) ≥ j−p, and the sum over p by the a_k⊗b_l with
+    α(a_k) + β(b_l) ≥ j (take p = α(a_k)).  So F is the chain spanned by
+    the Kronecker products a_k⊗b_l at the levels α(a_k) + β(b_l), which
+    `linalg.levelled_spans` builds in one pass, with no elimination per
+    level and no sum.
+
+    Distinct pivots.  a_k⊗b_l is zero at (i, j) unless a_k[i] and b_l[j]
+    are nonzero, so its first nonzero entry is at (piv a_k, piv b_l).  The
+    pivots within each basis are distinct, so distinct pairs have distinct
+    pivots: the products are independent and each one adds rank."""
     _require_same_fan(a, b)
     dim = a.dim * b.dim
     rays: List[RayFiltration] = []
-    for fa, fb in zip(a.filtrations, b.filtrations):
-        ja, jb = fa.jump_indices(), fb.jump_indices()
-        if not ja or not jb:
-            rays.append(RayFiltration.make(dim, []))
-            continue
-        candidates = sorted({p + q for p in ja for q in jb})
-        pairs = []
-        for j in candidates:
-            terms = [tensor_product(fa.value(p), fb.value(j - p)) for p in ja]
-            pairs.append((j, sum_all(terms, dim)))
-        rays.append(RayFiltration.make(dim, pairs))
+    for ray, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
+        basis_a, basis_b = fa.adapted_basis(ray), fb.adapted_basis(ray)
+        products = ((p + q, [x * y for x in u for y in v])
+                    for p, u in basis_a for q, v in basis_b)
+        rays.append(RayFiltration.make(dim, levelled_spans(products, dim)))
     return FiltrationData.make(a.fan, dim, rays)
 
 
@@ -244,7 +297,7 @@ def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Opti
     rows_map = phi.transpose()
     for ray_idx, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
         for i in sorted(set(fa.jump_indices()) | set(fb.jump_indices())):
-            if not fb.value(i).contains_subspace(image(fa.value(i), rows_map)):
+            if not maps_into(fa.value(i), rows_map, fb.value(i)):
                 return {"ray": ray_idx, "index": i}
     return None
 

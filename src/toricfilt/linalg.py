@@ -35,6 +35,15 @@ data and the algebra tables elsewhere, in the instance dict of a frozen
 record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
+A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
+for a matrix's columns) is one incremental reduction: the vectors enter a
+reduced echelon form in descending level order, and the canonical span is
+read off at each level boundary, so no level is eliminated from scratch;
+`filtrations.tensor` and the chains of bundle frames are built this way.
+Two containment tests need no elimination of their own:
+`echelon_contains` reduces rows against canonical rows, with no kernel, and
+`maps_into` tests the unreduced image of a subspace against the cached
+annihilator of the target.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
 integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
 use Bareiss's exact division: its entries then grow as minors of the whole
@@ -44,10 +53,11 @@ input, which is slow on the tall spanning sets of tensor filtrations.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import attrgetter, mul
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from operator import attrgetter, itemgetter, mul
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
 Scalar = Union[int, Fraction]
@@ -128,7 +138,11 @@ def cached_on_instance(fn):
     record under "_" + fn's name.  The cached attribute is not a field, so
     equality, hashing and `replace` ignore it (a replaced instance starts
     with no cache).  Only a returned value is cached: an exception is raised
-    again on every call."""
+    again on every call.  A failure that is a fact about the instance is
+    kept by returning it as a value and raising it outside, as
+    `bundles.associated_klyachko` does with its witness; a kept exception
+    object would hold its traceback, and with it the frames and the
+    instance, alive."""
     key = "_" + fn.__name__
 
     @functools.wraps(fn)
@@ -288,6 +302,11 @@ def _primitive(row: List[int]) -> List[int]:
     return [x // c for x in row] if c > 1 else row
 
 
+def _lead(row: Sequence[int]) -> int:
+    """The column of the first nonzero entry of a nonzero row."""
+    return row.index(next(filter(None, row)))
+
+
 def _integer_row(row: Sequence[Fraction]) -> List[int]:
     """The primitive integer row on the same line as `row`."""
     return _primitive(_clear_denominators(row)[0])
@@ -379,6 +398,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    @property
+    def pivots(self) -> Tuple[int, ...]:
+        """The pivot column of each stored row: its first nonzero entry."""
+        return tuple(map(_lead, self.rows))
+
     def contains(self, v: Sequence[Scalar]) -> bool:
         """v ∈ self, by the rule of `contains_subspace`: every row of the
         cached ann(self) vanishes on v."""
@@ -434,6 +458,55 @@ def column_span(m: QMatrix, columns: Iterable[int]) -> Subspace:
     return _space(m.nrows, [ints[j] for j in columns])
 
 
+def column_chain(m: QMatrix, levels: Sequence[int]) -> List[Tuple[int, Subspace]]:
+    """`levelled_spans` of the columns of `m`, column j at levels[j], inside
+    Q^nrows: the chain whose value at i is spanned by the columns of level
+    at least i.  The integer columns are the cached ones of `column_span`."""
+    return levelled_spans(zip(levels, _integer_columns(m)), m.nrows)
+
+
+def levelled_spans(levelled: Iterable[Tuple[int, Sequence[int]]],
+                   ambient: int) -> List[Tuple[int, Subspace]]:
+    """For each distinct level i of the (level, integer vector) pairs, in
+    descending order, (i, the canonical span of the vectors of level at
+    least i), from one incremental reduction with no elimination per level.
+
+    The vectors enter in descending level order a reduced echelon form of
+    primitive integer rows with positive pivots, kept by pivot column.  An
+    entering vector is cleared at each pivot column in turn, which moves no
+    other pivot column since every row is zero at the others' pivots.  If
+    nothing is left it adds no rank (zero and dependent vectors drop out);
+    otherwise it is made primitive with a positive pivot at its first
+    nonzero column p, which is no pivot yet, and p is cleared from every row
+    that has it.  Such a row has its pivot left of p, so the clearing keeps
+    its first nonzero entry and, scaled by a positive factor, its sign.
+    After each level the rows, in pivot order, are in RREF, primitive with
+    positive pivots: the canonical rows of the span."""
+    rows: Dict[int, List[int]] = {}
+    chain: List[Tuple[int, Subspace]] = []
+    ordered = sorted(levelled, key=itemgetter(0), reverse=True)
+    for level, group in itertools.groupby(ordered, key=itemgetter(0)):
+        for _, v in group:
+            for p in [p for p in rows if v[p]]:
+                row = rows[p]
+                g = gcd(row[p], v[p])
+                a, b = row[p] // g, v[p] // g
+                v = _primitive([a * x - b * y for x, y in zip(v, row)])
+            if not any(v):
+                continue
+            lead = _lead(v)
+            v = _primitive([-x for x in v] if v[lead] < 0 else list(v))
+            c = v[lead]
+            for p in [p for p, row in rows.items() if row[lead]]:
+                row = rows[p]
+                g = gcd(c, row[lead])
+                a, b = c // g, row[lead] // g
+                rows[p] = _primitive([a * x - b * y for x, y in zip(row, v)])
+            rows[lead] = v
+        chain.append((level, Subspace(ambient, tuple(tuple(rows[p]) for p in sorted(rows)))))
+    return chain
+
+
 def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
     """The row with every entry an int or a Fraction; only other entries
     go through `to_fraction`, which rejects them."""
@@ -441,17 +514,61 @@ def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
                  for x in row)
 
 
-def image(s: Subspace, m: QMatrix) -> Subspace:
-    """The span of the rows of `s` times `m` (a row vector v maps to v @ m).
-    `m` is scaled once by the lcm of all its denominators, which moves no
-    row space, and the products run over ints."""
+def _image_rows(s: Subspace, m: QMatrix) -> List[List[int]]:
+    """The rows of `s` times `m`, scaled: `m` is scaled once by the lcm of
+    all its denominators, which moves no row space, and the products run
+    over ints."""
     if m.nrows != s.ambient:
         raise ValueError("matrix shapes do not compose")
     scale = lcm(*[x.denominator for row in m.entries for x in row])
     cols = [[x.numerator * (scale // x.denominator) for x in col]
             for col in zip(*m.entries)]
-    return _space(m.ncols, [_primitive([sum(map(mul, row, col)) for col in cols])
-                            for row in s.rows])
+    return [_primitive([sum(map(mul, row, col)) for col in cols]) for row in s.rows]
+
+
+def image(s: Subspace, m: QMatrix) -> Subspace:
+    """The span of the rows of `s` times `m` (a row vector v maps to v @ m)."""
+    return _space(m.ncols, _image_rows(s, m))
+
+
+def maps_into(s: Subspace, m: QMatrix, target: Subspace) -> bool:
+    """s @ m ⊆ target, with no elimination of the image: the mapped rows of
+    `s` are not reduced.  Zero rows drop out; a full target holds the rest
+    and a zero target none of them; otherwise, by the rule of
+    `Subspace.contains_subspace`, every row of the cached ann(target) must
+    vanish on each of them."""
+    if target.ambient != m.ncols:
+        raise ValueError("ambient dimension mismatch")
+    rows = [r for r in _image_rows(s, m) if any(r)]
+    if not rows or target.dim == target.ambient:
+        return True
+    if not target.dim:
+        return False
+    conditions = annihilator(target).rows
+    return not any(sum(map(mul, c, r)) for r in rows for c in conditions)
+
+
+def echelon_contains(outer: Subspace, inner: Subspace) -> bool:
+    """inner ⊆ outer with no kernel: each row v of `inner` must equal
+    Σ_p v[p]/c_p · r_p over the canonical rows r_p of `outer`, p the pivot
+    and c_p the pivot entry of r_p.  That combination is the only candidate,
+    since the RREF rows r_p are zero at each other's pivots; it is tested
+    over ints, times the lcm of the pivot entries."""
+    if inner.ambient != outer.ambient:
+        raise ValueError("ambient dimension mismatch")
+    if inner.dim > outer.dim:
+        return False
+    pivots = list(zip(outer.pivots, outer.rows))
+    scale = lcm(*[r[p] for p, r in pivots])
+    for v in inner.rows:
+        rest = [scale * x for x in v]
+        for p, r in pivots:
+            if v[p]:
+                k = v[p] * (scale // r[p])
+                rest = [x - k * y for x, y in zip(rest, r)]
+        if any(rest):
+            return False
+    return True
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -548,7 +665,7 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    leads = [next(j for j, x in enumerate(row) if x) for row in outer.rows]
+    leads = outer.pivots
     m = len(leads)
     coords = [_primitive([row[leads[k]] for k in reversed(range(m))])
               for row in inner.rows]

@@ -26,6 +26,10 @@
   the lines of each level at every probe of every chain, which
   `toricfilt.reduction.check_torus_reduction` (a direct-sum test, then
   `reconstruction_failure`) must agree with.
+- `reference_tensor`: the tensor product of filtration data as the sum
+  over p + q = j of the Kronecker products of the operand chains, one
+  elimination per candidate level, which the adapted-basis construction of
+  `toricfilt.filtrations.tensor` must agree with.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
@@ -74,6 +78,7 @@ from toricfilt.linalg import (
     intersect_all,
     span_canonical,
     sum_all,
+    tensor_product,
 )
 
 
@@ -302,6 +307,20 @@ def reference_splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple]
         ) is None
         for k, chain in enumerate(kly.filtrations)
     )
+
+
+def reference_tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
+    """The chain at j is the sum over p + q = j of the tensor products of the
+    operand chains, for p over the jump indices of `a` and j over the sums
+    of the two jump grids; the chains must be nested."""
+    dim = a.dim * b.dim
+    rays = []
+    for fa, fb in zip(a.filtrations, b.filtrations):
+        ja, jb = fa.jump_indices(), fb.jump_indices()
+        pairs = [(j, sum_all([tensor_product(fa.value(p), fb.value(j - p)) for p in ja], dim))
+                 for j in sorted({p + q for p in ja for q in jb})]
+        rays.append(RayFiltration.make(dim, pairs))
+    return FiltrationData.make(a.fan, dim, rays)
 
 
 def exhaustive_adapted_search(data: FiltrationData,

@@ -347,13 +347,39 @@ def test_assoc_failure_names_shared_ray(p2):
 
 
 def test_assoc_failure_raises_on_every_call(p2):
-    """Only returned values are cached: data that does not glue raises the
-    same obstruction again on each call."""
+    """The obstruction is kept on the data: each call raises it again,
+    with the same witness."""
     data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
     for _ in range(3):
         with pytest.raises(RayConsistencyError) as err:
             associated_klyachko(data)
         assert err.value.witness == {"cones": [0, 1], "ray": 1, "index": 1}
+
+
+def test_assoc_failure_is_not_rebuilt(p2, monkeypatch):
+    """Once `check_gluing` has met the obstruction, later calls of
+    `associated_klyachko` on the same data build no chain; equal data that
+    is a new instance builds its own."""
+    data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
+    built = []
+    chain_from_cone = bundles._chain_from_cone
+
+    def spy(*args):
+        built.append(args[1:])
+        return chain_from_cone(*args)
+
+    monkeypatch.setattr(bundles, "_chain_from_cone", spy)
+    assert not check_gluing(data).glues
+    first = len(built)
+    assert first > 0
+    for _ in range(2):
+        with pytest.raises(RayConsistencyError) as err:
+            associated_klyachko(data)
+        assert err.value.witness == {"cones": [0, 1], "ray": 1, "index": 1}
+    assert len(built) == first
+    with pytest.raises(RayConsistencyError):
+        associated_klyachko(gl1_p2([(0, 1), (0, 0), (0, 0)], p2))
+    assert len(built) == 2 * first
 
 
 def test_assoc_matches_tangent_data(tangent_p2_bundle, tangent_p2):

@@ -68,6 +68,11 @@ def _inputs():
         "not_full.json": _line_data("fan.json", [0, None, 1]),
         "float.json": json.dumps(_line_data("fan.json", [0, 0, 0])).replace('["1"]', "[0.5]"),
         "four_lines.json": _lines_data(SQUARE, [[1, 0], [0, 1], [1, 1], [1, 2]]),
+        "not_nested.json": {"fan": "fan.json", "dim": 2, "filtrations": {
+            "0": [{"i": 0, "basis": [["1", "0"], ["0", "1"]]}],
+            "1": [{"i": 0, "basis": [["1", "0"], ["0", "1"]]}, {"i": 1, "basis": [["1", "0"]]},
+                  {"i": 2, "basis": [["0", "1"]]}],
+            "2": [{"i": 0, "basis": [["1", "0"], ["0", "1"]]}]}},
         "line_high.json": _line_data("fan.json", [1, 1, 1]),
         "line_low.json": _line_data("fan.json", [0, 0, 0]),
         "one.json": [["1"]],
@@ -133,6 +138,9 @@ SNAPSHOT = {
     'tensor/different-fans': (['tensor', 'filt.json', 'filt_p1.json'], 2,
         'd7b19b28c3540fe7374ea06cd53bce3e0cde906d59677526340e5e09df5e16e7',
         '09f4fb7a9f19bd53d085c556ddee3eec5cb9c3b4a99c9f856f890471a140fa5b'),
+    'tensor/not-nested': (['tensor', 'not_nested.json', 'filt_b.json'], 2,
+        'e507a6afc79520f04a7caf52fcd641e7fc9625371c053ce517aa134ebb001779',
+        'd8512cae535fd7dba137ce4b87d387894fa1c3be97b08593709fe27da3d0d5b0'),
     'dual/ok': (['dual', 'filt.json'], 0,
         'aa796f826b621a1eb9e72878978cb6448d0bebb63157d940dac42859b025b72b',
         '72ce24f8ab2857c1af8863f11e0c716a4c4d5207ecf891c2ede379ac20c01a8e'),

@@ -3,7 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import reference_tensor
+from toricfilt import filtrations, linalg
 from toricfilt.errors import InputError
+from toricfilt.fans import Fan
 from toricfilt.filtrations import (
     FiltrationData,
     RayFiltration,
@@ -18,12 +21,17 @@ from toricfilt.filtrations import (
 from toricfilt.linalg import QMatrix, Subspace, span_canonical, sum_all
 from toricfilt.sampling import (
     p1_fan,
+    p2_fan,
     random_filtration_data,
     random_invertible_matrix,
     random_ray_filtration,
     random_subspace,
+    square_cone_fan,
 )
 from toricfilt.serialize import filtration_from_obj, filtration_to_obj
+
+P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 
 
 def line_data(fan, jumps_per_ray):
@@ -118,6 +126,72 @@ def test_tensor_identity_object(p2, tangent_p2):
 def test_tensor_trivial_ranks(p1):
     t = tensor(FiltrationData.trivial(p1, 2), FiltrationData.trivial(p1, 2))
     assert t == FiltrationData.trivial(p1, 4)
+
+
+def _drop_leading(rng, data):
+    """The data with a random number of leading jumps dropped on each ray:
+    the chains stay nested, and most are no longer full (some are zero)."""
+    return FiltrationData.make(data.fan, data.dim, [
+        RayFiltration.make(data.dim, f.jumps[rng.randint(0, len(f.jumps)):])
+        for f in data.filtrations])
+
+
+def _tensor_pairs():
+    """Seeded operand pairs of dimension 1-6 on P^1, P^2, the 4-ray P^3 fan
+    and the square cone, full and with leading jumps dropped, then two
+    random P^1 pairs of dimension 8 and 10."""
+    rng = random.Random(23)
+    for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
+        for k in range(16):
+            a = random_filtration_data(rng, fan, 1 + k % 6)
+            b = random_filtration_data(rng, fan, rng.randint(1, 6 - k % 6 // 2))
+            yield (a, b) if k % 4 else (_drop_leading(rng, a), _drop_leading(rng, b))
+            if k % 4 == 1:
+                yield a, _drop_leading(rng, b)
+    for d in (8, 10):
+        rng = random.Random(9)
+        yield random_filtration_data(rng, p1_fan(), d), random_filtration_data(rng, p1_fan(), d)
+
+
+def test_tensor_matches_reference_sum():
+    """The adapted-basis tensor product equals the sum over p + q = j of the
+    Kronecker products of the operand chains, on full and non-full chains."""
+    full = {True: 0, False: 0}
+    for a, b in _tensor_pairs():
+        assert tensor(a, b) == reference_tensor(a, b)
+        for f in a.filtrations + b.filtrations:
+            full[bool(f.jumps) and f.jumps[0][1].dim == f.dim] += 1
+    assert min(full.values()) > 50, full
+
+
+def test_tensor_eliminates_nothing(monkeypatch):
+    """`tensor` runs no elimination, no sum and no annihilator: with each of
+    them made to raise, it returns the same data."""
+    pairs = list(_tensor_pairs())[::5]
+    expected = [tensor(a, b) for a, b in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("tensor eliminated")
+
+    for module, name in ((linalg, "_eliminate"), (linalg, "sum_all"),
+                         (linalg, "annihilator"), (filtrations, "annihilator")):
+        monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        Subspace.full(2).contains_subspace(span_canonical([[1, 2]]))
+    assert [tensor(a, b) for a, b in pairs] == expected
+
+
+def test_tensor_of_unnested_chain_raises(p1):
+    """A chain that is not nested is refused, naming the ray and the first
+    pair of jump indices that fails, whichever operand it is in."""
+    bad = RayFiltration.make(2, [(0, Subspace.full(2)), (1, span_canonical([[1, 0]])),
+                                 (2, span_canonical([[0, 1]])), (3, span_canonical([[1, 1]]))])
+    good = FiltrationData.trivial(p1, 2)
+    data = FiltrationData.make(p1, 2, [RayFiltration.trivial(2), bad])
+    for a, b in ((data, good), (good, data)):
+        with pytest.raises(InputError, match="ray 1 is not nested: its subspace at "
+                                             "index 2 does not lie in the one at 1"):
+            tensor(a, b)
 
 
 def test_dual_of_line_data(p1):

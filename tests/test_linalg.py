@@ -25,8 +25,10 @@ from toricfilt.linalg import (
     annihilator,
     block_sum,
     cached_on_instance,
+    column_chain,
     column_span,
     complement_in,
+    echelon_contains,
     _integer_columns,
     _integer_row,
     _kernel,
@@ -34,6 +36,8 @@ from toricfilt.linalg import (
     intersect,
     intersect_all,
     kernel,
+    levelled_spans,
+    maps_into,
     record,
     rref,
     span_canonical,
@@ -383,6 +387,61 @@ def test_containment_matches_reference_reduce():
         assert a.contains(v) == (not any(reference_reduce(a, v)))
     with pytest.raises(ValueError):
         Subspace.full(2).contains([1, 2, 3])
+
+
+def test_echelon_contains_and_maps_into_match_containment():
+    """Containment by reduction against canonical rows, and the containment
+    of an image by annihilator products on unreduced mapped rows, agree with
+    `contains_subspace` of the eliminated image, on zero, full, nested and
+    random spaces and on singular and zero maps."""
+    rng = random.Random(7331)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        a = span_canonical(_random_rows(rng, rng.randint(0, n + 1), n), n)
+        b = rng.choice([Subspace.zero(n), Subspace.full(n), a,
+                        span_canonical([*a.rows, *_random_rows(rng, 1, n)], n),
+                        span_canonical(_random_rows(rng, rng.randint(0, n), n), n)])
+        assert echelon_contains(b, a) == b.contains_subspace(a)
+        assert echelon_contains(a, b) == a.contains_subspace(b)
+        seen[echelon_contains(b, a)] += 1
+        m = QMatrix.from_rows([[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 4))
+                                for _ in range(k)] for _ in range(n)], k)
+        if rng.random() < 0.2:
+            m = QMatrix.from_rows([[0] * k] * n, k)
+        t = rng.choice([Subspace.zero(k), Subspace.full(k), image(a, m),
+                        span_canonical(_random_rows(rng, rng.randint(0, k), k), k)])
+        assert maps_into(a, m, t) == t.contains_subspace(image(a, m))
+    assert min(seen.values()) > 50, seen
+    with pytest.raises(ValueError):
+        echelon_contains(Subspace.full(2), Subspace.full(3))
+    with pytest.raises(ValueError):
+        maps_into(Subspace.full(2), QMatrix.identity(2), Subspace.full(3))
+
+
+def test_levelled_spans_match_span_canonical():
+    """At each distinct level, in descending order, the incremental chain
+    equals `span_canonical` of the vectors of that level or above, with
+    zero, repeated, dependent and non-primitive vectors mixed in; the
+    column chain of a matrix is that of its columns."""
+    rng = random.Random(4096)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        vecs = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                for _ in range(rng.randint(0, 9))]
+        if vecs and n:
+            vecs.append([0] * n)
+            vecs.append([3 * x for x in rng.choice(vecs)])
+            c = [rng.randint(-2, 2) for _ in vecs]
+            vecs.append([sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(n)])
+        levels = [rng.randint(-3, 3) for _ in vecs]
+        got = levelled_spans(list(zip(levels, vecs)), n)
+        assert got == [(i, span_canonical([v for v, lv in zip(vecs, levels) if lv >= i], n))
+                       for i in sorted(set(levels), reverse=True)]
+        if vecs and n:
+            m = QMatrix.from_rows(list(zip(*vecs)), len(vecs))
+            assert column_chain(m, levels) == got
+    assert levelled_spans([], 3) == []
 
 
 def test_image_matches_matrix_product():
