@@ -68,7 +68,7 @@ def dual_description(rank: int,
     def pair(a: IntVec, v: IntVec) -> int:
         return sum(x * y for x, y in zip(a, v))
 
-    lin: List[IntVec] = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    lin: Sequence[IntVec] = _unit_rows(rank)
     rays: List[IntVec] = []
     processed: List[IntVec] = []
 
@@ -122,13 +122,11 @@ def dual_description(rank: int,
                     combos.append(tuple(ap * x - am * y for x, y in zip(m, p)))
             rays = prune(pos + zer + combos)
 
-    if not lin:
-        lin_out = ()
-    elif constraints:
-        lin_out = hermite_normal_form(integer_kernel_basis(constraints), rank)
-    else:
-        lin_out = _unit_rows(rank)  # the identity is its own Hermite form
-    return tuple(lin_out), tuple(sorted(rays))
+    if lin and constraints:
+        lin = hermite_normal_form(integer_kernel_basis(constraints), rank)
+    # otherwise lin is empty, or with no constraints still the identity,
+    # which is its own Hermite form
+    return tuple(lin), tuple(sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +167,7 @@ class CharQuotient:
 def _build_quotient(rank: int, perp: Tuple[IntVec, ...]) -> CharQuotient:
     k = len(perp)
     if k == 0:
-        ident = tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank))
+        ident = _unit_rows(rank)
         return CharQuotient(rank, 0, ident, ident)
     _, d, v = smith_normal_form(perp)
     for i in range(k):

@@ -20,6 +20,9 @@ eliminating their image (`linalg.maps_into`).  A chain
 is rebuilt from pieces that form a direct sum of the fiber by
 `RayFiltration.reconstruction_failure`, the one test of the reconstruction
 equation; the certificate verifier and the torus check both call it.
+`tensor` and `dual` refuse a chain that is not nested with one message
+(`_not_nested`); `tensor` finds the failing pair by reduction, `dual` by
+the annihilators it builds anyway.
 """
 
 from __future__ import annotations
@@ -39,6 +42,13 @@ from .linalg import (
     maps_into,
     record,
 )
+
+
+def _not_nested(ray: int, i1: int, i2: int) -> InputError:
+    """The error of the calculus for a chain on `ray` that is not nested,
+    its jump at i2 not inside the one at i1."""
+    return InputError(f"the chain on ray {ray} is not nested: its subspace at "
+                      f"index {i2} does not lie in the one at {i1}")
 
 
 @record
@@ -122,8 +132,9 @@ class RayFiltration:
     def unnested(self) -> Iterator[Tuple[int, int]]:
         """Consecutive jump indices (i1, i2) whose subspace at i2 does not
         lie in the one at i1, by the cached annihilators, which validation
-        leaves for the compatibility engine to reuse.  `adapted_basis`,
-        whose callers use no annihilator, checks nesting by reduction."""
+        leaves for the compatibility engine and `dual` for itself to reuse.
+        `adapted_basis`, whose callers use no annihilator, checks nesting by
+        reduction."""
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
             if not s1.contains_subspace(s2):
                 yield i1, i2
@@ -140,8 +151,7 @@ class RayFiltration:
         and the two jump indices."""
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
             if not echelon_contains(s1, s2):
-                raise InputError(f"the chain on ray {ray} is not nested: its subspace at "
-                                 f"index {i2} does not lie in the one at {i1}")
+                raise _not_nested(ray, i1, i2)
         taken = set()
         basis = []
         for i, s in reversed(self.jumps):
@@ -261,9 +271,14 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
 def dual(a: FiltrationData) -> FiltrationData:
     """Dual convention: the dual chain at i is the annihilator of the primal
     chain at 1 - i.  This makes duality an involution and negates the jump of
-    rank-one data."""
+    rank-one data.  Every chain must be nested; otherwise InputError names
+    the ray and the first pair of jump indices that fails
+    (`RayFiltration.unnested`, whose annihilators the dual reuses)."""
     rays: List[RayFiltration] = []
-    for f in a.filtrations:
+    for ray, f in enumerate(a.filtrations):
+        bad = next(f.unnested(), None)
+        if bad is not None:
+            raise _not_nested(ray, *bad)
         m = len(f.jumps)
         pairs = []
         for k in range(m):

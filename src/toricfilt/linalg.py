@@ -8,19 +8,24 @@ identical; every operation below returns that canonical representative,
 which keeps downstream certificates reproducible byte for byte.  There is
 no floating point anywhere in this package.
 
-Elimination runs over Python ints, never over Fractions.  `_eliminate` is
-Gauss-Jordan on primitive integer rows (each row divided by the gcd of its
-entries after every step, which keeps coefficients small); a row of
-Fractions enters it times the lcm of its denominators.  Fractions appear
-only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
-its pivot, which gives the same unique RREF as elimination over Fractions.
-Spans and sums feed the stored integer rows straight back into
-`_eliminate`; `image` multiplies them by a matrix scaled once to integers.
-A kernel (and so an annihilator or an intersection) takes one elimination:
-reduced with its columns reversed, the conditions give generators that
-already are the canonical rows (see `_kernel`).  `intersect_all` eliminates
-only for two or more proper members, and containment of a vector or a
-subspace is an annihilator product against the cached annihilator.
+Reduction runs over Python ints, never over Fractions, and has one step.
+A reduced echelon form is kept as two lists in pivot order, the pivot
+columns and the primitive integer rows, each with a positive pivot and zero
+at the others' pivots.  `_reduce` clears a vector at each pivot (dividing
+by the gcd of its entries after every step, which keeps coefficients
+small), and `_insert` adds what is left as a new row, clearing its pivot
+from the others; both docstrings give the proof.  Every row reduction goes
+through `_insert`: `_eliminate` inserts the rows of a matrix (a row of
+Fractions enters times the lcm of its denominators), and a span, sum or
+image is the rows it keeps, canonical as inserted, with no sign fixed
+afterwards.  Fractions appear only at the boundary: `rref` and
+`Subspace.basis` divide each pivot row by its pivot, which gives the same
+unique RREF as elimination over Fractions.  `image` multiplies the stored
+rows by a matrix scaled once to integers.  A kernel (and so an annihilator
+or an intersection) takes one elimination: reduced with its columns
+reversed, the conditions give generators that already are the canonical
+rows (see `_kernel`).  `intersect_all` eliminates only for two or more
+proper members.
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
@@ -36,28 +41,35 @@ record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
-for a matrix's columns) is one incremental reduction: the vectors enter a
-reduced echelon form in descending level order, and the canonical span is
-read off at each level boundary, so no level is eliminated from scratch;
-`filtrations.tensor` and the chains of bundle frames are built this way.
-Two containment tests need no elimination of their own:
-`echelon_contains` reduces rows against canonical rows, with no kernel, and
-`maps_into` tests the unreduced image of a subspace against the cached
-annihilator of the target.
-`QMatrix.det` runs Bareiss's fraction-free forward elimination on the same
-integer rows, whose last pivot is the determinant.  Gauss-Jordan does not
-use Bareiss's exact division: its entries then grow as minors of the whole
-input, which is slow on the tall spanning sets of tensor filtrations.
+for a matrix's columns) inserts the vectors in descending level order and
+reads the canonical span off at each level boundary, so no level is
+eliminated from scratch; `filtrations.tensor` and the chains of bundle
+frames are built this way.  `complement_in` inserts the rows of the outer
+space into the canonical rows of the inner one and keeps those that add
+rank, and `echelon_contains` reduces rows against canonical rows, with no
+kernel.
+Containment of a vector or a subspace (`Subspace.contains`,
+`contains_subspace`, and `maps_into` on the unreduced image of a subspace)
+is an annihilator product against the target's cached annihilator: one
+kernel per target serves every test against it, which is cheaper on the
+hot paths than reducing each tested row against the target's rows.
+`QMatrix.det` runs Bareiss's fraction-free forward elimination on the
+integer rows, whose last pivot is the determinant; the insertion step
+divides rows by their content, which loses that scale.  The insertion step
+in turn does not use Bareiss's exact division: its entries would then grow
+as minors of the whole input, which is slow on the tall spanning sets of
+tensor filtrations.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter, itemgetter, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 Vector = Tuple[Fraction, ...]
 Scalar = Union[int, Fraction]
@@ -312,35 +324,68 @@ def _integer_row(row: Sequence[Fraction]) -> List[int]:
     return _primitive(_clear_denominators(row)[0])
 
 
-def _eliminate(mat: List[List[int]], ncols: int) -> List[int]:
-    """Gauss-Jordan in place over primitive integer rows; returns the pivot
-    columns, and the first len(pivots) rows of `mat` become the pivot rows.
+def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
+            v: Sequence[int]) -> Sequence[int]:
+    """v cleared at each pivot column of the reduced echelon form (`pivots`,
+    `rows`; see `_insert`): where v[p] = f is nonzero and the row at p has
+    the pivot c > 0, v becomes the primitive row on the line of
+    (c/g) v - (f/g) row, with g = gcd(c, f).  Each row is zero at the
+    others' pivots, so no step moves another pivot column, and every step
+    scales v by a positive factor.  The result is zero exactly when v lies
+    in the span of `rows`: it differs from a positive multiple of v by a
+    vector of that span, and the only vector of the span that is zero at
+    every pivot is zero."""
+    for p, row in zip(pivots, rows):
+        f = v[p]
+        if f:
+            c = row[p]
+            g = gcd(c, f)
+            a, b = c // g, f // g
+            v = _primitive([a * x - b * y for x, y in zip(v, row)])
+    return v
 
-    Each row r is replaced by (p/g) r - (f/g) pivot_row, with p the pivot,
-    f the entry of r in the pivot column and g = gcd(p, f), and then divided
-    by its content.  Rows are replaced, never mutated, so callers may pass
-    rows they keep."""
-    nrows = len(mat)
+
+def _insert(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> bool:
+    """Add v to the reduced echelon form kept as the pivot columns `pivots`
+    and the rows `rows` in pivot order: primitive integer rows with positive
+    pivots, each zero at the others' pivots.  Returns whether the rank grew.
+
+    v is reduced (`_reduce`).  If nothing is left it adds no rank (zero and
+    dependent vectors drop out); otherwise it is made primitive with a
+    positive pivot at its first nonzero column p, which is no pivot yet, and
+    p is cleared from every row that has it by reducing that row against v
+    alone.  Such a row has its pivot left of p, so the clearing keeps its
+    first nonzero entry and, scaled by a positive factor, its sign; and v is
+    zero at every other pivot, so none of them moves.  v then enters in
+    pivot order, and the rows are again in RREF, primitive with positive
+    pivots: the canonical rows of the span.  Rows are replaced, never
+    mutated, so callers may pass rows they keep."""
+    v = _reduce(pivots, rows, v)
+    if not any(v):
+        return False
+    lead = _lead(v)
+    v = _primitive([-x for x in v] if v[lead] < 0 else list(v))
+    for k, row in enumerate(rows):
+        if row[lead]:
+            rows[k] = _reduce((lead,), (v,), row)
+    k = bisect_left(pivots, lead)
+    pivots.insert(k, lead)
+    rows.insert(k, v)
+    return True
+
+
+def _eliminate(mat: List[List[int]], ncols: int) -> List[int]:
+    """The reduced echelon form of the integer rows of `mat`, which have
+    `ncols` columns, from inserting them (`_insert`) in order until the rank
+    is `ncols`: returns its pivot columns, and the first len(pivots) rows of
+    `mat` become its rows."""
     pivots: List[int] = []
-    prow = 0
-    for col in range(ncols):
-        pr = next((r for r in range(prow, nrows) if mat[r][col]), None)
-        if pr is None:
-            continue
-        mat[prow], mat[pr] = mat[pr], mat[prow]
-        top = mat[prow]
-        p = top[col]
-        for r in range(nrows):
-            row = mat[r]
-            f = row[col]
-            if f and r != prow:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                mat[r] = _primitive([a * x - b * y for x, y in zip(row, top)])
-        pivots.append(col)
-        prow += 1
-        if prow == nrows:
+    rows: List[Sequence[int]] = []
+    for v in mat:
+        if len(pivots) == ncols:
             break
+        _insert(pivots, rows, v)
+    mat[:len(rows)] = rows
     return pivots
 
 
@@ -364,12 +409,9 @@ def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, 
 
 
 def _space(ambient: int, mat: List[List[int]]) -> "Subspace":
-    """The row space of primitive integer rows: the eliminated pivot rows,
-    each negated when its pivot is negative."""
-    pivots = _eliminate(mat, ambient)
-    return Subspace(ambient, tuple(
-        tuple(row) if row[col] > 0 else tuple(-x for x in row)
-        for row, col in zip(mat, pivots)))
+    """The row space of integer rows: their reduced echelon form."""
+    rank = len(_eliminate(mat, ambient))
+    return Subspace(ambient, tuple(map(tuple, mat[:rank])))
 
 
 @record
@@ -469,41 +511,18 @@ def levelled_spans(levelled: Iterable[Tuple[int, Sequence[int]]],
                    ambient: int) -> List[Tuple[int, Subspace]]:
     """For each distinct level i of the (level, integer vector) pairs, in
     descending order, (i, the canonical span of the vectors of level at
-    least i), from one incremental reduction with no elimination per level.
-
-    The vectors enter in descending level order a reduced echelon form of
-    primitive integer rows with positive pivots, kept by pivot column.  An
-    entering vector is cleared at each pivot column in turn, which moves no
-    other pivot column since every row is zero at the others' pivots.  If
-    nothing is left it adds no rank (zero and dependent vectors drop out);
-    otherwise it is made primitive with a positive pivot at its first
-    nonzero column p, which is no pivot yet, and p is cleared from every row
-    that has it.  Such a row has its pivot left of p, so the clearing keeps
-    its first nonzero entry and, scaled by a positive factor, its sign.
-    After each level the rows, in pivot order, are in RREF, primitive with
-    positive pivots: the canonical rows of the span."""
-    rows: Dict[int, List[int]] = {}
+    least i), from one incremental reduction with no elimination per level:
+    the vectors are inserted (`_insert`) in descending level order into one
+    reduced echelon form, whose rows after each level are the canonical rows
+    of the span."""
+    pivots: List[int] = []
+    rows: List[Sequence[int]] = []
     chain: List[Tuple[int, Subspace]] = []
     ordered = sorted(levelled, key=itemgetter(0), reverse=True)
     for level, group in itertools.groupby(ordered, key=itemgetter(0)):
         for _, v in group:
-            for p in [p for p in rows if v[p]]:
-                row = rows[p]
-                g = gcd(row[p], v[p])
-                a, b = row[p] // g, v[p] // g
-                v = _primitive([a * x - b * y for x, y in zip(v, row)])
-            if not any(v):
-                continue
-            lead = _lead(v)
-            v = _primitive([-x for x in v] if v[lead] < 0 else list(v))
-            c = v[lead]
-            for p in [p for p, row in rows.items() if row[lead]]:
-                row = rows[p]
-                g = gcd(c, row[lead])
-                a, b = c // g, row[lead] // g
-                rows[p] = _primitive([a * x - b * y for x, y in zip(row, v)])
-            rows[lead] = v
-        chain.append((level, Subspace(ambient, tuple(tuple(rows[p]) for p in sorted(rows)))))
+            _insert(pivots, rows, v)
+        chain.append((level, Subspace(ambient, tuple(map(tuple, rows)))))
     return chain
 
 
@@ -549,26 +568,15 @@ def maps_into(s: Subspace, m: QMatrix, target: Subspace) -> bool:
 
 
 def echelon_contains(outer: Subspace, inner: Subspace) -> bool:
-    """inner ⊆ outer with no kernel: each row v of `inner` must equal
-    Σ_p v[p]/c_p · r_p over the canonical rows r_p of `outer`, p the pivot
-    and c_p the pivot entry of r_p.  That combination is the only candidate,
-    since the RREF rows r_p are zero at each other's pivots; it is tested
-    over ints, times the lcm of the pivot entries."""
+    """inner ⊆ outer with no kernel: the canonical rows of `outer` are a
+    reduced echelon form, and each row of `inner` must reduce (`_reduce`)
+    to zero against it."""
     if inner.ambient != outer.ambient:
         raise ValueError("ambient dimension mismatch")
     if inner.dim > outer.dim:
         return False
-    pivots = list(zip(outer.pivots, outer.rows))
-    scale = lcm(*[r[p] for p, r in pivots])
-    for v in inner.rows:
-        rest = [scale * x for x in v]
-        for p, r in pivots:
-            if v[p]:
-                k = v[p] * (scale // r[p])
-                rest = [x - k * y for x, y in zip(rest, r)]
-        if any(rest):
-            return False
-    return True
+    pivots = outer.pivots
+    return not any(any(_reduce(pivots, outer.rows, v)) for v in inner.rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -656,22 +664,18 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
 
     Greedy rule: walk the canonical basis of `outer` in order and keep each
     vector that is independent of `inner` plus the vectors before it.  The
-    coordinates of `inner` in that basis are its entries at the pivot
-    columns of `outer`; reduced with the columns in reverse order, row k is
-    a pivot exactly when it adds no rank, so the kept rows are the non-pivot
-    ones.  A subset of RREF rows is again in RREF, hence canonical.
+    canonical rows of `inner` are a reduced echelon form; each row of
+    `outer` in turn is inserted into it (`_insert`), and kept exactly when
+    the rank grows.  A subset of RREF rows is again in RREF, hence
+    canonical.
     """
     if inner.ambient != outer.ambient:
         raise ValueError("ambient dimension mismatch")
     if not outer.contains_subspace(inner):
         raise ValueError("inner subspace is not contained in outer")
-    leads = outer.pivots
-    m = len(leads)
-    coords = [_primitive([row[leads[k]] for k in reversed(range(m))])
-              for row in inner.rows]
-    dependent = {m - 1 - j for j in _eliminate(coords, m)}
-    return Subspace(inner.ambient, tuple(row for k, row in enumerate(outer.rows)
-                                         if k not in dependent))
+    pivots, rows = list(inner.pivots), list(inner.rows)
+    return Subspace(inner.ambient, tuple(row for row in outer.rows
+                                         if _insert(pivots, rows, row)))
 
 
 def tensor_product(a: Subspace, b: Subspace) -> Subspace:

@@ -147,6 +147,9 @@ SNAPSHOT = {
     'dual/float-literal': (['dual', 'float.json'], 2,
         'd1978e8b8b45c95fe07d6cb2759240c95d36c3e335f6e7315264c16e12de7dae',
         'dfcf4b69a80bf1cd38c5d9e005b52d1cad690982c8db317ac547e025d49e6180'),
+    'dual/not-nested': (['dual', 'not_nested.json'], 2,
+        'fdf06f165db343ec265fddec47e0b8c668630d216f61a03ebefad31948e2a0fb',
+        'd8512cae535fd7dba137ce4b87d387894fa1c3be97b08593709fe27da3d0d5b0'),
     'dsum/ok': (['dsum', 'filt.json', 'filt_b.json'], 0,
         'dd974b6b5e9e621201ee4f1cc49eb7a7dfda32ad84f672efb7e8afe1d957e534',
         '2b027e6d87f7ce32242166b74026e017d7dd99fae68a7a48e50f63473dc1714f'),

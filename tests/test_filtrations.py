@@ -194,6 +194,17 @@ def test_tensor_of_unnested_chain_raises(p1):
             tensor(a, b)
 
 
+def test_dual_of_unnested_chain_raises(p1):
+    """`dual` refuses a chain that is not nested with the message of
+    `tensor`, naming the ray and the first pair of jump indices that fails."""
+    bad = RayFiltration.make(2, [(0, Subspace.full(2)), (1, span_canonical([[1, 0]])),
+                                 (2, span_canonical([[0, 1]])), (3, span_canonical([[1, 1]]))])
+    data = FiltrationData.make(p1, 2, [RayFiltration.trivial(2), bad])
+    with pytest.raises(InputError, match="^the chain on ray 1 is not nested: its subspace at "
+                                         "index 2 does not lie in the one at 1$"):
+        dual(data)
+
+
 def test_dual_of_line_data(p1):
     assert dual(line_data(p1, [4, -2])) == line_data(p1, [-4, 2])
 

@@ -548,6 +548,21 @@ def test_one_per_instance_cache():
     assert found == {("linalg", "record"), ("linalg", "cached_on_instance")}
 
 
+def test_one_reduction_step():
+    """In `linalg` only `_primitive`, `_reduce` and `_insert` name `gcd`:
+    every span, chain, complement and elimination reduces its rows through
+    `_insert`, and none keeps a row reduction of its own."""
+    path = pathlib.Path(linalg.__file__)
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Name) and node.id == "gcd"
+                    or isinstance(node, ast.Attribute) and node.attr == "gcd"):
+                found.add(getattr(top, "name", None))
+    assert "_reduce" in found
+    assert found <= {"_primitive", "_reduce", "_insert"}, found
+
+
 def test_module_caches_are_bounded():
     """Every `lru_cache` of the package has a finite `maxsize`, and
     `functools.cache` is not used, so a long-running process keeps a fixed
@@ -669,8 +684,8 @@ def test_complement_properties(inner_rows, outer_extra):
 
 
 def test_complement_matches_greedy_walk():
-    """The pivot reading of `complement_in` keeps the same rows of `outer`
-    as the incremental greedy walk, in ambient dimensions 1-10."""
+    """`complement_in` keeps the same rows of `outer` as the Fraction
+    greedy walk of the oracle, in ambient dimensions 1-10."""
     rng = random.Random(41)
     for n in range(1, 11):
         for _ in range(60):
