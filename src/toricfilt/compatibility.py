@@ -15,11 +15,16 @@ dimensions add up to the fiber dimension, and then the pieces rebuild every
 chain (Klyachko 1990; Payne 2008).
 
 The chains must be nested; `graded_pieces` checks this once per chain with
-annihilator products and raises InputError otherwise.  Nesting makes W
-monotone, so the stored dimensions settle most tuples: W(t) = 0 gives the
-piece W(t), no nonzero successor gives W(t), and a successor as large as
-W(t) gives 0.  Only the remaining tuples take a complement, and only those
-with two or more nonzero successors a sum.
+annihilator products (which validation leaves cached) and raises
+InputError otherwise.  Nesting makes W monotone, so the stored dimensions
+settle most tuples: W(t) = 0 gives the piece W(t), no nonzero successor
+gives W(t), and a successor as large as W(t) gives 0.  Only the remaining
+tuples take a complement, and only those with two or more nonzero
+successors a sum.  No step takes a kernel: the meets W(t) of one grid line
+(all tuples that differ only in the last index) come from one Zassenhaus
+sweep of that chain's adapted rows (`linalg.levelled_meets`), a line
+whose prefix meet is zero or the whole fiber costs nothing, and a
+complement decides its own containment guard (`linalg.complement_in`).
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -35,8 +40,9 @@ the refutation:
 3. Certificate.  Otherwise the pieces, graded by character class, are
    returned.  Certificates are always re-verified, and a failed
    re-verification raises instead of becoming a verdict.  The integral
-   characters of one cone come from one Smith form of its ray matrix
-   (`lattice.integer_solver`).
+   characters of one cone come from one Smith form of its generators,
+   which the cone keeps (`Cone.integer_solver`, next to `Cone.quotient`),
+   so a fan's cones build their lattice data once per process.
 
 The verifier forms no sum per chain index: once it has checked that the
 pieces are a direct sum of the fiber, it tests the reconstruction equation
@@ -53,6 +59,7 @@ decomposition of bundle data both take the sum of each class's subspaces.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -64,7 +71,7 @@ from .linalg import (  # noqa: F401
     Subspace,
     complement_in,
     intersect,
-    intersect_all,
+    levelled_meets,
     record,
     sum_all,
     tensor_product,
@@ -175,10 +182,22 @@ def _require_nested(filts: Sequence[RayFiltration]) -> None:
                              f"index {bad[1]} does not lie in the one at {bad[0]}")
 
 
+def _sweep_rows(f: RayFiltration, ambient: int) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
+    """(k, rows): the chain's first k jump positions meet every subspace in
+    that subspace, and `rows` are the adapted rows of the nested chain `f`
+    that a sweep needs for the others.  A first value that is the whole
+    fiber is such a position (k = 1), and its rows are left out."""
+    rows = f.adapted_rows()
+    if f.jumps and f.jumps[0][1].dim == ambient:
+        first = f.jumps[0][0]
+        return 1, [(i, row) for i, row in rows if i != first]
+    return 0, rows
+
+
 def graded_pieces(filts: Sequence[RayFiltration],
                   tuples: Sequence[Tuple[int, ...]],
                   ambient: int) -> Dict[Tuple[int, ...], Subspace]:
-    """The graded piece at each jump tuple t (one jump index per chain of
+    """The graded piece at each jump tuple t (one level per chain of
     `filts`): a deterministic complement, inside the intersection W(t) of
     the chains at t, of the sum of W over the immediate successors of t.
     W is monotone, so that sum is everything W(t) gets from strictly
@@ -188,31 +207,60 @@ def graded_pieces(filts: Sequence[RayFiltration],
     lies in W(t), and the dimensions settle most tuples without a sum: the
     piece is W(t) when W(t) is zero or no successor is nonzero, and zero
     when a successor is all of W(t).  One nonzero successor is complemented
-    directly; only two or more are summed first."""
-    _require_nested(filts)
-    next_index = [dict(zip(f.jump_indices(), f.jump_indices()[1:])) for f in filts]
-    w: Dict[Tuple[int, ...], Subspace] = {}
+    directly; only two or more are summed first.
 
-    def meet(t: Tuple[int, ...]) -> Subspace:
-        if t not in w:
-            w[t] = intersect_all([f.value(i) for f, i in zip(filts, t)], ambient)
-        return w[t]
+    No meet takes a kernel.  A level is placed at the first jump at or
+    above it, whose value the chain takes there, and a level past the last
+    jump at zero; so the torus universe, whose levels are arbitrary, shares
+    the grid of jump positions.  W(t) = W(t') ∩ chain_k(t_k), t' the first
+    k positions of t, and the meets of W(t') with every value of chain k
+    (a line of the grid) are computed when one of them is first needed:
+    W(t') is zero or full for most lines, which then cost nothing, and
+    otherwise one sweep of the chain's adapted rows (`linalg.levelled_meets`)
+    gives the whole line.  A chain's adapted rows are built for its first
+    sweep (`_sweep_rows`)."""
+    _require_nested(filts)
+    indices = [f.jump_indices() for f in filts]
+    followed = [set(js[:-1]) for js in indices]
+    zero = Subspace.zero(ambient)
+    w: Dict[Tuple[int, ...], Subspace] = {(): Subspace.full(ambient)}
+    sweeps: Dict[int, Tuple[int, List[Tuple[int, Tuple[int, ...]]]]] = {}
+
+    def meet(position: Tuple[int, ...]) -> Subspace:
+        found = w.get(position)
+        if found is None:
+            prefix, k = position[:-1], len(position) - 1
+            space, f = meet(prefix), filts[k]
+            if not space.dim:
+                line = [zero] * len(f.jumps)
+            elif space.dim == ambient:
+                line = [s for _, s in f.jumps]
+            else:
+                if k not in sweeps:
+                    sweeps[k] = _sweep_rows(f, ambient)
+                skipped, rows = sweeps[k]
+                line = [space] * skipped + [m for _, m in reversed(levelled_meets(space, rows))]
+            line.append(zero)
+            for p, m in enumerate(line):
+                w[prefix + (p,)] = m
+            found = line[position[-1]]
+        return found
 
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
-        whole = meet(t)
+        position = tuple(map(bisect_left, indices, t))
+        whole = meet(position)
         successors = []
         if whole.dim:
             for k, i in enumerate(t):
-                up = next_index[k].get(i)
-                if up is not None:
-                    s = meet(t[:k] + (up,) + t[k + 1:])
+                if i in followed[k]:
+                    s = meet(position[:k] + (position[k] + 1,) + position[k + 1:])
                     if s.dim:
                         successors.append(s)
         if not successors:
             pieces[t] = whole
         elif any(s.dim == whole.dim for s in successors):
-            pieces[t] = Subspace.zero(ambient)
+            pieces[t] = zero
         elif len(successors) == 1:
             pieces[t] = complement_in(successors[0], whole)
         else:
@@ -222,10 +270,19 @@ def graded_pieces(filts: Sequence[RayFiltration],
 
 def _character_solver(data: FiltrationData, idx: Tuple[int, ...]):
     """t -> an integral character pairing to t_k with ray idx[k], or None;
-    one Smith form of the cone's ray matrix serves every t."""
+    the cone's solver (`Cone.integer_solver`, one Smith form per cone)
+    serves every t, its rays being the cone's generators, which are sorted
+    by value.  A cone that repeats a ray (which `fans.validate_fan` flags)
+    has fewer generators than rays and gets a solver of its own."""
     if not idx:
         return lambda t: tuple([0] * data.fan.rank)
-    return integer_solver([data.fan.rays[i] for i in idx])
+    rows = [data.fan.rays[i] for i in idx]
+    cone = _cone_of(data, idx)
+    if len(cone.generators) < len(rows):
+        return integer_solver(rows)
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    solve = cone.integer_solver()
+    return lambda t: solve([t[k] for k in order])
 
 
 def cone_compatibility(data: FiltrationData,

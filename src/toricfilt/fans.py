@@ -27,11 +27,12 @@ from .errors import InputError
 from .lattice import (
     hermite_normal_form,
     integer_kernel_basis,
+    integer_solver,
     is_primitive,
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, record, rref
+from .linalg import QMatrix, cached_on_instance, record, rref
 
 IntVec = Tuple[int, ...]
 
@@ -196,8 +197,17 @@ class Cone:
     def dual_contains(self, u: Sequence[int]) -> bool:
         return all(sum(a * g for a, g in zip(u, gen)) >= 0 for gen in self.generators)
 
+    @cached_on_instance
     def quotient(self) -> CharQuotient:
+        """The character quotient M/perp, built once per cone."""
         return _build_quotient(self.rank, self.perp_basis)
+
+    @cached_on_instance
+    def integer_solver(self):
+        """b -> an integral character u with <u, g_j> = b_j for the j-th
+        generator, or None (`lattice.integer_solver`): one Smith form per
+        cone serves every right-hand side."""
+        return integer_solver(self.generators)
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)

@@ -140,18 +140,24 @@ class RayFiltration:
                 yield i1, i2
 
     def adapted_basis(self, ray: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(level, row) pairs whose rows of level at least i span the value
-        at i, for every i: walking the jumps from the last (smallest) value
-        to the first, every row of the last value and then, from each larger
-        value, the canonical rows whose pivot is not yet taken, each at its
-        jump index.  No elimination; `tensor` gives the proof.  Nesting is
-        checked first, by reducing each value's rows against the canonical
-        rows of the value before it (`linalg.echelon_contains`), with no
-        kernel; the first pair that fails raises InputError naming `ray`
-        and the two jump indices."""
+        """`adapted_rows` of this chain, whose nesting is checked first, by
+        reducing each value's rows against the canonical rows of the value
+        before it (`linalg.echelon_contains`), with no kernel; the first pair
+        that fails raises InputError naming `ray` and the two jump
+        indices."""
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
             if not echelon_contains(s1, s2):
                 raise _not_nested(ray, i1, i2)
+        return self.adapted_rows()
+
+    def adapted_rows(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """For a nested chain, (level, row) pairs whose rows of level at
+        least i span the value at i, for every i: walking the jumps from the
+        last (smallest) value to the first, every row of the last value and
+        then, from each larger value, the canonical rows whose pivot is not
+        yet taken, each at its jump index.  No elimination; `tensor` gives
+        the proof.  The values of a nested chain strictly decrease (`make`
+        merges equal neighbours), so every jump gives at least one row."""
         taken = set()
         basis = []
         for i, s in reversed(self.jumps):

@@ -21,11 +21,14 @@ image is the rows it keeps, canonical as inserted, with no sign fixed
 afterwards.  Fractions appear only at the boundary: `rref` and
 `Subspace.basis` divide each pivot row by its pivot, which gives the same
 unique RREF as elimination over Fractions.  `image` multiplies the stored
-rows by a matrix scaled once to integers.  A kernel (and so an annihilator
-or an intersection) takes one elimination: reduced with its columns
-reversed, the conditions give generators that already are the canonical
-rows (see `_kernel`).  `intersect_all` eliminates only for two or more
-proper members.
+rows by a matrix whose integer columns are scaled once per matrix.  A
+kernel (and so an annihilator or an intersection) takes one elimination:
+reduced with its columns reversed, the conditions give generators that
+already are the canonical rows (see `_kernel`).  `intersect_all`
+eliminates only for two or more proper members.  The meets of one space
+with every value of a chain take no kernel at all: `levelled_meets` runs
+one Zassenhaus reduction through `_insert` and reads each meet off the
+rows whose pivot lies in the right half (its docstring gives the proof).
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
@@ -34,10 +37,11 @@ most commands compute); it compiles only `__init__` from source, and
 Fractions: `serialize.parse_rational` is the one parser of rational
 literals, so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
-`annihilator`, a matrix's determinant and its primitive integer columns
-(which `column_span` spans) here, and the gluing report, the associated
-data and the algebra tables elsewhere, in the instance dict of a frozen
-record.
+`annihilator`, a matrix's determinant, its primitive integer columns
+(which `column_span` spans) and its scaled integer columns (which `image`
+and `maps_into` multiply by) here, and a cone's character quotient and
+integer solver, the gluing report, the associated data and the algebra
+tables elsewhere, in the instance dict of a frozen record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
 padded rows are canonical by construction (each docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
@@ -46,8 +50,9 @@ reads the canonical span off at each level boundary, so no level is
 eliminated from scratch; `filtrations.tensor` and the chains of bundle
 frames are built this way.  `complement_in` inserts the rows of the outer
 space into the canonical rows of the inner one and keeps those that add
-rank, and `echelon_contains` reduces rows against canonical rows, with no
-kernel.
+rank, deciding from their number whether the inner space lies in the
+outer one, and `echelon_contains` reduces rows against canonical rows,
+with no kernel.
 Containment of a vector or a subspace (`Subspace.contains`,
 `contains_subspace`, and `maps_into` on the unreduced image of a subspace)
 is an annihilator product against the target's cached annihilator: one
@@ -526,6 +531,50 @@ def levelled_spans(levelled: Iterable[Tuple[int, Sequence[int]]],
     return chain
 
 
+def levelled_meets(space: Subspace,
+                   levelled: Iterable[Tuple[int, Sequence[int]]]) -> List[Tuple[int, Subspace]]:
+    """For each distinct level i of the (level, integer vector) pairs, in
+    descending order, (i, space ∩ V_i), where V_i is the span of the vectors
+    of level at least i: the meets of `space` with the chain that
+    `levelled_spans` would build, from one Zassenhaus reduction with no
+    kernel.
+
+    The reduction runs in Q^(2n), n = space.ambient.  It starts from the
+    rows (v|v), v a canonical row of `space`, which already are a reduced
+    echelon form (the left halves are, and the right halves sit right of
+    every pivot); the vectors then enter as (w|0) through `_insert`, in
+    descending level order.  After the vectors of level at least i the row
+    space is {(u + w | u) : u in space, w in V_i}, and its vectors that
+    vanish on the left half are the (0 | u) with u = -w, that is u in
+    space ∩ V_i.  A vector of the row space is the combination of the rows
+    whose coefficients it shows at their pivots, so one that vanishes on
+    the left half combines only the rows whose pivot is in the right half,
+    which vanish on the left half themselves.  Those rows are primitive
+    with positive pivots and zero at each other's pivots, so their right
+    halves are the canonical rows of space ∩ V_i.
+    The meets only grow, so a level that adds no such row leaves the meet
+    as it was; once its dimension is space.dim, every lower level meets in
+    `space` itself, and nothing more is inserted."""
+    n = space.ambient
+    pivots = list(space.pivots)
+    rows: List[Sequence[int]] = [v + v for v in space.rows]
+    pad = (0,) * n
+    meet = Subspace.zero(n)
+    meets: List[Tuple[int, Subspace]] = []
+    ordered = sorted(levelled, key=itemgetter(0), reverse=True)
+    for level, group in itertools.groupby(ordered, key=itemgetter(0)):
+        if meet is not space:
+            for _, w in group:
+                _insert(pivots, rows, tuple(w) + pad)
+            right = rows[bisect_left(pivots, n):]
+            if len(right) == space.dim:
+                meet = space
+            elif len(right) > meet.dim:
+                meet = Subspace(n, tuple(tuple(row[n:]) for row in right))
+        meets.append((level, meet))
+    return meets
+
+
 def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
     """The row with every entry an int or a Fraction; only other entries
     go through `to_fraction`, which rejects them."""
@@ -533,15 +582,21 @@ def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
                  for x in row)
 
 
+@cached_on_instance
+def _scaled_columns(m: QMatrix) -> Tuple[Tuple[int, ...], ...]:
+    """The columns of `m` times the lcm of all its denominators, as ints."""
+    scale = lcm(*[x.denominator for row in m.entries for x in row])
+    return tuple(tuple(x.numerator * (scale // x.denominator) for x in col)
+                 for col in zip(*m.entries))
+
+
 def _image_rows(s: Subspace, m: QMatrix) -> List[List[int]]:
-    """The rows of `s` times `m`, scaled: `m` is scaled once by the lcm of
-    all its denominators, which moves no row space, and the products run
-    over ints."""
+    """The rows of `s` times `m`, scaled: `m` is scaled by the lcm of all
+    its denominators, which moves no row space, once per matrix (the scaled
+    columns are cached on it), and the products run over ints."""
     if m.nrows != s.ambient:
         raise ValueError("matrix shapes do not compose")
-    scale = lcm(*[x.denominator for row in m.entries for x in row])
-    cols = [[x.numerator * (scale // x.denominator) for x in col]
-            for col in zip(*m.entries)]
+    cols = _scaled_columns(m)
     return [_primitive([sum(map(mul, row, col)) for col in cols]) for row in s.rows]
 
 
@@ -667,15 +722,17 @@ def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
     canonical rows of `inner` are a reduced echelon form; each row of
     `outer` in turn is inserted into it (`_insert`), and kept exactly when
     the rank grows.  A subset of RREF rows is again in RREF, hence
-    canonical.
+    canonical.  The same pass decides containment, with no annihilator:
+    the kept rows number dim(inner + outer) - dim(inner), and inner lies in
+    outer exactly when dim(inner + outer) = dim(outer).
     """
     if inner.ambient != outer.ambient:
         raise ValueError("ambient dimension mismatch")
-    if not outer.contains_subspace(inner):
-        raise ValueError("inner subspace is not contained in outer")
     pivots, rows = list(inner.pivots), list(inner.rows)
-    return Subspace(inner.ambient, tuple(row for row in outer.rows
-                                         if _insert(pivots, rows, row)))
+    kept = tuple(row for row in outer.rows if _insert(pivots, rows, row))
+    if inner.dim + len(kept) != outer.dim:
+        raise ValueError("inner subspace is not contained in outer")
+    return Subspace(inner.ambient, kept)
 
 
 def tensor_product(a: Subspace, b: Subspace) -> Subspace:

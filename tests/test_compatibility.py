@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from oracle import (
     reference_graded_pieces,
     reference_verify_cone_decomposition,
 )
+from toricfilt import compatibility, fans, lattice, linalg
 from toricfilt.bundles import associated_klyachko, check_gluing
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
@@ -30,8 +32,10 @@ from toricfilt.filtrations import (
     check_morphism,
     dual,
     tensor,
+    validate,
 )
-from toricfilt.linalg import QMatrix, Subspace, span_canonical
+from toricfilt.lattice import smith_normal_form, solve_integer
+from toricfilt.linalg import QMatrix, Subspace, levelled_meets, span_canonical
 from toricfilt.reduction import _realized_tuples
 from toricfilt.sampling import (
     p1_fan,
@@ -42,6 +46,7 @@ from toricfilt.sampling import (
     random_subspace,
     square_cone_fan,
 )
+from toricfilt.serialize import filtration_from_obj, filtration_to_obj
 
 P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
               [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
@@ -539,3 +544,102 @@ def test_associated_chains_are_nested():
                 checked += 1
             _require_nested(associated_klyachko(random_split_bundle(rng, fan, 3)).filtrations)
     assert checked > 0
+
+
+def test_graded_pieces_take_no_kernel(monkeypatch):
+    """Once `validate` has cached the annihilators that the nesting check
+    reads, the pieces of P^2, P^3 and square-cone grids take no kernel:
+    every meet comes from a line sweep, and every complement from the
+    insertion pass of `complement_in`.  The pieces are computed here for
+    the first time, so no cache left by an earlier run hides a kernel;
+    `test_graded_pieces_match_reference` checks their values."""
+    rng = random.Random(73)
+    grids = []
+    for fan in (p2_fan(), P3, square_cone_fan()):
+        for dim in range(2, 9):
+            data = random_filtration_data(rng, fan, dim)
+            assert validate(data).valid
+            grids += [(_grid(data, idx), dim) for idx in fan.maximal_cones]
+    kernels, sweeps = [], []
+
+    def no_kernel(mat, n):
+        kernels.append(n)
+        raise AssertionError("kernel taken")
+
+    def counted(space, levelled):
+        sweeps.append(space.dim)
+        return levelled_meets(space, levelled)
+
+    monkeypatch.setattr(linalg, "_kernel", no_kernel)
+    monkeypatch.setattr(compatibility, "levelled_meets", counted)
+    nonzero = sum(piece.dim > 0 for (filts, tuples), dim in grids
+                  for piece in graded_pieces(filts, tuples, dim).values())
+    assert kernels == [] and len(sweeps) > 50 and nonzero > 50
+
+
+def test_character_solver_permutes_to_the_cone_generators():
+    """The cone's cached solver, whose rows are its generators sorted by
+    value, answers for the rays in cone order: a returned character pairs
+    to t_k with ray k, and None comes exactly when the rays' own system has
+    no integral solution.  A cone that repeats a ray is solved as listed."""
+    rng = random.Random(79)
+    twice = Fan.make(2, [[1, 0], [0, 1], [1, 0]], [[0, 1, 2]])
+    data = {fan: FiltrationData.trivial(fan, 1) for fan in (P3, square_cone_fan(), twice)}
+    answered = unsolvable = 0
+    for fan, d in data.items():
+        for idx in fan.maximal_cones:
+            rows = [fan.rays[i] for i in idx]
+            solve = _character_solver(d, idx)
+            for _ in range(40):
+                t = tuple(rng.randint(-3, 3) for _ in idx)
+                u = solve(t)
+                assert (u is None) == (solve_integer(rows, t) is None)
+                if u is None:
+                    unsolvable += 1
+                else:
+                    assert tuple(sum(a * b for a, b in zip(u, r)) for r in rows) == t
+                    answered += 1
+    assert answered > 50 and unsolvable > 50
+
+
+def test_second_run_on_reloaded_fan_takes_no_smith_form(monkeypatch):
+    """Each cone's quotient and integer solver are cached on the cone, which
+    `fans.cone_from_generators` caches by value: a second
+    `global_compatibility` on a freshly loaded copy of the same data runs
+    no Smith form, and its report is the same."""
+    obj = filtration_to_obj(random_filtration_data(random.Random(83), P3, 3))
+    first = global_compatibility(filtration_from_obj(obj))
+    forms = []
+
+    def counted(a):
+        forms.append(a)
+        return smith_normal_form(a)
+
+    monkeypatch.setattr(lattice, "smith_normal_form", counted)
+    monkeypatch.setattr(fans, "smith_normal_form", counted)
+    assert global_compatibility(filtration_from_obj(obj)) == first
+    assert forms == []
+    cone = P3.maximal_cone(0)
+    assert cone.quotient() is cone.quotient()
+    assert cone.integer_solver() is cone.integer_solver()
+
+
+def test_graded_pieces_of_chains_that_are_not_full():
+    """A chain whose first value is a proper subspace (which `validate`
+    rejects) is swept over all of its values: with the first jump of every
+    chain dropped, the pieces still equal those of the reference engine."""
+    rng = random.Random(89)
+    swept = 0
+    for fan in (p2_fan(), P3, square_cone_fan()):
+        for dim in range(2, 7):
+            data = random_filtration_data(rng, fan, dim)
+            cut = [RayFiltration.make(dim, f.jumps[1:]) for f in data.filtrations]
+            for idx in fan.maximal_cones:
+                filts = [cut[i] for i in idx]
+                if not all(f.jumps for f in filts):
+                    continue
+                tuples = sorted(itertools.product(*[f.jump_indices() for f in filts]))
+                assert (graded_pieces(filts, tuples, dim)
+                        == reference_graded_pieces(filts, tuples, dim))
+                swept += 1
+    assert swept > 10

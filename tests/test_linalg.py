@@ -36,6 +36,7 @@ from toricfilt.linalg import (
     intersect,
     intersect_all,
     kernel,
+    levelled_meets,
     levelled_spans,
     maps_into,
     record,
@@ -444,6 +445,44 @@ def test_levelled_spans_match_span_canonical():
     assert levelled_spans([], 3) == []
 
 
+def test_levelled_meets_match_intersect_all():
+    """At each distinct level, in descending order, the sweep's meet equals
+    `intersect_all` of the space and the span of the vectors of that level
+    or above, in dimensions 1-8, for zero, full and proper spaces, with
+    zero, repeated, dependent and non-primitive vectors mixed in; once a
+    meet is the whole space, the space itself is returned."""
+    rng = random.Random(4099)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        vecs = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(n)]
+                for _ in range(rng.randint(0, n + 2))]
+        if vecs:
+            vecs.append([0] * n)
+            vecs.append([-2 * x for x in rng.choice(vecs)])
+            c = [rng.randint(-2, 2) for _ in vecs]
+            vecs.append([sum(ci * v[j] for ci, v in zip(c, vecs)) for j in range(n)])
+        levels = [rng.randint(-3, 3) for _ in vecs]
+        kind = rng.choice(["zero", "full", "proper", "proper", "inside"])
+        if kind == "zero":
+            space = Subspace.zero(n)
+        elif kind == "full":
+            space = Subspace.full(n)
+        elif kind == "inside" and vecs:
+            space = span_canonical(rng.sample(vecs, rng.randint(1, len(vecs))), n)
+        else:
+            space = span_canonical(_random_rows(rng, rng.randint(1, n), n), n)
+        got = levelled_meets(space, list(zip(levels, vecs)))
+        expected = [(i, intersect_all(
+            [space, span_canonical([v for v, lv in zip(vecs, levels) if lv >= i], n)], n))
+            for i in sorted(set(levels), reverse=True)]
+        assert got == expected
+        assert all(m is space for _, m in got if m.dim == space.dim)
+        kinds.update(f"{kind}/{0 < m.dim < space.dim}" for _, m in got)
+    assert {"zero/False", "full/True", "proper/True", "inside/True"} <= kinds
+    assert levelled_meets(Subspace.full(3), []) == []
+
+
 def test_image_matches_matrix_product():
     """The image of a subspace under v -> v @ m equals the span of its rows
     times m, for singular, non-square and zero rational matrices whose rows
@@ -561,6 +600,24 @@ def test_one_reduction_step():
                 found.add(getattr(top, "name", None))
     assert "_reduce" in found
     assert found <= {"_primitive", "_reduce", "_insert"}, found
+
+
+def test_compatibility_takes_no_kernel():
+    """`compatibility` names neither `intersect_all`, `annihilator` nor a
+    kernel: its meets come from line sweeps (`levelled_meets`) and its
+    complements from insertion passes."""
+    path = pathlib.Path(toricfilt.__file__).parent / "compatibility.py"
+    forbidden = {"intersect_all", "annihilator", "kernel", "_kernel"}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    assert "levelled_meets" in found
+    assert not found & forbidden, found & forbidden
 
 
 def test_module_caches_are_bounded():
@@ -681,6 +738,34 @@ def test_complement_properties(inner_rows, outer_extra):
     c = complement_in(inner, outer)
     assert intersect(c, inner) == Subspace.zero(4)
     assert subspace_sum(c, inner) == outer
+
+
+def test_complement_guard_builds_no_annihilator(monkeypatch):
+    """`complement_in` decides inner ⊆ outer from the rank count of its own
+    insertion pass: with `annihilator` made to raise, it still returns the
+    complement when inner lies in outer and raises ValueError otherwise."""
+    rng = random.Random(43)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        inner = span_canonical(_random_rows(rng, rng.randint(0, n), n), n)
+        other = span_canonical(_random_rows(rng, rng.randint(0, n), n), n)
+        outer = rng.choice([subspace_sum(inner, other), other])
+        cases.append((inner, outer, outer.contains_subspace(inner)))
+
+    def no_annihilator(a):
+        raise AssertionError("annihilator built")
+
+    monkeypatch.setattr(linalg, "annihilator", no_annihilator)
+    outcomes = set()
+    for inner, outer, contained in cases:
+        if contained:
+            assert complement_in(inner, outer) == reference_complement(inner, outer)
+        else:
+            with pytest.raises(ValueError, match="not contained"):
+                complement_in(inner, outer)
+        outcomes.add(contained)
+    assert outcomes == {True, False}
 
 
 def test_complement_matches_greedy_walk():
