@@ -8,20 +8,26 @@ T_su for any frames and characters, so that identity is never checked.
 Gluing asks for entrywise regularity of both transition directions on each
 overlap cone.  By Klyachko's gluing condition this holds exactly when the
 chains that neighbouring cones induce on each ray of their overlap agree,
-so `check_gluing` is decided by `associated_klyachko`, which builds those
-chains, on any fan whose rays all lie in maximal cones and where the
-extreme rays of each overlap are exactly the rays both cones list (every
-valid fan meets the second condition).  The frame-change scan over
-g_s^-1 g_t runs only when the chains disagree or that hypothesis fails, and
-then names the witness; `check_gluing` gives the proof.
+so `check_gluing` is decided by `associated_klyachko` on any fan whose rays
+all lie in maximal cones and where the extreme rays of each overlap are
+exactly the rays both cones list (every valid fan meets the second
+condition).  Ray consistency is the reconstruction test: each ray's chain
+is built once, from the first cone that lists it, and every other cone on
+the ray passes when its frame columns, at their levels, rebuild that chain
+(`RayFiltration.reconstruction_failure`), so no second chain is built.
+The frame-change scan over g_s^-1 g_t runs only when the chains disagree
+or that hypothesis fails, and then names the witness; `check_gluing`
+gives the proof.
 
-Validation, gluing and SL reduction share one determinant per frame, and
-the chains and the cone decompositions span a frame's columns through
-`linalg.column_chain` and `linalg.column_span`, which clear each column's
-denominators once; both are cached on the frame.  `check_gluing` and
-`associated_klyachko` are cached on the data by `linalg.cached_on_instance`
-(the latter's `RayConsistencyError` as its witness), and the decomposition
-that the frame columns induce on a cone is graded by
+Validation, gluing and SL reduction share one determinant per frame.  A
+frame's integer columns, with denominators cleared once, feed both the
+chain that `linalg.column_chain` spans by level and the column lines of
+`linalg.column_lines`, which need no elimination; the lines are the
+pieces of the consistency test and of the cone decompositions, and all
+three are cached on the frame.  `check_gluing` and `associated_klyachko`
+are cached on the data by `linalg.cached_on_instance` (the latter's
+`RayConsistencyError` as its witness), and the decomposition that the
+frame columns induce on a cone is graded by
 `compatibility.graded_decomposition`.
 """
 
@@ -34,7 +40,7 @@ from .errors import InputError, PreconditionError
 from .fans import Cone, Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .compatibility import ConeDecomposition, graded_decomposition
-from .linalg import QMatrix, cached_on_instance, column_chain, column_span, record
+from .linalg import QMatrix, cached_on_instance, column_chain, column_lines, record
 
 IntVec = Tuple[int, ...]
 
@@ -144,10 +150,16 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     inclusion.  So both directions are regular iff the two cones induce the
     same chain on every extreme ray of the overlap.
 
+    `associated_klyachko` tests this equality from one side: it builds a's
+    chain on ρ once and checks at every level j that the columns of g_b of
+    level at least j lie in it and are as many as its dimension.  They are
+    independent, so they span b's chain at j, which then lies in a's chain
+    and has its dimension: the two are equal.
+
     Fan hypothesis: every ray lies in a maximal cone (so the associated
     data exist), and for every pair the extreme rays of the overlap are
     exactly the rays listed in both cones (so `associated_klyachko`, which
-    compares chains on listed rays, compares exactly these).  Every valid
+    tests cones on the rays they list, tests exactly these).  Every valid
     fan whose rays all lie in maximal cones satisfies it; the fan is not
     validated here, the hypothesis is checked on the cached
     `cone_intersection` of each pair.  When it holds and
@@ -226,12 +238,18 @@ class RayConsistencyError(ValueError):
         self.witness = {"cones": [cone_a, cone_b], "ray": ray, "index": index}
 
 
-def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
-    """The chain that cone k induces on the ray: frame column c at level
-    ⟨u_c, ρ⟩, spanned in one incremental reduction (`linalg.column_chain`)."""
+def _levels(data: CocharBundleData, k: int, ray_idx: int) -> List[int]:
+    """The level ⟨u_c, ρ⟩ of each frame column c of cone k on the ray ρ."""
     ray = data.fan.rays[ray_idx]
-    levels = [sum(c * g for c, g in zip(u, ray)) for u in data.chars[k]]
-    return RayFiltration.make(data.group.n, column_chain(data.frames[k], levels))
+    return [sum(c * g for c, g in zip(u, ray)) for u in data.chars[k]]
+
+
+def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
+    """The chain that cone k induces on the ray: frame column c at its level
+    (`_levels`), spanned in one incremental reduction
+    (`linalg.column_chain`)."""
+    return RayFiltration.make(data.group.n,
+                              column_chain(data.frames[k], _levels(data, k, ray_idx)))
 
 
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
@@ -240,8 +258,9 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     whose character pairs at least i against the ray.  Raises
     RayConsistencyError when two cones sharing a ray disagree, which on a
     fan satisfying `check_gluing`'s hypothesis is exactly a failure to
-    glue.  Either outcome is kept on the data (`_ray_chains`), so every
-    later call returns the same data, or raises a new error with the same
+    glue, and ValueError("matrix is singular") for a frame of determinant
+    0.  Either verdict is kept on the data (`_ray_chains`), so every later
+    call returns the same data, or raises a new error with the same
     witness, without building a chain."""
     chains = _ray_chains(data)
     if isinstance(chains, tuple):
@@ -252,21 +271,38 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
 @cached_on_instance
 def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, Tuple[int, int, int, int]]:
     """The associated data, or the witness (first cone, other cone, ray,
-    index) of the first chain that disagrees with the first chain built on
-    its ray.  The witness is returned, not raised, so that it is cached like
-    a value: a kept exception would keep its traceback's frames alive."""
+    index) of the first cone whose chain on a ray disagrees with the chain
+    of the first cone that lists the ray.  The witness is returned, not
+    raised, so that it is cached like a value: a kept exception would keep
+    its traceback's frames alive.  Raises ValueError("matrix is singular")
+    for a frame of determinant 0, as `check_gluing` does.
+
+    Each ray's chain is built once, from the first cone that lists it.  A
+    later cone k is tested against that chain by the reconstruction test
+    (`RayFiltration.reconstruction_failure`), with the lines of its frame
+    columns (`linalg.column_lines`) at their levels as the pieces, so its
+    own chain is never built.  The frame is invertible, so its lines are a
+    direct sum of the fiber, as the test requires, and the lines of level
+    at least j span the chain that cone k induces at j.  The test's probes
+    are the jump indices of the first chain, the levels and one past their
+    maximum; each distinct level adds independent columns and so rank, so
+    the jumps of cone k's chain are exactly its distinct levels, and the
+    witness index is the first probe, in the union of both chains' jumps
+    and one past it, at which the two chains differ."""
+    if any(frame.det() == 0 for frame in data.frames):
+        raise ValueError("matrix is singular")
     fan = data.fan
     chains: Dict[int, Tuple[int, RayFiltration]] = {}
     for k, idx in enumerate(fan.maximal_cones):
         for ray_idx in idx:
-            chain = _chain_from_cone(data, k, ray_idx)
             if ray_idx not in chains:
-                chains[ray_idx] = (k, chain)
-            else:
-                first_cone, existing = chains[ray_idx]
-                bad = existing.first_difference(chain.value, chain.jump_indices())
-                if bad is not None:
-                    return first_cone, k, ray_idx, bad
+                chains[ray_idx] = (k, _chain_from_cone(data, k, ray_idx))
+                continue
+            first_cone, existing = chains[ray_idx]
+            bad = existing.reconstruction_failure(column_lines(data.frames[k]),
+                                                  _levels(data, k, ray_idx))
+            if bad is not None:
+                return first_cone, k, ray_idx, bad
     missing = [i for i in range(len(fan.rays)) if i not in chains]
     if missing:
         raise InputError(f"ray {missing[0]} lies in no maximal cone")
@@ -279,11 +315,9 @@ def canonical_cone_decomposition(data: CocharBundleData, k: int) -> ConeDecompos
     """The decomposition induced by the frame columns of cone k, graded by the
     character classes of its quotient lattice."""
     fan = data.fan
-    frame = data.frames[k]
-    n = data.group.n
     return graded_decomposition(
         fan.maximal_cones[k], fan.maximal_cone(k).quotient(),
-        ((u, column_span(frame, [c])) for c, u in enumerate(data.chars[k])), n)
+        zip(data.chars[k], column_lines(data.frames[k])), data.group.n)
 
 
 def determinant_data(data: CocharBundleData) -> CocharBundleData:

@@ -281,7 +281,7 @@ COMMANDS = (
     ("validate-bundle", "validate bundle data",
      partial(cmd_validate, load_bundle, bundles.validate_bundle, "bundle data"), ("bundle",), ()),
     ("glue", "check that both transition directions are regular on "
-             "every overlap, decided on the frame changes", cmd_glue, ("bundle",), ()),
+             "every overlap, decided by ray consistency", cmd_glue, ("bundle",), ()),
     ("assoc", "associated filtration data of the standard representation", cmd_assoc,
      ("bundle",), ()),
     ("algebra-check", "truncated coordinate-algebra axioms", cmd_algebra_check, ("bundle",),

@@ -14,17 +14,19 @@ in any adapted splitting; so the chains split exactly when the piece
 dimensions add up to the fiber dimension, and then the pieces rebuild every
 chain (Klyachko 1990; Payne 2008).
 
-The chains must be nested; `graded_pieces` checks this once per chain with
-annihilator products (which validation leaves cached) and raises
-InputError otherwise.  Nesting makes W monotone, so the stored dimensions
-settle most tuples: W(t) = 0 gives the piece W(t), no nonzero successor
-gives W(t), and a successor as large as W(t) gives 0.  Only the remaining
-tuples take a complement, and only those with two or more nonzero
-successors a sum.  No step takes a kernel: the meets W(t) of one grid line
-(all tuples that differ only in the last index) come from one Zassenhaus
-sweep of that chain's adapted rows (`linalg.levelled_meets`), a line
-whose prefix meet is zero or the whole fiber costs nothing, and a
-complement decides its own containment guard (`linalg.complement_in`).
+The chains must be nested: `cone_compatibility` refuses a chain that is not
+(`RayFiltration.require_nested`, annihilator products that validation
+leaves cached), naming its fan ray, before the pieces are built, and the
+torus check passes chains that are nested by construction.  Nesting makes
+W monotone, so the stored dimensions settle most tuples: W(t) = 0 gives
+the piece W(t), no nonzero successor gives W(t), and a successor as large
+as W(t) gives 0.  Only the remaining tuples take a complement, and only
+those with two or more nonzero successors a sum.  No step takes a kernel:
+the meets W(t) of one grid line (all tuples that differ only in the last
+index) come from one Zassenhaus sweep of that chain's adapted rows
+(`linalg.levelled_meets`), a line whose prefix meet is zero or the whole
+fiber costs nothing, and a complement decides its own containment guard
+(`linalg.complement_in`).
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -47,7 +49,8 @@ the refutation:
 The verifier forms no sum per chain index: once it has checked that the
 pieces are a direct sum of the fiber, it tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
-dimensions and tests containment.  The torus check of `reduction` uses the
+dimensions and tests containment.  The torus check of `reduction` and the
+ray consistency of bundle data (`bundles.associated_klyachko`) use the
 same test.
 
 A decomposition that is built from subspaces labelled by characters, not
@@ -127,6 +130,8 @@ def _grid(data: FiltrationData, idx: Tuple[int, ...]):
     for i, f in zip(idx, filts):
         if data.dim > 0 and not f.jumps:
             raise InputError(f"ray {i} carries no jumps; data is not a full filtration")
+    for i, f in zip(idx, filts):
+        f.require_nested(i)
     tuples = list(itertools.product(*[f.jump_indices() for f in filts]))
     tuples.sort(key=lambda t: (-sum(t), t))  # fixes which integrality witness is reported
     return filts, tuples
@@ -171,17 +176,6 @@ def verify_cone_decomposition(data: FiltrationData,
     return None
 
 
-def _require_nested(filts: Sequence[RayFiltration]) -> None:
-    """Each jump subspace of each chain lies in the one before it; chain k
-    is the k-th of `filts` (the k-th ray of the cone in sorted order, or
-    fan ray k for the torus universe)."""
-    for k, f in enumerate(filts):
-        bad = next(f.unnested(), None)
-        if bad is not None:
-            raise InputError(f"ray chain {k} is not nested: its subspace at "
-                             f"index {bad[1]} does not lie in the one at {bad[0]}")
-
-
 def _sweep_rows(f: RayFiltration, ambient: int) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
     """(k, rows): the chain's first k jump positions meet every subspace in
     that subspace, and `rows` are the adapted rows of the nested chain `f`
@@ -203,7 +197,9 @@ def graded_pieces(filts: Sequence[RayFiltration],
     W is monotone, so that sum is everything W(t) gets from strictly
     dominating tuples.
 
-    The chains must be nested (InputError otherwise); then every successor
+    The chains must be nested, which is not checked here: `_grid` refuses a
+    cone's chain that is not, and the chains of bundle data are nested by
+    construction (spans of ever fewer frame columns).  Then every successor
     lies in W(t), and the dimensions settle most tuples without a sum: the
     piece is W(t) when W(t) is zero or no successor is nonzero, and zero
     when a successor is all of W(t).  One nonzero successor is complemented
@@ -219,7 +215,6 @@ def graded_pieces(filts: Sequence[RayFiltration],
     otherwise one sweep of the chain's adapted rows (`linalg.levelled_meets`)
     gives the whole line.  A chain's adapted rows are built for its first
     sweep (`_sweep_rows`)."""
-    _require_nested(filts)
     indices = [f.jump_indices() for f in filts]
     followed = [set(js[:-1]) for js in indices]
     zero = Subspace.zero(ambient)

@@ -19,15 +19,17 @@ the rows of each chain value into the target's annihilator without
 eliminating their image (`linalg.maps_into`).  A chain
 is rebuilt from pieces that form a direct sum of the fiber by
 `RayFiltration.reconstruction_failure`, the one test of the reconstruction
-equation; the certificate verifier and the torus check both call it.
-`tensor` and `dual` refuse a chain that is not nested with one message
-(`_not_nested`); `tensor` finds the failing pair by reduction, `dual` by
-the annihilators it builds anyway.
+equation; the certificate verifier, the torus check and the ray
+consistency of bundle data all call it.  A chain that is not nested is
+refused with one message (`_not_nested`) by `tensor`, which finds the
+failing pair by reduction, and by `RayFiltration.require_nested`, which
+finds it by the annihilators that `dual` builds anyway and that the
+compatibility engine reuses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Fan
@@ -94,34 +96,20 @@ class RayFiltration:
     def jump_indices(self) -> Tuple[int, ...]:
         return tuple(i for i, _ in self.jumps)
 
-    def probes(self, changes: Iterable[int] = ()) -> List[int]:
-        """The jump indices, `changes` and one past their maximum, sorted.
-        A chain that changes only at `changes` agrees with this one
-        everywhere exactly when it agrees at these indices."""
-        probe = sorted(set(self.jump_indices()) | set(changes))
-        if probe:
-            probe.append(probe[-1] + 1)
-        return probe
-
-    def first_difference(self, other: Callable[[int], Subspace],
-                         changes: Iterable[int] = ()) -> Optional[int]:
-        """First index at which this chain differs from `other` (index ->
-        subspace), or None.  `changes` must hold every i with
-        other(i) != other(i + 1); then both sides are constant between
-        consecutive `probes`."""
-        return next((i for i in self.probes(changes) if self.value(i) != other(i)), None)
-
     def reconstruction_failure(self, pieces: Sequence[Subspace],
                                levels: Sequence[int]) -> Optional[int]:
-        """First probe j (see `probes`, with `levels` as the changes) at
-        which the sum of the pieces of level at least j is not this chain's
-        value, or None.
+        """First probe j at which the sum of the pieces of level at least j
+        is not this chain's value, or None.  The probes are the jump
+        indices, the levels and one past their maximum, sorted: both sides
+        are constant between consecutive probes, so they agree everywhere
+        exactly when they agree at these.
 
         The pieces must form a direct sum of the fiber.  Then that sum
         equals the value V exactly when their dimensions add up to dim V and
         each of them lies in V, an annihilator product against the cached
         ann(V); no sum is formed."""
-        for j in self.probes(levels):
+        probes = sorted(set(self.jump_indices()) | set(levels))
+        for j in probes + [probes[-1] + 1] if probes else ():
             value = self.value(j)
             above = [s for s, level in zip(pieces, levels) if level >= j]
             if (sum(s.dim for s in above) != value.dim
@@ -138,6 +126,13 @@ class RayFiltration:
         for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
             if not s1.contains_subspace(s2):
                 yield i1, i2
+
+    def require_nested(self, ray: int) -> None:
+        """Refuse a chain that is not nested: InputError (`_not_nested`)
+        naming `ray` and the first pair that `unnested` finds."""
+        bad = next(self.unnested(), None)
+        if bad is not None:
+            raise _not_nested(ray, *bad)
 
     def adapted_basis(self, ray: int) -> List[Tuple[int, Tuple[int, ...]]]:
         """`adapted_rows` of this chain, whose nesting is checked first, by
@@ -279,12 +274,10 @@ def dual(a: FiltrationData) -> FiltrationData:
     chain at 1 - i.  This makes duality an involution and negates the jump of
     rank-one data.  Every chain must be nested; otherwise InputError names
     the ray and the first pair of jump indices that fails
-    (`RayFiltration.unnested`, whose annihilators the dual reuses)."""
+    (`RayFiltration.require_nested`, whose annihilators the dual reuses)."""
     rays: List[RayFiltration] = []
     for ray, f in enumerate(a.filtrations):
-        bad = next(f.unnested(), None)
-        if bad is not None:
-            raise _not_nested(ray, *bad)
+        f.require_nested(ray)
         m = len(f.jumps)
         pairs = []
         for k in range(m):

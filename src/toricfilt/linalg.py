@@ -38,8 +38,9 @@ Fractions: `serialize.parse_rational` is the one parser of rational
 literals, so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator`, a matrix's determinant, its primitive integer columns
-(which `column_span` spans) and its scaled integer columns (which `image`
-and `maps_into` multiply by) here, and a cone's character quotient and
+(which `column_chain` spans by level), the lines they span (`column_lines`,
+signed, not eliminated) and its scaled integer columns (which `image` and
+`maps_into` multiply by) here, and a cone's character quotient and
 integer solver, the gluing report, the associated data and the algebra
 tables elsewhere, in the instance dict of a frozen record.
 `tensor_product` and `block_sum` eliminate nothing: their Kronecker and
@@ -496,19 +497,25 @@ def _integer_columns(m: QMatrix) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(_integer_row(col)) for col in zip(*m.entries))
 
 
-def column_span(m: QMatrix, columns: Iterable[int]) -> Subspace:
-    """`span_canonical` of the chosen columns of `m`, inside Q^nrows.  Each
-    column's denominators are cleared once per matrix (the integer columns
-    are cached on it), so spanning many subsets of one frame eliminates
-    only."""
-    ints = _integer_columns(m)
-    return _space(m.nrows, [ints[j] for j in columns])
+@cached_on_instance
+def column_lines(m: QMatrix) -> Tuple[Subspace, ...]:
+    """The span of each column of `m`, inside Q^nrows, with no elimination:
+    a line's canonical row is its primitive integer row with a positive
+    pivot, which is the cached integer column (`_integer_columns`) up to
+    sign, and a zero column spans the zero space."""
+    lines = []
+    for col in _integer_columns(m):
+        lead = next(filter(None, col), 0)
+        lines.append(Subspace(m.nrows, (col,) if lead > 0 else
+                              (tuple(-x for x in col),) if lead else ()))
+    return tuple(lines)
 
 
 def column_chain(m: QMatrix, levels: Sequence[int]) -> List[Tuple[int, Subspace]]:
     """`levelled_spans` of the columns of `m`, column j at levels[j], inside
     Q^nrows: the chain whose value at i is spanned by the columns of level
-    at least i.  The integer columns are the cached ones of `column_span`."""
+    at least i, from the cached `_integer_columns` that `column_lines`
+    reads too."""
     return levelled_spans(zip(levels, _integer_columns(m)), m.nrows)
 
 

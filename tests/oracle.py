@@ -16,6 +16,11 @@
 - `reference_cone` and `reference_is_face_of`: extreme rays and faces
   computed by a second pass of `reference_dual_description` over the
   supporting covectors, which `toricfilt.fans` reads off ranks instead.
+- `first_chain_difference`: the first probe at which a chain differs from
+  a function of the index, compared value by value, with no
+  `reconstruction_failure`; the references below that rebuild chains, and
+  the span reference for `reconstruction_failure` in the tests, compare
+  through it.
 - `reference_graded_pieces` and `reference_verify_cone_decomposition`:
   the graded pieces with a sum and a complement at every tuple, and the
   certificate check that rebuilds every chain as a sum of pieces, which
@@ -48,6 +53,11 @@
 - `reference_frame_change_scan`: the frame-change scan run on every pair,
   whose verdict and witness `check_gluing`, decided by ray consistency,
   must equal.
+- `reference_ray_witness`: ray consistency with both chains of each
+  (cone, ray) incidence spanned level by level over Fractions and diffed,
+  whose witness `toricfilt.bundles.RayConsistencyError` must carry; the
+  package builds one chain per ray and tests every later cone's frame
+  lines against it with `reconstruction_failure`.
 - `dataclass_twin`: `dataclasses.dataclass(frozen=True)` applied to the
   annotations, defaults and `__post_init__` of a class made by
   `toricfilt.linalg.record`, which the record must behave like.
@@ -57,7 +67,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from toricfilt.algebras import Mono, TruncatedAlgebra, _columns
 from toricfilt.bundles import CocharBundleData, GluingReport
@@ -284,7 +294,8 @@ def reference_verify_cone_decomposition(data: FiltrationData,
     for ray_idx in idx:
         ray = data.fan.rays[ray_idx]
         pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
-        i = data.ray(ray_idx).first_difference(
+        i = first_chain_difference(
+            data.ray(ray_idx),
             lambda j: sum_all(
                 [piece for (_, piece), p in zip(dec.pieces, pairings) if p >= j], r
             ),
@@ -295,13 +306,25 @@ def reference_verify_cone_decomposition(data: FiltrationData,
     return None
 
 
+def first_chain_difference(chain: RayFiltration, other: Callable[[int], Subspace],
+                           changes: Iterable[int]) -> Optional[int]:
+    """First probe at which `chain` differs from `other` (index -> subspace),
+    or None.  `changes` must hold every i with other(i) != other(i + 1);
+    the probes are the jump indices, `changes` and one past their maximum,
+    sorted, and both sides are constant between consecutive probes."""
+    probes = sorted(set(chain.jump_indices()) | set(changes))
+    probes += [probes[-1] + 1] if probes else []
+    return next((i for i in probes if chain.value(i) != other(i)), None)
+
+
 def reference_splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple],
                                      levels: Sequence[Tuple[int, ...]]) -> bool:
     """n lines whose spans by level rebuild every chain at every probe; the
     chains are full, so the lines then span the fiber and are independent."""
     n = kly.dim
     return len(lines) == n and all(
-        chain.first_difference(
+        first_chain_difference(
+            chain,
             lambda i: span_canonical([v for v, lv in zip(lines, levels) if lv[k] >= i], n),
             [lv[k] for lv in levels],
         ) is None
@@ -639,6 +662,35 @@ def reference_gluing(data: CocharBundleData) -> GluingReport:
                         "pair": [s, t], "direction": [a, b], "entry": [i, j],
                         "exponent": list(e), "ray": list(bad_ray)})
     return GluingReport(True)
+
+
+def reference_ray_witness(data: CocharBundleData) -> Optional[dict]:
+    """The witness of `RayConsistencyError`, or None when every cone agrees:
+    the first (cone, ray) incidence, cones in order and rays as each cone
+    lists them, whose chain differs from that of the first cone listing the
+    ray, at the first level of either cone (or one past the largest) where
+    they differ.  Both chains are spanned level by level from scratch over
+    Fractions (`reference_rref` of the frame columns of level at least i)
+    and compared row by row."""
+    fan = data.fan
+    first: Dict[int, Tuple[int, List[int]]] = {}
+
+    def span(k: int, levels: List[int], i: int):
+        cols = [data.frames[k].col(c) for c, level in enumerate(levels) if level >= i]
+        return reference_rref(cols, data.group.n)[0]
+
+    for k, idx in enumerate(fan.maximal_cones):
+        for ray_idx in idx:
+            levels = [sum(c * g for c, g in zip(u, fan.rays[ray_idx])) for u in data.chars[k]]
+            if ray_idx not in first:
+                first[ray_idx] = (k, levels)
+                continue
+            a, levels_a = first[ray_idx]
+            probes = sorted(set(levels_a) | set(levels))
+            for i in probes + [probes[-1] + 1]:
+                if span(a, levels_a, i) != span(k, levels, i):
+                    return {"cones": [a, k], "ray": ray_idx, "index": i}
+    return None
 
 
 def reference_frame_change_scan(data: CocharBundleData) -> GluingReport:

@@ -10,6 +10,7 @@ from oracle import (
     random_torus_point,
     reference_frame_change_scan,
     reference_gluing,
+    reference_ray_witness,
     transition,
     transition_at,
 )
@@ -380,6 +381,63 @@ def test_assoc_failure_is_not_rebuilt(p2, monkeypatch):
     with pytest.raises(RayConsistencyError):
         associated_klyachko(gl1_p2([(0, 1), (0, 0), (0, 0)], p2))
     assert len(built) == 2 * first
+
+
+def test_assoc_witness_matches_reference(p1, p2):
+    """On the seeded glued and broken bundles of P^1, P^2 and the P^3 fan,
+    `RayConsistencyError` carries the witness of the reference, which spans
+    both chains of every incidence level by level and diffs them; data that
+    the reference finds consistent raises nothing."""
+    cases = _seeded_gluing_cases(p1, p2)
+    broken = {}
+    for name in ("p1", "p2", "p3"):
+        for data in cases[name]:
+            try:
+                associated_klyachko(data)
+                got = None
+            except RayConsistencyError as err:
+                got = err.witness
+            assert got == reference_ray_witness(data), (name, data)
+            broken[name] = broken.get(name, 0) + (got is not None)
+    assert broken["p1"] == 0 and broken["p2"] >= 30 and broken["p3"] >= 30
+
+
+def test_assoc_builds_one_chain_per_ray(p1, p2, monkeypatch):
+    """Each ray's chain is built once, from the first cone that lists it;
+    the other cones on the ray are tested against it with no chain of their
+    own, and on glued data each of them induces that chain."""
+    built = []
+    chain_from_cone = bundles._chain_from_cone
+
+    def spy(data, k, ray_idx):
+        built.append(ray_idx)
+        return chain_from_cone(data, k, ray_idx)
+
+    monkeypatch.setattr(bundles, "_chain_from_cone", spy)
+    rng = random.Random(67)
+    for fan in (p1, p2, P3):
+        for n in (1, 2, 3):
+            data = random_split_bundle(rng, fan, n)
+            built.clear()
+            kly = associated_klyachko(data)
+            assert sorted(built) == list(range(len(fan.rays)))
+            for k, idx in enumerate(fan.maximal_cones):
+                for i in idx:
+                    assert chain_from_cone(data, k, i) == kly.ray(i)
+
+
+def test_assoc_rejects_singular_frame(p2):
+    """The frame lines are a direct sum of the fiber only for an invertible
+    frame, so a singular frame on any cone raises the error of
+    `check_gluing`, not a ray-consistency witness."""
+    singular = QMatrix.from_rows([[1, 1], [1, 1]])
+    for k in range(3):
+        frames = [I2, I2, I2]
+        frames[k] = singular
+        data = CocharBundleData.make(GroupSpec("GL", 2), p2, frames, [[(0, 0), (0, 0)]] * 3)
+        with pytest.raises(ValueError, match="^matrix is singular$") as err:
+            associated_klyachko(data)
+        assert type(err.value) is ValueError
 
 
 def test_assoc_matches_tangent_data(tangent_p2_bundle, tangent_p2):

@@ -47,7 +47,7 @@ PARSER_STRUCTURE = [
     ("morphism", "check a matrix is a morphism of filtered data", ["matrix", "a", "b"], []),
     ("validate-bundle", "validate bundle data", ["bundle"], []),
     ("glue", "check that both transition directions are regular on every overlap, "
-             "decided on the frame changes", ["bundle"], []),
+             "decided by ray consistency", ["bundle"], []),
     ("assoc", "associated filtration data of the standard representation", ["bundle"], []),
     ("algebra-check", "truncated coordinate-algebra axioms", ["bundle"],
      [(["--degree"], int, 3, None, False, None),

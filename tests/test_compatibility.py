@@ -16,7 +16,6 @@ from toricfilt.compatibility import (
     ConeDecomposition,
     _character_solver,
     _grid,
-    _require_nested,
     cone_compatibility,
     graded_pieces,
     global_compatibility,
@@ -518,6 +517,29 @@ def test_not_nested_chain_raises_input_error(p2):
         global_compatibility(data)
 
 
+def test_not_nested_chain_names_its_fan_ray(p2):
+    """The refusal names the fan ray of the chain, not its position in the
+    cone, with the message of the calculus: on the cone of rays 1 and 2 of
+    P^2 the bad chain is the second, on fan ray 2."""
+    bad = _not_nested_data(p2).ray(1)
+    data = FiltrationData.make(p2, 3, [RayFiltration.trivial(3)] * 2 + [bad])
+    with pytest.raises(InputError, match="^the chain on ray 2 is not nested: its subspace at "
+                                         "index 2 does not lie in the one at 1$"):
+        cone_compatibility(data, (1, 2))
+
+
+def test_no_jumps_is_refused_before_nesting(p2):
+    """`_grid` checks every chain of the cone for jumps before any for
+    nesting, so a chain with no jumps is named even when an earlier ray's
+    chain is not nested."""
+    data = FiltrationData.make(p2, 3, list(_not_nested_data(p2).filtrations[:2])
+                               + [RayFiltration.make(3, [])])
+    with pytest.raises(InputError, match="^ray 2 carries no jumps"):
+        cone_compatibility(data, (1, 2))
+    with pytest.raises(InputError, match="^the chain on ray 1 is not nested"):
+        cone_compatibility(data, (0, 1))
+
+
 def test_not_nested_chain_cli_exits_two(p2, tmp_path, capsys):
     """The CLI validates before it decides, so `compat` keeps its message."""
     import json
@@ -540,9 +562,11 @@ def test_associated_chains_are_nested():
         for fan in (p1_fan(), p2_fan()):
             data = random_bundle(rng, fan, rng.randint(1, 4))
             if check_gluing(data).glues:
-                _require_nested(associated_klyachko(data).filtrations)
+                for i, f in enumerate(associated_klyachko(data).filtrations):
+                    f.require_nested(i)
                 checked += 1
-            _require_nested(associated_klyachko(random_split_bundle(rng, fan, 3)).filtrations)
+            for i, f in enumerate(associated_klyachko(random_split_bundle(rng, fan, 3)).filtrations):
+                f.require_nested(i)
     assert checked > 0
 
 

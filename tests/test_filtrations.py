@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import reference_tensor
+from oracle import first_chain_difference, reference_tensor
 from toricfilt import filtrations, linalg
 from toricfilt.errors import InputError
 from toricfilt.fans import Fan
@@ -233,8 +233,8 @@ def test_random_chain_fits_short_index_range():
 def _span_failure(chain, pieces, levels, dim):
     """The first probe at which the span of the pieces of level at least j
     differs from the chain."""
-    return chain.first_difference(
-        lambda j: sum_all([s for s, lv in zip(pieces, levels) if lv >= j], dim), levels)
+    return first_chain_difference(
+        chain, lambda j: sum_all([s for s, lv in zip(pieces, levels) if lv >= j], dim), levels)
 
 
 def test_reconstruction_failure_matches_span_reference():

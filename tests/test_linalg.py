@@ -26,7 +26,7 @@ from toricfilt.linalg import (
     block_sum,
     cached_on_instance,
     column_chain,
-    column_span,
+    column_lines,
     complement_in,
     echelon_contains,
     _integer_columns,
@@ -311,19 +311,28 @@ def test_cached_det_equals_bareiss():
         assert m.det() == want and m.det() == want and vars(m)["_det"] == want
 
 
-def test_integer_columns_and_column_span():
+def test_integer_columns_and_column_lines(monkeypatch):
     """The cached integer columns are the primitive integer rows of the
-    columns, and a column span equals `span_canonical` of those columns."""
+    columns, and the cached column lines equal `span_canonical` of each
+    column (the zero space for a zero column), built with no elimination."""
     rng = random.Random(1730)
+    cases = []
     for _ in range(300):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = _random_rows(rng, nrows, ncols)[:nrows]
         m = QMatrix.from_rows(rows + [[Fraction(0)] * ncols] * (nrows - len(rows)))
+        cases.append((m, [span_canonical([m.col(j)], m.nrows) for j in range(m.ncols)]))
+    monkeypatch.setattr(linalg, "_eliminate", None)
+    for m, want in cases:
         cols = _integer_columns(m)
         assert cols is _integer_columns(m)
         assert [list(c) for c in cols] == [_integer_row(m.col(j)) for j in range(m.ncols)]
-        subset = [j for j in range(m.ncols) if rng.random() < 0.5]
-        assert column_span(m, subset) == span_canonical([m.col(j) for j in subset], m.nrows)
+        lines = column_lines(m)
+        assert lines is column_lines(m)
+        assert list(lines) == want
+    assert any(line.dim == 0 for _, want in cases for line in want)
+    assert any(line.rows[0][line.pivots[0]] > 0 > _integer_columns(m)[j][line.pivots[0]]
+               for m, want in cases for j, line in enumerate(want) if line.dim)
 
 
 def test_replace_starts_matrix_caches_empty():
@@ -569,6 +578,25 @@ def test_no_unused_imports():
         unused += [(path.stem, name) for name in sorted(imported)
                    if name not in used and (path.stem, name) not in allowed]
     assert unused == []
+
+
+def test_no_unused_private_functions():
+    """Every module-level private function of the package is named (called,
+    passed or read as an attribute) somewhere in the package outside its
+    own definition, so none is kept alive by the tests alone."""
+    defined, named = {}, set()
+    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            is_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def and top.name.startswith("_") and not top.name.startswith("__"):
+                defined[top.name] = path.stem
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and not (is_def and name == top.name):
+                    named.add(name)
+    assert len(defined) > 40
+    assert sorted((module, name) for name, module in defined.items() if name not in named) == []
 
 
 def test_one_per_instance_cache():
