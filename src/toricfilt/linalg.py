@@ -20,11 +20,13 @@ Fractions enters times the lcm of its denominators), and a span, sum or
 image is the rows it keeps, canonical as inserted, with no sign fixed
 afterwards.  Fractions appear only at the boundary: `rref` and
 `Subspace.basis` divide each pivot row by its pivot, which gives the same
-unique RREF as elimination over Fractions.  `image` multiplies the stored
-rows by a matrix whose integer columns are scaled once per matrix.  A
-kernel (and so an annihilator or an intersection) takes one elimination:
-reduced with its columns reversed, the conditions give generators that
-already are the canonical rows (see `_kernel`).  `intersect_all`
+unique RREF as elimination over Fractions; a span of integer rows
+(`integer_span`, which spans the bases of filtration files and gives the
+ranks in `fans`) makes none at all.  `image` multiplies the stored rows by
+a matrix whose integer columns are scaled once per matrix.  A kernel (and
+so an annihilator or an intersection) takes one elimination: reduced with
+its columns reversed, the conditions give generators that already are the
+canonical rows (see `_kernel`).  `intersect_all`
 eliminates only for two or more proper members.  The meets of one space
 with every value of a chain take no kernel at all: `levelled_meets` runs
 one Zassenhaus reduction through `_insert` and reads each meet off the
@@ -34,8 +36,8 @@ rows whose pivot lies in the right half (its docstring gives the proof).
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
 most commands compute); it compiles only `__init__` from source, and
 `replace` copies a record with changed fields.  Scalars are ints or
-Fractions: `serialize.parse_rational` is the one parser of rational
-literals, so a string, like a float or a boolean, raises TypeError here.
+Fractions: `serialize` is the one reader of rational literals, so a
+string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator`, a matrix's determinant, its primitive integer columns
 (which `column_chain` spans by level), the lines they span (`column_lines`,
@@ -177,8 +179,8 @@ def cached_on_instance(fn):
 def to_fraction(x: Scalar) -> Fraction:
     """Coerce an int or a Fraction to a Fraction.  Everything else is
     rejected: floats, because tolerance-based arithmetic would make subspace
-    checks unsound, and strings, because `serialize.parse_rational` is the
-    one parser of rational literals."""
+    checks unsound, and strings, because `serialize` is the one reader of
+    rational literals."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -473,6 +475,17 @@ class Subspace:
                        for c in annihilator(self).rows for r in other.rows)
 
 
+def integer_span(rows: Iterable[Sequence[int]], ambient: int) -> Subspace:
+    """The canonical span of integer rows of length `ambient`, of any
+    content: the rows are inserted (`_insert`) as they are, with no
+    Fraction made and none of them changed."""
+    mat = list(rows)
+    for r in mat:
+        if len(r) != ambient:
+            raise ValueError("vector/ambient dimension mismatch")
+    return _space(ambient, mat)
+
+
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
                    ambient: Optional[int] = None) -> Subspace:
     """Row space of the given vectors in canonical RREF form."""
@@ -485,10 +498,7 @@ def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
             if not rows:
                 raise ValueError("ambient dimension required for an empty span")
             ambient = len(rows[0])
-    for r in rows:
-        if len(r) != ambient:
-            raise ValueError("vector/ambient dimension mismatch")
-    return _space(ambient, [_integer_row(r) for r in rows])
+    return integer_span(map(_integer_row, rows), ambient)
 
 
 @cached_on_instance

@@ -5,6 +5,14 @@ when q = 1) in every format.  JSON floats are rejected everywhere: the tool
 is exact or nothing.  Serialization is canonical, so re-parsing any emitted
 object yields an equal in-memory value.
 
+One reader, `_literal`, turns each rational literal (a JSON int, or a "p"
+or "p/q" string of ASCII digits; p/q need not be reduced) into an integer
+pair (p, q).  A filtration basis row goes from its pairs straight to an
+integer row, times the lcm of its q's, and the rows of a jump are spanned
+by `linalg.integer_span`: no Fraction is built between a literal and its
+canonical row.  Frames and morphism matrices hold Fractions, each built
+from its pair by `parse_rational`.
+
 Reports are already JSON: every issue, witness and detail that reaches
 `dump_report` is built from ints, strings, bools, None, lists, tuples and
 dicts with string keys, and `json.dumps` writes a tuple as a list.  A
@@ -17,14 +25,15 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Any, List, Optional
+from math import lcm
+from typing import Any, List, Optional, Tuple
 
 from .bundles import CocharBundleData, GroupSpec
 from .compatibility import ConeDecomposition
 from .errors import InputError
 from .fans import Fan
 from .filtrations import FiltrationData, RayFiltration
-from .linalg import QMatrix, Subspace, span_canonical
+from .linalg import QMatrix, Subspace, integer_span
 
 
 def format_rational(x: Fraction) -> str:
@@ -36,21 +45,44 @@ def format_rational(x: Fraction) -> str:
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def parse_rational(value: Any) -> Fraction:
+def _literal(value: Any) -> Tuple[int, int]:
+    """(p, q) with value = p/q and q > 0, not reduced, for a JSON int or a
+    "p" or "p/q" string of ASCII digits.  The digits go through `int()`,
+    numerator first, and a zero q through `Fraction(p, 0)`, which raise the
+    digit-limit and zero-denominator errors that `Fraction(value)` would."""
+    if isinstance(value, str):
+        # int() alone would also take a plus sign, blanks, underscores and
+        # non-ASCII digits
+        if not _RATIONAL.fullmatch(value):
+            raise InputError(f"bad rational literal {value!r}: expected 'p' or 'p/q'")
+        num, _, den = value.partition("/")
+        try:
+            p = int(num)
+            q = int(den) if den else 1
+            if not q:
+                Fraction(p, 0)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational literal {value!r}: {exc}") from exc
+        return p, q
     if isinstance(value, bool):
         raise InputError("boolean is not a rational number")
     if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        # Fraction() alone would also take decimals, exponents, underscores
-        # and surrounding blanks; "1e2000000" would cost seconds to expand
-        if not _RATIONAL.fullmatch(value):
-            raise InputError(f"bad rational literal {value!r}: expected 'p' or 'p/q'")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational literal {value!r}: {exc}") from exc
+        return value, 1
     raise InputError(f"expected rational as int or 'p/q' string, got {type(value).__name__}")
+
+
+def parse_rational(value: Any) -> Fraction:
+    return Fraction(*_literal(value))
+
+
+def _scaled_row(pairs: List[Tuple[int, int]]) -> List[int]:
+    """The literals (p, q) of a row times the lcm of their q's: an integer
+    row on the same line, not made primitive (`linalg.integer_span` takes
+    rows of any content)."""
+    scale = lcm(*[q for _, q in pairs])
+    if scale == 1:
+        return [p for p, _ in pairs]
+    return [p * (scale // q) for p, q in pairs]
 
 
 def _expect_int(value: Any, what: str) -> int:
@@ -136,11 +168,11 @@ def matrix_from_obj(obj: Any, what: str = "matrix") -> QMatrix:
     rows = _expect_list(obj, what)
     if not rows:
         raise InputError(f"{what} must have at least one row")
-    parsed = [[parse_rational(x) for x in _expect_list(r, f"{what} row")] for r in rows]
+    parsed = tuple(tuple(map(parse_rational, _expect_list(r, f"{what} row"))) for r in rows)
     widths = {len(r) for r in parsed}
     if len(widths) != 1:
         raise InputError(f"{what} rows have inconsistent lengths")
-    return QMatrix.from_rows(parsed)
+    return QMatrix(parsed, widths.pop())
 
 
 def matrix_to_obj(m: QMatrix) -> list:
@@ -174,13 +206,13 @@ def filtration_from_obj(obj: Any, base_dir: Optional[str] = None) -> FiltrationD
             item = _expect_obj(item, "jump")
             i = _expect_int(item.get("i"), "jump index")
             basis_rows = [
-                [parse_rational(x) for x in _expect_list(r, "basis row")]
+                [_literal(x) for x in _expect_list(r, "basis row")]
                 for r in _expect_list(item.get("basis"), "jump basis")
             ]
             for r in basis_rows:
                 if len(r) != dim:
                     raise InputError("basis row length does not match dim")
-            jumps.append((i, span_canonical(basis_rows, dim)))
+            jumps.append((i, integer_span(map(_scaled_row, basis_rows), dim)))
         rays.append(RayFiltration.make(dim, jumps))
     unknown = set(filts_obj) - {str(i) for i in range(len(fan.rays))}
     if unknown:

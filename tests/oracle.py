@@ -58,6 +58,11 @@
   whose witness `toricfilt.bundles.RayConsistencyError` must carry; the
   package builds one chain per ray and tests every later cone's frame
   lines against it with `reconstruction_failure`.
+- `reference_parse_rational` and the three `reference_*_from_obj`
+  loaders: rational literals parsed by `Fraction(str)` after an
+  ASCII-digit pattern, and files read through it, `QMatrix.from_rows` and
+  `span_canonical`, which the integer literal reader of
+  `toricfilt.serialize` must agree with, in values and in error messages.
 - `dataclass_twin`: `dataclasses.dataclass(frozen=True)` applied to the
   annotations, defaults and `__post_init__` of a class made by
   `toricfilt.linalg.record`, which the record must behave like.
@@ -65,12 +70,14 @@
 
 import dataclasses
 import itertools
+import os
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from toricfilt.algebras import Mono, TruncatedAlgebra, _columns
-from toricfilt.bundles import CocharBundleData, GluingReport
+from toricfilt.bundles import CocharBundleData, GluingReport, GroupSpec
 from toricfilt.compatibility import (
     ConeDecomposition,
     _character_solver,
@@ -78,7 +85,8 @@ from toricfilt.compatibility import (
     _grid,
     _sorted_cone_rays,
 )
-from toricfilt.fans import Cone, NotPointedError, cone_intersection
+from toricfilt.errors import InputError
+from toricfilt.fans import Cone, Fan, NotPointedError, cone_intersection
 from toricfilt.lattice import hermite_normal_form, integer_kernel_basis, primitive_vector
 from toricfilt.filtrations import FiltrationData, RayFiltration
 from toricfilt.linalg import (
@@ -90,6 +98,7 @@ from toricfilt.linalg import (
     sum_all,
     tensor_product,
 )
+from toricfilt.serialize import fan_from_obj, load_fan
 
 
 # ---------------------------------------------------------------------------
@@ -738,6 +747,72 @@ def transition_at(data: CocharBundleData, s: int, t: int,
     g_s, g_t = data.frames[s], data.frames[t]
     return (g_s @ character(s, 1) @ g_s.inverse()
             @ g_t @ character(t, -1) @ g_t.inverse())
+
+
+# ---------------------------------------------------------------------------
+# file loading
+
+_REFERENCE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def reference_parse_rational(value) -> Fraction:
+    """A JSON int or a "p" or "p/q" string of ASCII digits as a Fraction,
+    parsed by `Fraction(str)` once the pattern matches."""
+    if isinstance(value, bool):
+        raise InputError("boolean is not a rational number")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        if not _REFERENCE_RATIONAL.fullmatch(value):
+            raise InputError(f"bad rational literal {value!r}: expected 'p' or 'p/q'")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational literal {value!r}: {exc}") from exc
+    raise InputError(f"expected rational as int or 'p/q' string, got {type(value).__name__}")
+
+
+def reference_matrix_from_obj(rows) -> QMatrix:
+    """A well-formed matrix parsed by `reference_parse_rational` and built
+    by `QMatrix.from_rows`."""
+    return QMatrix.from_rows(_reference_rows(rows))
+
+
+def _reference_rows(rows) -> List[List[Fraction]]:
+    return [[reference_parse_rational(x) for x in row] for row in rows]
+
+
+def _reference_fan(field, base_dir: Optional[str]) -> Fan:
+    if isinstance(field, str):
+        return load_fan(os.path.join(base_dir or "", field))
+    return fan_from_obj(field)
+
+
+def reference_filtration_from_obj(obj, base_dir: Optional[str] = None) -> FiltrationData:
+    """Well-formed filtration data with every jump basis parsed by
+    `reference_parse_rational` and spanned by `span_canonical`."""
+    fan = _reference_fan(obj["fan"], base_dir)
+    dim = obj["dim"]
+    return FiltrationData.make(fan, dim, [
+        RayFiltration.make(dim, [
+            (item["i"], span_canonical(_reference_rows(item["basis"]), dim))
+            for item in obj["filtrations"][str(k)]
+        ])
+        for k in range(len(fan.rays))
+    ])
+
+
+def reference_bundle_from_obj(obj, base_dir: Optional[str] = None) -> CocharBundleData:
+    """Well-formed bundle data with every frame read by
+    `reference_matrix_from_obj`."""
+    fan = _reference_fan(obj["fan"], base_dir)
+    frames: List[Optional[QMatrix]] = [None] * len(fan.maximal_cones)
+    chars: List[Optional[list]] = [None] * len(fan.maximal_cones)
+    for entry in obj["cones"]:
+        frames[entry["cone"]] = reference_matrix_from_obj(entry["frame"])
+        chars[entry["cone"]] = entry["chars"]
+    group = GroupSpec(obj["group"]["kind"], obj["group"]["n"])
+    return CocharBundleData.make(group, fan, frames, chars)
 
 
 # ---------------------------------------------------------------------------

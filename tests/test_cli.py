@@ -9,7 +9,9 @@ import time
 import pytest
 
 import toricfilt
+from oracle import reference_parse_rational
 from toricfilt.cli import build_parser, main
+from toricfilt.errors import InputError
 from toricfilt.serialize import (
     dump_report,
     filtration_from_obj,
@@ -470,19 +472,42 @@ def test_cli_start_up_imports_no_introspection_modules():
     assert loaded & {"dataclasses", "inspect", "ast", "dis", "traceback"} == set()
 
 
+def reference_error(literal):
+    """The message of the InputError `reference_parse_rational` raises on
+    the JSON text `literal`, or None if that text is no JSON value (then
+    reading the file fails first)."""
+    try:
+        value = json.loads(literal)
+    except (ValueError, RecursionError):
+        return None
+    with pytest.raises(InputError) as info:
+        reference_parse_rational(value)
+    return str(info.value)
+
+
 @pytest.mark.parametrize("literal", [
     '"1.5"', '"1e5"', '" 3/4 "', '"1_000"', '"1e2000000"', '"+3"', '"1/0"',
     pytest.param("1" * 4400, id="int-past-digit-limit"),  # JSON integer, not a string
     pytest.param("[" * 100000, id="nesting-past-recursion-limit"),
+    '"\u0663"',  # ARABIC-INDIC DIGIT THREE: int() takes it, the pattern must not
+    '""', '"-"', '"1/"', '"/2"', '"1/-2"', '"0x1"', '"-7/0"', '"-007/0"',
+    pytest.param('"' + "1" * 4400 + '"', id="numerator-past-digit-limit"),
+    pytest.param('"1/' + "2" * 4400 + '"', id="denominator-past-digit-limit"),
+    "true", "null", "[]",
 ])
 def test_malformed_rationals_exit_two(tmp_path, capsys, literal):
+    """Each malformed literal exits 2, with the message the old
+    `Fraction(str)` parser (`reference_parse_rational`) gives wherever the
+    literal is a JSON value on its own."""
     obj = line_data_obj(P2_FAN_OBJ, [0, 0, 0])
     obj["filtrations"]["0"][0]["basis"] = [["@"]]
     path = tmp_path / "filt.json"
     path.write_text(json.dumps(obj).replace('"@"', literal), encoding="utf-8")
     code, out, _ = run(capsys, "validate-filt", str(path))
     assert code == 2
-    assert "error" in json.loads(out)
+    message = json.loads(out)["error"]
+    expected = reference_error(literal)
+    assert expected is None or message == expected
 
 
 def test_rational_format_normalized():

@@ -33,6 +33,7 @@ from toricfilt.linalg import (
     _integer_row,
     _kernel,
     image,
+    integer_span,
     intersect,
     intersect_all,
     kernel,
@@ -195,9 +196,10 @@ def test_span_entry_types():
 
 
 def test_strings_rejected_without_parsing():
-    """Rational literals are parsed only by `serialize.parse_rational`: a
-    string reaching `linalg` raises TypeError before any parsing, however
-    long its decimal expansion would be."""
+    """Rational literals are read only by `serialize`, whose one literal
+    reader gives integer pairs to `parse_rational` and to the integer rows
+    of filtration bases: a string reaching `linalg` raises TypeError before
+    any parsing, however long its decimal expansion would be."""
     for literal in ("1/2", "1e2000000"):
         start = time.perf_counter()
         for build in (to_fraction, lambda x: vector([x]), lambda x: QMatrix.from_rows([[x]]),
@@ -276,6 +278,24 @@ def test_rref_matches_fraction_elimination():
         reduced, pivots = rref(rows, ncols)
         assert (reduced, pivots) == reference_rref(rows, ncols)
         assert all(type(x) is Fraction for row in reduced for x in row)
+
+
+def test_integer_span_matches_fraction_elimination():
+    """`integer_span` takes integer rows of any content as they are: its
+    rows are the RREF of elimination over Fractions, scaled to primitive
+    rows, and the input rows are left unchanged."""
+    rng = random.Random(1618)
+    for _ in range(300):
+        nrows, ncols = rng.randint(0, 10), rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) * x for x in row]
+                for row in _random_rows(rng, nrows, ncols, ints=True)]
+        before = [list(r) for r in rows]
+        space = integer_span(rows, ncols)
+        assert space.basis == reference_rref(rows, ncols)[0]
+        assert all(gcd(*r) == 1 for r in space.rows)
+        assert rows == before
+    with pytest.raises(ValueError):
+        integer_span([[1, 2]], 3)
 
 
 def test_det_matches_fraction_elimination():
