@@ -16,7 +16,6 @@ from .bundles import (
     GroupSpec,
     RayConsistencyError,
     associated_klyachko,
-    canonical_cone_decomposition,
     check_gluing,
     determinant_data,
     validate_bundle,
@@ -28,7 +27,6 @@ from .compatibility import (
     Refutation,
     cone_compatibility,
     global_compatibility,
-    tensor_certificate,
     verify_cone_decomposition,
 )
 from .errors import InputError, PreconditionError

@@ -23,12 +23,10 @@ Validation, gluing and SL reduction share one determinant per frame.  A
 frame's integer columns, with denominators cleared once, feed both the
 chain that `linalg.column_chain` spans by level and the column lines of
 `linalg.column_lines`, which need no elimination; the lines are the
-pieces of the consistency test and of the cone decompositions, and all
-three are cached on the frame.  `check_gluing` and `associated_klyachko`
-are cached on the data by `linalg.cached_on_instance` (the latter's
-`RayConsistencyError` as its witness), and the decomposition that the
-frame columns induce on a cone is graded by
-`compatibility.graded_decomposition`.
+pieces of the consistency test, and all three are cached on the frame.
+`check_gluing` and `associated_klyachko` are cached on the data by
+`linalg.cached_on_instance` (the latter's `RayConsistencyError` as its
+witness).
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .errors import InputError, PreconditionError
 from .fans import Cone, Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
-from .compatibility import ConeDecomposition, graded_decomposition
 from .linalg import QMatrix, cached_on_instance, column_chain, column_lines, record
 
 IntVec = Tuple[int, ...]
@@ -309,15 +306,6 @@ def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, Tuple[int, int,
     return FiltrationData.make(
         fan, data.group.n, [chains[i][1] for i in range(len(fan.rays))]
     )
-
-
-def canonical_cone_decomposition(data: CocharBundleData, k: int) -> ConeDecomposition:
-    """The decomposition induced by the frame columns of cone k, graded by the
-    character classes of its quotient lattice."""
-    fan = data.fan
-    return graded_decomposition(
-        fan.maximal_cones[k], fan.maximal_cone(k).quotient(),
-        zip(data.chars[k], column_lines(data.frames[k])), data.group.n)
 
 
 def determinant_data(data: CocharBundleData) -> CocharBundleData:

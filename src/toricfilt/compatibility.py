@@ -19,8 +19,10 @@ The chains must be nested: `cone_compatibility` refuses a chain that is not
 leaves cached), naming its fan ray, before the pieces are built, and the
 torus check passes chains that are nested by construction.  Nesting makes
 W monotone, so the stored dimensions settle most tuples: W(t) = 0 gives
-the piece W(t), no nonzero successor gives W(t), and a successor as large
-as W(t) gives 0.  Only the remaining tuples take a complement, and only
+the piece W(t), no nonzero successor gives W(t), and the piece is 0 when a
+successor is as large as W(t) or when two successors span W(t), which
+inclusion–exclusion counts from the dimension of their meet, W at t raised
+in both coordinates.  Only the tuples left take a complement, and only
 those with two or more nonzero successors a sum.  No step takes a kernel:
 the meets W(t) of one grid line (all tuples that differ only in the last
 index) come from one Zassenhaus sweep of that chain's adapted rows
@@ -52,21 +54,16 @@ on each ray with `RayFiltration.reconstruction_failure`, which compares
 dimensions and tests containment.  The torus check of `reduction` and the
 ray consistency of bundle data (`bundles.associated_klyachko`) use the
 same test.
-
-A decomposition that is built from subspaces labelled by characters, not
-from the chains, is graded by `graded_decomposition`: the tensor certificate
-(Nori's tensor structure merges the two gradings) and the canonical
-decomposition of bundle data both take the sum of each class's subspaces.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .fans import Cone, CharQuotient
+from .fans import Cone
 from .filtrations import FiltrationData, RayFiltration
 # `intersect` is unused here, but perfbench's tests read this module's copy
 # of it to check that the tracer also wraps re-imported bindings
@@ -77,7 +74,6 @@ from .linalg import (  # noqa: F401
     levelled_meets,
     record,
     sum_all,
-    tensor_product,
 )
 from .lattice import integer_solver
 
@@ -202,8 +198,20 @@ def graded_pieces(filts: Sequence[RayFiltration],
     construction (spans of ever fewer frame columns).  Then every successor
     lies in W(t), and the dimensions settle most tuples without a sum: the
     piece is W(t) when W(t) is zero or no successor is nonzero, and zero
-    when a successor is all of W(t).  One nonzero successor is complemented
-    directly; only two or more are summed first.
+    when the successors are seen to cover W(t) by counting.  One successor
+    as large as W(t) covers it.  So does a pair: write e_a for coordinate a
+    raised to its next jump; nesting gives W(t+e_a) ∩ W(t+e_b) =
+    W(t+e_a+e_b), since each chain's meet of two of its values is the
+    smaller one, and dim(U + V) = dim U + dim V - dim(U ∩ V) then reads
+    dim(W(t+e_a) + W(t+e_b)) off three stored dimensions.  The sum lies in
+    W(t), so it is W(t) exactly when that count reaches dim W(t).  A pair
+    is counted only when W(t+e_a+e_b) is already in the memo, so counting
+    never adds a sweep.  It is there when b is the last chain, whose grid
+    line was built with W(t+e_a), so on two chains every zero piece is
+    counted; and on a cone's grid, which `_grid` orders by descending sum,
+    t+e_a+e_b was visited before t.  Only a piece that no count settles is
+    a complement: of its one nonzero successor, or of the sum of two or
+    more.
 
     No meet takes a kernel.  A level is placed at the first jump at or
     above it, whose value the chain takes there, and a level past the last
@@ -241,25 +249,39 @@ def graded_pieces(filts: Sequence[RayFiltration],
             found = line[position[-1]]
         return found
 
+    def raised(position: Tuple[int, ...], k: int) -> Tuple[int, ...]:
+        return position[:k] + (position[k] + 1,) + position[k + 1:]
+
+    def covered(position: Tuple[int, ...], whole: Subspace,
+                successors: Dict[int, Subspace]) -> bool:
+        if any(s.dim == whole.dim for s in successors.values()):
+            return True
+        for a, b in itertools.combinations(successors, 2):
+            both = w.get(raised(raised(position, a), b))
+            if both is not None and (successors[a].dim + successors[b].dim - both.dim
+                                     == whole.dim):
+                return True
+        return False
+
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
         position = tuple(map(bisect_left, indices, t))
         whole = meet(position)
-        successors = []
+        successors: Dict[int, Subspace] = {}
         if whole.dim:
             for k, i in enumerate(t):
                 if i in followed[k]:
-                    s = meet(position[:k] + (position[k] + 1,) + position[k + 1:])
+                    s = meet(raised(position, k))
                     if s.dim:
-                        successors.append(s)
+                        successors[k] = s
         if not successors:
             pieces[t] = whole
-        elif any(s.dim == whole.dim for s in successors):
+        elif covered(position, whole, successors):
             pieces[t] = zero
-        elif len(successors) == 1:
-            pieces[t] = complement_in(successors[0], whole)
         else:
-            pieces[t] = complement_in(sum_all(successors, ambient), whole)
+            spaces = list(successors.values())
+            inner = spaces[0] if len(spaces) == 1 else sum_all(spaces, ambient)
+            pieces[t] = complement_in(inner, whole)
     return pieces
 
 
@@ -336,35 +358,3 @@ def global_compatibility(data: FiltrationData) -> GlobalCompatibilityReport:
     results = tuple(cone_compatibility(data, idx) for idx in data.fan.maximal_cones)
     refuted = any(c.verdict == VERDICT_REFUTATION for c in results)
     return GlobalCompatibilityReport("incompatible" if refuted else "compatible", results)
-
-
-def tensor_certificate(cert_a: ConeDecomposition,
-                       cert_b: ConeDecomposition,
-                       quotient: CharQuotient) -> ConeDecomposition:
-    """Merge two certificates on the same cone into one for the tensor product:
-    pieces are tensor products of pieces, graded by the sum of the characters."""
-    if cert_a.ray_indices != cert_b.ray_indices:
-        raise InputError("certificates belong to different cones")
-    ambient = (
-        (cert_a.pieces[0][1].ambient if cert_a.pieces else 0)
-        * (cert_b.pieces[0][1].ambient if cert_b.pieces else 0)
-    )
-    return graded_decomposition(
-        cert_a.ray_indices, quotient,
-        ((tuple(x + y for x, y in zip(char_a, char_b)), tensor_product(piece_a, piece_b))
-         for char_a, piece_a in cert_a.pieces for char_b, piece_b in cert_b.pieces),
-        ambient)
-
-
-def graded_decomposition(ray_indices: Sequence[int], quotient: CharQuotient,
-                         parts: Iterable[Tuple[Tuple[int, ...], Subspace]],
-                         ambient: int) -> ConeDecomposition:
-    """The decomposition of a cone whose piece of each character class is the
-    sum of the subspaces of `parts` (character, subspace) in that class.  A
-    piece is keyed by its class's canonical representative, which the class
-    determines, and the pieces are sorted by it."""
-    classes: Dict[Tuple[int, ...], List[Subspace]] = {}
-    for char, space in parts:
-        classes.setdefault(quotient.canonical_representative(char), []).append(space)
-    return ConeDecomposition(tuple(ray_indices), tuple(sorted(
-        (rep, sum_all(spaces, ambient)) for rep, spaces in classes.items())))

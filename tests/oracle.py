@@ -35,6 +35,13 @@
   over p + q = j of the Kronecker products of the operand chains, one
   elimination per candidate level, which the adapted-basis construction of
   `toricfilt.filtrations.tensor` must agree with.
+- `graded_decomposition`, `tensor_certificate` and
+  `canonical_cone_decomposition`: decompositions of a cone built from
+  subspaces labelled by characters, not from the chains, with the sum of
+  each class's subspaces as its piece: the merged certificate of a tensor
+  product (Nori's tensor structure adds the characters) and the
+  decomposition that the frame columns of bundle data induce, which
+  `toricfilt.compatibility.verify_cone_decomposition` must accept.
 - `exhaustive_adapted_search`: an exhaustive backtracking search over
   decompositions adapted to all ray chains of a cone, the oracle for the
   compatibility checker.  It shares no logic with the graded-piece
@@ -86,12 +93,13 @@ from toricfilt.compatibility import (
     _sorted_cone_rays,
 )
 from toricfilt.errors import InputError
-from toricfilt.fans import Cone, Fan, NotPointedError, cone_intersection
+from toricfilt.fans import CharQuotient, Cone, Fan, NotPointedError, cone_intersection
 from toricfilt.lattice import hermite_normal_form, integer_kernel_basis, primitive_vector
 from toricfilt.filtrations import FiltrationData, RayFiltration
 from toricfilt.linalg import (
     QMatrix,
     Subspace,
+    column_lines,
     complement_in,
     intersect_all,
     span_canonical,
@@ -353,6 +361,47 @@ def reference_tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
                  for j in sorted({p + q for p in ja for q in jb})]
         rays.append(RayFiltration.make(dim, pairs))
     return FiltrationData.make(a.fan, dim, rays)
+
+
+def tensor_certificate(cert_a: ConeDecomposition,
+                       cert_b: ConeDecomposition,
+                       quotient: CharQuotient) -> ConeDecomposition:
+    """Merge two certificates on the same cone into one for the tensor product:
+    pieces are tensor products of pieces, graded by the sum of the characters."""
+    if cert_a.ray_indices != cert_b.ray_indices:
+        raise InputError("certificates belong to different cones")
+    ambient = (
+        (cert_a.pieces[0][1].ambient if cert_a.pieces else 0)
+        * (cert_b.pieces[0][1].ambient if cert_b.pieces else 0)
+    )
+    return graded_decomposition(
+        cert_a.ray_indices, quotient,
+        ((tuple(x + y for x, y in zip(char_a, char_b)), tensor_product(piece_a, piece_b))
+         for char_a, piece_a in cert_a.pieces for char_b, piece_b in cert_b.pieces),
+        ambient)
+
+
+def graded_decomposition(ray_indices: Sequence[int], quotient: CharQuotient,
+                         parts: Iterable[Tuple[Tuple[int, ...], Subspace]],
+                         ambient: int) -> ConeDecomposition:
+    """The decomposition of a cone whose piece of each character class is the
+    sum of the subspaces of `parts` (character, subspace) in that class.  A
+    piece is keyed by its class's canonical representative, which the class
+    determines, and the pieces are sorted by it."""
+    classes: Dict[Tuple[int, ...], List[Subspace]] = {}
+    for char, space in parts:
+        classes.setdefault(quotient.canonical_representative(char), []).append(space)
+    return ConeDecomposition(tuple(ray_indices), tuple(sorted(
+        (rep, sum_all(spaces, ambient)) for rep, spaces in classes.items())))
+
+
+def canonical_cone_decomposition(data: CocharBundleData, k: int) -> ConeDecomposition:
+    """The decomposition induced by the frame columns of cone k, graded by the
+    character classes of its quotient lattice."""
+    fan = data.fan
+    return graded_decomposition(
+        fan.maximal_cones[k], fan.maximal_cone(k).quotient(),
+        zip(data.chars[k], column_lines(data.frames[k])), data.group.n)
 
 
 def exhaustive_adapted_search(data: FiltrationData,

@@ -10,6 +10,7 @@ from oracle import (
     exhaustive_adapted_search,
     random_torus_point,
     reference_frame_change_scan,
+    tensor_certificate,
     transition,
     transition_at,
 )
@@ -31,7 +32,6 @@ from toricfilt.compatibility import (
     VERDICT_REFUTATION,
     cone_compatibility,
     global_compatibility,
-    tensor_certificate,
     verify_cone_decomposition,
 )
 from toricfilt.fans import Fan, cone_intersection

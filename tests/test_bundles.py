@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import (
+    canonical_cone_decomposition,
     evaluate_laurent,
     laurent_exponents,
     laurent_identity,
@@ -21,7 +22,6 @@ from toricfilt.bundles import (
     GroupSpec,
     RayConsistencyError,
     associated_klyachko,
-    canonical_cone_decomposition,
     check_gluing,
     determinant_data,
     validate_bundle,

@@ -5,8 +5,10 @@ import pytest
 
 from oracle import (
     exhaustive_adapted_search,
+    graded_decomposition,
     reference_graded_pieces,
     reference_verify_cone_decomposition,
+    tensor_certificate,
 )
 from toricfilt import compatibility, fans, lattice, linalg
 from toricfilt.bundles import associated_klyachko, check_gluing
@@ -19,8 +21,6 @@ from toricfilt.compatibility import (
     cone_compatibility,
     graded_pieces,
     global_compatibility,
-    graded_decomposition,
-    tensor_certificate,
     verify_cone_decomposition,
 )
 from toricfilt.errors import InputError
@@ -41,6 +41,7 @@ from toricfilt.sampling import (
     p2_fan,
     random_bundle,
     random_filtration_data,
+    random_invertible_matrix,
     random_split_bundle,
     random_subspace,
     square_cone_fan,
@@ -422,11 +423,54 @@ def test_morphism_duality(p2):
         assert forward == backward
 
 
-def test_graded_pieces_match_reference():
+def _full_flag(rng, basis):
+    """The full flag at indices 0..dim-1 whose value at i is spanned by the
+    first dim - i rows of `basis`, taken in a random order."""
+    rows = [list(row) for row in basis]
+    rng.shuffle(rows)
+    dim = len(rows)
+    return RayFiltration.make(dim, [(i, span_canonical(rows[:dim - i], dim))
+                                    for i in range(dim)])
+
+
+def _full_flag_data(rng, fan, dim, shared):
+    """Full flags on every ray: generic ones, or, when `shared`, flags of
+    one common basis in a different order on each ray, whose pieces have
+    successors to sum."""
+    common = random_invertible_matrix(rng, dim, -3, 3).entries
+    return FiltrationData.make(fan, dim, [
+        _full_flag(rng, common if shared else random_invertible_matrix(rng, dim, -3, 3).entries)
+        for _ in fan.rays])
+
+
+def _spied_fallback(monkeypatch):
+    """Spies on the sums and complements of `graded_pieces`: the log gets
+    ("sum", number of spaces) and ("complement", dimension of the piece)."""
+    log = []
+
+    def summed(spaces, ambient):
+        log.append(("sum", len(spaces)))
+        return linalg.sum_all(spaces, ambient)
+
+    def complemented(inner, outer):
+        piece = linalg.complement_in(inner, outer)
+        log.append(("complement", piece.dim))
+        return piece
+
+    monkeypatch.setattr(compatibility, "sum_all", summed)
+    monkeypatch.setattr(compatibility, "complement_in", complemented)
+    return log
+
+
+def test_graded_pieces_match_reference(monkeypatch):
     """The dimension shortcuts change no piece: on P^2, P^3 and the square
-    cone at fiber dimensions 2-10, and on the torus universe of random and
-    split bundles, the pieces equal those of the reference engine, which
-    sums and complements at every tuple."""
+    cone at fiber dimensions 2-10, on full flags on P^3 and the square cone,
+    and on the torus universe of random and split bundles, the pieces equal
+    those of the reference engine, which sums and complements at every
+    tuple.  The grids of three and four rays reach the fallback after the
+    pair count, with sums of up to four successors, and with zero pieces
+    that no pair spans."""
+    log = _spied_fallback(monkeypatch)
     rng = random.Random(31)
     nonzero = 0
     for fan in (p2_fan(), P3, square_cone_fan()):
@@ -438,6 +482,16 @@ def test_graded_pieces_match_reference():
                 assert pieces == reference_graded_pieces(filts, tuples, dim)
                 nonzero += sum(p.dim > 0 for p in pieces.values())
     assert nonzero > 0
+    for fan, dims in ((P3, range(2, 7)), (square_cone_fan(), range(2, 6))):
+        for dim in dims:
+            for shared in (False, True):
+                data = _full_flag_data(rng, fan, dim, shared)
+                for idx in fan.maximal_cones:
+                    filts, tuples = _grid(data, idx)
+                    assert (graded_pieces(filts, tuples, dim)
+                            == reference_graded_pieces(filts, tuples, dim))
+    assert ("complement", 0) in log
+    assert max(n for kind, n in log if kind == "sum") >= 3
     universes = 0
     for _ in range(12):
         for fan in (p1_fan(), p2_fan()):
@@ -451,6 +505,34 @@ def test_graded_pieces_match_reference():
                         == reference_graded_pieces(kly.filtrations, universe, kly.dim))
                 universes += bool(universe)
     assert universes > 0
+
+
+def test_graded_pieces_sum_and_complement_only_nonzero_pieces(monkeypatch):
+    """On two rays the pair count decides every zero piece: on generic and
+    shared-basis full flags on P^2 at fiber dimensions 4-8, `graded_pieces`
+    takes one complement exactly for each nonzero piece smaller than W(t),
+    none for a zero piece, and a sum only right before such a complement."""
+    log = _spied_fallback(monkeypatch)
+    rng = random.Random(97)
+    fan = p2_fan()
+    zero = sums = 0
+    for dim in range(4, 9):
+        for shared in (False, True):
+            data = _full_flag_data(rng, fan, dim, shared)
+            for idx in fan.maximal_cones:
+                filts, tuples = _grid(data, idx)
+                del log[:]
+                pieces = graded_pieces(filts, tuples, dim)
+                wholes = {t: linalg.intersect_all([f.value(i) for f, i in zip(filts, t)], dim)
+                          for t in tuples}
+                assert sorted(n for kind, n in log if kind == "complement") == sorted(
+                    pieces[t].dim for t in tuples if 0 < pieces[t].dim < wholes[t].dim)
+                kinds = [kind for kind, _ in log]
+                assert all(kinds[i + 1:i + 2] == ["complement"]
+                           for i, kind in enumerate(kinds) if kind == "sum")
+                sums += kinds.count("sum")
+                zero += sum(pieces[t].dim == 0 < wholes[t].dim for t in tuples)
+    assert zero > 100 and sums > 10
 
 
 def _corruptions(rng, cert, dim):
