@@ -59,7 +59,6 @@ from .linalg import (
     kernel,
     span_canonical,
     subspace_sum,
-    tensor_product,
 )
 from .reduction import (
     SlReductionResult,

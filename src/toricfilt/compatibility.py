@@ -22,13 +22,15 @@ W monotone, so the stored dimensions settle most tuples: W(t) = 0 gives
 the piece W(t), no nonzero successor gives W(t), and the piece is 0 when a
 successor is as large as W(t) or when two successors span W(t), which
 inclusion–exclusion counts from the dimension of their meet, W at t raised
-in both coordinates.  Only the tuples left take a complement, and only
-those with two or more nonzero successors a sum.  No step takes a kernel:
-the meets W(t) of one grid line (all tuples that differ only in the last
-index) come from one Zassenhaus sweep of that chain's adapted rows
-(`linalg.levelled_meets`), a line whose prefix meet is zero or the whole
-fiber costs nothing, and a complement decides its own containment guard
-(`linalg.complement_in`).
+in both coordinates.  Only the tuples left take a complement, which places
+the rows of all their nonzero successors into one echelon form with no sum
+spanned first (`linalg.complement_in`).  No step takes a kernel: the meets
+W(t) of one grid line (all tuples that differ only in the last index) come
+from one Zassenhaus sweep of that chain's adapted rows
+(`linalg.levelled_meets`, which spans a meet to canonical rows only when
+it grows), a line whose prefix meet is zero or the whole fiber costs
+nothing, and a complement decides its own containment guard from the
+ranks it counts.
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -48,8 +50,9 @@ the refutation:
    which the cone keeps (`Cone.integer_solver`, next to `Cone.quotient`),
    so a fan's cones build their lattice data once per process.
 
-The verifier forms no sum per chain index: once it has checked that the
-pieces are a direct sum of the fiber, it tests the reconstruction equation
+The verifier forms no sum: it checks that the pieces are a direct sum of
+the fiber from their dimensions and the rank of their rows (`linalg.rank`,
+which reads no canonical row), then tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
 dimensions and tests containment.  The torus check of `reduction` and the
 ray consistency of bundle data (`bundles.associated_klyachko`) use the
@@ -72,8 +75,8 @@ from .linalg import (  # noqa: F401
     complement_in,
     intersect,
     levelled_meets,
+    rank,
     record,
-    sum_all,
 )
 from .lattice import integer_solver
 
@@ -139,9 +142,10 @@ def verify_cone_decomposition(data: FiltrationData,
     """Exact re-verification of a certificate; returns a reason on failure.
 
     Once the piece dimensions add up to the fiber dimension and the pieces
-    span it, the pieces are a direct sum, which is the precondition of
-    `RayFiltration.reconstruction_failure`; each ray's chain is then tested
-    against the pieces, levelled by their pairings with the ray."""
+    span it (the rank of their rows, `linalg.rank`), the pieces are a
+    direct sum, which is the precondition of
+    `RayFiltration.reconstruction_failure`; each ray's chain is then
+    tested against the pieces, levelled by their pairings with the ray."""
     idx = _sorted_cone_rays(data, ray_indices)
     cone = _cone_of(data, idx)
     quotient = cone.quotient()
@@ -157,7 +161,7 @@ def verify_cone_decomposition(data: FiltrationData,
     if total != r:
         return "piece dimensions do not add up to the fiber dimension"
     pieces = [piece for _, piece in dec.pieces]
-    if sum_all(pieces, r).dim != r:
+    if rank([row for piece in pieces for row in piece.rows], r) != r:
         return "pieces do not span the fiber"
     classes = [quotient.class_index(char) for char, _ in dec.pieces]
     if len(set(classes)) != len(classes):
@@ -210,8 +214,9 @@ def graded_pieces(filts: Sequence[RayFiltration],
     line was built with W(t+e_a), so on two chains every zero piece is
     counted; and on a cone's grid, which `_grid` orders by descending sum,
     t+e_a+e_b was visited before t.  Only a piece that no count settles is
-    a complement: of its one nonzero successor, or of the sum of two or
-    more.
+    a complement, of the sum of its nonzero successors: `linalg.complement_in`
+    places their rows as they are, with no sum spanned, and keeps the rows
+    of W(t) that add rank.
 
     No meet takes a kernel.  A level is placed at the first jump at or
     above it, whose value the chain takes there, and a level past the last
@@ -279,9 +284,7 @@ def graded_pieces(filts: Sequence[RayFiltration],
         elif covered(position, whole, successors):
             pieces[t] = zero
         else:
-            spaces = list(successors.values())
-            inner = spaces[0] if len(spaces) == 1 else sum_all(spaces, ambient)
-            pieces[t] = complement_in(inner, whole)
+            pieces[t] = complement_in(list(successors.values()), whole)
     return pieces
 
 

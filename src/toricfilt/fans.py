@@ -5,12 +5,12 @@ and supporting covectors (the extreme rays of the dual cone), together with
 an integral basis of the perpendicular lattice.  One double description pass
 on the generators gives the covectors and the perpendicular lattice (the
 lineality of the dual cone); pointedness and extremality are then ranks of
-covector sets, the dimensions of their `linalg.integer_span`.  The pass and
-the ranks run on primitive integer vectors only: each step adds an integer
-multiple of one vector to a positive multiple of another and divides out
-the content, so every direction is kept and no Fraction is made.  It runs
-from scratch at desk scale (rank <= 6, a few dozen rays); the exponential
-worst case is accepted.
+covector sets (`linalg.rank`).  The pass and the ranks run on primitive
+integer vectors only: each step adds an integer multiple of one vector to
+a positive multiple of another and divides out the content, so every
+direction is kept and no Fraction is made.  It runs from scratch at desk
+scale (rank <= 6, a few dozen rays); the exponential worst case is
+accepted.
 
 Cones are never assumed simplicial.  Non-pointed generator sets are detected
 and reported (the fan validator flags them; the cone factory refuses them
@@ -32,7 +32,7 @@ from .lattice import (
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, cached_on_instance, integer_span, record
+from .linalg import QMatrix, cached_on_instance, rank as row_rank, record
 
 IntVec = Tuple[int, ...]
 
@@ -86,7 +86,7 @@ def dual_description(rank: int,
             tight = [a for a in processed if pair(a, canon) == 0]
             if len(tight) == len(processed) and lam > 0:
                 continue  # fell into the lineality space
-            if integer_span(tight, rank).dim == rank - lam - 1:
+            if row_rank(tight, rank) == rank - lam - 1:
                 seen.add(canon)
                 kept.append(canon)
         return kept
@@ -228,7 +228,7 @@ def cone_from_generators(rank: int, gens: Tuple[IntVec, ...]) -> Cone:
     perp, dual_rays = dual_description(rank, gens)
 
     def span_dim(covectors: Tuple[IntVec, ...]) -> int:
-        return integer_span(perp + covectors, rank).dim
+        return row_rank(perp + covectors, rank)
 
     if span_dim(dual_rays) < rank:
         raise NotPointedError("generators span a cone containing a line")
@@ -353,7 +353,7 @@ def validate_fan(fan: Fan) -> FanValidationReport:
                         "cone": k,
                         "computed": [list(g) for g in c.generators],
                     })
-        dim = integer_span(listed, fan.rank).dim
+        dim = row_rank(listed, fan.rank)
         if dim != fan.rank:
             top = False
             issues.append({"kind": "not_top_dimensional", "cone": k, "dim": dim})

@@ -8,29 +8,34 @@ identical; every operation below returns that canonical representative,
 which keeps downstream certificates reproducible byte for byte.  There is
 no floating point anywhere in this package.
 
-Reduction runs over Python ints, never over Fractions, and has one step.
-A reduced echelon form is kept as two lists in pivot order, the pivot
-columns and the primitive integer rows, each with a positive pivot and zero
-at the others' pivots.  `_reduce` clears a vector at each pivot (dividing
-by the gcd of its entries after every step, which keeps coefficients
-small), and `_insert` adds what is left as a new row, clearing its pivot
-from the others; both docstrings give the proof.  Every row reduction goes
-through `_insert`: `_eliminate` inserts the rows of a matrix (a row of
-Fractions enters times the lcm of its denominators), and a span, sum or
-image is the rows it keeps, canonical as inserted, with no sign fixed
-afterwards.  Fractions appear only at the boundary: `rref` and
-`Subspace.basis` divide each pivot row by its pivot, which gives the same
-unique RREF as elimination over Fractions; a span of integer rows
-(`integer_span`, which spans the bases of filtration files and gives the
-ranks in `fans`) makes none at all.  `image` multiplies the stored rows by
-a matrix whose integer columns are scaled once per matrix.  A kernel (and
-so an annihilator or an intersection) takes one elimination: reduced with
-its columns reversed, the conditions give generators that already are the
-canonical rows (see `_kernel`).  `intersect_all`
+Reduction runs over Python ints, never over Fractions, and has one reduce
+step with two placements, echelon or reduced.  An echelon form is kept as
+two lists in pivot order, the pivot columns and the primitive integer rows,
+each with a positive pivot and zero left of it.  `_reduce` clears a vector
+at each pivot in increasing order (dividing by the gcd of its entries after
+every step, which keeps coefficients small); `_append` places what is left
+as a new row, and `_insert` then also clears its pivot from the other
+rows, which keeps the form reduced: the RREF.  The docstrings give the
+proofs.  Only canonical rows need the reduced placement: `_eliminate`
+inserts the rows of a matrix (a row of Fractions enters times the lcm of
+its denominators), and a span, sum or image is the rows it keeps,
+canonical as inserted, with no sign fixed afterwards.  Fractions appear
+only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
+its pivot, which gives the same unique RREF as elimination over Fractions;
+a span of integer rows (`integer_span`, which spans the bases of
+filtration files) makes none at all.  Where only a rank or the rows that
+add rank are read, the echelon placement suffices: `rank` (the ranks in
+`fans` and the spanning checks of certificates and torus splittings) and
+`complement_in` append and never clear.  `image` multiplies the stored
+rows by a matrix whose integer columns are scaled once per matrix.  A
+kernel (and so an annihilator or an intersection) takes one elimination:
+reduced with its columns reversed, the conditions give generators that
+already are the canonical rows (see `_kernel`).  `intersect_all`
 eliminates only for two or more proper members.  The meets of one space
 with every value of a chain take no kernel at all: `levelled_meets` runs
-one Zassenhaus reduction through `_insert` and reads each meet off the
-rows whose pivot lies in the right half (its docstring gives the proof).
+one Zassenhaus reduction through `_append` and reads each meet off the
+rows whose pivot lies in the right half, spanning their right halves to
+canonical rows only when the meet grows (its docstring gives the proof).
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
@@ -45,17 +50,17 @@ signed, not eliminated) and its scaled integer columns (which `image` and
 `maps_into` multiply by) here, and a cone's character quotient and
 integer solver, the gluing report, the associated data and the algebra
 tables elsewhere, in the instance dict of a frozen record.
-`tensor_product` and `block_sum` eliminate nothing: their Kronecker and
-padded rows are canonical by construction (each docstring gives the proof).
+`block_sum` eliminates nothing: its padded rows are canonical by
+construction (its docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
 for a matrix's columns) inserts the vectors in descending level order and
 reads the canonical span off at each level boundary, so no level is
 eliminated from scratch; `filtrations.tensor` and the chains of bundle
-frames are built this way.  `complement_in` inserts the rows of the outer
-space into the canonical rows of the inner one and keeps those that add
-rank, deciding from their number whether the inner space lies in the
-outer one, and `echelon_contains` reduces rows against canonical rows,
-with no kernel.
+frames are built this way.  `complement_in` appends the rows of the outer
+space to an echelon form of the sum of the inner ones and keeps those that
+add rank, deciding from their number whether that sum lies in the outer
+space, and `echelon_contains` reduces rows against canonical rows, with no
+kernel.
 Containment of a vector or a subspace (`Subspace.contains`,
 `contains_subspace`, and `maps_into` on the unreduced image of a subspace)
 is an annihilator product against the target's cached annihilator: one
@@ -334,15 +339,18 @@ def _integer_row(row: Sequence[Fraction]) -> List[int]:
 
 def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
             v: Sequence[int]) -> Sequence[int]:
-    """v cleared at each pivot column of the reduced echelon form (`pivots`,
-    `rows`; see `_insert`): where v[p] = f is nonzero and the row at p has
-    the pivot c > 0, v becomes the primitive row on the line of
-    (c/g) v - (f/g) row, with g = gcd(c, f).  Each row is zero at the
-    others' pivots, so no step moves another pivot column, and every step
-    scales v by a positive factor.  The result is zero exactly when v lies
-    in the span of `rows`: it differs from a positive multiple of v by a
-    vector of that span, and the only vector of the span that is zero at
-    every pivot is zero."""
+    """v cleared at each pivot column of the echelon form (`pivots`, `rows`;
+    see `_append`), in increasing pivot order: where v[p] = f is nonzero
+    and the row at p has the pivot c > 0, v becomes the primitive row on
+    the line of (c/g) v - (f/g) row, with g = gcd(c, f).  The form need not
+    be reduced.  Each row is zero left of its pivot, so the step at p
+    changes v only at p and right of it; every earlier pivot of v is
+    already zero and stays zero, and p becomes zero.  So the result is zero
+    at every pivot, and every step scales v by a positive factor.  The
+    result is zero exactly when v lies in the span of `rows`: it differs
+    from a positive multiple of v by a vector of that span, and a nonzero
+    vector of the span is nonzero at the pivot of the first row it takes
+    (the later rows are zero there)."""
     for p, row in zip(pivots, rows):
         f = v[p]
         if f:
@@ -353,32 +361,51 @@ def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
     return v
 
 
-def _insert(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> bool:
-    """Add v to the reduced echelon form kept as the pivot columns `pivots`
-    and the rows `rows` in pivot order: primitive integer rows with positive
-    pivots, each zero at the others' pivots.  Returns whether the rank grew.
+def _append(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> Optional[int]:
+    """Add v to the echelon form kept as the pivot columns `pivots` and the
+    rows `rows` in pivot order: primitive integer rows with positive
+    pivots, each zero left of its own.  Returns the position of the new
+    row, or None when v adds no rank.
 
-    v is reduced (`_reduce`).  If nothing is left it adds no rank (zero and
-    dependent vectors drop out); otherwise it is made primitive with a
-    positive pivot at its first nonzero column p, which is no pivot yet, and
-    p is cleared from every row that has it by reducing that row against v
-    alone.  Such a row has its pivot left of p, so the clearing keeps its
-    first nonzero entry and, scaled by a positive factor, its sign; and v is
-    zero at every other pivot, so none of them moves.  v then enters in
-    pivot order, and the rows are again in RREF, primitive with positive
-    pivots: the canonical rows of the span.  Rows are replaced, never
-    mutated, so callers may pass rows they keep."""
+    v is reduced (`_reduce`).  If nothing is left, v lies in the span (zero
+    and dependent vectors drop out); otherwise what is left is zero at
+    every pivot, so its first nonzero column p is no pivot yet.  It is made
+    primitive with a positive entry at p and placed in pivot order, and the
+    rows are again an echelon form of the span with v added.  The other
+    rows are not touched: they need not be zero at p.  Rows are placed,
+    never mutated, so callers may pass rows they keep."""
     v = _reduce(pivots, rows, v)
     if not any(v):
-        return False
+        return None
     lead = _lead(v)
     v = _primitive([-x for x in v] if v[lead] < 0 else list(v))
-    for k, row in enumerate(rows):
-        if row[lead]:
-            rows[k] = _reduce((lead,), (v,), row)
     k = bisect_left(pivots, lead)
     pivots.insert(k, lead)
     rows.insert(k, v)
+    return k
+
+
+def _insert(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> bool:
+    """Add v to the reduced echelon form kept as `pivots` and `rows` (as in
+    `_append`, with each row also zero at the others' pivots).  Returns
+    whether the rank grew.
+
+    v is placed by `_append`, at its pivot p; it is zero at every other
+    pivot, so the rows after it, zero left of their pivots, and v itself
+    stay reduced.  Then p is cleared from every earlier row that has it by
+    reducing that row against v alone.  Such a row has its pivot left of
+    p, so the clearing keeps its first nonzero entry and, scaled by a
+    positive factor, its sign; and v is zero at every other pivot, so none
+    of them moves.  The rows are again in RREF, primitive with positive
+    pivots: the canonical rows of the span.  Rows are replaced, never
+    mutated, so callers may pass rows they keep."""
+    k = _append(pivots, rows, v)
+    if k is None:
+        return False
+    lead, v = pivots[k], rows[k]
+    for j in range(k):
+        if rows[j][lead]:
+            rows[j] = _reduce((lead,), (v,), rows[j])
     return True
 
 
@@ -486,6 +513,24 @@ def integer_span(rows: Iterable[Sequence[int]], ambient: int) -> Subspace:
     return _space(ambient, mat)
 
 
+def rank(rows: Iterable[Sequence[int]], ambient: int) -> int:
+    """The dimension of the span of integer rows of length `ambient`, of any
+    content, with `integer_span`'s length check: the rows are placed
+    (`_append`) into an echelon form, which is never reduced, until the
+    rank is `ambient`."""
+    mat = list(rows)
+    for r in mat:
+        if len(r) != ambient:
+            raise ValueError("vector/ambient dimension mismatch")
+    pivots: List[int] = []
+    placed: List[Sequence[int]] = []
+    for v in mat:
+        if len(pivots) == ambient:
+            break
+        _append(pivots, placed, v)
+    return len(pivots)
+
+
 def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
                    ambient: Optional[int] = None) -> Subspace:
     """Row space of the given vectors in canonical RREF form."""
@@ -557,21 +602,22 @@ def levelled_meets(space: Subspace,
     kernel.
 
     The reduction runs in Q^(2n), n = space.ambient.  It starts from the
-    rows (v|v), v a canonical row of `space`, which already are a reduced
-    echelon form (the left halves are, and the right halves sit right of
-    every pivot); the vectors then enter as (w|0) through `_insert`, in
-    descending level order.  After the vectors of level at least i the row
-    space is {(u + w | u) : u in space, w in V_i}, and its vectors that
-    vanish on the left half are the (0 | u) with u = -w, that is u in
-    space ∩ V_i.  A vector of the row space is the combination of the rows
-    whose coefficients it shows at their pivots, so one that vanishes on
-    the left half combines only the rows whose pivot is in the right half,
-    which vanish on the left half themselves.  Those rows are primitive
-    with positive pivots and zero at each other's pivots, so their right
-    halves are the canonical rows of space ∩ V_i.
+    rows (v|v), v a canonical row of `space`, which already are an echelon
+    form (the left halves are); the vectors then enter as (w|0) through
+    `_append`, in descending level order, and the form is never reduced.
+    After the vectors of level at least i the row space is
+    {(u + w | u) : u in space, w in V_i}, and its vectors that vanish on
+    the left half are the (0 | u) with u = -w, that is u in space ∩ V_i.
+    A nonzero vector of the row space is nonzero at the pivot of the first
+    row it takes, since every later row is zero there; so one that vanishes
+    on the left half takes only the rows whose pivot is in the right half,
+    which vanish on the left half themselves.  Their right halves are
+    independent and span space ∩ V_i, and their number is its dimension.
     The meets only grow, so a level that adds no such row leaves the meet
-    as it was; once its dimension is space.dim, every lower level meets in
-    `space` itself, and nothing more is inserted."""
+    as it was; a meet that grows is spanned to its canonical rows
+    (`_space`), unless its dimension is space.dim, when it is `space`
+    itself, every lower level meets in `space` too, and nothing more is
+    placed."""
     n = space.ambient
     pivots = list(space.pivots)
     rows: List[Sequence[int]] = [v + v for v in space.rows]
@@ -582,12 +628,12 @@ def levelled_meets(space: Subspace,
     for level, group in itertools.groupby(ordered, key=itemgetter(0)):
         if meet is not space:
             for _, w in group:
-                _insert(pivots, rows, tuple(w) + pad)
+                _append(pivots, rows, tuple(w) + pad)
             right = rows[bisect_left(pivots, n):]
             if len(right) == space.dim:
                 meet = space
             elif len(right) > meet.dim:
-                meet = Subspace(n, tuple(tuple(row[n:]) for row in right))
+                meet = _space(n, [row[n:] for row in right])
         meets.append((level, meet))
     return meets
 
@@ -731,41 +777,34 @@ def intersect_all(spaces: Sequence[Subspace], ambient: int) -> Subspace:
     return _kernel(conditions, ambient)
 
 
-def complement_in(inner: Subspace, outer: Subspace) -> Subspace:
-    """A deterministic complement C with inner + C = outer, inner ∩ C = 0.
+def complement_in(inners: Sequence[Subspace], outer: Subspace) -> Subspace:
+    """A deterministic complement C with inner + C = outer, inner ∩ C = 0,
+    where inner is the sum of the spaces `inners`.
 
     Greedy rule: walk the canonical basis of `outer` in order and keep each
     vector that is independent of `inner` plus the vectors before it.  The
-    canonical rows of `inner` are a reduced echelon form; each row of
-    `outer` in turn is inserted into it (`_insert`), and kept exactly when
-    the rank grows.  A subset of RREF rows is again in RREF, hence
-    canonical.  The same pass decides containment, with no annihilator:
-    the kept rows number dim(inner + outer) - dim(inner), and inner lies in
-    outer exactly when dim(inner + outer) = dim(outer).
+    canonical rows of the first inner space are an echelon form; the rows
+    of the other inner spaces, then each row of `outer` in turn, are placed
+    into it (`_append`), and a row of `outer` is kept exactly when the rank
+    grows.  Which rows add rank depends only on the spans, not on the
+    echelon form, so the form is never reduced and no sum is spanned.  A
+    subset of RREF rows is again in RREF, hence canonical.  The same pass
+    decides containment, with no annihilator: the kept rows number
+    dim(inner + outer) - dim(inner), and inner lies in outer exactly when
+    dim(inner + outer) = dim(outer).
     """
-    if inner.ambient != outer.ambient:
+    if any(s.ambient != outer.ambient for s in inners):
         raise ValueError("ambient dimension mismatch")
-    pivots, rows = list(inner.pivots), list(inner.rows)
-    kept = tuple(row for row in outer.rows if _insert(pivots, rows, row))
-    if inner.dim + len(kept) != outer.dim:
+    pivots: List[int] = list(inners[0].pivots) if inners else []
+    rows: List[Sequence[int]] = list(inners[0].rows) if inners else []
+    for s in inners[1:]:
+        for row in s.rows:
+            _append(pivots, rows, row)
+    rank_inner = len(rows)
+    kept = tuple(row for row in outer.rows if _append(pivots, rows, row) is not None)
+    if rank_inner + len(kept) != outer.dim:
         raise ValueError("inner subspace is not contained in outer")
-    return Subspace(inner.ambient, kept)
-
-
-def tensor_product(a: Subspace, b: Subspace) -> Subspace:
-    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis
-    (index (i, j) maps to i*rb+j): the Kronecker products u⊗v of the stored
-    rows, u of `a` and v of `b` in that order, with no elimination.
-
-    These rows are canonical.  u⊗v is zero at (i, j) unless u[i] and v[j]
-    are nonzero, so its first nonzero entry is at (pivot u, pivot v); in the
-    order of (u, v) these pivots increase lexicographically.  At that
-    column every other product u'⊗v' is u'[pivot u] v'[pivot v] = 0, because
-    the rows of `a` (of `b`) are zero at each other's pivots.  So the rows
-    are in RREF.  The content of u⊗v is content(u) content(v) = 1 (Gauss's
-    lemma), and its pivot, a product of two positive pivots, is positive."""
-    return Subspace(a.ambient * b.ambient,
-                    tuple(tuple(x * y for x in u for y in v) for u in a.rows for v in b.rows))
+    return Subspace(outer.ambient, kept)
 
 
 def block_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -33,7 +33,7 @@ from typing import List, Optional, Tuple
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
 from .compatibility import graded_pieces
 from .errors import PreconditionError
-from .linalg import QMatrix, record, sum_all
+from .linalg import QMatrix, rank, record
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
@@ -119,7 +119,7 @@ def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:
     pieces = graded_pieces(kly.filtrations, universe, n)
     nonzero = [t for t in universe if pieces[t].dim]
     parts = [pieces[t] for t in nonzero]
-    if (sum(p.dim for p in parts) != n or sum_all(parts, n).dim != n
+    if (sum(p.dim for p in parts) != n or rank([v for p in parts for v in p.rows], n) != n
             or any(chain.reconstruction_failure(parts, [t[k] for t in nonzero]) is not None
                    for k, chain in enumerate(kly.filtrations))):
         return TorusReductionResult(TORUS_NONE, universe_size=len(universe))

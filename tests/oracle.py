@@ -3,7 +3,8 @@
 - `Eliminator`, `reference_complement` and `level_of`: incremental Gaussian
   elimination for independence bookkeeping, the greedy complement walk that
   `toricfilt.linalg.complement_in` must agree with, and the exact level of
-  a vector in a ray chain.  They use no elimination from the package.
+  a vector in a ray chain.  They decide independence with no elimination
+  from the package.
 - `reference_rref`, `reference_det` and `reference_reduce`: elimination
   over Fractions, the integer kernel of `toricfilt.linalg.rref`,
   `QMatrix.det` and `Subspace.contains` must agree with.
@@ -22,19 +23,22 @@
   the span reference for `reconstruction_failure` in the tests, compare
   through it.
 - `reference_graded_pieces` and `reference_verify_cone_decomposition`:
-  the graded pieces with a sum and a complement at every tuple, and the
+  the graded pieces with the oracle's own greedy complement
+  (`reference_complement`) of all successors at every tuple, and the
   certificate check that rebuilds every chain as a sum of pieces, which
-  the dimension shortcuts of `toricfilt.compatibility` and the
-  count-and-product test `RayFiltration.reconstruction_failure` must agree
-  with.
+  the dimension shortcuts and the complements of `toricfilt.compatibility`
+  and the count-and-product test `RayFiltration.reconstruction_failure`
+  must agree with.
 - `reference_splitting_reconstructs`: the torus-splitting check that spans
   the lines of each level at every probe of every chain, which
   `toricfilt.reduction.check_torus_reduction` (a direct-sum test, then
   `reconstruction_failure`) must agree with.
-- `reference_tensor`: the tensor product of filtration data as the sum
-  over p + q = j of the Kronecker products of the operand chains, one
-  elimination per candidate level, which the adapted-basis construction of
-  `toricfilt.filtrations.tensor` must agree with.
+- `tensor_product` and `reference_tensor`: the tensor product of two
+  subspaces as the Kronecker products of their canonical rows, and that of
+  filtration data as the sum over p + q = j of the Kronecker products of
+  the operand chains, one elimination per candidate level, which the
+  adapted-basis construction of `toricfilt.filtrations.tensor` must agree
+  with.
 - `graded_decomposition`, `tensor_certificate` and
   `canonical_cone_decomposition`: decompositions of a cone built from
   subspaces labelled by characters, not from the chains, with the sum of
@@ -100,11 +104,9 @@ from toricfilt.linalg import (
     QMatrix,
     Subspace,
     column_lines,
-    complement_in,
     intersect_all,
     span_canonical,
     sum_all,
-    tensor_product,
 )
 from toricfilt.serialize import fan_from_obj, load_fan
 
@@ -146,12 +148,13 @@ class Eliminator:
         return len(self.rows)
 
 
-def reference_complement(inner: Subspace, outer: Subspace) -> Subspace:
+def reference_complement(inners: Sequence[Subspace], outer: Subspace) -> Subspace:
     """Walk the canonical basis of `outer` in order and keep each vector
-    that is independent of `inner` plus the vectors already kept."""
-    elim = Eliminator(inner.ambient, inner.basis)
+    that is independent of the spaces `inners` plus the vectors already
+    kept."""
+    elim = Eliminator(outer.ambient, [row for inner in inners for row in inner.basis])
     picked = [row for row in outer.basis if elim.add(row)]
-    return span_canonical(picked, inner.ambient)
+    return span_canonical(picked, outer.ambient)
 
 
 def reference_rref(rows: Sequence[Sequence[Fraction]],
@@ -260,8 +263,9 @@ def level_of(filt: RayFiltration, v: Sequence) -> int:
 def reference_graded_pieces(filts: Sequence[RayFiltration],
                             tuples: Sequence[Tuple[int, ...]],
                             ambient: int) -> Dict[Tuple[int, ...], Subspace]:
-    """The graded piece at every tuple t with no shortcut: the complement,
-    inside W(t), of the sum of W over all immediate successors of t."""
+    """The graded piece at every tuple t with no shortcut: the greedy
+    complement (`reference_complement`), inside W(t), of the sum of W over
+    all immediate successors of t."""
     next_index = [dict(zip(f.jump_indices(), f.jump_indices()[1:])) for f in filts]
     w: Dict[Tuple[int, ...], Subspace] = {}
 
@@ -279,7 +283,7 @@ def reference_graded_pieces(filts: Sequence[RayFiltration],
             up = next_index[k].get(i)
             if up is not None:
                 successors.append(meet(t[:k] + (up,) + t[k + 1:]))
-        pieces[t] = complement_in(sum_all(successors, ambient), meet(t))
+        pieces[t] = reference_complement(successors, meet(t))
     return pieces
 
 
@@ -347,6 +351,22 @@ def reference_splitting_reconstructs(kly: FiltrationData, lines: Sequence[tuple]
         ) is None
         for k, chain in enumerate(kly.filtrations)
     )
+
+
+def tensor_product(a: Subspace, b: Subspace) -> Subspace:
+    """Tensor product inside Q^(ra*rb) with the lexicographic e_i⊗f_j basis
+    (index (i, j) maps to i*rb+j): the Kronecker products u⊗v of the stored
+    rows, u of `a` and v of `b` in that order, with no elimination.
+
+    These rows are canonical.  u⊗v is zero at (i, j) unless u[i] and v[j]
+    are nonzero, so its first nonzero entry is at (pivot u, pivot v); in the
+    order of (u, v) these pivots increase lexicographically.  At that
+    column every other product u'⊗v' is u'[pivot u] v'[pivot v] = 0, because
+    the rows of `a` (of `b`) are zero at each other's pivots.  So the rows
+    are in RREF.  The content of u⊗v is content(u) content(v) = 1 (Gauss's
+    lemma), and its pivot, a product of two positive pivots, is positive."""
+    return Subspace(a.ambient * b.ambient,
+                    tuple(tuple(x * y for x in u for y in v) for u in a.rows for v in b.rows))
 
 
 def reference_tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:

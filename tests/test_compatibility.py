@@ -444,20 +444,19 @@ def _full_flag_data(rng, fan, dim, shared):
 
 
 def _spied_fallback(monkeypatch):
-    """Spies on the sums and complements of `graded_pieces`: the log gets
-    ("sum", number of spaces) and ("complement", dimension of the piece)."""
+    """Spies on the complements of `graded_pieces`, each of which also
+    sums its inner spaces when there are two or more: the log gets
+    ("sum", number of inner spaces) for such a sum, then ("complement",
+    dimension of the piece)."""
     log = []
 
-    def summed(spaces, ambient):
-        log.append(("sum", len(spaces)))
-        return linalg.sum_all(spaces, ambient)
-
-    def complemented(inner, outer):
-        piece = linalg.complement_in(inner, outer)
+    def complemented(inners, outer):
+        if len(inners) >= 2:
+            log.append(("sum", len(inners)))
+        piece = linalg.complement_in(inners, outer)
         log.append(("complement", piece.dim))
         return piece
 
-    monkeypatch.setattr(compatibility, "sum_all", summed)
     monkeypatch.setattr(compatibility, "complement_in", complemented)
     return log
 

@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 import toricfilt
 from oracle import (
+    Eliminator,
     reference_complement,
     reference_det,
     reference_intersection,
     reference_kernel,
     reference_reduce,
     reference_rref,
+    tensor_product,
 )
 from toricfilt import linalg
 from toricfilt.linalg import (
@@ -44,7 +46,7 @@ from toricfilt.linalg import (
     rref,
     span_canonical,
     subspace_sum,
-    tensor_product,
+    sum_all,
     to_fraction,
     vector,
 )
@@ -103,19 +105,19 @@ def test_intersect_transverse_lines():
 
 def test_complement_of_zero_and_full():
     v = span_canonical([[1, 0, 2], [0, 1, 1]])
-    assert complement_in(Subspace.zero(3), v) == v
-    assert complement_in(v, v) == Subspace.zero(3)
+    assert complement_in([Subspace.zero(3)], v) == v
+    assert complement_in([v], v) == Subspace.zero(3)
 
 
 def test_complement_greedy_rule():
     # greedy walks the canonical basis (1,0), (0,1) of Q^2 and keeps (1,0)
-    c = complement_in(span_canonical([[1, 1]]), Subspace.full(2))
+    c = complement_in([span_canonical([[1, 1]])], Subspace.full(2))
     assert c == span_canonical([[1, 0]])
 
 
 def test_complement_containment_violation():
     with pytest.raises(ValueError):
-        complement_in(span_canonical([[1, 0]]), span_canonical([[0, 1]]))
+        complement_in([span_canonical([[1, 0]])], span_canonical([[0, 1]]))
 
 
 @record
@@ -512,6 +514,108 @@ def test_levelled_meets_match_intersect_all():
     assert levelled_meets(Subspace.full(3), []) == []
 
 
+def _messy_int_rows(rng, nrows, ncols):
+    """Integer rows of any content with zero, duplicated, scaled and
+    dependent rows mixed in."""
+    rows = [[rng.choice([0, 0, rng.randint(-9, 9)]) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if rows:
+        rows.append([0] * ncols)
+        rows.append(list(rng.choice(rows)))
+        rows.append([rng.choice([-3, 2, 6]) * x for x in rng.choice(rows)])
+        c = [rng.randint(-2, 2) for _ in rows]
+        rows.append([sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(ncols)])
+        rng.shuffle(rows)
+    return rows
+
+
+def _echelon_cases(rng):
+    """Seeded inputs of the three echelon-placement callers at ambient
+    0-12: (inner spaces, outer space) pairs for `complement_in`, integer
+    rows for `rank`, and (space, levelled vectors) for `levelled_meets`."""
+    complements, ranks, sweeps = [], [], []
+    for n in range(13):
+        for _ in range(12):
+            inners = [span_canonical(_messy_int_rows(rng, rng.randint(0, n), n), n)
+                      for _ in range(rng.randint(0, 3))]
+            extra = span_canonical(_messy_int_rows(rng, rng.randint(0, n), n), n)
+            outer = sum_all(inners + [extra], n) if rng.random() < 0.7 else extra
+            complements.append((inners, outer))
+            ranks.append(_messy_int_rows(rng, rng.randint(0, n + 3), n))
+            vecs = _messy_int_rows(rng, rng.randint(0, n + 1), n)
+            inside = vecs and rng.random() < 0.3
+            space = span_canonical(rng.sample(vecs, rng.randint(1, len(vecs))) if inside
+                                   else _messy_int_rows(rng, rng.randint(0, n), n), n)
+            sweeps.append((space, [(rng.randint(-3, 3), v) for v in vecs]))
+    return complements, ranks, sweeps
+
+
+def test_echelon_placement_matches_references():
+    """The callers that place rows into an echelon form that is never
+    reduced agree with references that read canonical rows or Fraction
+    ranks, at ambient 0-12 with zero, duplicated, scaled and dependent
+    rows: `complement_in` with the oracle's greedy walk over Fractions (and
+    raises exactly when the inner spaces do not lie in the outer one),
+    `rank` with `integer_span(...).dim`, and `levelled_meets` with
+    `intersect_all` at every level."""
+    complements, ranks, sweeps = _echelon_cases(random.Random(2311))
+    outcomes = set()
+    for inners, outer in complements:
+        rows = [row for s in inners for row in s.basis] + list(outer.basis)
+        contained = Eliminator(outer.ambient, rows).rank == outer.dim
+        if contained:
+            assert complement_in(inners, outer) == reference_complement(inners, outer)
+        else:
+            with pytest.raises(ValueError, match="not contained"):
+                complement_in(inners, outer)
+        outcomes.add((contained, min(len(inners), 2)))
+    assert outcomes == {(c, k) for c in (True, False) for k in (0, 1, 2)} - {(False, 0)}
+    for rows in ranks:
+        n = len(rows[0]) if rows else 0
+        assert linalg.rank(rows, n) == integer_span(rows, n).dim
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        linalg.rank([[1, 2], [1, 2, 3]], 2)
+    for space, levelled in sweeps:
+        n = space.ambient
+        expected = [(i, intersect_all(
+            [space, span_canonical([v for lv, v in levelled if lv >= i], n)], n))
+            for i in sorted({lv for lv, _ in levelled}, reverse=True)]
+        assert levelled_meets(space, levelled) == expected
+
+
+def test_echelon_placement_clears_no_pivot(monkeypatch):
+    """Only canonical rows take the reduced placement (`_insert`):
+    `complement_in` and `rank` never call it, and `levelled_meets` calls it
+    only to span a meet that grew, once per row of each new meet that is
+    neither zero nor the space itself."""
+    complements, ranks, sweeps = _echelon_cases(random.Random(2357))
+    calls = []
+    insert = linalg._insert
+
+    def spied(pivots, rows, v):
+        calls.append(len(v))
+        return insert(pivots, rows, v)
+
+    monkeypatch.setattr(linalg, "_insert", spied)
+    for inners, outer in complements:
+        try:
+            complement_in(inners, outer)
+        except ValueError:
+            pass
+    for rows in ranks:
+        linalg.rank(rows, len(rows[0]) if rows else 0)
+    assert calls == []
+    grown = 0
+    for space, levelled in sweeps:
+        del calls[:]
+        meets = [m for _, m in levelled_meets(space, levelled)]
+        new = [m for k, m in enumerate(meets) if k == 0 or m is not meets[k - 1]]
+        spanned = sum(m.dim for m in new if m is not space)
+        assert calls == [space.ambient] * spanned
+        grown += spanned > 0
+    assert grown > 20
+
+
 def test_image_matches_matrix_product():
     """The image of a subspace under v -> v @ m equals the span of its rows
     times m, for singular, non-square and zero rational matrices whose rows
@@ -637,8 +741,9 @@ def test_one_per_instance_cache():
 
 def test_one_reduction_step():
     """In `linalg` only `_primitive`, `_reduce` and `_insert` name `gcd`:
-    every span, chain, complement and elimination reduces its rows through
-    `_insert`, and none keeps a row reduction of its own."""
+    every span, chain, complement, rank and elimination reduces its rows
+    through `_reduce` and places them with `_append` or `_insert`, and none
+    keeps a row reduction of its own."""
     path = pathlib.Path(linalg.__file__)
     found = set()
     for top in ast.parse(path.read_text()).body:
@@ -783,7 +888,7 @@ def test_complement_properties(inner_rows, outer_extra):
     inner = span_canonical(inner_rows, 4)
     outer = span_canonical(list(inner.basis) + list(
         span_canonical(outer_extra, 4).basis), 4)
-    c = complement_in(inner, outer)
+    c = complement_in([inner], outer)
     assert intersect(c, inner) == Subspace.zero(4)
     assert subspace_sum(c, inner) == outer
 
@@ -808,10 +913,10 @@ def test_complement_guard_builds_no_annihilator(monkeypatch):
     outcomes = set()
     for inner, outer, contained in cases:
         if contained:
-            assert complement_in(inner, outer) == reference_complement(inner, outer)
+            assert complement_in([inner], outer) == reference_complement([inner], outer)
         else:
             with pytest.raises(ValueError, match="not contained"):
-                complement_in(inner, outer)
+                complement_in([inner], outer)
         outcomes.add(contained)
     assert outcomes == {True, False}
 
@@ -827,7 +932,7 @@ def test_complement_matches_greedy_walk():
                         for _ in range(k)]
             inner = span_canonical(rows(rng.randint(0, n)), n)
             outer = subspace_sum(inner, span_canonical(rows(rng.randint(0, n)), n))
-            assert complement_in(inner, outer) == reference_complement(inner, outer)
+            assert complement_in([inner], outer) == reference_complement([inner], outer)
 
 
 def _random_matrix(rng, m, n, lo=-4, hi=4):
