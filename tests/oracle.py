@@ -52,9 +52,15 @@
   construction, only the input checks, the integral-character solver and
   the reference certificate re-verification.
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
-  over all basis pairs and expanded coproducts that the product walk and the
-  row-degree grouping in `toricfilt.algebras` must agree with; `products`
-  lists the walk's product table as index triples.
+  over all basis pairs and expanded coproducts that the product walk, the
+  group triples and the row-degree grouping in `toricfilt.algebras` must
+  agree with; `products` lists the walk's product table as index triples,
+  and `multiply`, `generator` and `chain_members` are the products, matrix
+  entries and ray chains of a truncation, monomial by monomial.
+- `reference_class_index` and `reference_canonical_representative`: the
+  class and representative of a character read entry by entry from the
+  rows of `v` and `v_inv`, which `toricfilt.fans.CharQuotient` must agree
+  with; the reference algebra scans take classes from them.
 - `transition`, `reference_gluing`, `transition_at` and `evaluate_laurent`:
   the symbolic expansion of a transition as a matrix of Laurent polynomials,
   the gluing check on every expanded exponent that `check_gluing` must agree
@@ -599,6 +605,48 @@ def reference_is_face_of(face: Cone, cone: Cone) -> bool:
 # truncated algebras
 
 
+def _reference_coords(quotient: CharQuotient, u: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(sum(u[i] * quotient.v[i][j] for i in range(quotient.rank))
+                 for j in range(quotient.rank))
+
+
+def reference_class_index(quotient: CharQuotient, u: Sequence[int]) -> Tuple[int, ...]:
+    """[u]: every coordinate of u in the basis v, read entry by entry from
+    the rows of v, cut to the last rank - perp_dim."""
+    return _reference_coords(quotient, u)[quotient.perp_dim:]
+
+
+def reference_canonical_representative(quotient: CharQuotient,
+                                       u: Sequence[int]) -> Tuple[int, ...]:
+    """Every coordinate of u, the first perp_dim set to zero, mapped back
+    through v_inv entry by entry."""
+    coords = list(_reference_coords(quotient, u))
+    for i in range(quotient.perp_dim):
+        coords[i] = 0
+    return tuple(sum(coords[i] * quotient.v_inv[i][j] for i in range(quotient.rank))
+                 for j in range(quotient.rank))
+
+
+def multiply(alg: TruncatedAlgebra, a: Mono, b: Mono) -> Optional[Mono]:
+    """Product of two basis monomials, or None when it leaves the truncation."""
+    prod = tuple(x + y for x, y in zip(a, b))
+    if sum(prod) > alg.degree:
+        return None
+    return prod
+
+
+def generator(alg: TruncatedAlgebra, i: int, j: int) -> Mono:
+    """The exponent vector of the matrix entry x'_{ij}."""
+    e = [0] * (alg.n * alg.n)
+    e[i * alg.n + j] = 1
+    return tuple(e)
+
+
+def chain_members(alg: TruncatedAlgebra, ray: Tuple[int, ...], i: int) -> List[Mono]:
+    """The basis monomials at level i or above on the ray, in basis order."""
+    return [m for m in alg.basis if alg.level(m, ray) >= i]
+
+
 def coproduct(alg: TruncatedAlgebra, m: Mono) -> Dict[Tuple[Mono, Mono], int]:
     """Expansion of the matrix coproduct on a basis monomial.  Both tensor
     legs have the same total degree as m, so they stay in the truncation."""
@@ -629,7 +677,7 @@ def products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
 def reference_multiplicative(alg: TruncatedAlgebra):
     for ray in alg.rays:
         for f, g in itertools.combinations_with_replacement(alg.basis, 2):
-            prod = alg.multiply(f, g)
+            prod = multiply(alg, f, g)
             if prod is None:
                 continue
             if alg.level(prod, ray) < alg.level(f, ray) + alg.level(g, ray):
@@ -638,12 +686,12 @@ def reference_multiplicative(alg: TruncatedAlgebra):
 
 
 def reference_compatible_algebra(alg: TruncatedAlgebra):
-    cls = {m: alg.quotient.class_index(alg.weights[m]) for m in alg.basis}
+    cls = {m: reference_class_index(alg.quotient, alg.weights[m]) for m in alg.basis}
     dims: Dict[Tuple[int, ...], int] = {}
     for m in alg.basis:
         dims[cls[m]] = dims.get(cls[m], 0) + 1
     for f, g in itertools.combinations_with_replacement(alg.basis, 2):
-        prod = alg.multiply(f, g)
+        prod = multiply(alg, f, g)
         if prod is None:
             continue
         expected = tuple(a + b for a, b in zip(cls[f], cls[g]))
@@ -654,11 +702,11 @@ def reference_compatible_algebra(alg: TruncatedAlgebra):
 
 def reference_coaction_commutes(alg: TruncatedAlgebra):
     for f in alg.basis:
-        f_cls = alg.quotient.class_index(alg.weights[f])
+        f_cls = reference_class_index(alg.quotient, alg.weights[f])
         for (left, _right), coeff in coproduct(alg, f).items():
             if coeff == 0:
                 continue
-            if alg.quotient.class_index(alg.weights[left]) != f_cls:
+            if reference_class_index(alg.quotient, alg.weights[left]) != f_cls:
                 return False, {"monomial": list(f), "left_leg": list(left)}
     return True, None
 

@@ -8,6 +8,7 @@ import time
 from oracle import (
     evaluate_laurent,
     exhaustive_adapted_search,
+    generator,
     random_torus_point,
     reference_frame_change_scan,
     tensor_certificate,
@@ -218,7 +219,7 @@ def test_criterion_5_filtered_algebra_axioms():
                                      [QMatrix.identity(2)] * 3, chars)
         alg = build_truncation(data, 0, 3)
         flipped = dict(alg.weights)
-        gen = alg.generator(0, 0)
+        gen = generator(alg, 0, 0)
         flipped[gen] = tuple(-w for w in flipped[gen])
         broken = replace(alg, weights=flipped)
         assert not check_multiplicative(broken)[0]

@@ -4,15 +4,20 @@ import random
 import pytest
 
 from oracle import (
+    chain_members,
     coproduct,
+    generator,
+    multiply,
     products,
     reference_coaction_commutes,
     reference_compatible_algebra,
     reference_multiplicative,
 )
+from toricfilt import algebras
 from toricfilt.algebras import (
     _class_memo,
     _columns,
+    _grouped,
     _shape,
     _walk,
     build_truncation,
@@ -21,6 +26,7 @@ from toricfilt.algebras import (
     check_multiplicative,
 )
 from toricfilt.bundles import CocharBundleData, GroupSpec
+from toricfilt.fans import CharQuotient
 from toricfilt.errors import InputError, PreconditionError
 from toricfilt.linalg import QMatrix, replace
 from toricfilt.sampling import p1_fan, p2_fan, random_bundle
@@ -72,16 +78,16 @@ def test_zero_characters_trivial_filtration(p2):
     alg = build_truncation(data, 0, 3)
     assert all(alg.weights[m] == (0, 0) for m in alg.basis)
     for ray in alg.rays:
-        assert alg.chain_members(ray, 0) == list(alg.basis)
-        assert alg.chain_members(ray, 1) == []
+        assert chain_members(alg, ray, 0) == list(alg.basis)
+        assert chain_members(alg, ray, 1) == []
 
 
 def test_gl2_row_convention_weights(p2):
     data = gl2_bundle(p2, [[(1, 0), (0, 0)]] * 3)
     alg = build_truncation(data, 0, 2)
     for j in range(2):
-        assert alg.weights[alg.generator(0, j)] == (-1, 0)
-        assert alg.weights[alg.generator(1, j)] == (0, 0)
+        assert alg.weights[generator(alg, 0, j)] == (-1, 0)
+        assert alg.weights[generator(alg, 1, j)] == (0, 0)
 
 
 def test_multiplicative_gl1(p1):
@@ -89,21 +95,21 @@ def test_multiplicative_gl1(p1):
     alg = build_truncation(data, 0, 2)
     ok, witness = check_multiplicative(alg)
     assert ok and witness is None
-    x = alg.generator(0, 0)
-    assert alg.multiply(x, x) == (2,)
+    x = generator(alg, 0, 0)
+    assert multiply(alg, x, x) == (2,)
     assert alg.level((2,), (1,)) == alg.level(x, (1,)) + alg.level(x, (1,))
 
 
 def test_out_of_truncation_products_skipped(p1):
     data = gl1_bundle(p1, [(1,), (1,)])
     alg = build_truncation(data, 0, 2)
-    assert alg.multiply((2,), (1,)) is None
+    assert multiply(alg, (2,), (1,)) is None
 
 
 def test_coproduct_gl1(p1):
     data = gl1_bundle(p1, [(2,), (2,)])
     alg = build_truncation(data, 0, 2)
-    x = alg.generator(0, 0)
+    x = generator(alg, 0, 0)
     assert coproduct(alg, x) == {(x, x): 1}
     ok, _ = check_coaction_commutes(alg)
     assert ok
@@ -112,8 +118,8 @@ def test_coproduct_gl1(p1):
 def test_coproduct_gl2_rows(p2):
     data = gl2_bundle(p2, [[(1, 0), (0, 1)]] * 3)
     alg = build_truncation(data, 0, 2)
-    x11, x12 = alg.generator(0, 0), alg.generator(0, 1)
-    x21, x22 = alg.generator(1, 0), alg.generator(1, 1)
+    x11, x12 = generator(alg, 0, 0), generator(alg, 0, 1)
+    x21, x22 = generator(alg, 1, 0), generator(alg, 1, 1)
     assert coproduct(alg, x11) == {(x11, x11): 1, (x12, x21): 1}
     # both left legs carry the row-one weight
     assert alg.weights[x11] == alg.weights[x12] == (-1, 0)
@@ -138,7 +144,7 @@ def test_all_checks_pass_on_random_gl2(p1, p2):
 def test_flipped_weight_negative_control(p2):
     data = gl2_bundle(p2, [[(1, 0), (0, 0)]] * 3)
     alg = build_truncation(data, 0, 3)
-    x11 = alg.generator(0, 0)
+    x11 = generator(alg, 0, 0)
     corrupted = dict(alg.weights)
     corrupted[x11] = tuple(-w for w in corrupted[x11])
     broken = replace(alg, weights=corrupted)
@@ -185,7 +191,7 @@ def test_gl1_calibration_against_line_data(p1):
     kly = associated_klyachko(data)
     for k, ray_idx in enumerate([0, 1]):
         alg = build_truncation(data, k, 2)
-        x = alg.generator(0, 0)
+        x = generator(alg, 0, 0)
         line_jump = kly.filtrations[ray_idx].jump_indices()[0]
         assert alg.level(x, p1.rays[ray_idx]) == -line_jump
 
@@ -197,12 +203,12 @@ def test_chains_decreasing_and_full_within_truncation(p2):
         levels = sorted({alg.level(m, ray) for m in alg.basis})
         previous = None
         for i in levels:
-            members = alg.chain_members(ray, i)
+            members = chain_members(alg, ray, i)
             assert all(alg.level(m, ray) >= i for m in members)
             if previous is not None:
                 assert set(members) <= set(previous)
             previous = members
-        assert alg.chain_members(ray, min(levels)) == list(alg.basis)
+        assert chain_members(alg, ray, min(levels)) == list(alg.basis)
 
 
 def test_unsupported_group_kind(p1):
@@ -218,6 +224,16 @@ def test_degree_budget_boundary(p1):
     assert len(build_truncation(data, 0, 11).basis) == 1365
     with pytest.raises(InputError, match="over budget"):
         build_truncation(data, 0, 12)
+
+
+def test_bool_degree_and_cone_index_refused(p1):
+    data = gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]])
+    for cone_index, degree in ((0, True), (True, 1), (True, True), (0, False)):
+        with pytest.raises(InputError, match="truncation degree|cone index"):
+            build_truncation(data, cone_index, degree)
+    with pytest.raises(InputError, match="cone index must be an integer"):
+        build_truncation(data, 1.0, 1)
+    assert build_truncation(data, 1, 1).degree == 1
 
 
 def row_degrees(m, n):
@@ -273,10 +289,10 @@ def test_checks_match_reference_scans():
         alg.weights[last] = tuple(w - r for w, r in zip(alg.weights[last], alg.rays[0]))
         ok, witness = check_multiplicative(alg)
         assert (ok, witness) == reference_multiplicative(alg)
-        assert alg.multiply(tuple(witness["f"]), tuple(witness["g"])) == last
+        assert multiply(alg, tuple(witness["f"]), tuple(witness["g"])) == last
         compatible = check_compatible_algebra(alg)
         assert compatible == reference_compatible_algebra(alg)
-        assert alg.multiply(tuple(compatible[1]["f"]), tuple(compatible[1]["g"])) == last
+        assert multiply(alg, tuple(compatible[1]["f"]), tuple(compatible[1]["g"])) == last
         ok, witness = check_coaction_commutes(alg)
         assert ok == reference_coaction_commutes(alg)[0] == (n == 1)
         if n > 1:
@@ -308,6 +324,7 @@ def test_one_pass_basis_matches_brute_force(p1, p2):
 def test_replaced_truncation_starts_without_cached_tables(p1):
     alg = build_truncation(random_bundle(random.Random(4), p1, 2), 0, 2)
     assert check_compatible_algebra(alg)[0]
+    _columns(alg)  # the group triples decide this table, so no check read the columns
     memo = _class_memo(alg)
     assert memo and _class_memo(alg) is memo and {"__columns", "__class_memo"} <= set(vars(alg))
     other = replace(alg, weights=dict(alg.weights))
@@ -322,9 +339,9 @@ def test_product_table_matches_pair_scan(p1):
         for degree in range(1, 4):
             alg = build_truncation(random_bundle(random.Random(n), p1, n), 0, degree)
             index = {m: k for k, m in enumerate(alg.basis)}
-            expected = [(index[f], index[g], index[alg.multiply(f, g)])
+            expected = [(index[f], index[g], index[multiply(alg, f, g)])
                         for f, g in itertools.combinations_with_replacement(alg.basis, 2)
-                        if alg.multiply(f, g) is not None]
+                        if multiply(alg, f, g) is not None]
             assert products(alg) == expected
 
 
@@ -414,3 +431,70 @@ def test_class_sum_outside_every_class(p1):
     assert (-6,) not in compatible[2]
     assert compatible == reference_compatible_algebra(broken)
     assert compatible[:2] == (False, {"f": [1], "g": [1]})
+
+
+GROUP_CASES = [(p1_fan(), 1, 4), (p1_fan(), 2, 3), (p1_fan(), 3, 2), (p2_fan(), 1, 4),
+               (p2_fan(), 2, 3), (p2_fan(), 3, 2)]
+
+
+def test_group_triples_match_reference_scans():
+    """Seeded GL(1)-GL(3) truncations on P^1 and P^2; in every other case
+    one or two whole row-degree groups move to a new weight, so the table
+    stays constant on groups and the group triples decide it, but weights
+    are no longer additive.  Every result equals the reference scan's, the
+    witnesses and the key order of the piece dimensions included."""
+    rng = random.Random(2417)
+    refuted = {"multiplicative": 0, "compatible": 0}
+    for trial in range(300):
+        fan, n, degree = GROUP_CASES[trial % len(GROUP_CASES)]
+        alg = build_truncation(random_bundle(rng, fan, n), rng.randrange(len(fan.maximal_cones)),
+                               degree)
+        groups = _shape(n, degree)[3][0]
+        if trial % 2:
+            for group in rng.sample(groups, min(len(groups), rng.randint(1, 2))):
+                w = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+                for k in group:
+                    alg.weights[alg.basis[k]] = w
+        assert _grouped(alg) is not None
+        multiplicative = check_multiplicative(alg)
+        assert multiplicative == reference_multiplicative(alg)
+        compatible = check_compatible_algebra(alg)
+        reference = reference_compatible_algebra(alg)
+        assert compatible == reference
+        assert list(compatible[2].items()) == list(reference[2].items())
+        assert check_coaction_commutes(alg) == reference_coaction_commutes(alg) == (True, None)
+        refuted["multiplicative"] += not multiplicative[0]
+        refuted["compatible"] += not compatible[0]
+    assert all(refuted.values()), refuted
+
+
+def test_truncation_tables_take_the_group_triples(monkeypatch):
+    """On tables that `build_truncation` makes, no check forms id triples,
+    and `class_index` runs at most once per row-degree group; an edited
+    table that is not constant on groups still takes the scans."""
+    calls = {"ids": 0, "classes": 0}
+    id_triples, class_index = algebras._id_triples, CharQuotient.class_index
+
+    def counted_ids(*args):
+        calls["ids"] += 1
+        return id_triples(*args)
+
+    def counted_class(self, u):
+        calls["classes"] += 1
+        return class_index(self, u)
+
+    monkeypatch.setattr(algebras, "_id_triples", counted_ids)
+    monkeypatch.setattr(CharQuotient, "class_index", counted_class)
+    rng = random.Random(5)
+    for fan, n, degree in GROUP_CASES:
+        for k in range(len(fan.maximal_cones)):
+            alg = build_truncation(random_bundle(rng, fan, n), k, degree)
+            calls["classes"] = 0
+            assert check_multiplicative(alg)[0]
+            assert check_compatible_algebra(alg)[0]
+            assert check_coaction_commutes(alg)[0]
+            assert calls["ids"] == 0
+            assert 0 < calls["classes"] <= len(_shape(n, degree)[3][0])
+    alg.weights[alg.basis[-1]] = tuple(w + 1 for w in alg.weights[alg.basis[-1]])
+    check_multiplicative(alg)
+    assert calls["ids"] == 1

@@ -3,10 +3,17 @@ import random
 
 import pytest
 
-from oracle import reference_cone, reference_dual_description, reference_is_face_of
+from oracle import (
+    reference_canonical_representative,
+    reference_class_index,
+    reference_cone,
+    reference_dual_description,
+    reference_is_face_of,
+)
 from toricfilt.errors import InputError
 from toricfilt.fans import (
     CONE_CACHE_SIZE,
+    CharQuotient,
     Fan,
     NotPointedError,
     cone_from_generators,
@@ -15,6 +22,8 @@ from toricfilt.fans import (
     is_face_of,
     validate_fan,
 )
+from toricfilt.linalg import QMatrix
+from toricfilt.sampling import p1_fan, p2_fan, square_cone_fan
 
 
 def test_p1_fan_valid(p1):
@@ -138,6 +147,47 @@ def test_perp_top_dimensional_cone(p2):
     perp, quot = c.perp_basis, c.quotient()
     assert perp == ()
     assert quot.canonical_representative((2, -3)) == (2, -3)
+
+
+def random_unimodular(rng, rank):
+    """A product of seeded elementary integer row operations, and its
+    inverse."""
+    rows = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(3 * rank):
+        a, b = rng.sample(range(rank), 2) if rank > 1 else (0, 0)
+        if a != b:
+            k = rng.randint(-3, 3)
+            rows[b] = [x + k * y for x, y in zip(rows[b], rows[a])]
+        if rng.random() < 0.3:
+            rows[a] = [-x for x in rows[a]]
+    inverse = QMatrix.from_rows(rows).inverse()
+    return (tuple(map(tuple, rows)),
+            tuple(tuple(int(x) for x in row) for row in inverse.entries))
+
+
+def test_quotient_coordinates_match_reference_formula():
+    """`class_index` and `canonical_representative` equal the entry-by-entry
+    formula of the oracle on hand-built quotients (random unimodular v,
+    every perp_dim from 0 to the rank) and on the quotient of every maximal
+    cone and every ray of the sampling fans."""
+    rng = random.Random(61)
+    quotients = []
+    for rank in range(1, 5):
+        for perp_dim in range(rank + 1):
+            for _ in range(3):
+                v, v_inv = random_unimodular(rng, rank)
+                quotients.append(CharQuotient(rank, perp_dim, v, v_inv))
+    for fan in (p1_fan(), p2_fan(), square_cone_fan()):
+        quotients += [fan.maximal_cone(k).quotient() for k in range(len(fan.maximal_cones))]
+        quotients += [cone_from_generators(fan.rank, (ray,)).quotient() for ray in fan.rays]
+    assert {q.perp_dim for q in quotients} == {0, 1, 2, 3, 4}
+    for q in quotients:
+        for _ in range(8):
+            u = tuple(rng.randint(-9, 9) for _ in range(q.rank))
+            assert q.class_index(u) == reference_class_index(q, u)
+            rep = q.canonical_representative(u)
+            assert rep == reference_canonical_representative(q, u)
+            assert q.class_index(rep) == q.class_index(u)
 
 
 def test_perp_zero_cone():
