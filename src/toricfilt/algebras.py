@@ -53,13 +53,12 @@ Whether a table is constant on groups is tested on every call, in one pass
 over the basis, because a table can be edited in place.
 
 Otherwise (a table not constant on groups, or a basis that is not its
-shape's) the multiplicativity and graded-product scans map the columns to
-weight or class ids and test each distinct id triple once; a pair's verdict
-depends only on its triple, so the scans stay exhaustive and also judge
-corrupted or edited weight tables.  A failing group or id triple sends the
-check to a walk of the table in order, so the witness is the first failing
-pair either way.  A class is memoized by weight, of which it is a function;
-nothing else derived from the weights is kept between calls.  Δ(f) is never
+shape's) the multiplicativity and graded-product checks walk the product
+table in order, which is exhaustive and also judges corrupted or edited
+weight tables.  A failing group triple sends the check to the same walk,
+so the witness is the first failing pair either way.  A class is memoized
+by weight, of which it is a function; nothing else derived from the
+weights is kept between calls.  Δ(f) is never
 expanded: its left legs are exactly the monomials with f's row degrees (row
 sums of the exponent matrix), each with a positive count, so the coaction
 commutes with the grading iff the class is constant on every row-degree
@@ -269,30 +268,19 @@ def _grouped(alg: TruncatedAlgebra) -> Optional[Tuple[Grouping, List[Weight]]]:
     return grouping, by_group
 
 
-def _id_triples(values: List, columns: Columns) -> Tuple[dict, set]:
-    """An id for each distinct value, in order of first appearance, and the
-    distinct (id_i, id_j, id_k) triples of the product table under them."""
-    ids = {v: x for x, v in enumerate(dict.fromkeys(values))}
-    of = list(map(ids.__getitem__, values)).__getitem__
-    return ids, set(zip(*(map(of, c) for c in columns)))
-
-
 def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
     """Chain multiplicativity: products of chain members at levels i and j
     must land at level i+j.  Verified exhaustively over basis pairs with
     in-truncation products, one test per group triple on a table constant
-    on row-degree groups, else one per distinct weight triple; weight
+    on row-degree groups, else by walking the product table; weight
     additivity makes this an identity for an uncorrupted weight table."""
     grouped = _grouped(alg)
-    if grouped is not None:
-        (_, _, triples), weights = grouped
-    else:
-        ids, triples = _id_triples(_basis_weights(alg), _columns(alg))
-        weights = list(ids)
     for ray in alg.rays:
-        lv = [sum(map(mul, w, ray)) for w in weights]
-        if all(lv[c] >= lv[a] + lv[b] for a, b, c in triples):
-            continue
+        if grouped is not None:
+            (_, _, triples), weights = grouped
+            lv = [sum(map(mul, w, ray)) for w in weights]
+            if all(lv[c] >= lv[a] + lv[b] for a, b, c in triples):
+                continue
         lv = [alg.level(m, ray) for m in alg.basis]
         for i, j, k in zip(*_columns(alg)):
             if lv[k] < lv[i] + lv[j]:
@@ -305,7 +293,7 @@ def check_compatible_algebra(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict
     """Graded pieces indexed by character classes of the cone: the product of
     a piece of class [u] and a piece of class [v] must land in class [u]+[v],
     one test per group triple on a table constant on row-degree groups, else
-    one per distinct class triple.  Returns (ok, witness, piece dimensions
+    by walking the product table.  Returns (ok, witness, piece dimensions
     by class, in order of first appearance in the basis)."""
     dims: Dict[Tuple[int, ...], int] = {}
     grouped = _grouped(alg)
@@ -314,15 +302,12 @@ def check_compatible_algebra(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict
         classes = _classes(alg, weights)
         for c, group in zip(classes, groups):
             dims[c] = dims.get(c, 0) + len(group)
-    else:
-        cls = _classes(alg, _basis_weights(alg))
+        if all(classes[c] == tuple(map(add, classes[a], classes[b])) for a, b, c in triples):
+            return True, None, dims
+    cls = _classes(alg, _basis_weights(alg))
+    if grouped is None:
         for c in cls:
             dims[c] = dims.get(c, 0) + 1
-        ids, triples = _id_triples(cls, _columns(alg))
-        classes = list(ids)
-    if all(classes[c] == tuple(map(add, classes[a], classes[b])) for a, b, c in triples):
-        return True, None, dims
-    cls = _classes(alg, _basis_weights(alg))
     for i, j, k in zip(*_columns(alg)):
         if cls[k] != tuple(map(add, cls[i], cls[j])):
             return False, {"f": list(alg.basis[i]), "g": list(alg.basis[j])}, dims

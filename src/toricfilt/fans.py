@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
@@ -150,25 +149,20 @@ class CharQuotient:
     v: Tuple[IntVec, ...]       # unimodular column transform
     v_inv: Tuple[IntVec, ...]
 
-    @cached_on_instance
-    def _class_columns(self) -> Tuple[Tuple[IntVec, ...], Tuple[IntVec, ...]]:
-        """The last rank - perp_dim columns of v, and every column of v_inv
-        cut to its last rank - perp_dim entries.  The coordinates of u are u
-        times the columns of v; the class keeps the last rank - perp_dim of
-        them, and those meet only the last rank - perp_dim rows of v_inv."""
-        p = self.perp_dim
-        return tuple(zip(*self.v))[p:], tuple(col[p:] for col in zip(*self.v_inv))
+    def _coords(self, u: Sequence[int]) -> IntVec:
+        return tuple(sum(u[i] * self.v[i][j] for i in range(self.rank))
+                     for j in range(self.rank))
 
     def class_index(self, u: Sequence[int]) -> IntVec:
         """Coordinates of [u] in M/perp ≅ Z^(rank - perp_dim)."""
-        return tuple(sum(map(mul, u, col)) for col in self._class_columns()[0])
+        return self._coords(u)[self.perp_dim:]
 
     def canonical_representative(self, u: Sequence[int]) -> IntVec:
-        """The character whose coordinates are those of u with the first
-        perp_dim set to zero: the same class as u, and equal for any two
-        characters of one class."""
-        kept = self.class_index(u)
-        return tuple(sum(map(mul, kept, col)) for col in self._class_columns()[1])
+        coords = list(self._coords(u))
+        for i in range(self.perp_dim):
+            coords[i] = 0
+        return tuple(sum(coords[i] * self.v_inv[i][j] for i in range(self.rank))
+                     for j in range(self.rank))
 
 
 def _build_quotient(rank: int, perp: Tuple[IntVec, ...]) -> CharQuotient:

@@ -469,21 +469,21 @@ def test_group_triples_match_reference_scans():
 
 
 def test_truncation_tables_take_the_group_triples(monkeypatch):
-    """On tables that `build_truncation` makes, no check forms id triples,
-    and `class_index` runs at most once per row-degree group; an edited
-    table that is not constant on groups still takes the scans."""
-    calls = {"ids": 0, "classes": 0}
-    id_triples, class_index = algebras._id_triples, CharQuotient.class_index
+    """On tables that `build_truncation` makes, no check walks the product
+    table, and `class_index` runs at most once per row-degree group; an
+    edited table that is not constant on groups is walked."""
+    calls = {"walks": 0, "classes": 0}
+    columns, class_index = algebras._columns, CharQuotient.class_index
 
-    def counted_ids(*args):
-        calls["ids"] += 1
-        return id_triples(*args)
+    def counted_columns(alg):
+        calls["walks"] += 1
+        return columns(alg)
 
     def counted_class(self, u):
         calls["classes"] += 1
         return class_index(self, u)
 
-    monkeypatch.setattr(algebras, "_id_triples", counted_ids)
+    monkeypatch.setattr(algebras, "_columns", counted_columns)
     monkeypatch.setattr(CharQuotient, "class_index", counted_class)
     rng = random.Random(5)
     for fan, n, degree in GROUP_CASES:
@@ -493,8 +493,12 @@ def test_truncation_tables_take_the_group_triples(monkeypatch):
             assert check_multiplicative(alg)[0]
             assert check_compatible_algebra(alg)[0]
             assert check_coaction_commutes(alg)[0]
-            assert calls["ids"] == 0
+            assert calls["walks"] == 0
             assert 0 < calls["classes"] <= len(_shape(n, degree)[3][0])
     alg.weights[alg.basis[-1]] = tuple(w + 1 for w in alg.weights[alg.basis[-1]])
-    check_multiplicative(alg)
-    assert calls["ids"] == 1
+    assert _grouped(alg) is None
+    assert check_multiplicative(alg) == reference_multiplicative(alg)
+    assert calls["walks"] >= 1
+    calls["walks"] = 0
+    assert check_compatible_algebra(alg) == reference_compatible_algebra(alg)
+    assert calls["walks"] == 1
