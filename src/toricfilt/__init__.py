@@ -42,7 +42,6 @@ from .fans import (
 from .filtrations import (
     FiltrationData,
     RayFiltration,
-    change_basis,
     check_morphism,
     direct_sum,
     dual,

@@ -16,21 +16,21 @@ chain (Klyachko 1990; Payne 2008).
 
 The chains must be nested: `cone_compatibility` refuses a chain that is not
 (`RayFiltration.require_nested`, annihilator products that validation
-leaves cached), naming its fan ray, before the pieces are built, and the
-torus check passes chains that are nested by construction.  Nesting makes
-W monotone, so the stored dimensions settle most tuples: W(t) = 0 gives
-the piece W(t), no nonzero successor gives W(t), and the piece is 0 when a
-successor is as large as W(t) or when two successors span W(t), which
-inclusion–exclusion counts from the dimension of their meet, W at t raised
-in both coordinates.  Only the tuples left take a complement, which places
+leaves cached, decided once per chain and kept on it), naming its fan
+ray, before the pieces are built, and the torus check passes chains that
+are nested by construction.  Nesting makes W monotone, so the stored
+dimensions settle most tuples: W(t) = 0 gives the piece W(t), no nonzero
+successor gives W(t), and the piece is 0 when a successor is as large as
+W(t) or when two successors span W(t), which inclusion–exclusion counts
+from the dimension of their meet, W at t raised in both coordinates.  Only the tuples left take a complement, which places
 the rows of all their nonzero successors into one echelon form with no sum
 spanned first (`linalg.complement_in`).  No step takes a kernel: the meets
 W(t) of one grid line (all tuples that differ only in the last index) come
-from one Zassenhaus sweep of that chain's adapted rows
-(`linalg.levelled_meets`, which spans a meet to canonical rows only when
-it grows), a line whose prefix meet is zero or the whole fiber costs
-nothing, and a complement decides its own containment guard from the
-ranks it counts.
+from one Zassenhaus sweep of that chain's adapted rows, which the chain
+keeps for every cone that lists its ray (`linalg.levelled_meets`, which
+spans a meet to canonical rows only when it grows), a line whose prefix
+meet is zero or the whole fiber costs nothing, and a complement decides
+its own containment guard from the ranks it counts.
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -48,7 +48,10 @@ the refutation:
    re-verification raises instead of becoming a verdict.  The integral
    characters of one cone come from one Smith form of its generators,
    which the cone keeps (`Cone.integer_solver`, next to `Cone.quotient`),
-   so a fan's cones build their lattice data once per process.
+   so a fan's cones build their lattice data once per process.  A check
+   looks its cone up once and hands it to the solver and the verifier.
+   Every maximal cone of a complete fan is full-dimensional, so its
+   character classes are the characters themselves (`fans.CharQuotient`).
 
 The verifier forms no sum: it checks that the pieces are a direct sum of
 the fiber from their dimensions and the rank of their rows (`linalg.rank`,
@@ -72,6 +75,7 @@ from .filtrations import FiltrationData, RayFiltration
 # of it to check that the tracer also wraps re-imported bindings
 from .linalg import (  # noqa: F401
     Subspace,
+    cached_on_instance,
     complement_in,
     intersect,
     levelled_meets,
@@ -145,9 +149,16 @@ def verify_cone_decomposition(data: FiltrationData,
     span it (the rank of their rows, `linalg.rank`), the pieces are a
     direct sum, which is the precondition of
     `RayFiltration.reconstruction_failure`; each ray's chain is then
-    tested against the pieces, levelled by their pairings with the ray."""
+    tested against the pieces, levelled by their pairings with the ray.
+    The cone is looked up here, once; `cone_compatibility` passes its own
+    lookup to the same check (`_verify`)."""
     idx = _sorted_cone_rays(data, ray_indices)
-    cone = _cone_of(data, idx)
+    return _verify(data, idx, _cone_of(data, idx), dec)
+
+
+def _verify(data: FiltrationData, idx: Tuple[int, ...], cone: Cone,
+            dec: ConeDecomposition) -> Optional[str]:
+    """`verify_cone_decomposition` on sorted rays `idx` and their cone."""
     quotient = cone.quotient()
     r = data.dim
 
@@ -176,13 +187,16 @@ def verify_cone_decomposition(data: FiltrationData,
     return None
 
 
-def _sweep_rows(f: RayFiltration, ambient: int) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
+@cached_on_instance
+def _sweep_rows(f: RayFiltration) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]]]:
     """(k, rows): the chain's first k jump positions meet every subspace in
     that subspace, and `rows` are the adapted rows of the nested chain `f`
     that a sweep needs for the others.  A first value that is the whole
-    fiber is such a position (k = 1), and its rows are left out."""
+    fiber is such a position (k = 1), and its rows are left out.  They are
+    kept on the chain, so every cone that lists its ray sweeps the same
+    rows."""
     rows = f.adapted_rows()
-    if f.jumps and f.jumps[0][1].dim == ambient:
+    if f.jumps and f.jumps[0][1].dim == f.dim:
         first = f.jumps[0][0]
         return 1, [(i, row) for i, row in rows if i != first]
     return 0, rows
@@ -227,12 +241,11 @@ def graded_pieces(filts: Sequence[RayFiltration],
     W(t') is zero or full for most lines, which then cost nothing, and
     otherwise one sweep of the chain's adapted rows (`linalg.levelled_meets`)
     gives the whole line.  A chain's adapted rows are built for its first
-    sweep (`_sweep_rows`)."""
+    sweep and kept on the chain (`_sweep_rows`)."""
     indices = [f.jump_indices() for f in filts]
     followed = [set(js[:-1]) for js in indices]
     zero = Subspace.zero(ambient)
     w: Dict[Tuple[int, ...], Subspace] = {(): Subspace.full(ambient)}
-    sweeps: Dict[int, Tuple[int, List[Tuple[int, Tuple[int, ...]]]]] = {}
 
     def meet(position: Tuple[int, ...]) -> Subspace:
         found = w.get(position)
@@ -244,9 +257,7 @@ def graded_pieces(filts: Sequence[RayFiltration],
             elif space.dim == ambient:
                 line = [s for _, s in f.jumps]
             else:
-                if k not in sweeps:
-                    sweeps[k] = _sweep_rows(f, ambient)
-                skipped, rows = sweeps[k]
+                skipped, rows = _sweep_rows(f)
                 line = [space] * skipped + [m for _, m in reversed(levelled_meets(space, rows))]
             line.append(zero)
             for p, m in enumerate(line):
@@ -288,16 +299,19 @@ def graded_pieces(filts: Sequence[RayFiltration],
     return pieces
 
 
-def _character_solver(data: FiltrationData, idx: Tuple[int, ...]):
+def _character_solver(data: FiltrationData, idx: Tuple[int, ...],
+                      cone: Optional[Cone] = None):
     """t -> an integral character pairing to t_k with ray idx[k], or None;
     the cone's solver (`Cone.integer_solver`, one Smith form per cone)
     serves every t, its rays being the cone's generators, which are sorted
     by value.  A cone that repeats a ray (which `fans.validate_fan` flags)
-    has fewer generators than rays and gets a solver of its own."""
+    has fewer generators than rays and gets a solver of its own.  `cone`
+    is the cone of `idx` when the caller has looked it up already."""
     if not idx:
         return lambda t: tuple([0] * data.fan.rank)
     rows = [data.fan.rays[i] for i in idx]
-    cone = _cone_of(data, idx)
+    if cone is None:
+        cone = _cone_of(data, idx)
     if len(cone.generators) < len(rows):
         return integer_solver(rows)
     order = sorted(range(len(rows)), key=rows.__getitem__)
@@ -309,7 +323,7 @@ def cone_compatibility(data: FiltrationData,
                        ray_indices: Sequence[int]) -> ConeCompatibility:
     """Two-valued compatibility check for one cone; see module docstring."""
     idx = _sorted_cone_rays(data, ray_indices)
-    quotient = _cone_of(data, idx).quotient()
+    cone = _cone_of(data, idx)
     r = data.dim
 
     filts, tuples = _grid(data, idx)
@@ -325,7 +339,7 @@ def cone_compatibility(data: FiltrationData,
             ),
         )
 
-    solve = _character_solver(data, idx)
+    solve = _character_solver(data, idx, cone)
     chars: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for t in nonzero:
         chars[t] = solve(t)
@@ -338,11 +352,12 @@ def cone_compatibility(data: FiltrationData,
                 ),
             )
 
+    quotient = cone.quotient()
     cert_pieces = sorted(
         (quotient.canonical_representative(chars[t]), pieces[t]) for t in nonzero
     )
     dec = ConeDecomposition(idx, tuple(cert_pieces))
-    reason = verify_cone_decomposition(data, idx, dec)
+    reason = _verify(data, idx, cone, dec)
     if reason is not None:
         raise RuntimeError(f"graded pieces of cone {list(idx)} fail re-verification: "
                            f"{reason}")

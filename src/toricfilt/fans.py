@@ -142,12 +142,25 @@ class NotPointedError(InputError):
 class CharQuotient:
     """Deterministic presentation of M -> M/perp for a cone, built from the
     Smith form of the perpendicular lattice.  Two characters have equal class
-    exactly when their difference pairs to zero against the cone."""
+    exactly when their difference pairs to zero against the cone.
+
+    A full-dimensional cone (every maximal cone of a complete fan) has
+    perp = 0: its quotient is the identity, built with no Smith form, and
+    `class_index` and `canonical_representative` return a character of
+    length `rank` as it is, with no product by v.  Any other v, and a
+    character of another length (one too short raises IndexError, a longer
+    one is cut to `rank`), go through the coordinates in the basis v."""
 
     rank: int
     perp_dim: int
     v: Tuple[IntVec, ...]       # unimodular column transform
     v_inv: Tuple[IntVec, ...]
+
+    @cached_on_instance
+    def _identity(self) -> bool:
+        """Whether M -> M/perp is the identity: perp = 0, v = v_inv = 1."""
+        unit = _unit_rows(self.rank)
+        return self.perp_dim == 0 and self.v == unit and self.v_inv == unit
 
     def _coords(self, u: Sequence[int]) -> IntVec:
         return tuple(sum(u[i] * self.v[i][j] for i in range(self.rank))
@@ -155,9 +168,13 @@ class CharQuotient:
 
     def class_index(self, u: Sequence[int]) -> IntVec:
         """Coordinates of [u] in M/perp ≅ Z^(rank - perp_dim)."""
+        if len(u) == self.rank and self._identity():
+            return tuple(u)
         return self._coords(u)[self.perp_dim:]
 
     def canonical_representative(self, u: Sequence[int]) -> IntVec:
+        if len(u) == self.rank and self._identity():
+            return tuple(u)
         coords = list(self._coords(u))
         for i in range(self.perp_dim):
             coords[i] = 0

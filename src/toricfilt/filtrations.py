@@ -24,7 +24,7 @@ consistency of bundle data all call it.  A chain that is not nested is
 refused with one message (`_not_nested`) by `tensor`, which finds the
 failing pair by reduction, and by `RayFiltration.require_nested`, which
 finds it by the annihilators that `dual` builds anyway and that the
-compatibility engine reuses.
+compatibility engine reuses, and keeps it on the chain.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .linalg import (
     Subspace,
     annihilator,
     block_sum,
+    cached_on_instance,
     echelon_contains,
-    image,
     levelled_spans,
     maps_into,
     record,
@@ -121,18 +121,25 @@ class RayFiltration:
         """Consecutive jump indices (i1, i2) whose subspace at i2 does not
         lie in the one at i1, by the cached annihilators, which validation
         leaves for the compatibility engine and `dual` for itself to reuse.
-        `adapted_basis`, whose callers use no annihilator, checks nesting by
-        reduction."""
-        for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
-            if not s1.contains_subspace(s2):
-                yield i1, i2
+        The pairs are found once and kept on the chain (`_unnested_pairs`),
+        so validation and every cone that lists the ray share one nesting
+        verdict.  `adapted_basis`, whose callers use no annihilator, checks
+        nesting by reduction."""
+        return iter(self._unnested_pairs())
+
+    @cached_on_instance
+    def _unnested_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple((i1, i2) for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:])
+                     if not s1.contains_subspace(s2))
 
     def require_nested(self, ray: int) -> None:
         """Refuse a chain that is not nested: InputError (`_not_nested`)
-        naming `ray` and the first pair that `unnested` finds."""
-        bad = next(self.unnested(), None)
-        if bad is not None:
-            raise _not_nested(ray, *bad)
+        naming `ray` and the first pair that `unnested` finds.  The pairs
+        are kept on the chain, so a later call decides nothing again and
+        raises the same error for the same ray."""
+        bad = self._unnested_pairs()
+        if bad:
+            raise _not_nested(ray, *bad[0])
 
     def adapted_basis(self, ray: int) -> List[Tuple[int, Tuple[int, ...]]]:
         """`adapted_rows` of this chain, whose nesting is checked first, by
@@ -318,17 +325,3 @@ def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Opti
 
 def check_morphism(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> bool:
     return morphism_failure(phi, a, b) is None
-
-
-def change_basis(data: FiltrationData, m: QMatrix) -> FiltrationData:
-    """Rewrite all subspaces in new coordinates: a fiber vector v becomes
-    v @ m (row convention).  `m` must be invertible of size dim."""
-    if m.nrows != data.dim or m.ncols != data.dim or not m.is_invertible():
-        raise InputError("basis change must be an invertible dim x dim matrix")
-    rays = []
-    for f in data.filtrations:
-        pairs = []
-        for i, s in f.jumps:
-            pairs.append((i, image(s, m)))
-        rays.append(RayFiltration.make(data.dim, pairs))
-    return FiltrationData.make(data.fan, data.dim, rays)

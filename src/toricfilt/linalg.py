@@ -48,8 +48,9 @@ string, like a float or a boolean, raises TypeError here.
 (which `column_chain` spans by level), the lines they span (`column_lines`,
 signed, not eliminated) and its scaled integer columns (which `image` and
 `maps_into` multiply by) here, and a cone's character quotient and
-integer solver, the gluing report, the associated data and the algebra
-tables elsewhere, in the instance dict of a frozen record.
+integer solver, whether a quotient is the identity, a chain's non-nested
+pairs and its sweep rows, the gluing report, the associated data and the
+algebra tables elsewhere, in the instance dict of a frozen record.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`

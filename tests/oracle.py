@@ -39,6 +39,9 @@
   the operand chains, one elimination per candidate level, which the
   adapted-basis construction of `toricfilt.filtrations.tensor` must agree
   with.
+- `change_basis`: filtration data rewritten in new fiber coordinates, the
+  image of every chain value under an invertible matrix; the tests use it
+  to compare data that differ by a frame.
 - `graded_decomposition`, `tensor_certificate` and
   `canonical_cone_decomposition`: decompositions of a cone built from
   subspaces labelled by characters, not from the chains, with the sum of
@@ -110,6 +113,7 @@ from toricfilt.linalg import (
     QMatrix,
     Subspace,
     column_lines,
+    image,
     intersect_all,
     span_canonical,
     sum_all,
@@ -387,6 +391,20 @@ def reference_tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
                  for j in sorted({p + q for p in ja for q in jb})]
         rays.append(RayFiltration.make(dim, pairs))
     return FiltrationData.make(a.fan, dim, rays)
+
+
+def change_basis(data: FiltrationData, m: QMatrix) -> FiltrationData:
+    """Rewrite all subspaces in new coordinates: a fiber vector v becomes
+    v @ m (row convention).  `m` must be invertible of size dim."""
+    if m.nrows != data.dim or m.ncols != data.dim or not m.is_invertible():
+        raise InputError("basis change must be an invertible dim x dim matrix")
+    rays = []
+    for f in data.filtrations:
+        pairs = []
+        for i, s in f.jumps:
+            pairs.append((i, image(s, m)))
+        rays.append(RayFiltration.make(data.dim, pairs))
+    return FiltrationData.make(data.fan, data.dim, rays)
 
 
 def tensor_certificate(cert_a: ConeDecomposition,

@@ -729,6 +729,60 @@ def test_second_run_on_reloaded_fan_takes_no_smith_form(monkeypatch):
     assert cone.integer_solver() is cone.integer_solver()
 
 
+def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
+    """On P^3 every ray lies in three maximal cones.  One
+    `global_compatibility` run decides each chain's nesting and builds its
+    sweep rows once, both kept on the chain, and each `cone_compatibility`
+    looks its cone up once (`Fan.cone`); a second run on the same data
+    decides no nesting and builds no rows.  A chain that is not nested is
+    refused with the same `_not_nested` text, ray and pair on every call,
+    from every cone that lists its ray and from `dual`, and its nesting is
+    decided once."""
+    walks, sweeps, lookups = [], [], []
+    unnested = RayFiltration.__dict__["_unnested_pairs"].__wrapped__
+    adapted_rows, cone = RayFiltration.adapted_rows, Fan.cone
+
+    def _unnested_pairs(f):
+        walks.append(id(f))
+        return unnested(f)
+
+    def counted_rows(f):
+        sweeps.append(id(f))
+        return adapted_rows(f)
+
+    def counted_cone(fan, idx):
+        lookups.append(tuple(idx))
+        return cone(fan, idx)
+
+    monkeypatch.setattr(RayFiltration, "_unnested_pairs", linalg.cached_on_instance(_unnested_pairs))
+    monkeypatch.setattr(RayFiltration, "adapted_rows", counted_rows)
+    monkeypatch.setattr(Fan, "cone", counted_cone)
+    rng = random.Random(97)
+    refuted = random_filtration_data(rng, P3, 4)
+    split = associated_klyachko(random_split_bundle(rng, P3, 4))
+    for data, verdict in ((refuted, "incompatible"), (split, "compatible")):
+        walks.clear(), sweeps.clear(), lookups.clear()
+        chains = sorted(id(f) for f in data.filtrations)
+        report = global_compatibility(data)
+        assert report.verdict == verdict
+        assert sorted(walks) == chains
+        assert len(sweeps) > 1 and len(set(sweeps)) == len(sweeps) and set(sweeps) <= set(chains)
+        assert lookups == list(P3.maximal_cones)
+        walks.clear(), sweeps.clear(), lookups.clear()
+        assert global_compatibility(data) == report
+        assert walks == [] and sweeps == [] and lookups == list(P3.maximal_cones)
+
+    bad = _not_nested_data(P3)
+    message = ("^the chain on ray 1 is not nested: its subspace at index 2 does not lie "
+               "in the one at 1$")
+    for idx in ((0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 1, 2)):
+        with pytest.raises(InputError, match=message):
+            cone_compatibility(bad, idx)
+    with pytest.raises(InputError, match=message):
+        dual(bad)
+    assert walks.count(id(bad.ray(1))) == 1
+
+
 def test_graded_pieces_of_chains_that_are_not_full():
     """A chain whose first value is a proper subspace (which `validate`
     rejects) is swept over all of its values: with the first jump of every

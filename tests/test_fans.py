@@ -190,6 +190,55 @@ def test_quotient_coordinates_match_reference_formula():
             assert q.class_index(rep) == q.class_index(u)
 
 
+P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
+def test_identity_quotient_matches_reference_formula():
+    """Every maximal cone of a complete fan is full-dimensional, so its
+    quotient is the identity and `class_index` and `canonical_representative`
+    return a character as it is.  Both equal the oracle's entry-by-entry
+    formula, values and types, on every maximal cone and every proper face
+    of P^1, P^2, the 4-ray P^3 fan and the square cone, and on a hand-built
+    quotient with perp_dim 0 whose unimodular v is not the identity.  A
+    character one entry short raises IndexError and one entry long is cut
+    to the rank, as the formula does."""
+    rng = random.Random(67)
+    cases = []
+    for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
+        unit = tuple(tuple(int(i == j) for j in range(fan.rank)) for i in range(fan.rank))
+        for idx in fan.maximal_cones:
+            cone = fan.cone(idx)
+            assert cone.quotient() == CharQuotient(fan.rank, 0, unit, unit)
+            cases.append(cone.quotient())
+            for size in range(len(idx)):
+                for sub in itertools.combinations(idx, size):
+                    face = cone_from_generators(fan.rank, tuple(fan.rays[i] for i in sub))
+                    if set(face.generators) == {fan.rays[i] for i in sub} \
+                            and is_face_of(face, cone):
+                        assert face.quotient().perp_dim == fan.rank - len(sub)
+                        cases.append(face.quotient())
+    v, v_inv = random_unimodular(rng, 3)
+    assert v != tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
+    cases.append(CharQuotient(3, 0, v, v_inv))
+    assert len(cases) > 30
+    for q in cases:
+        for _ in range(6):
+            u = tuple(rng.randint(-9, 9) for _ in range(q.rank))
+            for w in (u, list(u), u + (rng.randint(-9, 9),)):
+                for got, want in ((q.class_index(w), reference_class_index(q, w)),
+                                  (q.canonical_representative(w),
+                                   reference_canonical_representative(q, w))):
+                    assert got == want
+                    assert type(got) is tuple and all(type(x) is int for x in got)
+            with pytest.raises(IndexError):
+                reference_class_index(q, u[:-1])
+            with pytest.raises(IndexError):
+                q.class_index(u[:-1])
+            with pytest.raises(IndexError):
+                q.canonical_representative(u[:-1])
+
+
 def test_perp_zero_cone():
     c = cone_from_generators(2, ())
     perp, quot = c.perp_basis, c.quotient()

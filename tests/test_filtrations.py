@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracle import first_chain_difference, reference_tensor
+from oracle import change_basis, first_chain_difference, reference_tensor
 from toricfilt import filtrations, linalg
 from toricfilt.errors import InputError
 from toricfilt.fans import Fan
 from toricfilt.filtrations import (
     FiltrationData,
     RayFiltration,
-    change_basis,
     check_morphism,
     direct_sum,
     dual,

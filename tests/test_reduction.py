@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import reference_splitting_reconstructs
+from oracle import change_basis, reference_splitting_reconstructs
 from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
@@ -16,7 +16,7 @@ from toricfilt.bundles import (
 from toricfilt.compatibility import graded_pieces
 from toricfilt.errors import PreconditionError
 from toricfilt.fans import Fan
-from toricfilt.filtrations import change_basis, direct_sum
+from toricfilt.filtrations import direct_sum
 from toricfilt.lattice import solve_integer
 from toricfilt.linalg import QMatrix, span_canonical
 from toricfilt.reduction import (
