@@ -29,7 +29,7 @@ compatibility engine reuses, and keeps it on the chain.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .fans import Fan
@@ -117,18 +117,15 @@ class RayFiltration:
                 return j
         return None
 
-    def unnested(self) -> Iterator[Tuple[int, int]]:
+    @cached_on_instance
+    def unnested(self) -> Tuple[Tuple[int, int], ...]:
         """Consecutive jump indices (i1, i2) whose subspace at i2 does not
         lie in the one at i1, by the cached annihilators, which validation
         leaves for the compatibility engine and `dual` for itself to reuse.
-        The pairs are found once and kept on the chain (`_unnested_pairs`),
-        so validation and every cone that lists the ray share one nesting
-        verdict.  `adapted_basis`, whose callers use no annihilator, checks
-        nesting by reduction."""
-        return iter(self._unnested_pairs())
-
-    @cached_on_instance
-    def _unnested_pairs(self) -> Tuple[Tuple[int, int], ...]:
+        The pairs are found once and kept on the chain, so validation and
+        every cone that lists the ray share one nesting verdict.
+        `adapted_basis`, whose callers use no annihilator, checks nesting by
+        reduction."""
         return tuple((i1, i2) for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:])
                      if not s1.contains_subspace(s2))
 
@@ -137,7 +134,7 @@ class RayFiltration:
         naming `ray` and the first pair that `unnested` finds.  The pairs
         are kept on the chain, so a later call decides nothing again and
         raises the same error for the same ray."""
-        bad = self._unnested_pairs()
+        bad = self.unnested()
         if bad:
             raise _not_nested(ray, *bad[0])
 

@@ -739,12 +739,12 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
     from every cone that lists its ray and from `dual`, and its nesting is
     decided once."""
     walks, sweeps, lookups = [], [], []
-    unnested = RayFiltration.__dict__["_unnested_pairs"].__wrapped__
+    walk = RayFiltration.__dict__["unnested"].__wrapped__
     adapted_rows, cone = RayFiltration.adapted_rows, Fan.cone
 
-    def _unnested_pairs(f):
+    def unnested(f):
         walks.append(id(f))
-        return unnested(f)
+        return walk(f)
 
     def counted_rows(f):
         sweeps.append(id(f))
@@ -754,7 +754,7 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
         lookups.append(tuple(idx))
         return cone(fan, idx)
 
-    monkeypatch.setattr(RayFiltration, "_unnested_pairs", linalg.cached_on_instance(_unnested_pairs))
+    monkeypatch.setattr(RayFiltration, "unnested", linalg.cached_on_instance(unnested))
     monkeypatch.setattr(RayFiltration, "adapted_rows", counted_rows)
     monkeypatch.setattr(Fan, "cone", counted_cone)
     rng = random.Random(97)
