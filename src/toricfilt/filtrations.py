@@ -24,7 +24,7 @@ consistency of bundle data all call it.  A chain that is not nested is
 refused with one message (`_not_nested`) by `tensor`, which finds the
 failing pair by reduction, and by `RayFiltration.require_nested`, which
 finds it by the annihilators that `dual` builds anyway and that the
-compatibility engine reuses, and keeps it on the chain.
+compatibility engine reuses, and keeps the pairs it finds on the chain.
 """
 
 from __future__ import annotations
