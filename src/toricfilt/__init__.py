@@ -55,7 +55,6 @@ from .linalg import (
     annihilator,
     complement_in,
     intersect,
-    kernel,
     span_canonical,
     subspace_sum,
 )

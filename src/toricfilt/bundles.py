@@ -8,25 +8,25 @@ T_su for any frames and characters, so that identity is never checked.
 Gluing asks for entrywise regularity of both transition directions on each
 overlap cone.  By Klyachko's gluing condition this holds exactly when the
 chains that neighbouring cones induce on each ray of their overlap agree,
-so `check_gluing` is decided by `associated_klyachko` on any fan whose rays
-all lie in maximal cones and where the extreme rays of each overlap are
-exactly the rays both cones list (every valid fan meets the second
-condition).  Ray consistency is the reconstruction test: each ray's chain
-is built once, from the first cone that lists it, and every other cone on
-the ray passes when its frame columns, at their levels, rebuild that chain
+so `check_gluing` is decided by ray consistency alone, on any fan where
+the extreme rays of each overlap are exactly the rays both cones list
+(every valid fan does; any other raises PreconditionError), and a failure
+is named by the ray-consistency witness; `check_gluing` gives the proof.
+Ray consistency is the reconstruction test: each ray's chain is built
+once, from the first cone that lists it, and every other cone on the ray
+passes when its frame columns, at their levels, rebuild that chain
 (`RayFiltration.reconstruction_failure`), so no second chain is built.
-The frame-change scan over g_s^-1 g_t runs only when the chains disagree
-or that hypothesis fails, and then names the witness; `check_gluing`
-gives the proof.
+A ray that no maximal cone lists lies on no overlap: gluing skips it, and
+`associated_klyachko`, which needs a chain on it, refuses it first.
 
 Validation, gluing and SL reduction share one determinant per frame.  A
 frame's integer columns, with denominators cleared once, feed both the
 chain that `linalg.column_chain` spans by level and the column lines of
 `linalg.column_lines`, which need no elimination; the lines are the
 pieces of the consistency test, and all three are cached on the frame.
-`check_gluing` and `associated_klyachko` are cached on the data by
-`linalg.cached_on_instance` (the latter's `RayConsistencyError` as its
-witness).
+`check_gluing` and the ray chains (the associated data, or the
+`RayConsistencyError` witness) are cached on the data by
+`linalg.cached_on_instance`, so `reduce` after `glue` builds nothing again.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .fans import Cone, Fan, cone_intersection
+from .fans import Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .linalg import QMatrix, cached_on_instance, column_chain, column_lines, record
 
@@ -125,15 +125,18 @@ def validate_bundle(data: CocharBundleData) -> BundleValidationReport:
 @record
 class GluingReport:
     glues: bool
-    witness: Optional[dict] = None  # pair, direction, frame entry, exponent, violated ray
+    witness: Optional[dict] = None  # cones, ray and index of the first disagreeing chain
 
 
 @cached_on_instance
 def check_gluing(data: CocharBundleData) -> GluingReport:
     """Both transition directions must be regular on the overlap cone of each
     pair of maximal cones.  Requires all maximal cones top-dimensional, the
-    standing assumption of the per-cone trivialization picture, and raises
-    ValueError("matrix is singular") for a frame of determinant 0.
+    standing assumption of the per-cone trivialization picture, raises
+    ValueError("matrix is singular") for a frame of determinant 0, and
+    raises PreconditionError when the extreme rays of an overlap are not
+    exactly the rays both cones list (checked on the cached
+    `cone_intersection` of each pair; every valid fan meets it).
 
     Ray consistency decides.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the
     frame change M = g_a^-1 g_b, and the constant outer frames do not affect
@@ -147,25 +150,17 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     inclusion.  So both directions are regular iff the two cones induce the
     same chain on every extreme ray of the overlap.
 
-    `associated_klyachko` tests this equality from one side: it builds a's
-    chain on ρ once and checks at every level j that the columns of g_b of
-    level at least j lie in it and are as many as its dimension.  They are
+    `_ray_chains` tests this equality from one side: it builds a's chain on
+    ρ once and checks at every level j that the columns of g_b of level at
+    least j lie in it and are as many as its dimension.  They are
     independent, so they span b's chain at j, which then lies in a's chain
-    and has its dimension: the two are equal.
-
-    Fan hypothesis: every ray lies in a maximal cone (so the associated
-    data exist), and for every pair the extreme rays of the overlap are
-    exactly the rays listed in both cones (so `associated_klyachko`, which
-    tests cones on the rays they list, tests exactly these).  Every valid
-    fan whose rays all lie in maximal cones satisfies it; the fan is not
-    validated here, the hypothesis is checked on the cached
-    `cone_intersection` of each pair.  When it holds and
-    `associated_klyachko` returns, the data glue.  In every other case the
-    frame-change scan decides and names the witness: the first failure in
-    deterministic order (pairs by index, then the direction (s, t) before
-    (t, s), frame entries row major).  Under the hypothesis, inconsistent
-    chains with a scan that finds no failure contradict the proof above and
-    raise RuntimeError."""
+    and has its dimension: the two are equal.  It tests every cone on every
+    ray the cone lists, and by the precondition these are exactly the
+    extreme rays of the overlaps; a ray that no maximal cone lists lies on
+    no overlap and is skipped.  So the data glue iff `_ray_chains` finds no
+    disagreement, and the witness of a failure is that of
+    `RayConsistencyError`: the two cones, the ray and the first index at
+    which their chains differ."""
     fan = data.fan
     cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
     for k, cone in enumerate(cones):
@@ -173,54 +168,14 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
             raise PreconditionError(
                 f"maximal cone {k} is not top-dimensional; gluing undefined"
             )
-    if any(frame.det() == 0 for frame in data.frames):
-        raise ValueError("matrix is singular")
-    if not _chains_decide(fan, cones):
-        return _frame_change_scan(data, cones)
-    try:
-        associated_klyachko(data)
-    except RayConsistencyError:
-        report = _frame_change_scan(data, cones)
-        if report.glues:
-            raise RuntimeError("ray chains disagree on a shared face, "
-                               "yet every frame change is regular")
-        return report
-    return GluingReport(True)
-
-
-def _chains_decide(fan: Fan, cones: Sequence[Cone]) -> bool:
-    """The fan hypothesis of `check_gluing`."""
-    if len(set().union(*fan.maximal_cones)) != len(fan.rays):
-        return False
-    return all(
-        set(cone_intersection(cones[s], cones[t]).generators)
-        == {fan.rays[i] for i in set(fan.maximal_cones[s]) & set(fan.maximal_cones[t])}
-        for s, t in itertools.combinations(range(len(cones)), 2))
-
-
-def _frame_change_scan(data: CocharBundleData, cones: Sequence[Cone]) -> GluingReport:
-    """The first irregular frame-change entry, in the order `check_gluing`
-    documents; each frame change is the right block of one
-    rref([g_a | g_b])."""
-    n = data.group.n
+    chains = _ray_chains(data)  # raises for a singular frame
     for s, t in itertools.combinations(range(len(cones)), 2):
-        overlap = cone_intersection(cones[s], cones[t])
-        g_s, g_t = data.frames[s], data.frames[t]
-        for (a, b), m in (((s, t), g_s.solve(g_t)), ((t, s), g_t.solve(g_s))):
-            for k, l in itertools.product(range(n), repeat=2):
-                if m.entries[k][l] == 0:
-                    continue
-                e = tuple(x - y for x, y in zip(data.chars[a][k], data.chars[b][l]))
-                bad_ray = next((g for g in overlap.generators
-                                if sum(x * y for x, y in zip(e, g)) < 0), None)
-                if bad_ray is not None:
-                    return GluingReport(False, {
-                        "pair": [s, t],
-                        "direction": [a, b],
-                        "entry": [k, l],
-                        "exponent": list(e),
-                        "ray": list(bad_ray),
-                    })
+        shared = set(fan.maximal_cones[s]) & set(fan.maximal_cones[t])
+        if set(cone_intersection(cones[s], cones[t]).generators) != {fan.rays[i] for i in shared}:
+            raise PreconditionError(f"the extreme rays of the overlap of maximal cones {s} "
+                                    f"and {t} are not the rays both list; gluing undefined")
+    if isinstance(chains, tuple):
+        return GluingReport(False, RayConsistencyError(*chains).witness)
     return GluingReport(True)
 
 
@@ -252,13 +207,17 @@ def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltrat
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
     """Filtration data of the associated standard-representation bundle: on a
     ray of a maximal cone the chain at i is the span of the frame columns
-    whose character pairs at least i against the ray.  Raises
-    RayConsistencyError when two cones sharing a ray disagree, which on a
-    fan satisfying `check_gluing`'s hypothesis is exactly a failure to
-    glue, and ValueError("matrix is singular") for a frame of determinant
-    0.  Either verdict is kept on the data (`_ray_chains`), so every later
-    call returns the same data, or raises a new error with the same
-    witness, without building a chain."""
+    whose character pairs at least i against the ray.  Raises InputError
+    when a ray lies in no maximal cone, so that it has no chain, before any
+    chain is built; RayConsistencyError when two cones sharing a ray
+    disagree, which on a fan satisfying `check_gluing`'s precondition is
+    exactly a failure to glue; and ValueError("matrix is singular") for a
+    frame of determinant 0.  The consistency verdict is kept on the data
+    (`_ray_chains`), so every later call returns the same data, or raises a
+    new error with the same witness, without building a chain."""
+    unlisted = set(range(len(data.fan.rays))).difference(*data.fan.maximal_cones)
+    if unlisted:
+        raise InputError(f"ray {min(unlisted)} lies in no maximal cone")
     chains = _ray_chains(data)
     if isinstance(chains, tuple):
         raise RayConsistencyError(*chains)
@@ -266,13 +225,15 @@ def associated_klyachko(data: CocharBundleData) -> FiltrationData:
 
 
 @cached_on_instance
-def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, Tuple[int, int, int, int]]:
-    """The associated data, or the witness (first cone, other cone, ray,
-    index) of the first cone whose chain on a ray disagrees with the chain
-    of the first cone that lists the ray.  The witness is returned, not
-    raised, so that it is cached like a value: a kept exception would keep
-    its traceback's frames alive.  Raises ValueError("matrix is singular")
-    for a frame of determinant 0, as `check_gluing` does.
+def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, bool, Tuple[int, int, int, int]]:
+    """The witness (first cone, other cone, ray, index) of the first cone
+    whose chain on a ray disagrees with the chain of the first cone that
+    lists the ray; or, when every cone agrees, the associated data, or True
+    if a ray lies in no maximal cone and so has no chain.  The witness is
+    returned, not raised, so that it is cached like a value: a kept
+    exception would keep its traceback's frames alive.  Raises
+    ValueError("matrix is singular") for a frame of determinant 0, as
+    `check_gluing` does.
 
     Each ray's chain is built once, from the first cone that lists it.  A
     later cone k is tested against that chain by the reconstruction test
@@ -300,9 +261,8 @@ def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, Tuple[int, int,
                                                   _levels(data, k, ray_idx))
             if bad is not None:
                 return first_cone, k, ray_idx, bad
-    missing = [i for i in range(len(fan.rays)) if i not in chains]
-    if missing:
-        raise InputError(f"ray {missing[0]} lies in no maximal cone")
+    if len(chains) < len(fan.rays):
+        return True
     return FiltrationData.make(
         fan, data.group.n, [chains[i][1] for i in range(len(fan.rays))]
     )

@@ -57,16 +57,17 @@ The verifier forms no sum: it checks that the pieces are a direct sum of
 the fiber from their dimensions and the rank of their rows (`linalg.rank`,
 which reads no canonical row), then tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
-dimensions and tests containment.  The torus check of `reduction` and the
-ray consistency of bundle data (`bundles.associated_klyachko`) use the
-same test.
+dimensions and tests containment (`_rebuild_failure`).  The torus check
+of `reduction` decides through the same helper, and the ray consistency
+of bundle data (`bundles.associated_klyachko`) through the same
+reconstruction test.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 from .fans import Cone
@@ -162,28 +163,45 @@ def _verify(data: FiltrationData, idx: Tuple[int, ...], cone: Cone,
     quotient = cone.quotient()
     r = data.dim
 
-    total = 0
     for char, piece in dec.pieces:
         if piece.ambient != r or piece.dim == 0:
             return "certificate contains an empty or mismatched piece"
         if len(char) != data.fan.rank:
             return "character has wrong length"
-        total += piece.dim
-    if total != r:
-        return "piece dimensions do not add up to the fiber dimension"
-    pieces = [piece for _, piece in dec.pieces]
-    if rank([row for piece in pieces for row in piece.rows], r) != r:
-        return "pieces do not span the fiber"
+    failure = _rebuild_failure([piece for _, piece in dec.pieces], r, (
+        (data.ray(i), [sum(c * g for c, g in zip(char, data.fan.rays[i]))
+                       for char, _ in dec.pieces])
+        for i in idx))
+    if isinstance(failure, str):
+        return failure
     classes = [quotient.class_index(char) for char, _ in dec.pieces]
     if len(set(classes)) != len(classes):
         return "character classes are not pairwise distinct"
+    if failure is not None:
+        k, j = failure
+        return f"reconstruction fails on ray {idx[k]} at index {j}"
+    return None
 
-    for ray_idx in idx:
-        ray = data.fan.rays[ray_idx]
-        pairings = [sum(c * g for c, g in zip(char, ray)) for char, _ in dec.pieces]
-        j = data.ray(ray_idx).reconstruction_failure(pieces, pairings)
+
+def _rebuild_failure(pieces: Sequence[Subspace], dim: int,
+                     chains: Iterable[Tuple[RayFiltration, Sequence[int]]]
+                     ) -> Union[None, str, Tuple[int, int]]:
+    """None when `pieces` are a direct sum of Q^dim that rebuilds every
+    chain of the (chain, levels) pairs of `chains`, the pieces at
+    `levels`; otherwise the first failure, in the verifier's words when
+    their dimensions do not add up to dim or their rows do not have full
+    rank (`linalg.rank`), else (k, j) when the k-th chain fails at index j
+    (`RayFiltration.reconstruction_failure`, which needs the direct sum
+    that the first two tests establish).  The certificate verifier and the
+    torus check of `reduction` both decide through it."""
+    if sum(p.dim for p in pieces) != dim:
+        return "piece dimensions do not add up to the fiber dimension"
+    if rank([row for p in pieces for row in p.rows], dim) != dim:
+        return "pieces do not span the fiber"
+    for k, (chain, levels) in enumerate(chains):
+        j = chain.reconstruction_failure(pieces, levels)
         if j is not None:
-            return f"reconstruction fails on ray {ray_idx} at index {j}"
+            return k, j
     return None
 
 
@@ -315,8 +333,8 @@ def _character_solver(data: FiltrationData, idx: Tuple[int, ...],
     if len(cone.generators) < len(rows):
         return integer_solver(rows)
     order = sorted(range(len(rows)), key=rows.__getitem__)
-    solve = cone.integer_solver()
-    return lambda t: solve([t[k] for k in order])
+    solver = cone.integer_solver()
+    return lambda t: solver([t[k] for k in order])
 
 
 def cone_compatibility(data: FiltrationData,
@@ -339,10 +357,10 @@ def cone_compatibility(data: FiltrationData,
             ),
         )
 
-    solve = _character_solver(data, idx, cone)
+    solver = _character_solver(data, idx, cone)
     chars: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
     for t in nonzero:
-        chars[t] = solve(t)
+        chars[t] = solver(t)
         if chars[t] is None:
             return ConeCompatibility(
                 idx, VERDICT_REFUTATION,

@@ -32,7 +32,7 @@ from .lattice import (
     primitive_vector,
     smith_normal_form,
 )
-from .linalg import QMatrix, cached_on_instance, rank as row_rank, record
+from .linalg import cached_on_instance, rank as row_rank, record
 
 IntVec = Tuple[int, ...]
 
@@ -191,10 +191,11 @@ def _build_quotient(rank: int, perp: Tuple[IntVec, ...]) -> CharQuotient:
     for i in range(k):
         if d[i][i] != 1:
             raise AssertionError("perpendicular lattice is not saturated")
-    v_mat = QMatrix.from_rows(v)
-    v_inv = v_mat.inverse()
-    v_inv_int = tuple(tuple(int(x) for x in row) for row in v_inv.entries)
-    return CharQuotient(rank, k, tuple(tuple(r) for r in v), v_inv_int)
+    # v is unimodular, so column j of its inverse is the one integral
+    # solution of v x = e_j
+    solver = integer_solver(v)
+    v_inv = tuple(zip(*(solver(e) for e in _unit_rows(rank))))
+    return CharQuotient(rank, k, tuple(tuple(r) for r in v), v_inv)
 
 
 @record

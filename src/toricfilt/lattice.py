@@ -2,7 +2,8 @@
 linear solving, primitive vectors.  `integer_solver(a)` computes the Smith
 form of A once and returns a solver for A x = b, so a caller with many
 right-hand sides against one matrix (the per-cone character solves of the
-compatibility checker) pays for one Smith form.
+compatibility checker, and the unit vectors whose solutions are the
+columns of a unimodular inverse in `fans`) pays for one Smith form.
 
 Everything here works on plain tuples/lists of Python ints (arbitrary
 precision).  Sizes are desk scale (rank <= 6, a few dozen rows), so the
@@ -128,7 +129,7 @@ def integer_solver(a: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Opti
     u, d, v = smith_normal_form(a) if m else ((), (), ())
     r = min(m, n)
 
-    def solve(b: Sequence[int]) -> Optional[IntVector]:
+    def solution(b: Sequence[int]) -> Optional[IntVector]:
         if len(b) != m:
             raise ValueError("right-hand side length mismatch")
         if m == 0:
@@ -145,12 +146,7 @@ def integer_solver(a: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Opti
                 return None
         return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
 
-    return solve
-
-
-def solve_integer(a: Sequence[Sequence[int]], b: Sequence[int]) -> Optional[IntVector]:
-    """One integral solution x of A x = b, or None: `integer_solver(a)(b)`."""
-    return integer_solver(a)(b)
+    return solution
 
 
 def integer_kernel_basis(a: Sequence[Sequence[int]]) -> IntMatrix:

@@ -18,19 +18,19 @@ as a new row, and `_insert` then also clears its pivot from the other
 rows, which keeps the form reduced: the RREF.  The docstrings give the
 proofs.  Only canonical rows need the reduced placement: `_eliminate`
 inserts the rows of a matrix (a row of Fractions enters times the lcm of
-its denominators), and a span, sum or image is the rows it keeps,
-canonical as inserted, with no sign fixed afterwards.  Fractions appear
-only at the boundary: `rref` and `Subspace.basis` divide each pivot row by
-its pivot, which gives the same unique RREF as elimination over Fractions;
-a span of integer rows (`integer_span`, which spans the bases of
-filtration files) makes none at all.  Where only a rank or the rows that
-add rank are read, the echelon placement suffices: `rank` (the ranks in
-`fans` and the spanning checks of certificates and torus splittings) and
-`complement_in` append and never clear.  `image` multiplies the stored
-rows by a matrix whose integer columns are scaled once per matrix.  A
-kernel (and so an annihilator or an intersection) takes one elimination:
-reduced with its columns reversed, the conditions give generators that
-already are the canonical rows (see `_kernel`).  `intersect_all`
+its denominators), and a span or sum is the rows it keeps, canonical as
+inserted, with no sign fixed afterwards.  Fractions appear only at the
+boundary: `Subspace.basis` divides each pivot row by its pivot, which
+gives the same unique RREF as elimination over Fractions; a span of
+integer rows (`integer_span`, which spans the bases of filtration files)
+makes none at all.  There is no matrix inverse, product or solve: the
+package reads frames only through their determinant and their columns.
+Where only a rank or the rows that add rank are read, the echelon
+placement suffices: `rank` (the ranks in `fans` and the spanning checks
+of certificates and torus splittings) and `complement_in` append and
+never clear.  A kernel (and so an annihilator or an intersection) takes
+one elimination: reduced with its columns reversed, the conditions give
+generators that already are the canonical rows (see `_kernel`).  `intersect_all`
 eliminates only for two or more proper members.  The meets of one space
 with every value of a chain take no kernel at all: `levelled_meets` runs
 one Zassenhaus reduction through `_append` and reads each meet off the
@@ -39,17 +39,16 @@ canonical rows only when the meet grows (its docstring gives the proof).
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
-most commands compute); it compiles only `__init__` from source, and
-`replace` copies a record with changed fields.  Scalars are ints or
-Fractions: `serialize` is the one reader of rational literals, so a
-string, like a float or a boolean, raises TypeError here.
+most commands compute); it compiles only `__init__` from source.  Scalars
+are ints or Fractions: `serialize` is the one reader of rational literals,
+so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator`, a matrix's determinant, its primitive integer columns
 (which `column_chain` spans by level), the lines they span (`column_lines`,
-signed, not eliminated) and its scaled integer columns (which `image` and
-`maps_into` multiply by) here, and a cone's character quotient and
-integer solver, whether a quotient is the identity, a chain's non-nested
-pairs and its sweep rows, the gluing report, the associated data and the
+signed, not eliminated) and its scaled integer columns (which `maps_into`
+multiplies by) here, and a cone's character quotient and integer solver,
+whether a quotient is the identity, a chain's non-nested pairs and its
+sweep rows, the gluing report, the ray chains of bundle data and the
 algebra tables elsewhere, in the instance dict of a frozen record.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).
@@ -151,19 +150,11 @@ def record(cls):
     return cls
 
 
-def replace(obj, **changes):
-    """A copy of the record `obj` with `changes` to its fields, built through
-    `__init__`: `__post_init__` runs again and the copy starts with no cache."""
-    fields = {f: getattr(obj, f) for f in obj._fields}
-    fields.update(changes)
-    return obj.__class__(**fields)
-
-
 def cached_on_instance(fn):
     """fn(obj), which is never None, cached in the instance dict of a frozen
     record under "_" + fn's name.  The cached attribute is not a field, so
-    equality, hashing and `replace` ignore it (a replaced instance starts
-    with no cache).  Only a returned value is cached: an exception is raised
+    equality and hashing ignore it, and a copy built through `__init__`
+    starts with no cache.  Only a returned value is cached: an exception is raised
     again on every call.  A failure that is a fact about the instance is
     kept by returning it as a value and raising it outside, as
     `bundles.associated_klyachko` does with its witness; a kept exception
@@ -200,16 +191,12 @@ def vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(to_fraction(x) for x in entries)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]):
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors of different lengths")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
 @record
 class QMatrix:
-    """Dense matrix of Fractions.  `ncols` is explicit so that matrices with
-    zero rows keep their width."""
+    """Dense matrix of Fractions, the container of frames and morphisms:
+    read through its entries, its determinant and its columns, never
+    multiplied or inverted.  `ncols` is explicit so that matrices with zero
+    rows keep their width."""
 
     entries: Tuple[Vector, ...]
     ncols: int
@@ -228,36 +215,14 @@ class QMatrix:
             ncols = len(data[0])
         return QMatrix(data, ncols)
 
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        return QMatrix(
-            tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(n))
-                for i in range(n)
-            ),
-            n,
-        )
-
     @property
     def nrows(self) -> int:
         return len(self.entries)
-
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "QMatrix":
         return QMatrix(
             tuple(tuple(r[j] for r in self.entries) for j in range(self.ncols)),
             self.nrows,
-        )
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shapes do not compose")
-        cols = other.transpose().entries
-        return QMatrix(
-            tuple(tuple(dot(r, c) for c in cols) for r in self.entries),
-            other.ncols,
         )
 
     @cached_on_instance
@@ -291,25 +256,6 @@ class QMatrix:
                 m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
             prev = p
         return Fraction(sign * prev, scale)
-
-    def inverse(self) -> "QMatrix":
-        return self.solve(QMatrix.identity(self.nrows))
-
-    def solve(self, rhs: "QMatrix") -> "QMatrix":
-        """The X with self @ X = rhs, that is self^-1 rhs: the right block of
-        rref([self | rhs]), whose left block must be the identity."""
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        if rhs.nrows != self.nrows:
-            raise ValueError("matrix shapes do not compose")
-        n = self.nrows
-        reduced, pivots = rref([r + b for r, b in zip(self.entries, rhs.entries)], n + rhs.ncols)
-        if pivots[:n] != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return QMatrix(tuple(row[n:] for row in reduced), rhs.ncols)
-
-    def is_invertible(self) -> bool:
-        return self.nrows == self.ncols and self.det() != 0
 
 
 _ZERO = Fraction(0)
@@ -425,25 +371,6 @@ def _eliminate(mat: List[List[int]], ncols: int) -> List[int]:
     return pivots
 
 
-def _reduced_rows(mat: Sequence[Sequence[int]]) -> Tuple[Vector, ...]:
-    """Eliminated pivot rows divided by their pivots (each row's first
-    nonzero entry): the unique RREF."""
-    out = []
-    for row in mat:
-        p = next(x for x in row if x)
-        out.append(tuple(Fraction(x, p) if x else _ZERO for x in row))
-    return tuple(out)
-
-
-def rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-    Rows of ints or Fractions; elimination runs over primitive integer rows
-    and only the returned rows are Fractions."""
-    mat = [_integer_row(r) for r in rows]
-    pivots = _eliminate(mat, ncols)
-    return _reduced_rows(mat[:len(pivots)]), tuple(pivots)
-
-
 def _space(ambient: int, mat: List[List[int]]) -> "Subspace":
     """The row space of integer rows: their reduced echelon form."""
     rank = len(_eliminate(mat, ambient))
@@ -469,8 +396,10 @@ class Subspace:
 
     @property
     def basis(self) -> Tuple[Vector, ...]:
-        """The RREF rows over Q: each stored row divided by its pivot."""
-        return _reduced_rows(self.rows)
+        """The RREF rows over Q: each stored row divided by its pivot, which
+        gives the unique RREF."""
+        return tuple(tuple(Fraction(x, row[p]) if x else _ZERO for x in row)
+                     for row, p in zip(self.rows, self.pivots))
 
     @property
     def dim(self) -> int:
@@ -664,11 +593,6 @@ def _image_rows(s: Subspace, m: QMatrix) -> List[List[int]]:
     return [_primitive([sum(map(mul, row, col)) for col in cols]) for row in s.rows]
 
 
-def image(s: Subspace, m: QMatrix) -> Subspace:
-    """The span of the rows of `s` times `m` (a row vector v maps to v @ m)."""
-    return _space(m.ncols, _image_rows(s, m))
-
-
 def maps_into(s: Subspace, m: QMatrix, target: Subspace) -> bool:
     """s @ m ⊆ target, with no elimination of the image: the mapped rows of
     `s` are not reduced.  Zero rows drop out; a full target holds the rest
@@ -736,11 +660,6 @@ def _kernel(mat: List[List[int]], n: int) -> Subspace:
                 v[p] = -x * (scale // row[n - 1 - p])
         gens.append(tuple(_primitive(v)))
     return Subspace(n, tuple(gens))
-
-
-def kernel(matrix: QMatrix) -> Subspace:
-    """Canonical basis of {x : M x = 0}, x read as a row vector of length ncols."""
-    return _kernel([_integer_row(r) for r in matrix.entries], matrix.ncols)
 
 
 @cached_on_instance

@@ -22,7 +22,8 @@ of the chains, so every line of any splitting has its tuple in R, and every
 tuple in R is integral by construction: the verdict NONE-FOUND is
 definitive.  The nonzero pieces over R split the data exactly when their
 dimensions add up to n, they span the fiber (so they are a direct sum), and
-`RayFiltration.reconstruction_failure` finds no failure on any chain; the
+`RayFiltration.reconstruction_failure` finds no failure on any chain, the
+test of the certificate verifier (`compatibility._rebuild_failure`); the
 rows of the pieces are then the splitting lines.
 """
 
@@ -31,9 +32,9 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
-from .compatibility import graded_pieces
+from .compatibility import _rebuild_failure, graded_pieces
 from .errors import PreconditionError
-from .linalg import QMatrix, rank, record
+from .linalg import QMatrix, record
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
@@ -119,9 +120,8 @@ def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:
     pieces = graded_pieces(kly.filtrations, universe, n)
     nonzero = [t for t in universe if pieces[t].dim]
     parts = [pieces[t] for t in nonzero]
-    if (sum(p.dim for p in parts) != n or rank([v for p in parts for v in p.rows], n) != n
-            or any(chain.reconstruction_failure(parts, [t[k] for t in nonzero]) is not None
-                   for k, chain in enumerate(kly.filtrations))):
+    if _rebuild_failure(parts, n, ((chain, [t[k] for t in nonzero])
+                                   for k, chain in enumerate(kly.filtrations))) is not None:
         return TorusReductionResult(TORUS_NONE, universe_size=len(universe))
     return TorusReductionResult(
         TORUS_REDUCES,

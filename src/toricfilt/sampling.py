@@ -5,12 +5,11 @@ from a seed."""
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .bundles import CocharBundleData, GroupSpec
 from .fans import Fan
 from .filtrations import FiltrationData, RayFiltration
-from .lattice import solve_integer
 from .linalg import QMatrix, span_canonical
 
 
@@ -20,15 +19,6 @@ def p1_fan() -> Fan:
 
 def p2_fan() -> Fan:
     return Fan.make(2, [[1, 0], [0, 1], [-1, -1]], [[0, 1], [1, 2], [0, 2]])
-
-
-def square_cone_fan() -> Fan:
-    """Single non-simplicial maximal cone over the unit square at height one."""
-    return Fan.make(
-        3,
-        [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
-        [[0, 1, 2, 3]],
-    )
 
 
 def random_invertible_matrix(rng: random.Random, n: int,
@@ -53,34 +43,6 @@ def random_bundle(rng: random.Random, fan: Fan, n: int,
               for _ in fan.maximal_cones]
     chars = [random_chars(rng, n, fan.rank, char_lo, char_hi)
              for _ in fan.maximal_cones]
-    return CocharBundleData.make(GroupSpec("GL", n), fan, frames, chars)
-
-
-def random_split_bundle(rng: random.Random, fan: Fan, n: int,
-                        level_lo: int = -3, level_hi: int = 3,
-                        frame: Optional[QMatrix] = None) -> CocharBundleData:
-    """GL(n) data built from per-ray integer levels with a common frame: the
-    k-th frame column carries level `levels[ray][k]` on each ray, and each
-    cone's characters solve the corresponding integral systems.  On smooth
-    fans the systems are always solvable, and the result glues (it is an
-    equivariant sum of line bundles)."""
-    if frame is None:
-        frame = random_invertible_matrix(rng, n)
-    levels = [
-        [rng.randint(level_lo, level_hi) for _ in range(n)] for _ in fan.rays
-    ]
-    chars: List[Tuple[Tuple[int, ...], ...]] = []
-    for idx in fan.maximal_cones:
-        rows = [fan.rays[i] for i in idx]
-        cone_chars = []
-        for k in range(n):
-            target = [levels[i][k] for i in idx]
-            u = solve_integer(rows, target)
-            if u is None:
-                raise ValueError("level system not integrally solvable; use a smooth fan")
-            cone_chars.append(u)
-        chars.append(tuple(cone_chars))
-    frames = [frame for _ in fan.maximal_cones]
     return CocharBundleData.make(GroupSpec("GL", n), fan, frames, chars)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from builders import identity, square_cone_fan
 from toricfilt import (
     CocharBundleData,
     FiltrationData,
@@ -9,7 +10,7 @@ from toricfilt import (
     Subspace,
     span_canonical,
 )
-from toricfilt.sampling import p1_fan, p2_fan, square_cone_fan
+from toricfilt.sampling import p1_fan, p2_fan
 
 
 @pytest.fixture
@@ -43,7 +44,7 @@ def tangent_p2(p2):
 def tangent_p2_bundle(p2):
     """The same bundle presented by per-cone frames and characters."""
     frames = [
-        QMatrix.identity(2),
+        identity(2),
         QMatrix.from_rows([[0, -1], [1, -1]]),
         QMatrix.from_rows([[1, -1], [0, -1]]),
     ]

@@ -6,8 +6,14 @@
   a vector in a ray chain.  They decide independence with no elimination
   from the package.
 - `reference_rref`, `reference_det` and `reference_reduce`: elimination
-  over Fractions, the integer kernel of `toricfilt.linalg.rref`,
-  `QMatrix.det` and `Subspace.contains` must agree with.
+  over Fractions, which the integer elimination of `toricfilt.linalg`
+  (read through `Subspace.basis`), `QMatrix.det` and `Subspace.contains`
+  must agree with.
+- `reference_inverse` and `reference_product`: the inverse of a matrix as
+  the right block of the `reference_rref` of [m | 1], and products entry
+  by entry over Fractions.  The package has neither (it never multiplies
+  or inverts a frame), so the transitions, the frame-change scan and
+  `change_basis` below share no elimination with it.
 - `reference_kernel` and `reference_intersection`: kernels and
   intersections from `reference_rref`, which the one-pass kernel and the
   short paths of `toricfilt.linalg.intersect_all` must agree with.
@@ -40,8 +46,9 @@
   adapted-basis construction of `toricfilt.filtrations.tensor` must agree
   with.
 - `change_basis`: filtration data rewritten in new fiber coordinates, the
-  image of every chain value under an invertible matrix; the tests use it
-  to compare data that differ by a frame.
+  span of every chain value's rows times an invertible matrix
+  (`reference_product`); the tests use it to compare data that differ by a
+  frame.
 - `graded_decomposition`, `tensor_certificate` and
   `canonical_cone_decomposition`: decompositions of a cone built from
   subspaces labelled by characters, not from the chains, with the sum of
@@ -69,10 +76,14 @@
   the gluing check on every expanded exponent that `check_gluing` must agree
   with, a transition evaluated at a rational torus point
   (`random_torus_point`) straight from the frames and characters, and the
-  expansion evaluated at the same point.
+  expansion evaluated at the same point; `transition_breaks_on_ray` reads
+  off the expansion whether the two cones of a ray-consistency witness
+  fail to glue across its ray.
 - `reference_frame_change_scan`: the frame-change scan run on every pair,
-  whose verdict and witness `check_gluing`, decided by ray consistency,
-  must equal.
+  each frame change g_s^-1 g_t from `reference_inverse` and
+  `reference_product`, whose verdict `check_gluing`, decided by ray
+  consistency, must equal; its witness names a frame entry, which the
+  package no longer reports.
 - `reference_ray_witness`: ray consistency with both chains of each
   (cone, ray) incidence spanned level by level over Fractions and diffed,
   whose witness `toricfilt.bundles.RayConsistencyError` must carry; the
@@ -113,7 +124,6 @@ from toricfilt.linalg import (
     QMatrix,
     Subspace,
     column_lines,
-    image,
     intersect_all,
     span_canonical,
     sum_all,
@@ -243,6 +253,32 @@ def reference_det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
                 f = m[r][c]
                 m[r] = [a - f * b for a, b in zip(m[r], m[c])]
     return result
+
+
+def reference_inverse(m: QMatrix) -> QMatrix:
+    """m^-1 as the right block of the Fraction RREF of [m | 1], whose left
+    block must be the identity."""
+    n = m.nrows
+    if m.ncols != n:
+        raise ValueError("inverse of a non-square matrix")
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    reduced, pivots = reference_rref(rows, 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return QMatrix.from_rows([row[n:] for row in reduced], n)
+
+
+def reference_product(first: QMatrix, *rest: QMatrix) -> QMatrix:
+    """The product of the matrices from left to right, each entry a sum of
+    Fraction products."""
+    out = first
+    for m in rest:
+        if out.ncols != m.nrows:
+            raise ValueError("matrix shapes do not compose")
+        out = QMatrix.from_rows(
+            [[sum((a * row[j] for a, row in zip(r, m.entries)), Fraction(0))
+              for j in range(m.ncols)] for r in out.entries], m.ncols)
+    return out
 
 
 def reference_reduce(space: Subspace, v: Sequence) -> Tuple[Fraction, ...]:
@@ -396,13 +432,14 @@ def reference_tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
 def change_basis(data: FiltrationData, m: QMatrix) -> FiltrationData:
     """Rewrite all subspaces in new coordinates: a fiber vector v becomes
     v @ m (row convention).  `m` must be invertible of size dim."""
-    if m.nrows != data.dim or m.ncols != data.dim or not m.is_invertible():
+    if m.nrows != data.dim or m.ncols != data.dim or reference_det(m.entries) == 0:
         raise InputError("basis change must be an invertible dim x dim matrix")
     rays = []
     for f in data.filtrations:
         pairs = []
         for i, s in f.jumps:
-            pairs.append((i, image(s, m)))
+            moved = reference_product(QMatrix.from_rows(s.rows, data.dim), m)
+            pairs.append((i, span_canonical(moved.entries, data.dim)))
         rays.append(RayFiltration.make(data.dim, pairs))
     return FiltrationData.make(data.fan, data.dim, rays)
 
@@ -770,8 +807,8 @@ def transition(data: CocharBundleData, s: int, t: int) -> Laurent:
     cancelling coefficients dropped."""
     n = data.group.n
     g_s, g_t = data.frames[s], data.frames[t]
-    middle = g_s.inverse() @ g_t
-    g_t_inv = g_t.inverse()
+    middle = reference_product(reference_inverse(g_s), g_t)
+    g_t_inv = reference_inverse(g_t)
     u_s, u_t = data.chars[s], data.chars[t]
     out = []
     for i in range(n):
@@ -808,6 +845,18 @@ def reference_gluing(data: CocharBundleData) -> GluingReport:
     return GluingReport(True)
 
 
+def transition_breaks_on_ray(data: CocharBundleData, witness: dict) -> bool:
+    """Whether the expanded transition between the two cones of a
+    ray-consistency witness, in one direction or the other, carries an
+    exponent that pairs negatively with the witness's ray: the failure of
+    regularity that the disagreeing chains stand for."""
+    a, b = witness["cones"]
+    ray = data.fan.rays[witness["ray"]]
+    return any(sum(x * y for x, y in zip(e, ray)) < 0
+               for s, t in ((a, b), (b, a))
+               for _, e in laurent_exponents(transition(data, s, t)))
+
+
 def reference_ray_witness(data: CocharBundleData) -> Optional[dict]:
     """The witness of `RayConsistencyError`, or None when every cone agrees:
     the first (cone, ray) incidence, cones in order and rays as each cone
@@ -820,7 +869,8 @@ def reference_ray_witness(data: CocharBundleData) -> Optional[dict]:
     first: Dict[int, Tuple[int, List[int]]] = {}
 
     def span(k: int, levels: List[int], i: int):
-        cols = [data.frames[k].col(c) for c, level in enumerate(levels) if level >= i]
+        cols = [[row[c] for row in data.frames[k].entries]
+                for c, level in enumerate(levels) if level >= i]
         return reference_rref(cols, data.group.n)[0]
 
     for k, idx in enumerate(fan.maximal_cones):
@@ -839,7 +889,8 @@ def reference_ray_witness(data: CocharBundleData) -> Optional[dict]:
 
 def reference_frame_change_scan(data: CocharBundleData) -> GluingReport:
     """The frame-change scan of `check_gluing`, kept whole: both directions
-    of every pair of maximal cones, each frame change from `QMatrix.solve`,
+    of every pair of maximal cones, each frame change g_a^-1 g_b from
+    `reference_inverse` and `reference_product`,
     and the first nonzero entry whose exponent pairs negatively with an
     extreme ray of the overlap, with its pair, direction, entry, exponent
     and ray."""
@@ -849,7 +900,8 @@ def reference_frame_change_scan(data: CocharBundleData) -> GluingReport:
     for s, t in itertools.combinations(range(len(cones)), 2):
         overlap = cone_intersection(cones[s], cones[t])
         g_s, g_t = data.frames[s], data.frames[t]
-        for (a, b), m in (((s, t), g_s.solve(g_t)), ((t, s), g_t.solve(g_s))):
+        for (a, b), m in (((s, t), reference_product(reference_inverse(g_s), g_t)),
+                          ((t, s), reference_product(reference_inverse(g_t), g_s))):
             for k, l in itertools.product(range(n), repeat=2):
                 if m.entries[k][l] == 0:
                     continue
@@ -880,8 +932,8 @@ def transition_at(data: CocharBundleData, s: int, t: int,
             [[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)])
 
     g_s, g_t = data.frames[s], data.frames[t]
-    return (g_s @ character(s, 1) @ g_s.inverse()
-            @ g_t @ character(t, -1) @ g_t.inverse())
+    return reference_product(g_s, character(s, 1), reference_inverse(g_s),
+                             g_t, character(t, -1), reference_inverse(g_t))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import itertools
 import random
 import time
 
+from builders import identity, random_split_bundle, replace, square_cone_fan
 from oracle import (
     evaluate_laurent,
     exhaustive_adapted_search,
@@ -37,7 +38,7 @@ from toricfilt.compatibility import (
 )
 from toricfilt.fans import Fan, cone_intersection
 from toricfilt.filtrations import dual, tensor
-from toricfilt.linalg import QMatrix, intersect, replace, span_canonical, subspace_sum
+from toricfilt.linalg import QMatrix, intersect, span_canonical, subspace_sum
 from toricfilt.reduction import (
     SL_REDUCES,
     TORUS_NONE,
@@ -51,9 +52,7 @@ from toricfilt.sampling import (
     random_bundle,
     random_filtration_data,
     random_invertible_matrix,
-    random_split_bundle,
     random_subspace,
-    square_cone_fan,
 )
 from toricfilt.serialize import (
     bundle_from_obj,
@@ -167,7 +166,7 @@ def test_criterion_3_checker_vs_oracle(four_lines, tangent_p2):
 def test_criterion_4_gluing_micro_criterion():
     def body():
         fan = p2_fan()
-        ident = QMatrix.identity(1)
+        ident = identity(1)
         grp = GroupSpec("GL", 1)
         pairs = [(0, 1), (0, 2), (1, 2)]
         overlaps = {
@@ -216,7 +215,7 @@ def test_criterion_5_filtered_algebra_axioms():
         fan = p2_fan()
         chars = [[(1, 0), (0, 0)]] * 3
         data = CocharBundleData.make(GroupSpec("GL", 2), fan,
-                                     [QMatrix.identity(2)] * 3, chars)
+                                     [identity(2)] * 3, chars)
         alg = build_truncation(data, 0, 3)
         flipped = dict(alg.weights)
         gen = generator(alg, 0, 0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from builders import identity, replace
 from oracle import (
     chain_members,
     coproduct,
@@ -28,11 +29,11 @@ from toricfilt.algebras import (
 from toricfilt.bundles import CocharBundleData, GroupSpec
 from toricfilt.fans import CharQuotient
 from toricfilt.errors import InputError, PreconditionError
-from toricfilt.linalg import QMatrix, replace
+from toricfilt.linalg import QMatrix
 from toricfilt.sampling import p1_fan, p2_fan, random_bundle
 
-I1 = QMatrix.identity(1)
-I2 = QMatrix.identity(2)
+I1 = identity(1)
+I2 = identity(2)
 
 
 def gl1_bundle(fan, chars):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from builders import identity, random_split_bundle
 from oracle import (
     canonical_cone_decomposition,
     evaluate_laurent,
@@ -11,14 +12,16 @@ from oracle import (
     random_torus_point,
     reference_frame_change_scan,
     reference_gluing,
+    reference_inverse,
+    reference_product,
     reference_ray_witness,
     transition,
     transition_at,
+    transition_breaks_on_ray,
 )
 from toricfilt import bundles
 from toricfilt.bundles import (
     CocharBundleData,
-    GluingReport,
     GroupSpec,
     RayConsistencyError,
     associated_klyachko,
@@ -27,15 +30,15 @@ from toricfilt.bundles import (
     validate_bundle,
 )
 from toricfilt.compatibility import verify_cone_decomposition
-from toricfilt.errors import InputError
+from toricfilt.errors import InputError, PreconditionError
 from toricfilt.fans import Fan, cone_intersection
 from toricfilt.filtrations import FiltrationData, dual, tensor
 from toricfilt.linalg import QMatrix
-from toricfilt.sampling import random_bundle, random_split_bundle
+from toricfilt.sampling import random_bundle
 from toricfilt.serialize import bundle_from_obj, bundle_to_obj
 
-I1 = QMatrix.identity(1)
-I2 = QMatrix.identity(2)
+I1 = identity(1)
+I2 = identity(2)
 
 
 def gl1_p2(chars, fan):
@@ -166,12 +169,15 @@ def test_gluing_p1_always(p1):
 
 
 def test_gluing_p2_failure_witness(p2):
+    """The witness is the reference ray witness: cones 0 and 1 disagree on
+    the ray through e2 at index 1, and the expanded transition between them
+    carries an exponent that pairs negatively with that ray."""
     data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
     report = check_gluing(data)
     assert not report.glues
-    assert report.witness["pair"] == [0, 1]
-    assert report.witness["exponent"] == [0, -1]
-    assert report.witness["ray"] == [0, 1]
+    assert report.witness == reference_ray_witness(data) == {"cones": [0, 1], "ray": 1,
+                                                             "index": 1}
+    assert transition_breaks_on_ray(data, report.witness)
 
 
 def test_gluing_perp_difference_glues(p2):
@@ -183,11 +189,11 @@ def test_gluing_perp_difference_glues(p2):
 
 
 def test_gluing_matches_reference(p1, p2):
-    # the frame-change check against the expanded transitions: same verdict,
-    # pair and direction everywhere, and for n = 1 the same witness
+    # ray consistency against the expanded transitions: the same verdict, and
+    # a failure carries the reference ray witness, across whose ray the
+    # expanded transition between its two cones is not regular
     p3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
                   [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-    overlapping = Fan.make(2, [[1, 0], [0, 1], [1, 1], [-1, 1]], [[0, 1], [2, 3]])
     rng = random.Random(41)
     cases = []
     for i in range(300):
@@ -202,7 +208,6 @@ def test_gluing_matches_reference(p1, p2):
             k, c = rng.randrange(len(chars)), rng.randrange(n)
             chars[k][c] = tuple(x + rng.choice([-1, 1]) for x in chars[k][c])
         cases.append(CocharBundleData.make(data.group, fan, data.frames, chars))
-    cases += [random_bundle(rng, overlapping, 1 + i % 3) for i in range(12)]
     verdicts = {True: 0, False: 0}
     for data in cases:
         got, want = check_gluing(data), reference_gluing(data)
@@ -210,15 +215,8 @@ def test_gluing_matches_reference(p1, p2):
         assert got.glues == want.glues
         if got.glues:
             continue
-        assert got.witness["pair"] == want.witness["pair"]
-        assert got.witness["direction"] == want.witness["direction"]
-        # the entry names a nonzero frame-change entry carrying the exponent
-        (a, b), (k, l) = got.witness["direction"], got.witness["entry"]
-        assert (data.frames[a].inverse() @ data.frames[b]).entries[k][l] != 0
-        assert got.witness["exponent"] == [x - y for x, y in zip(data.chars[a][k],
-                                                                 data.chars[b][l])]
-        if data.group.n == 1:
-            assert got.witness == want.witness
+        assert got.witness == reference_ray_witness(data)
+        assert transition_breaks_on_ray(data, got.witness)
     assert min(verdicts.values()) >= 50
 
 
@@ -256,34 +254,40 @@ def _seeded_gluing_cases(p1, p2):
 
 
 def test_gluing_equals_frame_change_scan(p1, p2):
-    """Deciding by ray consistency gives the scan's report: the verdict and,
-    for data that does not glue, the same pair, direction, entry, exponent
-    and ray.  On the overlapping fan the chains on listed rays always agree,
-    so only the fan hypothesis keeps the verdict right there."""
+    """Deciding by ray consistency gives the verdict of the frame-change
+    scan and of the expanded transitions on P^1, P^2, the P^3 fan and the
+    fan with a ray in no maximal cone, which gluing skips; data that does
+    not glue carries the reference ray witness, across whose ray the
+    expanded transition between its two cones is not regular.  On the
+    overlapping fan the chains on listed rays always agree, and
+    `check_gluing` refuses the fan."""
     cases = _seeded_gluing_cases(p1, p2)
     for name, group in cases.items():
+        if name == "overlapping":
+            continue
         verdicts = {True: 0, False: 0}
         for data in group:
             report = check_gluing(data)
-            assert report == reference_frame_change_scan(data), (name, data)
+            assert (report.glues == reference_frame_change_scan(data).glues
+                    == reference_gluing(data).glues), (name, data)
+            if not report.glues:
+                assert report.witness == reference_ray_witness(data), (name, data)
+                assert transition_breaks_on_ray(data, report.witness), (name, data)
             verdicts[report.glues] += 1
         # on P^1 the overlap is the origin, so everything glues
         assert verdicts[True] >= 30 and (name == "p1" or verdicts[False] >= 30), name
     for data in cases["overlapping"]:
         associated_klyachko(data)
+        with pytest.raises(PreconditionError, match="not the rays both list"):
+            check_gluing(data)
     with pytest.raises(InputError, match="lies in no maximal cone"):
         associated_klyachko(cases["unused_ray"][0])
 
 
-def test_glued_data_on_a_valid_fan_solves_nothing(p1, p2, monkeypatch):
-    """On a valid fan glued data is decided by the chains alone: no frame
-    change is solved, and each pair of maximal cones asks for its overlap
-    once."""
-    def no_solve(self, rhs):
-        raise AssertionError("QMatrix.solve called")
-
+def test_glued_data_on_a_valid_fan_solves_nothing(p1, p2):
+    """On a valid fan `check_gluing` asks each pair of maximal cones for its
+    overlap once."""
     rng = random.Random(59)
-    monkeypatch.setattr(QMatrix, "solve", no_solve)
     for fan in (p1, p2, P3):
         pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
         for n in (1, 2, 3):
@@ -294,14 +298,18 @@ def test_glued_data_on_a_valid_fan_solves_nothing(p1, p2, monkeypatch):
             assert (after.hits + after.misses) - (before.hits + before.misses) == pairs
 
 
-def test_gluing_contradiction_raises(p2, monkeypatch):
-    """Under the fan hypothesis, chains that disagree while every frame
-    change is regular contradict the proof in `check_gluing`: that is an
-    internal error, not a verdict."""
-    data = gl1_p2([(0, 1), (0, 0), (0, 0)], p2)
-    monkeypatch.setattr(bundles, "_frame_change_scan", lambda data, cones: GluingReport(True))
-    with pytest.raises(RuntimeError, match="ray chains disagree"):
-        check_gluing(data)
+def test_gluing_refuses_overlapping_fan():
+    """On a fan where an overlap has extreme rays that not both cones list,
+    ray consistency cannot see the overlap, so `check_gluing` raises
+    PreconditionError, for data whose charts agree as for any other."""
+    rng = random.Random(43)
+    for n in (1, 2, 3):
+        data = random_bundle(rng, OVERLAPPING, n)
+        same = CocharBundleData.make(data.group, OVERLAPPING, data.frames[:1] * 2,
+                                     data.chars[:1] * 2)
+        for case in (data, same):
+            with pytest.raises(PreconditionError, match="cones 0 and 1"):
+                check_gluing(case)
 
 
 def test_transition_matches_frames_at_points(p2):
@@ -527,7 +535,7 @@ def test_gauge_invariance_commuting_factor(p2):
     # an invertible diagonal matrix commutes with every character diagonal
     d = QMatrix.from_rows([[2, 0], [0, -3]])
     frames = list(data.frames)
-    frames[1] = frames[1] @ d
+    frames[1] = reference_product(frames[1], d)
     gauged = CocharBundleData.make(data.group, p2, frames, data.chars)
     for s in range(3):
         for t in range(3):
@@ -535,8 +543,6 @@ def test_gauge_invariance_commuting_factor(p2):
 
 
 def test_gauge_invariance_of_associated_chains(p2):
-    from toricfilt.sampling import random_split_bundle
-
     rng = random.Random(19)
     data = random_split_bundle(rng, p2, 3)
     kly = associated_klyachko(data)
@@ -553,7 +559,7 @@ def test_gauge_invariance_of_associated_chains(p2):
     # diagonal commuting gauge
     d = QMatrix.from_rows([[5, 0, 0], [0, 1, 0], [0, 0, -2]])
     assert associated_klyachko(
-        CocharBundleData.make(data.group, p2, [f @ d for f in data.frames], data.chars)
+        CocharBundleData.make(data.group, p2, [reference_product(f, d) for f in data.frames], data.chars)
     ) == kly
 
 
@@ -561,11 +567,10 @@ def test_dual_convention_calibration(p2):
     """Associated data of inverse cocharacters in transpose-inverse frames is
     the dual of the associated data."""
     rng = random.Random(21)
-    from toricfilt.sampling import random_split_bundle
 
     for _ in range(6):
         data = random_split_bundle(rng, p2, 2)
-        inv_frames = [f.inverse().transpose() for f in data.frames]
+        inv_frames = [reference_inverse(f).transpose() for f in data.frames]
         inv_chars = [
             tuple(tuple(-x for x in u) for u in cone_chars)
             for cone_chars in data.chars

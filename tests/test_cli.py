@@ -9,7 +9,12 @@ import time
 import pytest
 
 import toricfilt
-from oracle import reference_parse_rational
+from oracle import (
+    reference_bundle_from_obj,
+    reference_parse_rational,
+    reference_ray_witness,
+    transition_breaks_on_ray,
+)
 from toricfilt.cli import build_parser, main
 from toricfilt.errors import InputError
 from toricfilt.serialize import (
@@ -160,9 +165,9 @@ def test_glue_witness_matches_spec_example(tmp_path, capsys):
     code, out, _ = run(capsys, "glue", path)
     assert code == 1
     witness = json.loads(out)["witness"]
-    assert witness["pair"] == [0, 1]
-    assert witness["exponent"] == [0, -1]
-    assert witness["ray"] == [0, 1]
+    data = reference_bundle_from_obj(bundle, base_dir=str(tmp_path))
+    assert witness == reference_ray_witness(data) == {"cones": [0, 1], "ray": 1, "index": 1}
+    assert transition_breaks_on_ray(data, witness)
 
 
 def test_tensor_dual_dual_byte_identical(tmp_path, capsys):

@@ -15,10 +15,11 @@ import random
 
 import pytest
 
+from builders import random_split_bundle
 from toricfilt.bundles import CocharBundleData, GroupSpec
 from toricfilt.cli import main
 from toricfilt.linalg import QMatrix
-from toricfilt.sampling import p1_fan, p2_fan, random_filtration_data, random_split_bundle
+from toricfilt.sampling import p1_fan, p2_fan, random_filtration_data
 from toricfilt.serialize import bundle_to_obj, fan_to_obj, filtration_to_obj
 
 P2 = fan_to_obj(p2_fan())
@@ -54,7 +55,7 @@ def _inputs():
     singular["cones"][1]["frame"] = [["1", "2"], ["2", "4"]]
     tangent = CocharBundleData.make(
         GroupSpec("GL", 2), p2_fan(),
-        [QMatrix.identity(2), QMatrix.from_rows([[0, -1], [1, -1]]),
+        [QMatrix.from_rows(identity), QMatrix.from_rows([[0, -1], [1, -1]]),
          QMatrix.from_rows([[1, -1], [0, -1]])],
         [[(1, 0), (0, 1)], [(-1, 1), (-1, 0)], [(1, -1), (0, -1)]])
     p1 = {"rank": 1, "rays": [[1], [-1]], "maximal_cones": [[0], [1]]}
@@ -79,6 +80,11 @@ def _inputs():
         "bundle.json": bundle_to_obj(split),
         "singular.json": singular,
         "broken.json": _gl_bundle("fan.json", [[[1]]] * 3, [[[0, 1]], [[0, 0]], [[0, 0]]]),
+        # the P^2 fan with the ray (1, 1) listed by no maximal cone
+        "unused_ray_fan.json": {"rank": 2, "rays": [[1, 0], [0, 1], [-1, -1], [1, 1]],
+                                "maximal_cones": [[0, 1], [1, 2], [0, 2]]},
+        "unused_ray_broken.json": _gl_bundle("unused_ray_fan.json", [[[1]]] * 3,
+                                             [[[0, 1]], [[0, 0]], [[0, 0]]]),
         "tangent.json": bundle_to_obj(tangent),
         "sl_ok.json": _gl_bundle(p1, [[[2, 1], [1, 1]], identity], [[[1], [-1]], [[2], [-2]]]),
         "sl_bad.json": _gl_bundle(p1, [identity, identity], [[[1], [0]], [[0], [0]]]),
@@ -178,7 +184,10 @@ SNAPSHOT = {
         'd56da5b3ca9327fab72cc973475da0a17ac69ee19cd2b5c99fe22c720ff18d5c',
         '5e5e7922207ca2451f98570a4153f08788cc79fc58c6962a0a25cc5ecae94cc7'),
     'glue/fails': (['glue', 'broken.json'], 1,
-        '25ccd931d6805ca42c13d52bf1cfa854953a05ec440b5ce71587bffd03e0fb4f',
+        '0f7b9e402cf1a6ddd81e776bd9241404ec00d79e2bd8c1bdf1ad03c01d0a11da',
+        'f2180c13f3c2ddab536dc0fea0b8d33e69dd3cce3231dcce3caf92eab709ec3b'),
+    'glue/unused-ray-fails': (['glue', 'unused_ray_broken.json'], 1,
+        '0f7b9e402cf1a6ddd81e776bd9241404ec00d79e2bd8c1bdf1ad03c01d0a11da',
         'f2180c13f3c2ddab536dc0fea0b8d33e69dd3cce3231dcce3caf92eab709ec3b'),
     'glue/invalid-bundle': (['glue', 'singular.json'], 2,
         '6d986b5e0e93069aacab2b369b7b013191b3336f34cc246760d12601129017e0',
@@ -192,6 +201,9 @@ SNAPSHOT = {
     'assoc/invalid-bundle': (['assoc', 'singular.json'], 2,
         '0804e010c633f371c12452436295d5ec49c0c05e3faa0b056a48b6d738101375',
         'ed69f33861b90febe4656166b5f8af65eadb477dc9a770f149e9524068ecdbe7'),
+    'assoc/unused-ray': (['assoc', 'unused_ray_broken.json'], 2,
+        '93fa0b8ecdc5b5b24637329fd658a62dc28a444efaf1b39cf152fa33b874f5c0',
+        '7f758eafc608a8038ba11fb2357164d73c38f8fb88bed46241d732e4e078a96c'),
     'algebra-check/all-cones': (['algebra-check', 'bundle.json', '--degree', '2'], 0,
         '9347111d8818a414759b7ecc4a203d3490fdcaffb11afced48a834e2724d4777',
         'a16c1b0323905d57f79be4b15375374a9fa5c80e3137781a40d36794a4a2306b'),

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from builders import random_split_bundle, solve_integer, square_cone_fan
 from oracle import (
     exhaustive_adapted_search,
     graded_decomposition,
@@ -33,7 +34,7 @@ from toricfilt.filtrations import (
     tensor,
     validate,
 )
-from toricfilt.lattice import smith_normal_form, solve_integer
+from toricfilt.lattice import smith_normal_form
 from toricfilt.linalg import QMatrix, Subspace, levelled_meets, span_canonical
 from toricfilt.reduction import _realized_tuples
 from toricfilt.sampling import (
@@ -42,9 +43,7 @@ from toricfilt.sampling import (
     random_bundle,
     random_filtration_data,
     random_invertible_matrix,
-    random_split_bundle,
     random_subspace,
-    square_cone_fan,
 )
 from toricfilt.serialize import filtration_from_obj, filtration_to_obj
 

@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from builders import square_cone_fan
 from oracle import (
     reference_canonical_representative,
     reference_class_index,
     reference_cone,
     reference_dual_description,
+    reference_inverse,
     reference_is_face_of,
+    reference_rref,
 )
 from toricfilt.errors import InputError
 from toricfilt.fans import (
@@ -22,8 +25,9 @@ from toricfilt.fans import (
     is_face_of,
     validate_fan,
 )
+from toricfilt.lattice import smith_normal_form
 from toricfilt.linalg import QMatrix
-from toricfilt.sampling import p1_fan, p2_fan, square_cone_fan
+from toricfilt.sampling import p1_fan, p2_fan
 
 
 def test_p1_fan_valid(p1):
@@ -160,7 +164,7 @@ def random_unimodular(rng, rank):
             rows[b] = [x + k * y for x, y in zip(rows[b], rows[a])]
         if rng.random() < 0.3:
             rows[a] = [-x for x in rows[a]]
-    inverse = QMatrix.from_rows(rows).inverse()
+    inverse = reference_inverse(QMatrix.from_rows(rows))
     return (tuple(map(tuple, rows)),
             tuple(tuple(int(x) for x in row) for row in inverse.entries))
 
@@ -192,6 +196,39 @@ def test_quotient_coordinates_match_reference_formula():
 
 P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
               [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
+
+
+def test_quotient_fields_match_oracle_on_every_face():
+    """On every face of P^1, P^2, the 4-ray P^3 fan and the square cone, the
+    quotient's v is the unimodular V of the Smith form of the face's
+    perpendicular lattice, v_inv is its inverse from the oracle's own
+    elimination (the package takes it from the integer solver), in ints,
+    and `class_index` and `canonical_representative` equal the oracle's
+    formula."""
+    rng = random.Random(71)
+    seen = set()
+    for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
+        for idx in fan.maximal_cones:
+            cone = fan.cone(idx)
+            for size in range(len(idx) + 1):
+                for sub in itertools.combinations(idx, size):
+                    face = cone_from_generators(fan.rank, tuple(fan.rays[i] for i in sub))
+                    if set(face.generators) != {fan.rays[i] for i in sub} \
+                            or not is_face_of(face, cone):
+                        continue
+                    q = face.quotient()
+                    seen.add(q.perp_dim)
+                    if q.perp_dim:
+                        assert q.v == smith_normal_form(face.perp_basis)[2]
+                    inverse = reference_inverse(QMatrix.from_rows(q.v))
+                    assert q.v_inv == tuple(tuple(int(x) for x in row) for row in inverse.entries)
+                    assert all(type(x) is int for row in q.v_inv for x in row)
+                    for _ in range(4):
+                        u = tuple(rng.randint(-9, 9) for _ in range(fan.rank))
+                        assert q.class_index(u) == reference_class_index(q, u)
+                        assert (q.canonical_representative(u)
+                                == reference_canonical_representative(q, u))
+    assert seen == {0, 1, 2, 3}
 
 
 def test_identity_quotient_matches_reference_formula():
@@ -416,7 +453,6 @@ def test_double_description_against_3d_facet_oracle():
     import random
 
     from toricfilt.lattice import primitive_vector
-    from toricfilt.linalg import rref
     from fractions import Fraction
 
     rng = random.Random(72)
@@ -446,7 +482,7 @@ def test_double_description_against_3d_facet_oracle():
         for g in gens:
             tight = [[Fraction(x) for x in n] for n in facets
                      if sum(x * y for x, y in zip(n, g)) == 0]
-            if len(rref(tight, 3)[1]) == 2:
+            if len(reference_rref(tight, 3)[1]) == 2:
                 expected_extreme.add(g)
         assert set(cone.generators) == expected_extreme
 

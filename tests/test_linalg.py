@@ -1,6 +1,7 @@
 import ast
 import pathlib
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -9,13 +10,16 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from builders import identity, random_split_bundle, replace
 import toricfilt
 from oracle import (
     Eliminator,
     reference_complement,
     reference_det,
     reference_intersection,
+    reference_inverse,
     reference_kernel,
+    reference_product,
     reference_reduce,
     reference_rref,
     tensor_product,
@@ -33,17 +37,15 @@ from toricfilt.linalg import (
     echelon_contains,
     _integer_columns,
     _integer_row,
+    _image_rows,
     _kernel,
-    image,
     integer_span,
     intersect,
     intersect_all,
-    kernel,
     levelled_meets,
     levelled_spans,
     maps_into,
     record,
-    rref,
     span_canonical,
     subspace_sum,
     sum_all,
@@ -214,9 +216,11 @@ def test_strings_rejected_without_parsing():
 def test_matrix_inverse_and_det():
     m = QMatrix.from_rows([[1, 2], [3, 5]])
     assert m.det() == -1
-    assert m @ m.inverse() == QMatrix.identity(2)
+    assert reference_product(m, reference_inverse(m)) == identity(2)
+    singular = QMatrix.from_rows([[1, 1], [2, 2]])
+    assert singular.det() == 0
     with pytest.raises(ValueError):
-        QMatrix.from_rows([[1, 1], [2, 2]]).inverse()
+        reference_inverse(singular)
 
 
 def from_sympy(matrix):
@@ -224,6 +228,9 @@ def from_sympy(matrix):
 
 
 def test_rref_det_inverse_match_sympy():
+    """The canonical rows of a span, divided by their pivots, are sympy's
+    RREF; `QMatrix.det` is sympy's determinant, and the oracle's inverse
+    is sympy's."""
     rng = random.Random(1406)
     singular = 0
 
@@ -235,7 +242,8 @@ def test_rref_det_inverse_match_sympy():
     for _ in range(150):
         n, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[entry(4) for _ in range(ncols)] for _ in range(n)]
-        reduced, pivots = rref(rows, ncols)
+        space = span_canonical(rows, ncols)
+        reduced, pivots = space.basis, space.pivots
         ref, ref_pivots = sympy.Matrix(rows).rref()
         assert pivots == ref_pivots
         assert [list(r) for r in reduced] == from_sympy(ref)[:len(pivots)]
@@ -246,9 +254,9 @@ def test_rref_det_inverse_match_sympy():
         if ref.det() == 0:
             singular += 1
             with pytest.raises(ValueError, match="singular"):
-                square.inverse()
+                reference_inverse(square)
         else:
-            assert [list(r) for r in square.inverse().entries] == from_sympy(ref.inv())
+            assert [list(r) for r in reference_inverse(square).entries] == from_sympy(ref.inv())
     assert singular > 0
 
 
@@ -270,14 +278,16 @@ def _random_rows(rng, nrows, ncols, ints=False):
 
 
 def test_rref_matches_fraction_elimination():
-    """The integer kernel returns exactly the RREF of elimination over
-    Fractions: 0-12 rows by 1-12 columns, tall 20x16 inputs, int rows."""
+    """The integer elimination gives exactly the RREF of elimination over
+    Fractions, read through `Subspace.basis` and `Subspace.pivots`: 0-12
+    rows by 1-12 columns, tall 20x16 inputs, int rows."""
     rng = random.Random(2718)
     shapes = [(rng.randint(0, 12), rng.randint(1, 12)) for _ in range(400)]
     shapes += [(20, 16)] * 20
     for k, (nrows, ncols) in enumerate(shapes):
         rows = _random_rows(rng, nrows, ncols, ints=k % 4 == 0)
-        reduced, pivots = rref(rows, ncols)
+        space = span_canonical(rows, ncols)
+        reduced, pivots = space.basis, space.pivots
         assert (reduced, pivots) == reference_rref(rows, ncols)
         assert all(type(x) is Fraction for row in reduced for x in row)
 
@@ -333,6 +343,10 @@ def test_cached_det_equals_bareiss():
         assert m.det() == want and m.det() == want and vars(m)["_det"] == want
 
 
+def _col(m, j):
+    return tuple(row[j] for row in m.entries)
+
+
 def test_integer_columns_and_column_lines(monkeypatch):
     """The cached integer columns are the primitive integer rows of the
     columns, and the cached column lines equal `span_canonical` of each
@@ -343,12 +357,12 @@ def test_integer_columns_and_column_lines(monkeypatch):
         nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
         rows = _random_rows(rng, nrows, ncols)[:nrows]
         m = QMatrix.from_rows(rows + [[Fraction(0)] * ncols] * (nrows - len(rows)))
-        cases.append((m, [span_canonical([m.col(j)], m.nrows) for j in range(m.ncols)]))
+        cases.append((m, [span_canonical([_col(m, j)], m.nrows) for j in range(m.ncols)]))
     monkeypatch.setattr(linalg, "_eliminate", None)
     for m, want in cases:
         cols = _integer_columns(m)
         assert cols is _integer_columns(m)
-        assert [list(c) for c in cols] == [_integer_row(m.col(j)) for j in range(m.ncols)]
+        assert [list(c) for c in cols] == [_integer_row(_col(m, j)) for j in range(m.ncols)]
         lines = column_lines(m)
         assert lines is column_lines(m)
         assert list(lines) == want
@@ -362,7 +376,7 @@ def test_replace_starts_matrix_caches_empty():
     m.det()
     _integer_columns(m)
     assert {"_det", "__integer_columns"} <= set(vars(m))
-    copy = linalg.replace(m)
+    copy = replace(m)
     assert copy == m and not {"_det", "__integer_columns"} & set(vars(copy))
 
 
@@ -373,7 +387,7 @@ def test_validation_gluing_and_sl_take_each_determinant_once(p1, p2, monkeypatch
     reads those tuples."""
     from toricfilt.bundles import CocharBundleData, check_gluing, validate_bundle
     from toricfilt.reduction import check_sl_reduction
-    from toricfilt.sampling import random_bundle, random_split_bundle
+    from toricfilt.sampling import random_bundle
 
     clear, owner, cleared = linalg._clear_denominators, {}, []
 
@@ -389,7 +403,7 @@ def test_validation_gluing_and_sl_take_each_determinant_once(p1, p2, monkeypatch
             data = build(rng, fan, 3)
             # the sampler took the determinants; copies start uncached, and
             # a frame object shared by several cones stays shared
-            fresh = {id(f): linalg.replace(f) for f in data.frames}
+            fresh = {id(f): replace(f) for f in data.frames}
             data = CocharBundleData.make(data.group, fan,
                                          [fresh[id(f)] for f in data.frames], data.chars)
             owner = {id(row): id(f) for f in fresh.values() for row in f.entries}
@@ -421,6 +435,11 @@ def test_containment_matches_reference_reduce():
         Subspace.full(2).contains([1, 2, 3])
 
 
+def _image(s, m):
+    """The span of the rows of `s` times `m`, multiplied by the oracle."""
+    return span_canonical(reference_product(QMatrix(s.rows, s.ambient), m).entries, m.ncols)
+
+
 def test_echelon_contains_and_maps_into_match_containment():
     """Containment by reduction against canonical rows, and the containment
     of an image by annihilator products on unreduced mapped rows, agree with
@@ -441,14 +460,15 @@ def test_echelon_contains_and_maps_into_match_containment():
                                 for _ in range(k)] for _ in range(n)], k)
         if rng.random() < 0.2:
             m = QMatrix.from_rows([[0] * k] * n, k)
-        t = rng.choice([Subspace.zero(k), Subspace.full(k), image(a, m),
+        image = _image(a, m)
+        t = rng.choice([Subspace.zero(k), Subspace.full(k), image,
                         span_canonical(_random_rows(rng, rng.randint(0, k), k), k)])
-        assert maps_into(a, m, t) == t.contains_subspace(image(a, m))
+        assert maps_into(a, m, t) == t.contains_subspace(image)
     assert min(seen.values()) > 50, seen
     with pytest.raises(ValueError):
         echelon_contains(Subspace.full(2), Subspace.full(3))
     with pytest.raises(ValueError):
-        maps_into(Subspace.full(2), QMatrix.identity(2), Subspace.full(3))
+        maps_into(Subspace.full(2), identity(2), Subspace.full(3))
 
 
 def test_levelled_spans_match_span_canonical():
@@ -617,9 +637,9 @@ def test_echelon_placement_clears_no_pivot(monkeypatch):
 
 
 def test_image_matches_matrix_product():
-    """The image of a subspace under v -> v @ m equals the span of its rows
-    times m, for singular, non-square and zero rational matrices whose rows
-    have different denominators."""
+    """The mapped rows that `maps_into` tests span the image of a subspace
+    under v -> v @ m, the span of its rows times m, for singular, non-square
+    and zero rational matrices whose rows have different denominators."""
     rng = random.Random(4242)
     kinds = {"singular": 0, "zero": 0}
     for _ in range(300):
@@ -635,10 +655,10 @@ def test_image_matches_matrix_product():
             rows = [[Fraction(0)] * k for _ in range(n)]
             kinds["zero"] += 1
         m = QMatrix(tuple(map(tuple, rows)), k)
-        assert image(s, m) == span_canonical(QMatrix(s.rows, n) @ m)
+        assert span_canonical(_image_rows(s, m), k) == _image(s, m)
     assert all(kinds.values()), kinds
     with pytest.raises(ValueError):
-        image(Subspace.full(2), QMatrix.identity(3))
+        _image_rows(Subspace.full(2), identity(3))
 
 
 def test_rows_are_canonical():
@@ -704,23 +724,47 @@ def test_no_unused_imports():
     assert unused == []
 
 
-def test_no_unused_private_functions():
-    """Every module-level private function of the package is named (called,
-    passed or read as an attribute) somewhere in the package outside its
-    own definition, so none is kept alive by the tests alone."""
+def _readme_entry_points():
+    """The names in the README's "Key entry points" paragraph."""
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = text[text.index("Key entry points:"):].split(".  ", 1)[0]
+    return {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)`", paragraph)}
+
+
+def unused_functions(package_dir, entry_points):
+    """(module, name) of each module-level function of the package that no
+    module names (calls, passes or reads as an attribute) outside its own
+    definition, the re-exports of `__init__` not counted, and that, if it
+    is public, is not one of `entry_points` either."""
     defined, named = {}, set()
-    for path in sorted(pathlib.Path(toricfilt.__file__).parent.glob("*.py")):
+    for path in sorted(pathlib.Path(package_dir).glob("*.py")):
+        if path.stem == "__init__":
+            continue
         for top in ast.parse(path.read_text()).body:
             is_def = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
-            if is_def and top.name.startswith("_") and not top.name.startswith("__"):
+            if is_def and not top.name.startswith("__"):
                 defined[top.name] = path.stem
             for node in ast.walk(top):
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute) else None)
                 if name is not None and not (is_def and name == top.name):
                     named.add(name)
-    assert len(defined) > 40
-    assert sorted((module, name) for name, module in defined.items() if name not in named) == []
+    return sorted((module, name) for name, module in defined.items()
+                  if name not in named and (name.startswith("_") or name not in entry_points))
+
+
+def test_no_unused_private_functions():
+    """Every module-level function of the package, private or public, is
+    named somewhere in the package outside its own definition (the
+    re-exports of `__init__` do not count), or is a public entry point
+    listed in the README, so none is kept alive by the tests alone."""
+    entry_points = _readme_entry_points()
+    assert {"check_gluing", "determinant_data", "verify_cone_decomposition"} <= entry_points
+    package_dir = pathlib.Path(toricfilt.__file__).parent
+    assert unused_functions(package_dir, entry_points) == []
+    assert len([top for path in package_dir.glob("*.py")
+                for top in ast.parse(path.read_text()).body
+                if isinstance(top, ast.FunctionDef) and top.name.startswith("_")]) > 40
 
 
 def test_one_per_instance_cache():
@@ -801,10 +845,10 @@ def test_module_caches_are_bounded():
 
 
 def test_kernel_matches_annihilator():
-    m = QMatrix.from_rows([[1, 2, 3]])
-    k = kernel(m)
+    k = _kernel([[1, 2, 3]], 3)
     assert k.dim == 2
-    assert all(sum(a * b for a, b in zip(m.entries[0], v)) == 0 for v in k.basis)
+    assert all(sum(a * b for a, b in zip((1, 2, 3), v)) == 0 for v in k.basis)
+    assert k == annihilator(span_canonical([[1, 2, 3]]))
 
 
 def test_tensor_product_of_lines():
@@ -953,11 +997,10 @@ def test_one_pass_kernel_matches_reference():
         cases.append(([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], n))
     for rows, n in cases:
         expected = reference_kernel(rows, n)
-        assert kernel(QMatrix.from_rows(rows, n)) == expected
         assert _kernel([list(r) for r in rows], n) == expected
         if rows:
             halves = [[Fraction(x, 2) for x in r] for r in rows]
-            assert kernel(QMatrix.from_rows(halves, n)) == expected
+            assert _kernel([_integer_row(r) for r in halves], n) == expected
 
 
 def test_intersect_all_short_paths_match_reference():

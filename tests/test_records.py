@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from builders import random_split_bundle, replace, square_cone_fan
 import toricfilt
 from oracle import dataclass_twin
 from toricfilt.algebras import TruncatedAlgebra, _columns, build_truncation
@@ -22,15 +23,13 @@ from toricfilt.compatibility import global_compatibility
 from toricfilt.errors import PreconditionError
 from toricfilt.fans import validate_fan
 from toricfilt.filtrations import validate
-from toricfilt.linalg import QMatrix, Subspace, annihilator, record, replace
+from toricfilt.linalg import QMatrix, Subspace, annihilator, record
 from toricfilt.reduction import check_sl_reduction, check_torus_reduction
 from toricfilt.sampling import (
     p1_fan,
     p2_fan,
     random_bundle,
     random_filtration_data,
-    random_split_bundle,
-    square_cone_fan,
 )
 
 PER_CLASS = 8

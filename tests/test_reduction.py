@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracle import change_basis, reference_splitting_reconstructs
+from builders import identity, random_split_bundle, solve_integer
+from oracle import (
+    change_basis,
+    reference_inverse,
+    reference_product,
+    reference_splitting_reconstructs,
+)
 from toricfilt.bundles import (
     CocharBundleData,
     GroupSpec,
@@ -17,7 +23,6 @@ from toricfilt.compatibility import graded_pieces
 from toricfilt.errors import PreconditionError
 from toricfilt.fans import Fan
 from toricfilt.filtrations import direct_sum
-from toricfilt.lattice import solve_integer
 from toricfilt.linalg import QMatrix, span_canonical
 from toricfilt.reduction import (
     SL_NO,
@@ -32,11 +37,10 @@ from toricfilt.sampling import (
     p1_fan,
     random_bundle,
     random_invertible_matrix,
-    random_split_bundle,
 )
 from toricfilt.serialize import filtration_to_obj
 
-I2 = QMatrix.identity(2)
+I2 = identity(2)
 
 
 def test_sl_zero_sum_reduces(p1):
@@ -83,7 +87,7 @@ def test_sl_cross_check_determinant(p1):
 
 
 def test_sl_requires_gl(p1):
-    data = CocharBundleData.make(GroupSpec("DT", 1), p1, [QMatrix.identity(1)] * 2,
+    data = CocharBundleData.make(GroupSpec("DT", 1), p1, [identity(1)] * 2,
                                  [[(0,)], [(0,)]])
     with pytest.raises(PreconditionError):
         check_sl_reduction(data)
@@ -96,7 +100,7 @@ def test_sl_decided_modulo_perpendicular_characters():
     character."""
     fan = Fan.make(2, [[1, 0]], [[0]])
     for u in ((0, 1), (0, 0)):
-        data = CocharBundleData.make(GroupSpec("GL", 1), fan, [QMatrix.identity(1)], [[u]])
+        data = CocharBundleData.make(GroupSpec("GL", 1), fan, [identity(1)], [[u]])
         res = check_sl_reduction(data)
         assert res.verdict == SL_REDUCES
         assert validate_bundle(res.sl_presentation).valid
@@ -198,7 +202,7 @@ def test_torus_splitting_matches_direct_sum(p2):
         for lv in res.line_levels
     ]
     blocks = direct_sum(line_data[0], line_data[1])
-    m = QMatrix.from_rows([list(l) for l in res.lines]).inverse()
+    m = reference_inverse(QMatrix.from_rows([list(l) for l in res.lines]))
     assert change_basis(kly, m) == blocks
 
 
@@ -215,7 +219,7 @@ def test_torus_invariant_under_global_frame_change(p2, tangent_p2_bundle):
     h = QMatrix.from_rows([[1, 2], [1, 1]])
     moved = CocharBundleData.make(
         tangent_p2_bundle.group, p2,
-        [h @ f for f in tangent_p2_bundle.frames],
+        [reference_product(h, f) for f in tangent_p2_bundle.frames],
         tangent_p2_bundle.chars,
     )
     assert check_torus_reduction(moved).verdict == TORUS_NONE
@@ -223,14 +227,14 @@ def test_torus_invariant_under_global_frame_change(p2, tangent_p2_bundle):
     rng = random.Random(5)
     split = random_split_bundle(rng, p2, 2)
     moved_split = CocharBundleData.make(
-        split.group, p2, [h @ f for f in split.frames], split.chars,
+        split.group, p2, [reference_product(h, f) for f in split.frames], split.chars,
     )
     assert check_torus_reduction(moved_split).verdict == TORUS_REDUCES
 
 
 def test_torus_requires_gluing(p2):
     data = CocharBundleData.make(
-        GroupSpec("GL", 1), p2, [QMatrix.identity(1)] * 3,
+        GroupSpec("GL", 1), p2, [identity(1)] * 3,
         [[(0, 1)], [(0, 0)], [(0, 0)]],
     )
     with pytest.raises(PreconditionError):
@@ -266,7 +270,8 @@ def _twist(data, line):
 def _plus_line(data, line, h):
     """The rank-2 `data` plus the line bundle `line`, in the frame h."""
     frames = [
-        h @ QMatrix.from_rows([list(r) + [0] for r in f.entries] + [[0, 0, g.entries[0][0]]])
+        reference_product(h, QMatrix.from_rows([list(r) + [0] for r in f.entries]
+                                               + [[0, 0, g.entries[0][0]]]))
         for f, g in zip(data.frames, line.frames)
     ]
     chars = [tuple(a) + tuple(b) for a, b in zip(data.chars, line.chars)]
@@ -283,7 +288,7 @@ def _torus_instances(rng, p2, tangent_p2_bundle):
         instances.append(random_split_bundle(rng, p2, rng.randint(1, 3)))
         t = _twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
         h = random_invertible_matrix(rng, 2)
-        instances.append(CocharBundleData.make(t.group, p2, [h @ f for f in t.frames], t.chars))
+        instances.append(CocharBundleData.make(t.group, p2, [reference_product(h, f) for f in t.frames], t.chars))
         instances.append(_plus_line(t, random_split_bundle(rng, p2, 1),
                                     random_invertible_matrix(rng, 3)))
     return instances
@@ -312,7 +317,7 @@ def test_torus_check_matches_reference_splitting(p2, tangent_p2_bundle):
     instances = _torus_instances(rng, p2, tangent_p2_bundle)
     for _ in range(8):
         t = _twist(tangent_p2_bundle, random_split_bundle(rng, p2, 1))
-        instances += [t, _plus_line(t, random_split_bundle(rng, p2, 1), QMatrix.identity(3))]
+        instances += [t, _plus_line(t, random_split_bundle(rng, p2, 1), identity(3))]
     verdicts = {TORUS_REDUCES: 0, TORUS_NONE: 0}
     nonempty_none = 0
     for data in instances:
