@@ -22,15 +22,19 @@ are nested by construction.  Nesting makes W monotone, so the stored
 dimensions settle most tuples: W(t) = 0 gives the piece W(t), no nonzero
 successor gives W(t), and the piece is 0 when a successor is as large as
 W(t) or when two successors span W(t), which inclusion–exclusion counts
-from the dimension of their meet, W at t raised in both coordinates.  Only the tuples left take a complement, which places
-the rows of all their nonzero successors into one echelon form with no sum
-spanned first (`linalg.complement_in`).  No step takes a kernel: the meets
-W(t) of one grid line (all tuples that differ only in the last index) come
+from the dimension of their meet, W at t raised in both coordinates.
+Only the tuples left take a complement, which places the rows of all
+their nonzero successors into one echelon form with no sum spanned first
+(`linalg.complement_in`).  W is kept under the integer grid position of
+its tuple, one dict per depth, so a successor or a pair is an offset.
+No step takes a kernel.  A grid line (all tuples that differ only in the
+last index) whose prefix meet is zero or the whole fiber costs nothing,
+and one whose prefix meet is a line is settled by reducing that line's
+row against the chain's values.  The meets W(t) of any other line come
 from one Zassenhaus sweep of that chain's adapted rows, which the chain
 keeps for every cone that lists its ray (`linalg.levelled_meets`, which
-spans a meet to canonical rows only when it grows), a line whose prefix
-meet is zero or the whole fiber costs nothing, and a complement decides
-its own containment guard from the ranks it counts.
+spans a meet to canonical rows only when it grows), and a complement
+decides its own containment guard from the ranks it counts.
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -57,9 +61,11 @@ The verifier forms no sum: it checks that the pieces are a direct sum of
 the fiber from their dimensions and the rank of their rows (`linalg.rank`,
 which reads no canonical row), then tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
-dimensions and tests containment (`_rebuild_failure`).  The torus check
-of `reduction` decides through the same helper, and the ray consistency
-of bundle data (`bundles.associated_klyachko`) through the same
+dimensions and tests containment (`_rebuild_failure`): on a nested chain
+one counted pass tests each piece once, in the value at its own level,
+and only a failure scans the probes for the first failing index.  The
+torus check of `reduction` decides through the same helper, and the ray
+consistency of bundle data (`bundles.associated_klyachko`) through the same
 reconstruction test.
 """
 
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
@@ -76,6 +83,7 @@ from .filtrations import FiltrationData, RayFiltration
 # of it to check that the tracer also wraps re-imported bindings
 from .linalg import (  # noqa: F401
     Subspace,
+    _reduce,
     cached_on_instance,
     complement_in,
     intersect,
@@ -212,7 +220,8 @@ def _sweep_rows(f: RayFiltration) -> Tuple[int, List[Tuple[int, Tuple[int, ...]]
     that a sweep needs for the others.  A first value that is the whole
     fiber is such a position (k = 1), and its rows are left out.  They are
     kept on the chain, so every cone that lists its ray sweeps the same
-    rows."""
+    rows.  `graded_pieces` sweeps only a prefix meet of dimension 2 or
+    more; a zero, full or one-dimensional prefix meet needs no rows."""
     rows = f.adapted_rows()
     if f.jumps and f.jumps[0][1].dim == f.dim:
         first = f.jumps[0][0]
@@ -241,7 +250,7 @@ def graded_pieces(filts: Sequence[RayFiltration],
     smaller one, and dim(U + V) = dim U + dim V - dim(U ∩ V) then reads
     dim(W(t+e_a) + W(t+e_b)) off three stored dimensions.  The sum lies in
     W(t), so it is W(t) exactly when that count reaches dim W(t).  A pair
-    is counted only when W(t+e_a+e_b) is already in the memo, so counting
+    is counted only when W(t+e_a+e_b) is already stored, so counting
     never adds a sweep.  It is there when b is the last chain, whose grid
     line was built with W(t+e_a), so on two chains every zero piece is
     counted; and on a cone's grid, which `_grid` orders by descending sum,
@@ -250,70 +259,102 @@ def graded_pieces(filts: Sequence[RayFiltration],
     places their rows as they are, with no sum spanned, and keeps the rows
     of W(t) that add rank.
 
-    No meet takes a kernel.  A level is placed at the first jump at or
-    above it, whose value the chain takes there, and a level past the last
-    jump at zero; so the torus universe, whose levels are arbitrary, shares
-    the grid of jump positions.  W(t) = W(t') ∩ chain_k(t_k), t' the first
-    k positions of t, and the meets of W(t') with every value of chain k
-    (a line of the grid) are computed when one of them is first needed:
-    W(t') is zero or full for most lines, which then cost nothing, and
-    otherwise one sweep of the chain's adapted rows (`linalg.levelled_meets`)
-    gives the whole line.  A chain's adapted rows are built for its first
-    sweep and kept on the chain (`_sweep_rows`)."""
+    W is kept on integer grid positions.  A level is placed at the first
+    jump at or above it, whose value the chain takes there, and a level
+    past the last jump at zero; so chain k has the positions 0..m_k for its
+    m_k jumps, and the torus universe, whose levels are arbitrary, shares
+    the grid of jump positions.  The first k+1 positions of a tuple are
+    read as one mixed-radix number whose last digit has stride 1, and W at
+    them is kept in the k-th of one dict per depth under that number: a
+    grid line (the tuples that differ only in coordinate k) is m_k + 1
+    consecutive numbers, the successor in coordinate a is the number plus
+    stride[a], and a pair reads the number plus stride[a] + stride[b].  A
+    dict holds only the lines that are read, where a dense list would hold
+    the whole grid, which for a torus universe is the product over every
+    ray of the fan.
+
+    No meet takes a kernel.  W(t) = W(t') ∩ chain_k(t_k), t' the first k
+    positions of t, and the meets of W(t') with every value of chain k (a
+    line) are computed when one of them is first read.  A line whose W(t')
+    is zero or the whole fiber costs nothing.  When W(t') is a line
+    spanned by v, each meet is W(t') or zero, and the chain's values
+    decrease, so the line is W(t') up to the last value that holds v and
+    zero after it; whether a value holds v is decided by reducing v
+    against its canonical rows (`linalg._reduce`).  Otherwise one sweep of
+    the chain's adapted rows (`linalg.levelled_meets`) gives the whole
+    line.  A chain's adapted rows are built for its first sweep and kept
+    on the chain (`_sweep_rows`)."""
     indices = [f.jump_indices() for f in filts]
     followed = [set(js[:-1]) for js in indices]
+    radix = [len(js) + 1 for js in indices]
+    below = [1]  # below[k]: the grid positions that share one prefix of k positions
+    for r in reversed(radix):
+        below.append(below[-1] * r)
+    below.reverse()
+    stride = below[1:]
     zero = Subspace.zero(ambient)
-    w: Dict[Tuple[int, ...], Subspace] = {(): Subspace.full(ambient)}
+    w: List[Dict[int, Subspace]] = [{0: Subspace.full(ambient)}] + [{} for _ in filts]
+    last = w[-1]
 
-    def meet(position: Tuple[int, ...]) -> Subspace:
-        found = w.get(position)
+    def line(space: Subspace, f: RayFiltration) -> List[Subspace]:
+        dim = len(space.rows)
+        if not dim:
+            return [zero] * (len(f.jumps) + 1)
+        if dim == ambient:
+            return [s for _, s in f.jumps] + [zero]
+        if dim == 1:
+            v = space.rows[0]
+            held = 0
+            for _, value in f.jumps:
+                if len(value.rows) < ambient and any(_reduce(value.pivots, value.rows, v)):
+                    break
+                held += 1
+            return [space] * held + [zero] * (len(f.jumps) + 1 - held)
+        skipped, rows = _sweep_rows(f)
+        return ([space] * skipped + [m for _, m in reversed(levelled_meets(space, rows))]
+                + [zero])
+
+    def meet(idx: int) -> Subspace:
+        found = last.get(idx)
         if found is None:
-            prefix, k = position[:-1], len(position) - 1
-            space, f = meet(prefix), filts[k]
-            if not space.dim:
-                line = [zero] * len(f.jumps)
-            elif space.dim == ambient:
-                line = [s for _, s in f.jumps]
-            else:
-                skipped, rows = _sweep_rows(f)
-                line = [space] * skipped + [m for _, m in reversed(levelled_meets(space, rows))]
-            line.append(zero)
-            for p, m in enumerate(line):
-                w[prefix + (p,)] = m
-            found = line[position[-1]]
+            k = len(filts) - 1
+            while idx // below[k] not in w[k]:
+                k -= 1
+            for k in range(k, len(filts)):
+                prefix = idx // below[k]
+                start = prefix * radix[k]
+                w[k + 1].update(zip(range(start, start + radix[k]),
+                                    line(w[k][prefix], filts[k])))
+            found = last[idx]
         return found
 
-    def raised(position: Tuple[int, ...], k: int) -> Tuple[int, ...]:
-        return position[:k] + (position[k] + 1,) + position[k + 1:]
-
-    def covered(position: Tuple[int, ...], whole: Subspace,
-                successors: Dict[int, Subspace]) -> bool:
-        if any(s.dim == whole.dim for s in successors.values()):
+    def covered(idx: int, dim: int, successors: List[Tuple[int, Subspace]]) -> bool:
+        if any(len(s.rows) == dim for _, s in successors):
             return True
-        for a, b in itertools.combinations(successors, 2):
-            both = w.get(raised(raised(position, a), b))
-            if both is not None and (successors[a].dim + successors[b].dim - both.dim
-                                     == whole.dim):
+        for (a, sa), (b, sb) in itertools.combinations(successors, 2):
+            both = last.get(idx + stride[a] + stride[b])
+            if both is not None and len(sa.rows) + len(sb.rows) - len(both.rows) == dim:
                 return True
         return False
 
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
-        position = tuple(map(bisect_left, indices, t))
-        whole = meet(position)
-        successors: Dict[int, Subspace] = {}
-        if whole.dim:
+        idx = sum(map(mul, map(bisect_left, indices, t), stride))
+        whole = meet(idx)
+        dim = len(whole.rows)
+        successors: List[Tuple[int, Subspace]] = []
+        if dim:
             for k, i in enumerate(t):
                 if i in followed[k]:
-                    s = meet(raised(position, k))
-                    if s.dim:
-                        successors[k] = s
+                    s = meet(idx + stride[k])
+                    if s.rows:
+                        successors.append((k, s))
         if not successors:
             pieces[t] = whole
-        elif covered(position, whole, successors):
+        elif covered(idx, dim, successors):
             pieces[t] = zero
         else:
-            pieces[t] = complement_in(list(successors.values()), whole)
+            pieces[t] = complement_in([s for _, s in successors], whole)
     return pieces
 
 

@@ -107,7 +107,13 @@ class RayFiltration:
         The pieces must form a direct sum of the fiber.  Then that sum
         equals the value V exactly when their dimensions add up to dim V and
         each of them lies in V, an annihilator product against the cached
-        ann(V); no sum is formed."""
+        ann(V); no sum is formed.
+
+        A nested chain is first tested in one counted pass (`_rebuilds`);
+        when that pass fails, or the chain is not nested, the probes are
+        scanned, so the failure reported is the first failing probe."""
+        if self._rebuilds(pieces, levels):
+            return None
         probes = sorted(set(self.jump_indices()) | set(levels))
         for j in probes + [probes[-1] + 1] if probes else ():
             value = self.value(j)
@@ -116,6 +122,32 @@ class RayFiltration:
                     or not all(value.contains_subspace(s) for s in above)):
                 return j
         return None
+
+    def _rebuilds(self, pieces: Sequence[Subspace], levels: Sequence[int]) -> bool:
+        """Whether the counted pass of `reconstruction_failure` passes: the
+        chain is nested (`unnested` is empty), every level is a jump index,
+        the piece dimensions summed from the last jump down reach each
+        value's dimension at its jump, and each piece lies in the value at
+        its own level, one annihilator product per piece.  Then every probe
+        passes: the pieces of level at least j are those at the jumps from
+        the first one at or after j, whose value V is the chain's value at
+        j (zero past the last jump, where no piece is left); their
+        dimensions add up to dim V, and nesting puts each of them, inside
+        the value at its own level, inside V."""
+        if self.unnested():
+            return False
+        values = dict(self.jumps)
+        added = dict.fromkeys(values, 0)
+        for s, level in zip(pieces, levels):
+            if level not in added:
+                return False
+            added[level] += len(s.rows)
+        total = 0
+        for i, value in reversed(self.jumps):
+            total += added[i]
+            if total != len(value.rows):
+                return False
+        return all(values[level].contains_subspace(s) for s, level in zip(pieces, levels))
 
     @cached_on_instance
     def unnested(self) -> Tuple[Tuple[int, int], ...]:

@@ -36,6 +36,9 @@ with every value of a chain take no kernel at all: `levelled_meets` runs
 one Zassenhaus reduction through `_append` and reads each meet off the
 rows whose pivot lies in the right half, spanning their right halves to
 canonical rows only when the meet grows (its docstring gives the proof).
+The compatibility engine sweeps only spaces of dimension 2 or more: the
+meets of a line with a chain's values are the line or zero, which
+reducing its row against each value's canonical rows (`_reduce`) decides.
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than

@@ -8,11 +8,12 @@ from oracle import (
     exhaustive_adapted_search,
     graded_decomposition,
     reference_graded_pieces,
+    reference_product,
     reference_verify_cone_decomposition,
     tensor_certificate,
 )
 from toricfilt import compatibility, fans, lattice, linalg
-from toricfilt.bundles import associated_klyachko, check_gluing
+from toricfilt.bundles import CocharBundleData, associated_klyachko, check_gluing
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
     VERDICT_REFUTATION,
@@ -681,6 +682,45 @@ def test_graded_pieces_take_no_kernel(monkeypatch):
     assert kernels == [] and len(sweeps) > 50 and nonzero > 50
 
 
+def test_line_prefixes_take_no_sweep(monkeypatch, tangent_p2_bundle):
+    """A prefix meet that is a line is settled by reducing its row against
+    the chain's values, with no sweep: on generic flags on P^2 at fiber
+    dimensions 2-8, on split data on P^3 and on the torus universes of
+    split and moved tangent bundles, the pieces equal those of the
+    reference engine, and `levelled_meets` never gets a one-dimensional
+    space."""
+    swept, reduced = [], []
+
+    def counted_meets(space, levelled):
+        swept.append(space.dim)
+        return levelled_meets(space, levelled)
+
+    def counted_reduce(pivots, rows, v):
+        reduced.append(len(rows))
+        return linalg._reduce(pivots, rows, v)
+
+    monkeypatch.setattr(compatibility, "levelled_meets", counted_meets)
+    monkeypatch.setattr(compatibility, "_reduce", counted_reduce)
+    rng = random.Random(53)
+    fan = p2_fan()
+    grids = []
+    for dim in range(2, 9):
+        data = random_filtration_data(rng, fan, dim)
+        grids += [(*_grid(data, idx), dim) for idx in fan.maximal_cones]
+    split = associated_klyachko(random_split_bundle(rng, P3, 4))
+    grids += [(*_grid(split, idx), 4) for idx in P3.maximal_cones]
+    h = random_invertible_matrix(rng, 2)
+    moved = CocharBundleData.make(tangent_p2_bundle.group, tangent_p2_bundle.fan,
+                                  [reference_product(h, f) for f in tangent_p2_bundle.frames],
+                                  tangent_p2_bundle.chars)
+    for bundle in (random_split_bundle(rng, fan, 3), random_split_bundle(rng, P3, 3), moved):
+        kly = associated_klyachko(bundle)
+        grids.append((kly.filtrations, _realized_tuples(bundle), kly.dim))
+    for filts, tuples, dim in grids:
+        assert graded_pieces(filts, tuples, dim) == reference_graded_pieces(filts, tuples, dim)
+    assert 1 not in swept and len(swept) > 20 and len(reduced) > 20
+
+
 def test_character_solver_permutes_to_the_cone_generators():
     """The cone's cached solver, whose rows are its generators sorted by
     value, answers for the rays in cone order: a returned character pairs
@@ -758,9 +798,11 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
     monkeypatch.setattr(Fan, "cone", counted_cone)
     rng = random.Random(97)
     refuted = random_filtration_data(rng, P3, 4)
-    split = associated_klyachko(random_split_bundle(rng, P3, 4))
-    for data, verdict in ((refuted, "incompatible"), (split, "compatible")):
+    bundle = random_split_bundle(rng, P3, 4)
+    for build, verdict in ((lambda: refuted, "incompatible"),
+                           (lambda: associated_klyachko(bundle), "compatible")):
         walks.clear(), sweeps.clear(), lookups.clear()
+        data = build()
         chains = sorted(id(f) for f in data.filtrations)
         report = global_compatibility(data)
         assert report.verdict == verdict
@@ -780,6 +822,31 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
     with pytest.raises(InputError, match=message):
         dual(bad)
     assert walks.count(id(bad.ray(1))) == 1
+
+
+def test_verifier_tests_each_piece_once_per_ray(monkeypatch):
+    """On the seeded P^3 split data of
+    `test_chains_and_cones_are_set_up_once_per_check`, a second
+    `global_compatibility` run, whose chains have their nesting decided
+    already, tests each certificate piece for containment once per ray of
+    its cone: the counted pass of `RayFiltration.reconstruction_failure`
+    tests a piece only in the value at its own level."""
+    rng = random.Random(97)
+    random_filtration_data(rng, P3, 4)
+    data = associated_klyachko(random_split_bundle(rng, P3, 4))
+    report = global_compatibility(data)
+    assert report.verdict == "compatible"
+    calls = []
+    contains = Subspace.contains_subspace
+
+    def counted(space, other):
+        calls.append(other)
+        return contains(space, other)
+
+    monkeypatch.setattr(Subspace, "contains_subspace", counted)
+    assert global_compatibility(data) == report
+    tests = sum(len(c.certificate.pieces) * len(c.ray_indices) for c in report.cones)
+    assert len(calls) == tests == 48
 
 
 def test_graded_pieces_of_chains_that_are_not_full():

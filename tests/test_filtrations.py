@@ -241,9 +241,13 @@ def test_reconstruction_failure_matches_span_reference():
     finds the same first failing probe as the span of the pieces: with the
     levels the chain was built from, with one piece's level shifted, and
     with one piece swapped for another subspace of the same dimension that
-    keeps the sum direct."""
-    rng = random.Random(61)
-    found = {"matching": set(), "shifted": set(), "swapped": set()}
+    keeps the sum direct.  The cases that the counted pass hands to the
+    probe scan agree too: a chain with two consecutive values swapped, so
+    that it is not nested, and one piece's level moved below the first
+    jump, or off the jumps between two of them or past the last one."""
+    rng, other = random.Random(61), random.Random(67)
+    found = {"matching": set(), "shifted": set(), "swapped": set(), "unnested": set(),
+             "below": set(), "off": set()}
     for _ in range(300):
         n = rng.randint(1, 5)
         frame = random_invertible_matrix(rng, n).entries
@@ -256,14 +260,27 @@ def test_reconstruction_failure_matches_span_reference():
         k = rng.randrange(len(pieces))
         shifted = levels[:k] + [levels[k] + rng.choice([-1, 1])] + levels[k + 1:]
         swapped = pieces[:k] + [random_subspace(rng, n, pieces[k].dim)] + pieces[k + 1:]
-        cases = {"matching": (pieces, levels), "shifted": (pieces, shifted)}
+        jumps = chain.jump_indices()
+        off = [j for j in range(jumps[0] + 1, jumps[-1] + 3) if j not in jumps]
+        cases = {"matching": (chain, pieces, levels), "shifted": (chain, pieces, shifted),
+                 "below": (chain, pieces, levels[:k] + [jumps[0] - other.randint(1, 2)]
+                           + levels[k + 1:]),
+                 "off": (chain, pieces, levels[:k] + [other.choice(off)] + levels[k + 1:])}
         if sum_all(swapped, n).dim == n:
-            cases["swapped"] = (swapped, levels)
-        for kind, (ps, lvs) in cases.items():
-            got = chain.reconstruction_failure(ps, lvs)
-            assert got == _span_failure(chain, ps, lvs, n)
+            cases["swapped"] = (chain, swapped, levels)
+        if len(chain.jumps) > 1:
+            p = other.randrange(len(chain.jumps) - 1)
+            values = [s for _, s in chain.jumps]
+            values[p], values[p + 1] = values[p + 1], values[p]
+            unnested = RayFiltration.make(n, list(zip(jumps, values)))
+            assert unnested.unnested()
+            cases["unnested"] = (unnested, pieces, levels)
+        for kind, (c, ps, lvs) in cases.items():
+            got = c.reconstruction_failure(ps, lvs)
+            assert got == _span_failure(c, ps, lvs, n)
             found[kind].add(got is None)
-    assert found == {"matching": {True}, "shifted": {False}, "swapped": {True, False}}
+    assert found == {"matching": {True}, "shifted": {False}, "swapped": {True, False},
+                     "unnested": {False}, "below": {False}, "off": {False}}
 
 
 def test_direct_sum_with_zero(p1, tangent_p2):
