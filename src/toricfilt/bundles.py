@@ -199,9 +199,13 @@ def _levels(data: CocharBundleData, k: int, ray_idx: int) -> List[int]:
 def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
     """The chain that cone k induces on the ray: frame column c at its level
     (`_levels`), spanned in one incremental reduction
-    (`linalg.column_chain`)."""
-    return RayFiltration.make(data.group.n,
-                              column_chain(data.frames[k], _levels(data, k, ray_idx)))
+    (`linalg.column_chain`).  The frame is invertible (`_ray_chains` checks
+    first), so its columns are independent and each level, which has at
+    least one column, adds rank: reversed into increasing index order, the
+    values are nonzero and strictly decrease, and the chain is stored as
+    built (`RayFiltration._canonical`)."""
+    return RayFiltration._canonical(
+        data.group.n, column_chain(data.frames[k], _levels(data, k, ray_idx))[::-1])
 
 
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
@@ -246,7 +250,9 @@ def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, bool, Tuple[int
     maximum; each distinct level adds independent columns and so rank, so
     the jumps of cone k's chain are exactly its distinct levels, and the
     witness index is the first probe, in the union of both chains' jumps
-    and one past it, at which the two chains differ."""
+    and one past it, at which the two chains differ.  The associated data
+    hold one chain in Q^n per ray, each canonical as built
+    (`_chain_from_cone`), so they are stored as they are, with no `make`."""
     if any(frame.det() == 0 for frame in data.frames):
         raise ValueError("matrix is singular")
     fan = data.fan
@@ -263,9 +269,8 @@ def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, bool, Tuple[int
                 return first_cone, k, ray_idx, bad
     if len(chains) < len(fan.rays):
         return True
-    return FiltrationData.make(
-        fan, data.group.n, [chains[i][1] for i in range(len(fan.rays))]
-    )
+    return FiltrationData(fan, data.group.n,
+                          tuple(chains[i][1] for i in range(len(fan.rays))))
 
 
 def determinant_data(data: CocharBundleData) -> CocharBundleData:

@@ -5,9 +5,14 @@ sparsely by its jumps: pairs (i, S) with strictly increasing indices and
 strictly decreasing subspaces.  The chain value at j is the subspace of the
 first jump at or after j, the zero space above the last jump, and Q^r at or
 below the first jump (fullness forces the first stored subspace to be Q^r).
-Constructors normalize (sort, drop zero-dimensional jumps, merge equal
-consecutive values keeping the later index) so the representation, and hence
-the serialized form, is canonical.
+The representation, and hence the serialized form, is canonical: strictly
+increasing indices, no zero value, no two consecutive values equal.
+`RayFiltration.make` is the entry for outside data (the loader, the trivial
+chain, the samplers): it sorts, drops zero-dimensional jumps and merges equal
+consecutive values keeping the later index.  The chains the package builds
+(`tensor`, `dual`, `direct_sum` and the chains of bundle frames) are
+canonical as built and are stored as they are (`RayFiltration._canonical`),
+with no sort or merge; each builder's docstring gives the proof.
 
 The calculus builds chain values from canonical rows without eliminating
 them where it can: the tensor product of two chains is the chain spanned by
@@ -80,6 +85,15 @@ class RayFiltration:
             else:
                 merged.append((i, s))
         return RayFiltration(dim, tuple(merged))
+
+    @staticmethod
+    def _canonical(dim: int, jumps: Sequence[Tuple[int, Subspace]]) -> "RayFiltration":
+        """The chain with `jumps` stored as given, for chains the package
+        builds already canonical: strictly increasing integer indices,
+        subspaces of Q^dim, no zero value and no two consecutive values
+        equal, which is exactly what `make` returns unchanged.  Each caller
+        gives the proof in its docstring."""
+        return RayFiltration(dim, tuple(jumps))
 
     @staticmethod
     def trivial(dim: int) -> "RayFiltration":
@@ -293,7 +307,13 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     Distinct pivots.  a_k⊗b_l is zero at (i, j) unless a_k[i] and b_l[j]
     are nonzero, so its first nonzero entry is at (piv a_k, piv b_l).  The
     pivots within each basis are distinct, so distinct pairs have distinct
-    pivots: the products are independent and each one adds rank."""
+    pivots: the products are independent and each one adds rank.
+
+    Canonical as built.  `levelled_spans` lists its levels in descending
+    order, each with at least one product, and every product adds rank;
+    reversed, the indices strictly increase, no value is zero and each value
+    is strictly smaller than the one before.  That is what `make` returns
+    unchanged, so the chain is stored as built (`RayFiltration._canonical`)."""
     _require_same_fan(a, b)
     dim = a.dim * b.dim
     rays: List[RayFiltration] = []
@@ -301,8 +321,8 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
         basis_a, basis_b = fa.adapted_basis(ray), fb.adapted_basis(ray)
         products = ((p + q, [x * y for x in u for y in v])
                     for p, u in basis_a for q, v in basis_b)
-        rays.append(RayFiltration.make(dim, levelled_spans(products, dim)))
-    return FiltrationData.make(a.fan, dim, rays)
+        rays.append(RayFiltration._canonical(dim, levelled_spans(products, dim)[::-1]))
+    return FiltrationData(a.fan, dim, tuple(rays))
 
 
 def dual(a: FiltrationData) -> FiltrationData:
@@ -310,7 +330,15 @@ def dual(a: FiltrationData) -> FiltrationData:
     chain at 1 - i.  This makes duality an involution and negates the jump of
     rank-one data.  Every chain must be nested; otherwise InputError names
     the ray and the first pair of jump indices that fails
-    (`RayFiltration.require_nested`, whose annihilators the dual reuses)."""
+    (`RayFiltration.require_nested`, whose annihilators the dual reuses).
+
+    Canonical as built.  A chain jumping at i_0 < … < i_(m-1) with values
+    V_0, …, V_(m-1) has the dual jumps -i_k with value ann V_(k+1)
+    (V_m = 0).  Nesting is required and `make` merges equal neighbours, so
+    V_0 ⊋ V_1 ⊋ … ⊋ V_m: the annihilators strictly grow with k, and the
+    smallest, ann V_1, is not zero since V_1 ⊊ V_0.  Reversed, the indices
+    strictly increase and the values are nonzero and strictly decrease, so
+    the chain is stored as built (`RayFiltration._canonical`)."""
     rays: List[RayFiltration] = []
     for ray, f in enumerate(a.filtrations):
         f.require_nested(ray)
@@ -320,21 +348,30 @@ def dual(a: FiltrationData) -> FiltrationData:
             i_k = f.jumps[k][0]
             after = f.jumps[k + 1][1] if k + 1 < m else Subspace.zero(a.dim)
             pairs.append((-i_k, annihilator(after)))
-        rays.append(RayFiltration.make(a.dim, pairs))
-    return FiltrationData.make(a.fan, a.dim, rays)
+        rays.append(RayFiltration._canonical(a.dim, pairs[::-1]))
+    return FiltrationData(a.fan, a.dim, tuple(rays))
 
 
 def direct_sum(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     """Blockwise direct sum on Q^(ra+rb): the chain at i is the block sum of
-    the operand chains at i, whose padded rows are already canonical."""
+    the operand chains at i, whose padded rows are already canonical.
+
+    Canonical as built, for operands that are nested or not.  The indices
+    are the union of the operands' jump indices, sorted.  Each is a jump of
+    one operand, whose value there `make` has made nonzero, so no block sum
+    is zero.  For consecutive indices i < i', say i a jump of the first
+    operand: its value at i' is that at its next jump, which `make` has
+    made different from the one at i, or zero past its last jump, so the
+    first blocks at i and i' differ and so do the block sums.  The chain is
+    stored as built (`RayFiltration._canonical`)."""
     _require_same_fan(a, b)
     dim = a.dim + b.dim
     rays: List[RayFiltration] = []
     for fa, fb in zip(a.filtrations, b.filtrations):
         candidates = sorted(set(fa.jump_indices()) | set(fb.jump_indices()))
         pairs = [(i, block_sum(fa.value(i), fb.value(i))) for i in candidates]
-        rays.append(RayFiltration.make(dim, pairs))
-    return FiltrationData.make(a.fan, dim, rays)
+        rays.append(RayFiltration._canonical(dim, pairs))
+    return FiltrationData(a.fan, dim, tuple(rays))
 
 
 def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Optional[dict]:

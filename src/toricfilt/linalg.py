@@ -12,14 +12,16 @@ Reduction runs over Python ints, never over Fractions, and has one reduce
 step with two placements, echelon or reduced.  An echelon form is kept as
 two lists in pivot order, the pivot columns and the primitive integer rows,
 each with a positive pivot and zero left of it.  `_reduce` clears a vector
-at each pivot in increasing order (dividing by the gcd of its entries after
-every step, which keeps coefficients small); `_append` places what is left
-as a new row, and `_insert` then also clears its pivot from the other
-rows, which keeps the form reduced: the RREF.  The docstrings give the
-proofs.  Only canonical rows need the reduced placement: `_eliminate`
-inserts the rows of a matrix (a row of Fractions enters times the lcm of
-its denominators), and a span or sum is the rows it keeps, canonical as
-inserted, with no sign fixed afterwards.  Fractions appear only at the
+at each pivot in increasing order: at a pivot of 1 it only subtracts, which
+scales nothing, and any other step scales the vector and divides it by the
+gcd of its entries at once, which keeps coefficients small; a result that
+took a step is primitive.  `_append` finds the lead and its sign in one pass
+and places what is left as a new row, and `_insert` then also clears its
+pivot from the other rows, inline, which keeps the form reduced: the RREF.
+The docstrings give the proofs.  Only canonical rows need the reduced
+placement: `_eliminate` inserts the rows of a matrix (a row of Fractions
+enters times the lcm of its denominators), and a span or sum is the rows it
+keeps, canonical as inserted, with no sign fixed afterwards.  Fractions appear only at the
 boundary: `Subspace.basis` divides each pivot row by its pivot, which
 gives the same unique RREF as elimination over Fractions; a span of
 integer rows (`integer_span`, which spans the bases of filtration files)
@@ -291,24 +293,36 @@ def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
             v: Sequence[int]) -> Sequence[int]:
     """v cleared at each pivot column of the echelon form (`pivots`, `rows`;
     see `_append`), in increasing pivot order: where v[p] = f is nonzero
-    and the row at p has the pivot c > 0, v becomes the primitive row on
-    the line of (c/g) v - (f/g) row, with g = gcd(c, f).  The form need not
-    be reduced.  Each row is zero left of its pivot, so the step at p
-    changes v only at p and right of it; every earlier pivot of v is
-    already zero and stays zero, and p becomes zero.  So the result is zero
-    at every pivot, and every step scales v by a positive factor.  The
-    result is zero exactly when v lies in the span of `rows`: it differs
-    from a positive multiple of v by a vector of that span, and a nonzero
-    vector of the span is nonzero at the pivot of the first row it takes
-    (the later rows are zero there)."""
+    and the row at p has the pivot c > 0, v becomes (c/g) v - (f/g) row,
+    with g = gcd(c, f).  A pivot of 1 only subtracts f row: nothing is
+    scaled, so nothing grows.  Any other step is followed at once by
+    division by the content, so coefficients grow at most by one scaling
+    step between two divisions; a run of pivot-1 steps leaves its content
+    to the division after it, or to the one at the end.  So a result that
+    took a step is primitive, and the one primitive row on its line with
+    the same sign, whichever steps divided.  The form need not be reduced.
+    Each row is zero left of its pivot, so the step at p changes v only at
+    p and right of it; every earlier pivot of v is already zero and stays
+    zero, and p becomes zero.  So the result is zero at every pivot, and
+    every step scales v by a positive factor.  The result is zero exactly
+    when v lies in the span of `rows`: it differs from a positive multiple
+    of v by a vector of that span, and a nonzero vector of the span is
+    nonzero at the pivot of the first row it takes (the later rows are zero
+    there)."""
+    unscaled = False
     for p, row in zip(pivots, rows):
         f = v[p]
         if f:
             c = row[p]
-            g = gcd(c, f)
-            a, b = c // g, f // g
-            v = _primitive([a * x - b * y for x, y in zip(v, row)])
-    return v
+            if c == 1:
+                v = [x - f * y for x, y in zip(v, row)]
+                unscaled = True
+            else:
+                g = gcd(c, f)
+                a, b = c // g, f // g
+                v = _primitive([a * x - b * y for x, y in zip(v, row)])
+                unscaled = False
+    return _primitive(v) if unscaled else v
 
 
 def _append(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> Optional[int]:
@@ -319,16 +333,19 @@ def _append(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> O
 
     v is reduced (`_reduce`).  If nothing is left, v lies in the span (zero
     and dependent vectors drop out); otherwise what is left is zero at
-    every pivot, so its first nonzero column p is no pivot yet.  It is made
-    primitive with a positive entry at p and placed in pivot order, and the
-    rows are again an echelon form of the span with v added.  The other
-    rows are not touched: they need not be zero at p.  Rows are placed,
-    never mutated, so callers may pass rows they keep."""
+    every pivot, so its first nonzero column p is no pivot yet.  One pass
+    finds p and the sign there; what is left is made primitive with a
+    positive entry at p and placed in pivot order, and the rows are again
+    an echelon form of the span with v added.  The other rows are not
+    touched: they need not be zero at p.  Rows are placed, never mutated,
+    so callers may pass rows they keep."""
     v = _reduce(pivots, rows, v)
-    if not any(v):
+    for lead, x in enumerate(v):
+        if x:
+            break
+    else:
         return None
-    lead = _lead(v)
-    v = _primitive([-x for x in v] if v[lead] < 0 else list(v))
+    v = _primitive([-y for y in v] if x < 0 else list(v))
     k = bisect_left(pivots, lead)
     pivots.insert(k, lead)
     rows.insert(k, v)
@@ -342,20 +359,30 @@ def _insert(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> b
 
     v is placed by `_append`, at its pivot p; it is zero at every other
     pivot, so the rows after it, zero left of their pivots, and v itself
-    stay reduced.  Then p is cleared from every earlier row that has it by
-    reducing that row against v alone.  Such a row has its pivot left of
-    p, so the clearing keeps its first nonzero entry and, scaled by a
-    positive factor, its sign; and v is zero at every other pivot, so none
-    of them moves.  The rows are again in RREF, primitive with positive
-    pivots: the canonical rows of the span.  Rows are replaced, never
-    mutated, so callers may pass rows they keep."""
+    stay reduced.  Then p is cleared from every earlier row that has it,
+    inline, by the step of `_reduce` against v alone: row - f v when v's
+    pivot c is 1, else (c/g) row - (f/g) v, and the result made primitive.
+    Such a row has its pivot left of p, where v is zero, so the clearing
+    keeps its first nonzero entry and, scaled by a positive factor, its
+    sign; and v is zero at every other pivot, so none of them moves.  The
+    rows are again in RREF, primitive with positive pivots: the canonical
+    rows of the span.  Rows are replaced, never mutated, so callers may
+    pass rows they keep."""
     k = _append(pivots, rows, v)
     if k is None:
         return False
     lead, v = pivots[k], rows[k]
+    c = v[lead]
     for j in range(k):
-        if rows[j][lead]:
-            rows[j] = _reduce((lead,), (v,), rows[j])
+        row = rows[j]
+        f = row[lead]
+        if f:
+            if c == 1:
+                rows[j] = _primitive([x - f * y for x, y in zip(row, v)])
+            else:
+                g = gcd(c, f)
+                a, b = c // g, f // g
+                rows[j] = _primitive([a * x - b * y for x, y in zip(row, v)])
     return True
 
 

@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import identity, square_cone_fan
+from builders import identity, random_split_bundle, square_cone_fan
 from oracle import change_basis, first_chain_difference, reference_inverse, reference_tensor
 from toricfilt import filtrations, linalg
+from toricfilt.bundles import associated_klyachko
 from toricfilt.errors import InputError
 from toricfilt.fans import Fan
 from toricfilt.filtrations import (
@@ -22,6 +23,7 @@ from toricfilt.linalg import QMatrix, Subspace, span_canonical, sum_all
 from toricfilt.sampling import (
     p1_fan,
     p2_fan,
+    random_bundle,
     random_filtration_data,
     random_invertible_matrix,
     random_ray_filtration,
@@ -295,6 +297,80 @@ def test_direct_sum_of_lines(p1):
     assert f.value(0) == Subspace.full(2)
     assert f.value(1) == span_canonical([[1, 0]], 2)
     assert f.value(2) == Subspace.zero(2)
+
+
+def _guard_operand(rng, fan, dim, kind):
+    """Data of one kind on `fan`: 0 random full chains, 1 the same with
+    leading jumps dropped (most not full), 2 one jump per ray, full or not,
+    3 chains whose values have decreasing dimensions but are random, so
+    that at dimension 2 or more most are not nested."""
+    if kind < 2:
+        data = random_filtration_data(rng, fan, dim)
+        return _drop_leading(rng, data) if kind else data
+    rays = []
+    for _ in fan.rays:
+        dims = sorted(rng.sample(range(1, dim + 1), 1 if kind == 2 else rng.randint(1, dim)),
+                      reverse=True)
+        indices = sorted(rng.sample(range(-3, 4), len(dims)))
+        rays.append(RayFiltration.make(dim, [(i, random_subspace(rng, dim, d))
+                                             for i, d in zip(indices, dims)]))
+    return FiltrationData.make(fan, dim, rays)
+
+
+def _guard_cases():
+    """Seeded operand pairs and GL(n) bundle data at dimensions 1-4 on P^1,
+    P^2, the 4-ray P^3 fan and the square cone.  The bundles on the smooth
+    fans are split and glue; the square cone has one maximal cone, so any
+    data on it glue."""
+    rng = random.Random(2029)
+    pairs, bundles = [], []
+    for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
+        for k in range(16):
+            pairs.append((_guard_operand(rng, fan, 1 + k % 4, k % 4),
+                          _guard_operand(rng, fan, rng.randint(1, 4), rng.randrange(4))))
+        for n in range(1, 5):
+            bundles.append(random_bundle(rng, fan, n) if len(fan.maximal_cones) == 1
+                           else random_split_bundle(rng, fan, n))
+    return pairs, bundles
+
+
+def _nested(data):
+    return not any(f.unnested() for f in data.filtrations)
+
+
+def test_calculus_builds_canonical_chains(monkeypatch):
+    """`tensor`, `dual`, `direct_sum` and `associated_klyachko` return
+    exactly what `RayFiltration.make` and `FiltrationData.make` would make
+    of their own jumps, on full, non-full and one-jump chains and on
+    operands of `direct_sum` that are not nested, and none of them calls
+    either `make`."""
+    pairs, bundles = _guard_cases()
+    calls = []
+
+    def spy(name, make):
+        def spied(*args):
+            calls.append(name)
+            return make(*args)
+        return staticmethod(spied)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RayFiltration, "make", spy("RayFiltration", RayFiltration.make))
+        patch.setattr(FiltrationData, "make", spy("FiltrationData", FiltrationData.make))
+        built = [associated_klyachko(b) for b in bundles]
+        for a, b in pairs:
+            built.append(direct_sum(a, b))
+            if _nested(a) and _nested(b):
+                built += [tensor(a, b), dual(a), dual(b)]
+    assert calls == []
+    kinds = {"one jump": 0, "not full": 0, "unnested sum": 0}
+    for data in built:
+        assert data == FiltrationData.make(data.fan, data.dim, [
+            RayFiltration.make(f.dim, f.jumps) for f in data.filtrations])
+        for f in data.filtrations:
+            kinds["one jump"] += len(f.jumps) == 1
+            kinds["not full"] += bool(f.jumps) and f.jumps[0][1].dim < f.dim
+    kinds["unnested sum"] = sum(not (_nested(a) and _nested(b)) for a, b in pairs)
+    assert min(kinds.values()) > 10, kinds
 
 
 def test_morphism_identity_and_zero(p1):

@@ -4,7 +4,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -601,6 +601,91 @@ def test_echelon_placement_matches_references():
             [space, span_canonical([v for lv, v in levelled if lv >= i], n)], n))
             for i in sorted({lv for lv, _ in levelled}, reverse=True)]
         assert levelled_meets(space, levelled) == expected
+
+
+def _wide_int_rows(rng, nrows, ncols):
+    """Integer rows for the reduce step: rows led by ±1 (which give pivots
+    of 1), rows with entries up to 10^6 (whose pivots are rarely 1), rows
+    of content 2-12 and dependent combinations, with zeros mixed in."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randrange(4)
+        lead = rng.randrange(ncols)
+        row = [0] * lead + [rng.choice([-1, 1])] + [
+            rng.choice([0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6)] if kind
+                       else [0, rng.randint(-9, 9)]) for _ in range(ncols - lead - 1)]
+        if kind == 2:
+            row[lead] = rng.randint(-10 ** 6, 10 ** 6) or 7
+        if kind == 3:
+            row = [rng.randint(2, 12) * x for x in row]
+        rows.append(row)
+    if len(rows) > 1 and rng.random() < 0.5:
+        c = [rng.randint(-3, 3) for _ in rows]
+        rows.insert(rng.randint(0, len(rows)),
+                    [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(ncols)])
+    return rows
+
+
+def _reduce_by_fractions(pivots, rows, v):
+    """v cleared at each pivot over Fractions, with no scaling, and the
+    pivots of the rows that cleared it (the step kinds of `_reduce`)."""
+    w = [Fraction(x) for x in v]
+    used = []
+    for p, row in zip(pivots, rows):
+        if w[p]:
+            used.append(row[p])
+            f = w[p] / row[p]
+            w = [x - f * y for x, y in zip(w, row)]
+    return w, used
+
+
+def test_reduce_step_matches_fraction_elimination(monkeypatch):
+    """The reduce step, pivot-1 steps subtracting with no scaling and other
+    steps dividing by the content at once, gives exactly the elimination
+    over Fractions, at ambient 1-9 with pivots of 1 and of up to 10^6,
+    inputs of content up to 12 and entries up to 10^6: `integer_span`,
+    `levelled_spans`, `rank` and `complement_in` agree with
+    `reference_rref`, and every `_reduce` result that took a step is the
+    primitive row on the line of the Fraction result, with its sign."""
+    reduce = linalg._reduce
+    seen = {"mixed": 0, "content": 0, "big": 0}
+
+    def checked(pivots, rows, v):
+        out = reduce(pivots, rows, v)
+        w, used = _reduce_by_fractions(pivots, rows, v)
+        if used:
+            scale = lcm(*[x.denominator for x in w])
+            ints = [int(x * scale) for x in w]
+            c = gcd(*ints)
+            assert list(out) == ([x // c for x in ints] if c else ints)
+            seen["mixed"] += 1 in used and any(pivot != 1 for pivot in used)
+        else:
+            assert list(out) == list(v)
+        seen["content"] += gcd(*v) > 1
+        seen["big"] += max(map(abs, v), default=0) >= 10 ** 5
+        return out
+
+    monkeypatch.setattr(linalg, "_reduce", checked)
+    rng = random.Random(1993)
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        rows = _wide_int_rows(rng, rng.randint(1, n + 2), n)
+        reduced, pivots = reference_rref(rows, n)
+        space = integer_span(rows, n)
+        assert (space.basis, space.pivots) == (reduced, pivots)
+        assert linalg.rank(rows, n) == len(pivots)
+        levelled = [(rng.randint(-2, 2), r) for r in rows]
+        assert [(i, s.basis) for i, s in levelled_spans(levelled, n)] == [
+            (i, reference_rref([r for lv, r in levelled if lv >= i], n)[0])
+            for i in sorted({lv for lv, _ in levelled}, reverse=True)]
+        inner = integer_span(rows[:len(rows) // 2], n)
+        outer = integer_span(rows, n)
+        kept = []
+        for row in outer.basis:
+            if len(reference_rref(inner.basis + tuple(kept) + (row,), n)[1]) > inner.dim + len(kept):
+                kept.append(row)
+        assert complement_in([inner], outer).basis == reference_rref(kept, n)[0]
+    assert min(seen.values()) > 50, seen
 
 
 def test_echelon_placement_clears_no_pivot(monkeypatch):
