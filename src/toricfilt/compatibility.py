@@ -14,11 +14,11 @@ in any adapted splitting; so the chains split exactly when the piece
 dimensions add up to the fiber dimension, and then the pieces rebuild every
 chain (Klyachko 1990; Payne 2008).
 
-The chains must be nested: `cone_compatibility` refuses a chain that is not
-(`RayFiltration.require_nested`, annihilator products that validation
-leaves cached, decided once per chain and kept on it), naming its fan
-ray, before the pieces are built, and the torus check passes chains that
-are nested by construction.  Nesting makes W monotone, so the stored
+The chains must be full and nested: `cone_compatibility` refuses a chain
+that is not (`RayFiltration.require_valid`, which raises the first of the
+chain's issues, decided when the data entered), naming its fan ray,
+before the pieces are built, and the torus check passes chains that are
+valid by construction.  Nesting makes W monotone, so the stored
 dimensions settle most tuples: W(t) = 0 gives the piece W(t), no nonzero
 successor gives W(t), and the piece is 0 when a successor is as large as
 W(t) or when two successors span W(t), which inclusion–exclusion counts
@@ -140,10 +140,7 @@ def _cone_of(data: FiltrationData, idx: Tuple[int, ...]) -> Cone:
 def _grid(data: FiltrationData, idx: Tuple[int, ...]):
     filts = [data.ray(i) for i in idx]
     for i, f in zip(idx, filts):
-        if data.dim > 0 and not f.jumps:
-            raise InputError(f"ray {i} carries no jumps; data is not a full filtration")
-    for i, f in zip(idx, filts):
-        f.require_nested(i)
+        f.require_valid(i)
     tuples = list(itertools.product(*[f.jump_indices() for f in filts]))
     tuples.sort(key=lambda t: (-sum(t), t))  # fixes which integrality witness is reported
     return filts, tuples
@@ -239,11 +236,11 @@ def graded_pieces(filts: Sequence[RayFiltration],
     dominating tuples.
 
     The chains must be nested, which is not checked here: `_grid` refuses a
-    cone's chain that is not, and the chains of bundle data are nested by
-    construction (spans of ever fewer frame columns).  Then every successor
-    lies in W(t), and the dimensions settle most tuples without a sum: the
-    piece is W(t) when W(t) is zero or no successor is nonzero, and zero
-    when the successors are seen to cover W(t) by counting.  One successor
+    cone's chain that is not valid, and the chains of bundle data are nested
+    by construction (spans of ever fewer frame columns).  Then every
+    successor lies in W(t), and the dimensions settle most tuples without a
+    sum: the piece is W(t) when W(t) is zero or no successor is nonzero, and
+    zero when the successors are seen to cover W(t) by counting.  One successor
     as large as W(t) covers it.  So does a pair: write e_a for coordinate a
     raised to its next jump; nesting gives W(t+e_a) ∩ W(t+e_b) =
     W(t+e_a+e_b), since each chain's meet of two of its values is the

@@ -17,7 +17,7 @@ with no sort or merge; each builder's docstring gives the proof.
 The calculus builds chain values from canonical rows without eliminating
 them where it can: the tensor product of two chains is the chain spanned by
 the Kronecker products of their adapted bases at the sums of their levels,
-one incremental reduction per ray (`RayFiltration.adapted_basis`,
+one incremental reduction per ray (`RayFiltration.adapted_rows`,
 `linalg.levelled_spans`; `tensor` gives the proof); a direct sum is the two
 blocks of rows padded with zeros (`linalg.block_sum`); and a morphism maps
 the rows of each chain value into the target's annihilator without
@@ -25,11 +25,16 @@ eliminating their image (`linalg.maps_into`).  A chain
 is rebuilt from pieces that form a direct sum of the fiber by
 `RayFiltration.reconstruction_failure`, the one test of the reconstruction
 equation; the certificate verifier, the torus check and the ray
-consistency of bundle data all call it.  A chain that is not nested is
-refused with one message (`_not_nested`) by `tensor`, which finds the
-failing pair by reduction, and by `RayFiltration.require_nested`, which
-finds it by the annihilators that `dual` builds anyway and that the
-compatibility engine reuses, and keeps the pairs it finds on the chain.
+consistency of bundle data all call it.
+
+A chain that is not full, or not nested, is not a filtration.
+`RayFiltration.issues` is the one test of both, by annihilator products,
+and keeps its verdict on the chain.  `FiltrationData.make` runs it on every
+chain, so data from outside the package carry their verdict when they
+arrive; `RayFiltration.require_valid` raises a chain's first issue, naming
+its ray, and is the one refusal of `tensor`, `dual`, `direct_sum` and the
+compatibility engine.  The chains the package builds are valid by
+construction and are not checked.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .linalg import (
     annihilator,
     block_sum,
     cached_on_instance,
-    echelon_contains,
     levelled_spans,
     maps_into,
     record,
@@ -123,8 +127,8 @@ class RayFiltration:
         each of them lies in V, an annihilator product against the cached
         ann(V); no sum is formed.
 
-        A nested chain is first tested in one counted pass (`_rebuilds`);
-        when that pass fails, or the chain is not nested, the probes are
+        A valid chain is first tested in one counted pass (`_rebuilds`);
+        when that pass fails, or the chain is not valid, the probes are
         scanned, so the failure reported is the first failing probe."""
         if self._rebuilds(pieces, levels):
             return None
@@ -139,7 +143,7 @@ class RayFiltration:
 
     def _rebuilds(self, pieces: Sequence[Subspace], levels: Sequence[int]) -> bool:
         """Whether the counted pass of `reconstruction_failure` passes: the
-        chain is nested (`unnested` is empty), every level is a jump index,
+        chain is valid (`issues` is empty), every level is a jump index,
         the piece dimensions summed from the last jump down reach each
         value's dimension at its jump, and each piece lies in the value at
         its own level, one annihilator product per piece.  Then every probe
@@ -148,7 +152,7 @@ class RayFiltration:
         j (zero past the last jump, where no piece is left); their
         dimensions add up to dim V, and nesting puts each of them, inside
         the value at its own level, inside V."""
-        if self.unnested():
+        if self.issues():
             return False
         values = dict(self.jumps)
         added = dict.fromkeys(values, 0)
@@ -162,38 +166,6 @@ class RayFiltration:
             if total != len(value.rows):
                 return False
         return all(values[level].contains_subspace(s) for s, level in zip(pieces, levels))
-
-    @cached_on_instance
-    def unnested(self) -> Tuple[Tuple[int, int], ...]:
-        """Consecutive jump indices (i1, i2) whose subspace at i2 does not
-        lie in the one at i1, by the cached annihilators, which validation
-        leaves for the compatibility engine and `dual` for itself to reuse.
-        The pairs are found once and kept on the chain, so validation and
-        every cone that lists the ray share one nesting verdict.
-        `adapted_basis`, whose callers use no annihilator, checks nesting by
-        reduction."""
-        return tuple((i1, i2) for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:])
-                     if not s1.contains_subspace(s2))
-
-    def require_nested(self, ray: int) -> None:
-        """Refuse a chain that is not nested: InputError (`_not_nested`)
-        naming `ray` and the first pair that `unnested` finds.  The pairs
-        are kept on the chain, so a later call decides nothing again and
-        raises the same error for the same ray."""
-        bad = self.unnested()
-        if bad:
-            raise _not_nested(ray, *bad[0])
-
-    def adapted_basis(self, ray: int) -> List[Tuple[int, Tuple[int, ...]]]:
-        """`adapted_rows` of this chain, whose nesting is checked first, by
-        reducing each value's rows against the canonical rows of the value
-        before it (`linalg.echelon_contains`), with no kernel; the first pair
-        that fails raises InputError naming `ray` and the two jump
-        indices."""
-        for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:]):
-            if not echelon_contains(s1, s2):
-                raise _not_nested(ray, i1, i2)
-        return self.adapted_rows()
 
     def adapted_rows(self) -> List[Tuple[int, Tuple[int, ...]]]:
         """For a nested chain, (level, row) pairs whose rows of level at
@@ -212,17 +184,36 @@ class RayFiltration:
                     basis.append((i, row))
         return basis
 
-    def issues(self) -> List[dict]:
+    @cached_on_instance
+    def issues(self) -> Tuple[dict, ...]:
+        """Why this chain is not a filtration, or nothing: "not_full" when
+        it is not the whole fiber at low indices, then a "not_nested" issue
+        for each consecutive pair of jumps whose later subspace does not lie
+        in the earlier one, by the cached annihilators, which the
+        certificate verifier and `dual` reuse.  `make` merges equal
+        neighbours, so nested neighbours strictly decrease.  The verdict is
+        kept on the chain, so validation, the calculus and every cone that
+        lists the ray share it."""
+        first = len(self.jumps[0][1].rows) if self.jumps else 0
         out: List[dict] = []
-        if self.dim > 0:
-            if not self.jumps:
-                out.append({"kind": "not_full", "detail": "no jumps, chain is identically zero"})
-            elif self.jumps[0][1].dim != self.dim:
-                out.append({"kind": "not_full",
-                            "detail": "first jump subspace is a proper subspace"})
-        # `make` merges equal neighbours, so nested neighbours strictly decrease
-        out.extend({"kind": "not_nested", "indices": [i1, i2]} for i1, i2 in self.unnested())
-        return out
+        if first < self.dim:
+            out.append({"kind": "not_full", "detail": "first jump subspace is a proper subspace"
+                        if first else "no jumps, chain is identically zero"})
+        out += [{"kind": "not_nested", "indices": [i1, i2]}
+                for (i1, s1), (i2, s2) in zip(self.jumps, self.jumps[1:])
+                if not s1.contains_subspace(s2)]
+        return tuple(out)
+
+    def require_valid(self, ray: int) -> None:
+        """Refuse a chain that is not a filtration: InputError naming `ray`
+        and the first of its `issues`, with the pair of jump indices for a
+        chain that is not nested (`_not_nested`)."""
+        issues = self.issues()
+        if issues and issues[0]["kind"] == "not_nested":
+            raise _not_nested(ray, *issues[0]["indices"])
+        if issues:
+            raise InputError(f"the chain on ray {ray} is not full: it is not the whole fiber "
+                             f"at low indices")
 
 
 @record
@@ -235,6 +226,9 @@ class FiltrationData:
 
     @staticmethod
     def make(fan: Fan, dim: int, filtrations: Sequence[RayFiltration]) -> "FiltrationData":
+        """The entry for outside data: one chain in Q^dim per fan ray, each
+        of whose `issues` is decided here and kept on the chain, for
+        `validate` to report and `RayFiltration.require_valid` to raise."""
         if not isinstance(dim, int) or dim < 0:
             raise InputError("fiber dimension must be a nonnegative integer")
         if len(filtrations) != len(fan.rays):
@@ -242,6 +236,7 @@ class FiltrationData:
         for f in filtrations:
             if f.dim != dim:
                 raise InputError("ray filtration ambient dimension mismatch")
+            f.issues()
         return FiltrationData(fan, dim, tuple(filtrations))
 
     @staticmethod
@@ -261,8 +256,8 @@ class FiltrationValidationReport:
 
 
 def validate(data: FiltrationData) -> FiltrationValidationReport:
-    """Fullness and nesting per ray; `FiltrationData.make` has already
-    checked that every chain lives in the fiber."""
+    """Fullness and nesting per ray: the `issues` that `FiltrationData.make`
+    decided when it checked that every chain lives in the fiber."""
     issues: List[dict] = []
     for idx, f in enumerate(data.filtrations):
         for item in f.issues():
@@ -280,9 +275,9 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     ordering (index (i, j) maps to i*rb+j): the chain at j is
     F(j) = Σ_p F_a(p)⊗F_b(j−p), built from adapted bases of the operand
     chains by one incremental reduction per ray.  Every operand chain must
-    be nested; otherwise InputError names the ray and the two indices.
+    be valid (`RayFiltration.require_valid`).
 
-    Adapted bases (`RayFiltration.adapted_basis`).  Let a chain jump at
+    Adapted bases (`RayFiltration.adapted_rows`).  Let a chain jump at
     α_1 < … < α_m with values V_1 ⊋ … ⊋ V_m.  The pivots of a subspace are
     the first nonzero positions of its vectors, read off its canonical rows,
     so V_{k+1} ⊆ V_k gives piv V_{k+1} ⊆ piv V_k.  Keep every row of V_m at
@@ -318,7 +313,9 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     dim = a.dim * b.dim
     rays: List[RayFiltration] = []
     for ray, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
-        basis_a, basis_b = fa.adapted_basis(ray), fb.adapted_basis(ray)
+        fa.require_valid(ray)
+        fb.require_valid(ray)
+        basis_a, basis_b = fa.adapted_rows(), fb.adapted_rows()
         products = ((p + q, [x * y for x in u for y in v])
                     for p, u in basis_a for q, v in basis_b)
         rays.append(RayFiltration._canonical(dim, levelled_spans(products, dim)[::-1]))
@@ -328,9 +325,8 @@ def tensor(a: FiltrationData, b: FiltrationData) -> FiltrationData:
 def dual(a: FiltrationData) -> FiltrationData:
     """Dual convention: the dual chain at i is the annihilator of the primal
     chain at 1 - i.  This makes duality an involution and negates the jump of
-    rank-one data.  Every chain must be nested; otherwise InputError names
-    the ray and the first pair of jump indices that fails
-    (`RayFiltration.require_nested`, whose annihilators the dual reuses).
+    rank-one data.  Every chain must be valid
+    (`RayFiltration.require_valid`, whose annihilators the dual reuses).
 
     Canonical as built.  A chain jumping at i_0 < … < i_(m-1) with values
     V_0, …, V_(m-1) has the dual jumps -i_k with value ann V_(k+1)
@@ -341,7 +337,7 @@ def dual(a: FiltrationData) -> FiltrationData:
     the chain is stored as built (`RayFiltration._canonical`)."""
     rays: List[RayFiltration] = []
     for ray, f in enumerate(a.filtrations):
-        f.require_nested(ray)
+        f.require_valid(ray)
         m = len(f.jumps)
         pairs = []
         for k in range(m):
@@ -354,20 +350,23 @@ def dual(a: FiltrationData) -> FiltrationData:
 
 def direct_sum(a: FiltrationData, b: FiltrationData) -> FiltrationData:
     """Blockwise direct sum on Q^(ra+rb): the chain at i is the block sum of
-    the operand chains at i, whose padded rows are already canonical.
+    the operand chains at i, whose padded rows are already canonical.  Every
+    operand chain must be valid (`RayFiltration.require_valid`).
 
-    Canonical as built, for operands that are nested or not.  The indices
-    are the union of the operands' jump indices, sorted.  Each is a jump of
-    one operand, whose value there `make` has made nonzero, so no block sum
-    is zero.  For consecutive indices i < i', say i a jump of the first
-    operand: its value at i' is that at its next jump, which `make` has
-    made different from the one at i, or zero past its last jump, so the
-    first blocks at i and i' differ and so do the block sums.  The chain is
-    stored as built (`RayFiltration._canonical`)."""
+    Canonical as built.  The indices are the union of the operands' jump
+    indices, sorted.  Each is a jump of one operand, whose value there
+    `make` has made nonzero, so no block sum is zero.  For consecutive
+    indices i < i', say i a jump of the first operand: its value at i' is
+    that at its next jump, which `make` has made different from the one at
+    i, or zero past its last jump, so the first blocks at i and i' differ
+    and so do the block sums.  The chain is stored as built
+    (`RayFiltration._canonical`)."""
     _require_same_fan(a, b)
     dim = a.dim + b.dim
     rays: List[RayFiltration] = []
-    for fa, fb in zip(a.filtrations, b.filtrations):
+    for ray, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
+        fa.require_valid(ray)
+        fb.require_valid(ray)
         candidates = sorted(set(fa.jump_indices()) | set(fb.jump_indices()))
         pairs = [(i, block_sum(fa.value(i), fb.value(i))) for i in candidates]
         rays.append(RayFiltration._canonical(dim, pairs))

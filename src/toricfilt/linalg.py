@@ -52,7 +52,7 @@ so a string, like a float or a boolean, raises TypeError here.
 (which `column_chain` spans by level), the lines they span (`column_lines`,
 signed, not eliminated) and its scaled integer columns (which `maps_into`
 multiplies by) here, and a cone's character quotient and integer solver,
-whether a quotient is the identity, a chain's non-nested pairs and its
+whether a quotient is the identity, a chain's issues and its
 sweep rows, the gluing report, the ray chains of bundle data and the
 algebra tables elsewhere, in the instance dict of a frozen record.
 `block_sum` eliminates nothing: its padded rows are canonical by
@@ -64,8 +64,7 @@ eliminated from scratch; `filtrations.tensor` and the chains of bundle
 frames are built this way.  `complement_in` appends the rows of the outer
 space to an echelon form of the sum of the inner ones and keeps those that
 add rank, deciding from their number whether that sum lies in the outer
-space, and `echelon_contains` reduces rows against canonical rows, with no
-kernel.
+space.
 Containment of a vector or a subspace (`Subspace.contains`,
 `contains_subspace`, and `maps_into` on the unreduced image of a subspace)
 is an annihilator product against the target's cached annihilator: one
@@ -638,18 +637,6 @@ def maps_into(s: Subspace, m: QMatrix, target: Subspace) -> bool:
         return False
     conditions = annihilator(target).rows
     return not any(sum(map(mul, c, r)) for r in rows for c in conditions)
-
-
-def echelon_contains(outer: Subspace, inner: Subspace) -> bool:
-    """inner ⊆ outer with no kernel: the canonical rows of `outer` are a
-    reduced echelon form, and each row of `inner` must reduce (`_reduce`)
-    to zero against it."""
-    if inner.ambient != outer.ambient:
-        raise ValueError("ambient dimension mismatch")
-    if inner.dim > outer.dim:
-        return False
-    pivots = outer.pivots
-    return not any(any(_reduce(pivots, outer.rows, v)) for v in inner.rows)
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:

@@ -111,6 +111,9 @@ SNAPSHOT = {
     'validate-filt/not-full': (['validate-filt', 'not_full.json'], 1,
         '1771b3685d2252773dd6bfbe7e8689e236494cda213b89504e970c818b764147',
         'c90b57ae7e41cfca6f038eba44277dff2df5758c48c3cd69f7bf81ed49dd3c35'),
+    'validate-filt/not-nested': (['validate-filt', 'not_nested.json'], 1,
+        'd3362d501d8019ca3a122132d11af58efa9f28ef3354251d6fe6e6aff027b6c9',
+        'c90b57ae7e41cfca6f038eba44277dff2df5758c48c3cd69f7bf81ed49dd3c35'),
     'validate-filt/float-literal': (['validate-filt', 'float.json'], 2,
         'e809db3ad5ff40bdd5b0eb497f7a611e0d6696461a19a5ba5ff5e2d7603aeea2',
         'dfcf4b69a80bf1cd38c5d9e005b52d1cad690982c8db317ac547e025d49e6180'),
@@ -156,12 +159,18 @@ SNAPSHOT = {
     'dual/not-nested': (['dual', 'not_nested.json'], 2,
         'fdf06f165db343ec265fddec47e0b8c668630d216f61a03ebefad31948e2a0fb',
         'd8512cae535fd7dba137ce4b87d387894fa1c3be97b08593709fe27da3d0d5b0'),
+    'dual/not-full': (['dual', 'not_full.json'], 2,
+        'c70473ec1c15712bc6f93ca3fe5d72ad8c6042be46acc26980079172d755f6af',
+        '414e6e3af842f7e23f89ca9df7bb70b942ad0dac43766db19a6ad3f13860ecb8'),
     'dsum/ok': (['dsum', 'filt.json', 'filt_b.json'], 0,
         'dd974b6b5e9e621201ee4f1cc49eb7a7dfda32ad84f672efb7e8afe1d957e534',
         '2b027e6d87f7ce32242166b74026e017d7dd99fae68a7a48e50f63473dc1714f'),
     'dsum/different-fans': (['dsum', 'filt.json', 'filt_p1.json'], 2,
         '5b5d3ed4f0b839121fd026d0d2fb38a370ae44785204f503896d9b8ff46b7a8f',
         '09f4fb7a9f19bd53d085c556ddee3eec5cb9c3b4a99c9f856f890471a140fa5b'),
+    'dsum/not-nested': (['dsum', 'not_nested.json', 'filt_b.json'], 2,
+        '1378dd79e0f60d096494b060fe776d4e4b36e827654ead96f0903522ea7b9140',
+        'd8512cae535fd7dba137ce4b87d387894fa1c3be97b08593709fe27da3d0d5b0'),
     'morphism/holds': (['morphism', 'one.json', 'line_low.json', 'line_high.json'], 0,
         '5e2d392d53dcf7fda7abca08183d59068c43a5c601311f61eeaf06c54b91ee75',
         '16c51d94e8859e0058301ffd3fce4079319a17bec58458c63537d4b759ea7e01'),

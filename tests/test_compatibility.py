@@ -609,18 +609,6 @@ def test_not_nested_chain_names_its_fan_ray(p2):
         cone_compatibility(data, (1, 2))
 
 
-def test_no_jumps_is_refused_before_nesting(p2):
-    """`_grid` checks every chain of the cone for jumps before any for
-    nesting, so a chain with no jumps is named even when an earlier ray's
-    chain is not nested."""
-    data = FiltrationData.make(p2, 3, list(_not_nested_data(p2).filtrations[:2])
-                               + [RayFiltration.make(3, [])])
-    with pytest.raises(InputError, match="^ray 2 carries no jumps"):
-        cone_compatibility(data, (1, 2))
-    with pytest.raises(InputError, match="^the chain on ray 1 is not nested"):
-        cone_compatibility(data, (0, 1))
-
-
 def test_not_nested_chain_cli_exits_two(p2, tmp_path, capsys):
     """The CLI validates before it decides, so `compat` keeps its message."""
     import json
@@ -644,10 +632,10 @@ def test_associated_chains_are_nested():
             data = random_bundle(rng, fan, rng.randint(1, 4))
             if check_gluing(data).glues:
                 for i, f in enumerate(associated_klyachko(data).filtrations):
-                    f.require_nested(i)
+                    f.require_valid(i)
                 checked += 1
             for i, f in enumerate(associated_klyachko(random_split_bundle(rng, fan, 3)).filtrations):
-                f.require_nested(i)
+                f.require_valid(i)
     assert checked > 0
 
 
@@ -769,19 +757,20 @@ def test_second_run_on_reloaded_fan_takes_no_smith_form(monkeypatch):
 
 
 def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
-    """On P^3 every ray lies in three maximal cones.  One
-    `global_compatibility` run decides each chain's nesting and builds its
-    sweep rows once, both kept on the chain, and each `cone_compatibility`
-    looks its cone up once (`Fan.cone`); a second run on the same data
-    decides no nesting and builds no rows.  A chain that is not nested is
-    refused with the same `_not_nested` text, ray and pair on every call,
-    from every cone that lists its ray and from `dual`, and its nesting is
-    decided once."""
+    """On P^3 every ray lies in three maximal cones.  Each chain's issues
+    are decided once, when its data are built: by `FiltrationData.make` for
+    loaded data, and by the reconstruction test of the ray consistency for
+    the chains of bundle data.  One `global_compatibility` run decides no
+    issue, builds each chain's sweep rows once, kept on the chain, and
+    looks each cone up once (`Fan.cone`); a second run on the same data
+    builds no rows.  A chain that is not nested is refused with the same
+    `_not_nested` text, ray and pair on every call, from every cone that
+    lists its ray and from `dual`, and its issues are decided once."""
     walks, sweeps, lookups = [], [], []
-    walk = RayFiltration.__dict__["unnested"].__wrapped__
+    walk = RayFiltration.__dict__["issues"].__wrapped__
     adapted_rows, cone = RayFiltration.adapted_rows, Fan.cone
 
-    def unnested(f):
+    def issues(f):
         walks.append(id(f))
         return walk(f)
 
@@ -793,20 +782,21 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
         lookups.append(tuple(idx))
         return cone(fan, idx)
 
-    monkeypatch.setattr(RayFiltration, "unnested", linalg.cached_on_instance(unnested))
+    monkeypatch.setattr(RayFiltration, "issues", linalg.cached_on_instance(issues))
     monkeypatch.setattr(RayFiltration, "adapted_rows", counted_rows)
     monkeypatch.setattr(Fan, "cone", counted_cone)
     rng = random.Random(97)
-    refuted = random_filtration_data(rng, P3, 4)
-    bundle = random_split_bundle(rng, P3, 4)
-    for build, verdict in ((lambda: refuted, "incompatible"),
-                           (lambda: associated_klyachko(bundle), "compatible")):
+    for build, verdict in ((lambda: random_filtration_data(rng, P3, 4), "incompatible"),
+                           (lambda: associated_klyachko(random_split_bundle(rng, P3, 4)),
+                            "compatible")):
         walks.clear(), sweeps.clear(), lookups.clear()
         data = build()
         chains = sorted(id(f) for f in data.filtrations)
+        assert sorted(walks) == chains
+        walks.clear()
         report = global_compatibility(data)
         assert report.verdict == verdict
-        assert sorted(walks) == chains
+        assert walks == []
         assert len(sweeps) > 1 and len(set(sweeps)) == len(sweeps) and set(sweeps) <= set(chains)
         assert lookups == list(P3.maximal_cones)
         walks.clear(), sweeps.clear(), lookups.clear()

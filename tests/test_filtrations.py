@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from builders import identity, random_split_bundle, square_cone_fan
 from oracle import change_basis, first_chain_difference, reference_inverse, reference_tensor
 from toricfilt import filtrations, linalg
 from toricfilt.bundles import associated_klyachko
+from toricfilt.compatibility import cone_compatibility
 from toricfilt.errors import InputError
 from toricfilt.fans import Fan
 from toricfilt.filtrations import (
@@ -92,8 +94,9 @@ def test_normalization_drops_zero_and_merges():
 def test_make_normalizes_to_strictly_decreasing_or_unnested():
     """Whatever jumps `make` is given (equal, unnested and zero subspaces
     among them), consecutive stored values differ, and each consecutive pair
-    either strictly decreases and is nested or is listed by `unnested`;
-    `issues` names exactly those pairs."""
+    either strictly decreases and is nested or is named by a "not_nested"
+    issue; the issues name exactly the pairs whose sum is larger than the
+    first value."""
     rng = random.Random(2024)
     for _ in range(300):
         dim = rng.randint(1, 4)
@@ -101,13 +104,13 @@ def test_make_normalizes_to_strictly_decreasing_or_unnested():
         pool += [random_subspace(rng, dim, rng.randint(1, dim)) for _ in range(3)]
         indices = rng.sample(range(-4, 5), rng.randint(0, 7))
         f = RayFiltration.make(dim, [(i, rng.choice(pool)) for i in indices])
-        unnested = list(f.unnested())
+        unnested = [tuple(i["indices"]) for i in f.issues() if i["kind"] == "not_nested"]
         assert all(s.dim > 0 for _, s in f.jumps)
         for (i1, s1), (i2, s2) in zip(f.jumps, f.jumps[1:]):
             assert i1 < i2 and s1 != s2
-            assert (i1, i2) in unnested or (s2.dim < s1.dim and s1.contains_subspace(s2))
-        assert [i["indices"] for i in f.issues() if i["kind"] == "not_nested"] == [
-            list(pair) for pair in unnested]
+            assert (i1, i2) in unnested or s2.dim < s1.dim
+        assert unnested == [(i1, i2) for (i1, s1), (i2, s2) in zip(f.jumps, f.jumps[1:])
+                            if sum_all([s1, s2], dim) != s1]
 
 
 def test_tensor_of_line_data(p1):
@@ -154,21 +157,30 @@ def _tensor_pairs():
         yield random_filtration_data(rng, p1_fan(), d), random_filtration_data(rng, p1_fan(), d)
 
 
+def _valid_tensor_pairs():
+    return [(a, b) for a, b in _tensor_pairs() if validate(a).valid and validate(b).valid]
+
+
 def test_tensor_matches_reference_sum():
     """The adapted-basis tensor product equals the sum over p + q = j of the
-    Kronecker products of the operand chains, on full and non-full chains."""
-    full = {True: 0, False: 0}
+    Kronecker products of the operand chains on valid operands, and refuses
+    a pair with a chain that is not full."""
+    valid = {True: 0, False: 0}
     for a, b in _tensor_pairs():
-        assert tensor(a, b) == reference_tensor(a, b)
-        for f in a.filtrations + b.filtrations:
-            full[bool(f.jumps) and f.jumps[0][1].dim == f.dim] += 1
-    assert min(full.values()) > 50, full
+        ok = validate(a).valid and validate(b).valid
+        valid[ok] += 1
+        if ok:
+            assert tensor(a, b) == reference_tensor(a, b)
+        else:
+            with pytest.raises(InputError, match="is not full"):
+                tensor(a, b)
+    assert min(valid.values()) > 10, valid
 
 
 def test_tensor_eliminates_nothing(monkeypatch):
     """`tensor` runs no elimination, no sum and no annihilator: with each of
     them made to raise, it returns the same data."""
-    pairs = list(_tensor_pairs())[::5]
+    pairs = _valid_tensor_pairs()[::4]
     expected = [tensor(a, b) for a, b in pairs]
 
     def forbidden(*args):
@@ -226,7 +238,7 @@ def test_random_chain_fits_short_index_range():
     # eight-dimensional flags can have more steps than [-2, 3] has indices
     for seed in range(50):
         f = random_ray_filtration(random.Random(seed), 8, -2, 3)
-        assert f.issues() == []
+        assert f.issues() == ()
         assert f.jumps[0][1].dim == 8
         assert all(-2 <= i <= 3 for i in f.jump_indices())
 
@@ -275,7 +287,7 @@ def test_reconstruction_failure_matches_span_reference():
             values = [s for _, s in chain.jumps]
             values[p], values[p + 1] = values[p + 1], values[p]
             unnested = RayFiltration.make(n, list(zip(jumps, values)))
-            assert unnested.unnested()
+            assert any(i["kind"] == "not_nested" for i in unnested.issues())
             cases["unnested"] = (unnested, pieces, levels)
         for kind, (c, ps, lvs) in cases.items():
             got = c.reconstruction_failure(ps, lvs)
@@ -334,17 +346,14 @@ def _guard_cases():
     return pairs, bundles
 
 
-def _nested(data):
-    return not any(f.unnested() for f in data.filtrations)
-
-
 def test_calculus_builds_canonical_chains(monkeypatch):
     """`tensor`, `dual`, `direct_sum` and `associated_klyachko` return
     exactly what `RayFiltration.make` and `FiltrationData.make` would make
-    of their own jumps, on full, non-full and one-jump chains and on
-    operands of `direct_sum` that are not nested, and none of them calls
-    either `make`."""
+    of their own jumps, on the valid operands of `_guard_cases` (each one
+    dualized, each next to the following one on its fan) and on one-jump
+    chains, and none of them calls either `make`."""
     pairs, bundles = _guard_cases()
+    valid = [x for pair in pairs for x in pair if validate(x).valid]
     calls = []
 
     def spy(name, make):
@@ -356,21 +365,88 @@ def test_calculus_builds_canonical_chains(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(RayFiltration, "make", spy("RayFiltration", RayFiltration.make))
         patch.setattr(FiltrationData, "make", spy("FiltrationData", FiltrationData.make))
-        built = [associated_klyachko(b) for b in bundles]
-        for a, b in pairs:
-            built.append(direct_sum(a, b))
-            if _nested(a) and _nested(b):
-                built += [tensor(a, b), dual(a), dual(b)]
+        built = [associated_klyachko(b) for b in bundles] + [dual(a) for a in valid]
+        for a, b in zip(valid, valid[1:]):
+            if a.fan == b.fan:
+                built += [direct_sum(a, b), tensor(a, b)]
     assert calls == []
-    kinds = {"one jump": 0, "not full": 0, "unnested sum": 0}
+    kinds = {"one jump": 0, "several jumps": 0}
     for data in built:
         assert data == FiltrationData.make(data.fan, data.dim, [
             RayFiltration.make(f.dim, f.jumps) for f in data.filtrations])
         for f in data.filtrations:
-            kinds["one jump"] += len(f.jumps) == 1
-            kinds["not full"] += bool(f.jumps) and f.jumps[0][1].dim < f.dim
-    kinds["unnested sum"] = sum(not (_nested(a) and _nested(b)) for a, b in pairs)
+            kinds["one jump" if len(f.jumps) == 1 else "several jumps"] += 1
     assert min(kinds.values()) > 10, kinds
+
+
+def _issue_text(issue):
+    """The refusal of `RayFiltration.require_valid` for a chain whose first
+    issue, as `validate` reports it, is `issue`."""
+    if issue["kind"] == "not_nested":
+        i1, i2 = issue["indices"]
+        return (f"the chain on ray {issue['ray']} is not nested: its subspace at index {i2} "
+                f"does not lie in the one at {i1}")
+    return f"the chain on ray {issue['ray']} is not full: it is not the whole fiber at low indices"
+
+
+def test_invalid_chains_are_refused_with_their_first_issue(monkeypatch):
+    """Seeded data of the kinds of `_guard_operand` that are not full or not
+    nested are refused, with the text of the first issue that `validate`
+    reports, by `cone_compatibility` on every maximal cone that lists its
+    ray, by `tensor` and `direct_sum` with the data on either side of a
+    valid operand, and by `dual`.  A spy shows that each loaded chain's
+    issues are decided once, inside `FiltrationData.make`, and never by the
+    calculus or the cone set-up."""
+    walk = RayFiltration.__dict__["issues"].__wrapped__
+    make = FiltrationData.make
+    loading, walks = [], []
+
+    def spied_make(*args):
+        loading.append(True)
+        try:
+            return make(*args)
+        finally:
+            loading.pop()
+
+    def issues(f):
+        walks.append((f, bool(loading)))
+        return walk(f)
+
+    monkeypatch.setattr(FiltrationData, "make", staticmethod(spied_make))
+    monkeypatch.setattr(RayFiltration, "issues", linalg.cached_on_instance(issues))
+    rng = random.Random(3031)
+    cases = []
+    for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
+        for kind in (1, 2, 3):
+            for dim in range(1, 5):
+                data = _guard_operand(rng, fan, dim, kind)
+                report = validate(data)
+                if not report.valid:
+                    cases.append((data, _guard_operand(rng, fan, rng.randint(1, 4), 0),
+                                  report.issues[0]))
+    loaded = [f for data, other, _ in cases for f in data.filtrations + other.filtrations]
+    assert all(inside for _, inside in walks)
+    assert len({id(f) for f, _ in walks}) == len(walks)
+    assert {id(f) for f in loaded} <= {id(f) for f, _ in walks}
+    walked = len(walks)
+
+    firsts = {"not_full": 0, "not_nested": 0}
+    for data, other, issue in cases:
+        firsts[issue["kind"]] += 1
+        message = "^" + re.escape(_issue_text(issue)) + "$"
+        cones = [idx for idx in data.fan.maximal_cones if issue["ray"] in idx]
+        assert cones
+        for idx in cones:
+            with pytest.raises(InputError, match=message):
+                cone_compatibility(data, idx)
+        for operation in (tensor, direct_sum):
+            for a, b in ((data, other), (other, data)):
+                with pytest.raises(InputError, match=message):
+                    operation(a, b)
+        with pytest.raises(InputError, match=message):
+            dual(data)
+    assert len(walks) == walked
+    assert firsts["not_full"] > 20 and firsts["not_nested"] > 5, firsts
 
 
 def test_morphism_identity_and_zero(p1):

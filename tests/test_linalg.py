@@ -34,7 +34,6 @@ from toricfilt.linalg import (
     column_chain,
     column_lines,
     complement_in,
-    echelon_contains,
     _integer_columns,
     _integer_row,
     _image_rows,
@@ -440,22 +439,15 @@ def _image(s, m):
     return span_canonical(reference_product(QMatrix(s.rows, s.ambient), m).entries, m.ncols)
 
 
-def test_echelon_contains_and_maps_into_match_containment():
-    """Containment by reduction against canonical rows, and the containment
-    of an image by annihilator products on unreduced mapped rows, agree with
-    `contains_subspace` of the eliminated image, on zero, full, nested and
-    random spaces and on singular and zero maps."""
+def test_maps_into_matches_containment():
+    """The containment of an image by annihilator products on unreduced
+    mapped rows agrees with `contains_subspace` of the eliminated image, on
+    zero, full, image and random targets and on singular and zero maps."""
     rng = random.Random(7331)
     seen = {True: 0, False: 0}
     for _ in range(400):
         n, k = rng.randint(1, 6), rng.randint(1, 6)
         a = span_canonical(_random_rows(rng, rng.randint(0, n + 1), n), n)
-        b = rng.choice([Subspace.zero(n), Subspace.full(n), a,
-                        span_canonical([*a.rows, *_random_rows(rng, 1, n)], n),
-                        span_canonical(_random_rows(rng, rng.randint(0, n), n), n)])
-        assert echelon_contains(b, a) == b.contains_subspace(a)
-        assert echelon_contains(a, b) == a.contains_subspace(b)
-        seen[echelon_contains(b, a)] += 1
         m = QMatrix.from_rows([[Fraction(rng.choice([0, rng.randint(-9, 9)]), rng.randint(1, 4))
                                 for _ in range(k)] for _ in range(n)], k)
         if rng.random() < 0.2:
@@ -464,9 +456,8 @@ def test_echelon_contains_and_maps_into_match_containment():
         t = rng.choice([Subspace.zero(k), Subspace.full(k), image,
                         span_canonical(_random_rows(rng, rng.randint(0, k), k), k)])
         assert maps_into(a, m, t) == t.contains_subspace(image)
+        seen[maps_into(a, m, t)] += 1
     assert min(seen.values()) > 50, seen
-    with pytest.raises(ValueError):
-        echelon_contains(Subspace.full(2), Subspace.full(3))
     with pytest.raises(ValueError):
         maps_into(Subspace.full(2), identity(2), Subspace.full(3))
 
