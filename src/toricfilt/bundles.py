@@ -20,10 +20,11 @@ A ray that no maximal cone lists lies on no overlap: gluing skips it, and
 `associated_klyachko`, which needs a chain on it, refuses it first.
 
 Validation, gluing and SL reduction share one determinant per frame.  A
-frame's integer columns, with denominators cleared once, feed both the
-chain that `linalg.column_chain` spans by level and the column lines of
-`linalg.column_lines`, which need no elimination; the lines are the
-pieces of the consistency test, and all three are cached on the frame.
+frame is integer rows over one denominator (`linalg.QMatrix`), and its
+integer columns feed both the chain that `linalg.column_chain` spans by
+level and the column lines of `linalg.column_lines`, which need no
+elimination; the lines are the pieces of the consistency test, and they
+and the determinant are cached on the frame.
 `check_gluing` and the ray chains (the associated data, or the
 `RayConsistencyError` witness) are cached on the data by
 `linalg.cached_on_instance`, so `reduce` after `glue` builds nothing again.
@@ -112,7 +113,7 @@ def validate_bundle(data: CocharBundleData) -> BundleValidationReport:
             continue
         # an invertible diagonal frame has a nonzero diagonal
         if (kind == "SL" and det != 1) or (kind == "DT" and any(
-                x for i, row in enumerate(frame.entries) for j, x in enumerate(row) if i != j)):
+                x for i, row in enumerate(frame.rows) for j, x in enumerate(row) if i != j)):
             issues.append({"kind": "frame_not_in_group", "cone": k})
         if kind == "SL":
             total = tuple(sum(u[j] for u in cone_chars) for j in range(data.fan.rank))

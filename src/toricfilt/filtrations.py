@@ -376,14 +376,17 @@ def direct_sum(a: FiltrationData, b: FiltrationData) -> FiltrationData:
 def morphism_failure(phi: QMatrix, a: FiltrationData, b: FiltrationData) -> Optional[dict]:
     """First (ray, index) where phi fails to map a chain of `a` into the
     matching chain of `b`, or None.  `phi` is a (dim b) x (dim a) matrix
-    acting on column vectors."""
+    acting on column vectors.  Every operand chain must be valid
+    (`RayFiltration.require_valid`)."""
     _require_same_fan(a, b)
     if phi.nrows != b.dim or phi.ncols != a.dim:
         raise InputError("morphism matrix shape does not match the operands")
-    rows_map = phi.transpose()
+    for ray_idx, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
+        fa.require_valid(ray_idx)
+        fb.require_valid(ray_idx)
     for ray_idx, (fa, fb) in enumerate(zip(a.filtrations, b.filtrations)):
         for i in sorted(set(fa.jump_indices()) | set(fb.jump_indices())):
-            if not maps_into(fa.value(i), rows_map, fb.value(i)):
+            if not maps_into(fa.value(i), phi, fb.value(i)):
                 return {"ray": ray_idx, "index": i}
     return None
 

@@ -25,8 +25,13 @@ keeps, canonical as inserted, with no sign fixed afterwards.  Fractions appear o
 boundary: `Subspace.basis` divides each pivot row by its pivot, which
 gives the same unique RREF as elimination over Fractions; a span of
 integer rows (`integer_span`, which spans the bases of filtration files)
-makes none at all.  There is no matrix inverse, product or solve: the
-package reads frames only through their determinant and their columns.
+makes none at all.  A matrix, a frame or a morphism, is integer rows over
+one positive denominator with no common factor left (`QMatrix.from_rows`
+divides it out through `_primitive`), so equal matrices are equal records,
+and its Fractions (`QMatrix.entries`) are built only to print it.  There
+is no matrix inverse, product or solve: the package reads frames only
+through their determinant and their columns, and a morphism through the
+products of its integer rows with the rows of a subspace.
 Where only a rank or the rows that add rank are read, the echelon
 placement suffices: `rank` (the ranks in `fans` and the spanning checks
 of certificates and torus splittings) and `complement_in` append and
@@ -48,31 +53,29 @@ most commands compute); it compiles only `__init__` from source.  Scalars
 are ints or Fractions: `serialize` is the one reader of rational literals,
 so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
-`annihilator`, a matrix's determinant, its primitive integer columns
-(which `column_chain` spans by level), the lines they span (`column_lines`,
-signed, not eliminated) and its scaled integer columns (which `maps_into`
-multiplies by) here, and a cone's character quotient and integer solver,
-whether a quotient is the identity, a chain's issues and its
-sweep rows, the gluing report, the ray chains of bundle data and the
+`annihilator`, a matrix's determinant and the lines of its columns
+(`column_lines`, not eliminated) here, and a cone's character quotient and
+integer solver, whether a quotient is the identity, a chain's issues and
+its sweep rows, the gluing report, the ray chains of bundle data and the
 algebra tables elsewhere, in the instance dict of a frozen record.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
-for a matrix's columns) inserts the vectors in descending level order and
-reads the canonical span off at each level boundary, so no level is
-eliminated from scratch; `filtrations.tensor` and the chains of bundle
-frames are built this way.  `complement_in` appends the rows of the outer
-space to an echelon form of the sum of the inner ones and keeps those that
-add rank, deciding from their number whether that sum lies in the outer
-space.
+for a matrix's integer columns, of any content) inserts the vectors in
+descending level order and reads the canonical span off at each level
+boundary, so no level is eliminated from scratch; `filtrations.tensor` and
+the chains of bundle frames are built this way.  `complement_in` appends
+the rows of the outer space to an echelon form of the sum of the inner ones
+and keeps those that add rank, deciding from their number whether that sum
+lies in the outer space.
 Containment of a vector or a subspace (`Subspace.contains`,
 `contains_subspace`, and `maps_into` on the unreduced image of a subspace)
 is an annihilator product against the target's cached annihilator: one
 kernel per target serves every test against it, which is cheaper on the
 hot paths than reducing each tested row against the target's rows.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the
-integer rows, whose last pivot is the determinant; the insertion step
-divides rows by their content, which loses that scale.  The insertion step
+integer rows, whose last pivot over den^n is the determinant; the
+insertion step divides rows by their content, which loses that scale.  The insertion step
 in turn does not use Bareiss's exact division: its entries would then grow
 as minors of the whole input, which is slow on the tall spanning sets of
 tensor filtrations.
@@ -191,59 +194,63 @@ def to_fraction(x: Scalar) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
-def vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(to_fraction(x) for x in entries)
-
-
 @record
 class QMatrix:
-    """Dense matrix of Fractions, the container of frames and morphisms:
-    read through its entries, its determinant and its columns, never
-    multiplied or inverted.  `ncols` is explicit so that matrices with zero
-    rows keep their width."""
+    """A rational matrix, the container of frames and morphisms, as integer
+    `rows` over one positive denominator `den`, with no common factor left
+    among the entries and `den`: equal matrices are equal records.  It is
+    read through its determinant and its rows and columns, never multiplied
+    or inverted; `entries`, the Fractions, only prints it.  `ncols` is
+    explicit so that matrices with zero rows keep their width."""
 
-    entries: Tuple[Vector, ...]
+    rows: Tuple[Tuple[int, ...], ...]
     ncols: int
+    den: int = 1
 
     def __post_init__(self):
-        for row in self.entries:
+        for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged matrix rows")
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None) -> "QMatrix":
-        data = tuple(vector(r) for r in rows)
+    def from_rows(rows: Iterable[Iterable[Scalar]], ncols: Optional[int] = None,
+                  den: int = 1) -> "QMatrix":
+        """The matrix of int or Fraction rows, every entry divided by the
+        positive int `den`: the rows times the lcm of all their
+        denominators, over `den` times that lcm, made primitive together
+        with that denominator (`_primitive`)."""
+        data = [_exact(r) for r in rows]
         if ncols is None:
             if not data:
                 raise ValueError("ncols required for a matrix with no rows")
             ncols = len(data[0])
-        return QMatrix(data, ncols)
+        flat, scale = _clear_denominators([x for row in data for x in row])
+        flat.append(den * scale)
+        if flat[-1] > 1:
+            flat = _primitive(flat)
+        it = iter(flat)
+        return QMatrix(tuple(tuple(itertools.islice(it, len(r))) for r in data), ncols,
+                       flat[-1])
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(
-            tuple(tuple(r[j] for r in self.entries) for j in range(self.ncols)),
-            self.nrows,
-        )
+    @property
+    def entries(self) -> Tuple[Vector, ...]:
+        """The entries as Fractions, for printing."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.rows)
 
     @cached_on_instance
     def det(self) -> Fraction:
-        """Bareiss forward elimination on the rows with denominators cleared:
-        every step divides exactly, and the last pivot is the determinant of
-        the integer matrix, which the row scales then divide.  Cached on the
-        instance: validation, gluing and reduction each ask for it."""
+        """Bareiss forward elimination on the integer rows: every step
+        divides exactly, and the last pivot is their determinant, which
+        den^n divides.  Cached on the instance: validation, gluing and
+        reduction each ask for it."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        m: List[List[int]] = []
-        scale = 1
-        for row in self.entries:
-            ints, row_scale = _clear_denominators(row)
-            m.append(ints)
-            scale *= row_scale
+        m = list(self.rows)
         sign, prev = 1, 1
         for c in range(n):
             pr = next((r for r in range(c, n) if m[r][c]), None)
@@ -259,7 +266,7 @@ class QMatrix:
                 f = row[c]
                 m[r] = [(p * a - f * b) // prev for a, b in zip(row, top)]
             prev = p
-        return Fraction(sign * prev, scale)
+        return Fraction(sign * prev, self.den ** n)
 
 
 _ZERO = Fraction(0)
@@ -490,47 +497,36 @@ def rank(rows: Iterable[Sequence[int]], ambient: int) -> int:
     return len(pivots)
 
 
-def span_canonical(vectors: Union[QMatrix, Sequence[Sequence[Scalar]]],
+def span_canonical(vectors: Sequence[Sequence[Scalar]],
                    ambient: Optional[int] = None) -> Subspace:
-    """Row space of the given vectors in canonical RREF form."""
-    if isinstance(vectors, QMatrix):
-        rows: Sequence[Sequence[Scalar]] = vectors.entries
-        ambient = vectors.ncols
-    else:
-        rows = [_exact(r) for r in vectors]
-        if ambient is None:
-            if not rows:
-                raise ValueError("ambient dimension required for an empty span")
-            ambient = len(rows[0])
+    """Row space of the given int or Fraction vectors in canonical RREF form."""
+    rows = [_exact(r) for r in vectors]
+    if ambient is None:
+        if not rows:
+            raise ValueError("ambient dimension required for an empty span")
+        ambient = len(rows[0])
     return integer_span(map(_integer_row, rows), ambient)
-
-
-@cached_on_instance
-def _integer_columns(m: QMatrix) -> Tuple[Tuple[int, ...], ...]:
-    """The primitive integer row on the line of each column of `m`."""
-    return tuple(tuple(_integer_row(col)) for col in zip(*m.entries))
 
 
 @cached_on_instance
 def column_lines(m: QMatrix) -> Tuple[Subspace, ...]:
     """The span of each column of `m`, inside Q^nrows, with no elimination:
-    a line's canonical row is its primitive integer row with a positive
-    pivot, which is the cached integer column (`_integer_columns`) up to
-    sign, and a zero column spans the zero space."""
+    a line's canonical row is the integer column made primitive with a
+    positive pivot, and a zero column spans the zero space."""
     lines = []
-    for col in _integer_columns(m):
+    for col in zip(*m.rows):
         lead = next(filter(None, col), 0)
-        lines.append(Subspace(m.nrows, (col,) if lead > 0 else
-                              (tuple(-x for x in col),) if lead else ()))
+        row = _primitive([x if lead > 0 else -x for x in col])
+        lines.append(Subspace(m.nrows, (tuple(row),) if lead else ()))
     return tuple(lines)
 
 
 def column_chain(m: QMatrix, levels: Sequence[int]) -> List[Tuple[int, Subspace]]:
     """`levelled_spans` of the columns of `m`, column j at levels[j], inside
     Q^nrows: the chain whose value at i is spanned by the columns of level
-    at least i, from the cached `_integer_columns` that `column_lines`
-    reads too."""
-    return levelled_spans(zip(levels, _integer_columns(m)), m.nrows)
+    at least i.  The integer columns enter as they are: `_insert` takes
+    rows of any content."""
+    return levelled_spans(zip(levels, zip(*m.rows)), m.nrows)
 
 
 def levelled_spans(levelled: Iterable[Tuple[int, Sequence[int]]],
@@ -604,33 +600,24 @@ def _exact(row: Iterable[Scalar]) -> Tuple[Union[int, Fraction], ...]:
                  for x in row)
 
 
-@cached_on_instance
-def _scaled_columns(m: QMatrix) -> Tuple[Tuple[int, ...], ...]:
-    """The columns of `m` times the lcm of all its denominators, as ints."""
-    scale = lcm(*[x.denominator for row in m.entries for x in row])
-    return tuple(tuple(x.numerator * (scale // x.denominator) for x in col)
-                 for col in zip(*m.entries))
-
-
-def _image_rows(s: Subspace, m: QMatrix) -> List[List[int]]:
-    """The rows of `s` times `m`, scaled: `m` is scaled by the lcm of all
-    its denominators, which moves no row space, once per matrix (the scaled
-    columns are cached on it), and the products run over ints."""
-    if m.nrows != s.ambient:
+def _image_rows(s: Subspace, phi: QMatrix) -> List[List[int]]:
+    """The images phi v of the rows v of `s`, with phi acting on column
+    vectors, times phi's denominator, which moves no span: each is the
+    integer rows of phi times v, made primitive."""
+    if phi.ncols != s.ambient:
         raise ValueError("matrix shapes do not compose")
-    cols = _scaled_columns(m)
-    return [_primitive([sum(map(mul, row, col)) for col in cols]) for row in s.rows]
+    return [_primitive([sum(map(mul, row, v)) for row in phi.rows]) for v in s.rows]
 
 
-def maps_into(s: Subspace, m: QMatrix, target: Subspace) -> bool:
-    """s @ m ⊆ target, with no elimination of the image: the mapped rows of
-    `s` are not reduced.  Zero rows drop out; a full target holds the rest
-    and a zero target none of them; otherwise, by the rule of
-    `Subspace.contains_subspace`, every row of the cached ann(target) must
-    vanish on each of them."""
-    if target.ambient != m.ncols:
+def maps_into(s: Subspace, phi: QMatrix, target: Subspace) -> bool:
+    """phi(s) ⊆ target, with phi acting on column vectors and no
+    elimination of the image: the mapped rows of `s` are not reduced.  Zero
+    rows drop out; a full target holds the rest and a zero target none of
+    them; otherwise, by the rule of `Subspace.contains_subspace`, every row
+    of the cached ann(target) must vanish on each of them."""
+    if target.ambient != phi.nrows:
         raise ValueError("ambient dimension mismatch")
-    rows = [r for r in _image_rows(s, m) if any(r)]
+    rows = [r for r in _image_rows(s, phi) if any(r)]
     if not rows or target.dim == target.ambient:
         return True
     if not target.dim:

@@ -61,17 +61,15 @@ def check_sl_reduction(data: CocharBundleData) -> SlReductionResult:
             return SlReductionResult(SL_NO, failing_cone=k, character_sum=total)
         first = tuple(x - p for x, p in zip(cone_chars[0], total))
         chars.append((first,) + tuple(cone_chars[1:]))
-    # rescale the first column of each frame by 1/det to land in SL; a
-    # diagonal factor commutes with the character diagonal, so the presented
+    # rescale the first column of each frame by 1/det = p/q to land in SL:
+    # over den * q, column 0 times p and the others times q.  A diagonal
+    # factor commutes with the character diagonal, so the presented
     # homomorphisms are unchanged
     frames = []
     for f in data.frames:
-        d = f.det()
-        rows = [
-            tuple((x / d if j == 0 else x) for j, x in enumerate(row))
-            for row in f.entries
-        ]
-        frames.append(QMatrix.from_rows(rows))
+        p, q = (1 / f.det()).as_integer_ratio()
+        rows = [(row[0] * p,) + tuple(x * q for x in row[1:]) for row in f.rows]
+        frames.append(QMatrix.from_rows(rows, f.ncols, f.den * q))
     sl_data = CocharBundleData.make(
         GroupSpec("SL", data.group.n), data.fan, frames, chars
     )

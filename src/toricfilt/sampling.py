@@ -10,7 +10,7 @@ from typing import Tuple
 from .bundles import CocharBundleData, GroupSpec
 from .fans import Fan
 from .filtrations import FiltrationData, RayFiltration
-from .linalg import QMatrix, span_canonical
+from .linalg import QMatrix, integer_span, span_canonical
 
 
 def p1_fan() -> Fan:
@@ -68,7 +68,7 @@ def random_ray_filtration(rng: random.Random, dim: int,
     indices = sorted(rng.sample(range(index_lo, index_hi + 1), len(dims)))
     jumps = []
     for i, d in zip(indices, dims):
-        jumps.append((i, span_canonical(flag_matrix.entries[:d], dim)))
+        jumps.append((i, integer_span(flag_matrix.rows[:d], dim)))
     return RayFiltration.make(dim, jumps)
 
 

@@ -9,9 +9,10 @@ One reader, `_literal`, turns each rational literal (a JSON int, or a "p"
 or "p/q" string of ASCII digits; p/q need not be reduced) into an integer
 pair (p, q).  A filtration basis row goes from its pairs straight to an
 integer row, times the lcm of its q's, and the rows of a jump are spanned
-by `linalg.integer_span`: no Fraction is built between a literal and its
-canonical row.  Frames and morphism matrices hold Fractions, each built
-from its pair by `parse_rational`.
+by `linalg.integer_span`; a frame or morphism matrix goes to integer rows
+times the one lcm of all its q's, over that lcm (`QMatrix.from_rows`).  No
+Fraction is built between a literal and a canonical row or a matrix;
+`matrix_to_obj` builds them only to print.
 
 Reports are already JSON: every issue, witness and detail that reaches
 `dump_report` is built from ints, strings, bools, None, lists, tuples and
@@ -75,11 +76,10 @@ def parse_rational(value: Any) -> Fraction:
     return Fraction(*_literal(value))
 
 
-def _scaled_row(pairs: List[Tuple[int, int]]) -> List[int]:
-    """The literals (p, q) of a row times the lcm of their q's: an integer
-    row on the same line, not made primitive (`linalg.integer_span` takes
-    rows of any content)."""
-    scale = lcm(*[q for _, q in pairs])
+def _scaled_row(pairs: List[Tuple[int, int]], scale: int) -> List[int]:
+    """The literals (p, q) of a row times `scale`, a multiple of every q: an
+    integer row, not made primitive (`linalg.integer_span` and
+    `QMatrix.from_rows` take rows of any content)."""
     if scale == 1:
         return [p for p, _ in pairs]
     return [p * (scale // q) for p, q in pairs]
@@ -168,11 +168,12 @@ def matrix_from_obj(obj: Any, what: str = "matrix") -> QMatrix:
     rows = _expect_list(obj, what)
     if not rows:
         raise InputError(f"{what} must have at least one row")
-    parsed = tuple(tuple(map(parse_rational, _expect_list(r, f"{what} row"))) for r in rows)
+    parsed = [[_literal(x) for x in _expect_list(r, f"{what} row")] for r in rows]
     widths = {len(r) for r in parsed}
     if len(widths) != 1:
         raise InputError(f"{what} rows have inconsistent lengths")
-    return QMatrix(parsed, widths.pop())
+    scale = lcm(*[q for r in parsed for _, q in r])
+    return QMatrix.from_rows([_scaled_row(r, scale) for r in parsed], widths.pop(), scale)
 
 
 def matrix_to_obj(m: QMatrix) -> list:
@@ -212,7 +213,8 @@ def filtration_from_obj(obj: Any, base_dir: Optional[str] = None) -> FiltrationD
             for r in basis_rows:
                 if len(r) != dim:
                     raise InputError("basis row length does not match dim")
-            jumps.append((i, integer_span(map(_scaled_row, basis_rows), dim)))
+            jumps.append((i, integer_span([_scaled_row(r, lcm(*[q for _, q in r]))
+                                            for r in basis_rows], dim)))
         rays.append(RayFiltration.make(dim, jumps))
     unknown = set(filts_obj) - {str(i) for i in range(len(fan.rays))}
     if unknown:

@@ -1,7 +1,7 @@
 """Builders that only the tests use: a copy of a record with changed
-fields, the identity matrix, one integral solution of a linear system, the
-fan of one non-simplicial square cone, and split GL(n) bundle data from
-per-ray levels.  No command runs them, so they live here rather than in
+fields, the identity matrix, the transpose of a matrix, one integral
+solution of a linear system, the fan of one non-simplicial square cone, and
+split GL(n) bundle data from per-ray levels.  No command runs them, so they live here rather than in
 the package."""
 
 import random
@@ -67,3 +67,8 @@ def random_split_bundle(rng: random.Random, fan: Fan, n: int,
 def identity(n: int) -> QMatrix:
     """The n x n identity matrix."""
     return QMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def transpose(m: QMatrix) -> QMatrix:
+    """The transpose of `m`."""
+    return QMatrix.from_rows(zip(*m.entries), m.nrows)

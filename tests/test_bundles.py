@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from builders import identity, random_split_bundle
+from builders import identity, random_split_bundle, transpose
 from oracle import (
     canonical_cone_decomposition,
     evaluate_laurent,
@@ -570,7 +570,7 @@ def test_dual_convention_calibration(p2):
 
     for _ in range(6):
         data = random_split_bundle(rng, p2, 2)
-        inv_frames = [reference_inverse(f).transpose() for f in data.frames]
+        inv_frames = [transpose(reference_inverse(f)) for f in data.frames]
         inv_chars = [
             tuple(tuple(-x for x in u) for u in cone_chars)
             for cone_chars in data.chars
@@ -599,6 +599,9 @@ def test_gluing_requires_top_dimensional_cones():
 def test_malformed_bundle_inputs(p1):
     with pytest.raises(InputError):
         CocharBundleData.make(GroupSpec("GL", 1), p1, [I1], [[(0,)]])
+    # one frame too many, with one character tuple per maximal cone
+    with pytest.raises(InputError, match="one frame and one character tuple"):
+        CocharBundleData.make(GroupSpec("GL", 1), p1, [I1, I1, I1], [[(0,)], [(0,)]])
     with pytest.raises(InputError):
         CocharBundleData.make(GroupSpec("GL", 1), p1, [I1, I1], [[(0, 0)], [(0,)]])
     with pytest.raises(InputError):

@@ -212,6 +212,17 @@ def test_morphism_command(tmp_path, capsys):
     assert json.loads(out)["witness"] is not None
 
 
+def test_morphism_of_the_wrong_width_exits_2(tmp_path, capsys):
+    """A 2x3 matrix between rank-2 operands has the right number of rows and
+    the wrong number of columns: the shape is refused with exit code 2."""
+    a = write_json(tmp_path / "a.json", {"fan": P2_FAN_OBJ, "dim": 2, "filtrations": {
+        str(k): [{"i": k, "basis": [["1", "0"], ["0", "1"]]}] for k in range(3)}})
+    m = write_json(tmp_path / "m.json", [["1", "0", "0"], ["0", "1", "0"]])
+    code, out, err = run(capsys, "morphism", m, a, a)
+    assert code == 2
+    assert err == "error: morphism matrix shape does not match the operands\n"
+
+
 def test_assoc_and_cocycle_and_validate_bundle(tmp_path, capsys):
     bundle = {
         "group": {"kind": "GL", "n": 1},

@@ -177,6 +177,9 @@ SNAPSHOT = {
     'morphism/fails': (['morphism', 'one.json', 'line_high.json', 'line_low.json'], 1,
         '3ad06fd85600317453b859d9bee1724bf754f122aca6909bc5008aa3772eb344',
         '5a70247032d88847de483eb2d80c76ff192b263153dec555fefae839cf67ed8f'),
+    'morphism/not-full': (['morphism', 'one.json', 'not_full.json', 'line_low.json'], 2,
+        '2038e7346f1b7230ec2de42c6ff20b845595856569cf42bd36f6f5a8786268f1',
+        '414e6e3af842f7e23f89ca9df7bb70b942ad0dac43766db19a6ad3f13860ecb8'),
     'morphism/shape': (['morphism', 'one.json', 'filt.json', 'filt_b.json'], 2,
         '872149e968d2b588ff9ef2700a60cd05bd7054635a6ea7f2d0504ecb36df3e17',
         '2fc8e4a9eb3b506262e9f067c9cec61531193798d61750acd139a933238dd236'),

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from builders import random_split_bundle, solve_integer, square_cone_fan
+from builders import random_split_bundle, solve_integer, square_cone_fan, transpose
 from oracle import (
     exhaustive_adapted_search,
     graded_decomposition,
@@ -321,6 +321,18 @@ def test_verify_rejects_corrupted_certificate(tangent_p2):
     assert verify_cone_decomposition(tangent_p2, cert.ray_indices, broken) is not None
 
 
+def test_verify_rejects_an_extra_zero_piece(tangent_p2):
+    """A certificate with one more piece, the zero space of the right
+    ambient under a character of a class no other piece has, is refused,
+    though its nonzero pieces still rebuild every chain."""
+    cert = cone_compatibility(tangent_p2, (0, 1)).certificate
+    fresh = (1 + max(char[0] for char, _ in cert.pieces), 0)
+    padded = ConeDecomposition(cert.ray_indices, cert.pieces + ((fresh, Subspace.zero(2)),))
+    assert verify_cone_decomposition(tangent_p2, cert.ray_indices, cert) is None
+    assert (verify_cone_decomposition(tangent_p2, cert.ray_indices, padded)
+            == "certificate contains an empty or mismatched piece")
+
+
 def test_tensor_compatibility_closure(p2):
     """Tensor of compatible data is compatible, and the merged certificate
     with summed classes verifies on every maximal cone."""
@@ -419,7 +431,7 @@ def test_morphism_duality(p2):
             [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         )
         forward = check_morphism(phi, a, b)
-        backward = check_morphism(phi.transpose(), dual(b), dual(a))
+        backward = check_morphism(transpose(phi), dual(b), dual(a))
         assert forward == backward
 
 

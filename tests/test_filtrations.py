@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,14 +316,21 @@ def _guard_operand(rng, fan, dim, kind):
     """Data of one kind on `fan`: 0 random full chains, 1 the same with
     leading jumps dropped (most not full), 2 one jump per ray, full or not,
     3 chains whose values have decreasing dimensions but are random, so
-    that at dimension 2 or more most are not nested."""
+    that at dimension 2 or more most are not nested, and 4 chains that
+    start at the whole fiber, then take two or three random proper values
+    of non-increasing dimensions, so that at dimension 2 or more they are
+    full and most are not nested."""
     if kind < 2:
         data = random_filtration_data(rng, fan, dim)
         return _drop_leading(rng, data) if kind else data
     rays = []
     for _ in fan.rays:
-        dims = sorted(rng.sample(range(1, dim + 1), 1 if kind == 2 else rng.randint(1, dim)),
-                      reverse=True)
+        if kind == 4:
+            dims = [dim] + sorted((rng.randint(1, max(dim - 1, 1))
+                                   for _ in range(rng.randint(2, 3))), reverse=True)
+        else:
+            dims = sorted(rng.sample(range(1, dim + 1), 1 if kind == 2 else rng.randint(1, dim)),
+                          reverse=True)
         indices = sorted(rng.sample(range(-3, 4), len(dims)))
         rays.append(RayFiltration.make(dim, [(i, random_subspace(rng, dim, d))
                                              for i, d in zip(indices, dims)]))
@@ -394,9 +402,10 @@ def test_invalid_chains_are_refused_with_their_first_issue(monkeypatch):
     nested are refused, with the text of the first issue that `validate`
     reports, by `cone_compatibility` on every maximal cone that lists its
     ray, by `tensor` and `direct_sum` with the data on either side of a
-    valid operand, and by `dual`.  A spy shows that each loaded chain's
-    issues are decided once, inside `FiltrationData.make`, and never by the
-    calculus or the cone set-up."""
+    valid operand, and by `dual`.  The chains of kind 4 are full, so their
+    refusals cover the nesting text on its own.  A spy shows that each
+    loaded chain's issues are decided once, inside `FiltrationData.make`,
+    and never by the calculus or the cone set-up."""
     walk = RayFiltration.__dict__["issues"].__wrapped__
     make = FiltrationData.make
     loading, walks = [], []
@@ -417,22 +426,25 @@ def test_invalid_chains_are_refused_with_their_first_issue(monkeypatch):
     rng = random.Random(3031)
     cases = []
     for fan in (p1_fan(), p2_fan(), P3, square_cone_fan()):
-        for kind in (1, 2, 3):
+        for kind in (1, 2, 3, 4):
             for dim in range(1, 5):
                 data = _guard_operand(rng, fan, dim, kind)
                 report = validate(data)
                 if not report.valid:
                     cases.append((data, _guard_operand(rng, fan, rng.randint(1, 4), 0),
-                                  report.issues[0]))
-    loaded = [f for data, other, _ in cases for f in data.filtrations + other.filtrations]
+                                  report.issues[0], kind))
+    loaded = [f for data, other, _, _ in cases for f in data.filtrations + other.filtrations]
     assert all(inside for _, inside in walks)
     assert len({id(f) for f, _ in walks}) == len(walks)
     assert {id(f) for f in loaded} <= {id(f) for f, _ in walks}
     walked = len(walks)
 
     firsts = {"not_full": 0, "not_nested": 0}
-    for data, other, issue in cases:
+    full_firsts = []
+    for data, other, issue, kind in cases:
         firsts[issue["kind"]] += 1
+        if kind == 4:
+            full_firsts.append(issue["kind"])
         message = "^" + re.escape(_issue_text(issue)) + "$"
         cones = [idx for idx in data.fan.maximal_cones if issue["ray"] in idx]
         assert cones
@@ -447,6 +459,7 @@ def test_invalid_chains_are_refused_with_their_first_issue(monkeypatch):
             dual(data)
     assert len(walks) == walked
     assert firsts["not_full"] > 20 and firsts["not_nested"] > 5, firsts
+    assert len(full_firsts) > 8 and set(full_firsts) == {"not_nested"}, full_firsts
 
 
 def test_morphism_identity_and_zero(p1):
@@ -470,6 +483,16 @@ def test_morphism_direction_matters(p1):
 def test_morphism_shape_mismatch(p1):
     with pytest.raises(InputError):
         check_morphism(identity(2), line_data(p1, [0, 0]), line_data(p1, [0, 0]))
+
+
+def test_make_refuses_a_dimension_that_is_not_an_integer(p1):
+    """A fiber dimension equal to an integer but of another type is refused,
+    even when every chain lives in a space of that dimension."""
+    chains = [RayFiltration.trivial(2)] * 2
+    assert FiltrationData.make(p1, 2, chains).dim == 2
+    for dim in (2.0, Fraction(2)):
+        with pytest.raises(InputError, match="fiber dimension must be a nonnegative integer"):
+            FiltrationData.make(p1, dim, chains)
 
 
 def test_fan_mismatch_rejected(p1, p2):

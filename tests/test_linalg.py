@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from builders import identity, random_split_bundle, replace
+from builders import identity, random_split_bundle, replace, transpose
 import toricfilt
 from oracle import (
     Eliminator,
@@ -34,7 +34,6 @@ from toricfilt.linalg import (
     column_chain,
     column_lines,
     complement_in,
-    _integer_columns,
     _integer_row,
     _image_rows,
     _kernel,
@@ -49,7 +48,6 @@ from toricfilt.linalg import (
     subspace_sum,
     sum_all,
     to_fraction,
-    vector,
 )
 
 scalars = st.integers(min_value=-6, max_value=6)
@@ -205,7 +203,7 @@ def test_strings_rejected_without_parsing():
     any parsing, however long its decimal expansion would be."""
     for literal in ("1/2", "1e2000000"):
         start = time.perf_counter()
-        for build in (to_fraction, lambda x: vector([x]), lambda x: QMatrix.from_rows([[x]]),
+        for build in (to_fraction, lambda x: QMatrix.from_rows([[x]]),
                       lambda x: span_canonical([[x]])):
             with pytest.raises(TypeError):
                 build(literal)
@@ -342,14 +340,35 @@ def test_cached_det_equals_bareiss():
         assert m.det() == want and m.det() == want and vars(m)["_det"] == want
 
 
+def test_matrix_is_integer_rows_over_one_denominator():
+    """`from_rows` keeps a matrix as integer rows over one positive
+    denominator with no common factor left: its `entries` are the given
+    rows, int rows stay as they are, and equal matrices, however written,
+    are equal records with equal hashes."""
+    rng = random.Random(1732)
+    for k in range(300):
+        nrows, ncols = rng.randint(0, 6), rng.randint(1, 6)
+        rows = _random_rows(rng, nrows, ncols, ints=k % 3 == 0)[:nrows]
+        m = QMatrix.from_rows(rows, ncols)
+        assert [list(r) for r in m.entries] == rows
+        assert m.den > 0 and gcd(m.den, *[x for r in m.rows for x in r]) == 1
+        assert all(type(x) is int for r in m.rows for x in r)
+        if k % 3 == 0:
+            assert [list(r) for r in m.rows] == rows and m.den == 1
+        c = rng.randint(1, 7)
+        scaled = QMatrix.from_rows([[c * x for x in r] for r in rows], ncols, c)
+        assert scaled == m and hash(scaled) == hash(m)
+    assert QMatrix.from_rows([[1, Fraction(1, 2)], [3, 5]]) == QMatrix(((2, 1), (6, 10)), 2, 2)
+
+
 def _col(m, j):
     return tuple(row[j] for row in m.entries)
 
 
 def test_integer_columns_and_column_lines(monkeypatch):
-    """The cached integer columns are the primitive integer rows of the
-    columns, and the cached column lines equal `span_canonical` of each
-    column (the zero space for a zero column), built with no elimination."""
+    """The cached column lines equal `span_canonical` of each column (the
+    zero space for a zero column), built from the integer rows with no
+    elimination, a column with a negative lead flipped."""
     rng = random.Random(1730)
     cases = []
     for _ in range(300):
@@ -359,43 +378,37 @@ def test_integer_columns_and_column_lines(monkeypatch):
         cases.append((m, [span_canonical([_col(m, j)], m.nrows) for j in range(m.ncols)]))
     monkeypatch.setattr(linalg, "_eliminate", None)
     for m, want in cases:
-        cols = _integer_columns(m)
-        assert cols is _integer_columns(m)
-        assert [list(c) for c in cols] == [_integer_row(_col(m, j)) for j in range(m.ncols)]
         lines = column_lines(m)
         assert lines is column_lines(m)
         assert list(lines) == want
     assert any(line.dim == 0 for _, want in cases for line in want)
-    assert any(line.rows[0][line.pivots[0]] > 0 > _integer_columns(m)[j][line.pivots[0]]
+    assert any(line.rows[0][line.pivots[0]] > 0 > m.rows[line.pivots[0]][j]
                for m, want in cases for j, line in enumerate(want) if line.dim)
 
 
 def test_replace_starts_matrix_caches_empty():
     m = QMatrix.from_rows([[1, Fraction(1, 2)], [3, 5]])
     m.det()
-    _integer_columns(m)
-    assert {"_det", "__integer_columns"} <= set(vars(m))
+    column_lines(m)
+    assert {"_det", "_column_lines"} <= set(vars(m))
     copy = replace(m)
-    assert copy == m and not {"_det", "__integer_columns"} & set(vars(copy))
+    assert copy == m and not {"_det", "_column_lines"} & set(vars(copy))
 
 
 def test_validation_gluing_and_sl_take_each_determinant_once(p1, p2, monkeypatch):
     """`validate_bundle`, `check_gluing` and `check_sl_reduction` share one
-    Bareiss pass per frame object.  A pass clears the denominators of each
-    of the frame's own row tuples once, and nothing else on these paths
-    reads those tuples."""
+    Bareiss pass per frame object, and none of them reads a frame's
+    `entries`, which only printing reads."""
     from toricfilt.bundles import CocharBundleData, check_gluing, validate_bundle
     from toricfilt.reduction import check_sl_reduction
     from toricfilt.sampling import random_bundle
 
-    clear, owner, cleared = linalg._clear_denominators, {}, []
+    bareiss, passes = QMatrix.det.__wrapped__, []
 
-    def spy(row):
-        if id(row) in owner:
-            cleared.append(owner[id(row)])
-        return clear(row)
+    def det(m):
+        passes.append(id(m))
+        return bareiss(m)
 
-    monkeypatch.setattr(linalg, "_clear_denominators", spy)
     rng = random.Random(1731)
     for fan in (p1, p2):
         for build in (random_bundle, random_split_bundle):
@@ -405,12 +418,15 @@ def test_validation_gluing_and_sl_take_each_determinant_once(p1, p2, monkeypatch
             fresh = {id(f): replace(f) for f in data.frames}
             data = CocharBundleData.make(data.group, fan,
                                          [fresh[id(f)] for f in data.frames], data.chars)
-            owner = {id(row): id(f) for f in fresh.values() for row in f.entries}
-            cleared.clear()
-            assert validate_bundle(data).valid
-            check_gluing(data)
-            check_sl_reduction(data)
-            assert sorted(cleared) == sorted(id(f) for f in fresh.values() for _ in range(3))
+            with monkeypatch.context() as patch:
+                patch.setattr(QMatrix, "det", cached_on_instance(det))
+                patch.setattr(QMatrix, "entries", property(
+                    lambda m: pytest.fail("a frame's entries were read")))
+                passes.clear()
+                assert validate_bundle(data).valid
+                check_gluing(data)
+                check_sl_reduction(data)
+            assert sorted(passes) == sorted(map(id, fresh.values()))
 
 
 def test_containment_matches_reference_reduce():
@@ -455,8 +471,9 @@ def test_maps_into_matches_containment():
         image = _image(a, m)
         t = rng.choice([Subspace.zero(k), Subspace.full(k), image,
                         span_canonical(_random_rows(rng, rng.randint(0, k), k), k)])
-        assert maps_into(a, m, t) == t.contains_subspace(image)
-        seen[maps_into(a, m, t)] += 1
+        phi = transpose(m)
+        assert maps_into(a, phi, t) == t.contains_subspace(image)
+        seen[maps_into(a, phi, t)] += 1
     assert min(seen.values()) > 50, seen
     with pytest.raises(ValueError):
         maps_into(Subspace.full(2), identity(2), Subspace.full(3))
@@ -713,8 +730,9 @@ def test_echelon_placement_clears_no_pivot(monkeypatch):
 
 
 def test_image_matches_matrix_product():
-    """The mapped rows that `maps_into` tests span the image of a subspace
-    under v -> v @ m, the span of its rows times m, for singular, non-square
+    """The mapped rows that `maps_into` tests, for phi acting on column
+    vectors, span the image of a subspace under v -> v @ m with phi the
+    transpose of m: the span of its rows times m, for singular, non-square
     and zero rational matrices whose rows have different denominators."""
     rng = random.Random(4242)
     kinds = {"singular": 0, "zero": 0}
@@ -730,8 +748,8 @@ def test_image_matches_matrix_product():
         if rng.random() < 0.1:
             rows = [[Fraction(0)] * k for _ in range(n)]
             kinds["zero"] += 1
-        m = QMatrix(tuple(map(tuple, rows)), k)
-        assert span_canonical(_image_rows(s, m), k) == _image(s, m)
+        m = QMatrix.from_rows(rows, k)
+        assert span_canonical(_image_rows(s, transpose(m)), k) == _image(s, m)
     assert all(kinds.values()), kinds
     with pytest.raises(ValueError):
         _image_rows(Subspace.full(2), identity(3))

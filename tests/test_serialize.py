@@ -2,10 +2,10 @@
 `Fraction(str)`.
 
 Filtration bases go from their literals to integer rows and canonical
-spans with no Fraction; frames and morphism matrices are Fractions built
-from integer pairs.  Every load here must equal, field for field and in
-`repr`, the reference load of `tests/oracle.py`, which parses each literal
-with `Fraction(str)` and spans with `span_canonical`.
+spans, and frames and morphism matrices to integer rows over one
+denominator, with no Fraction.  Every load here must equal, field for
+field and in `repr`, the reference load of `tests/oracle.py`, which parses
+each literal with `Fraction(str)` and spans with `span_canonical`.
 """
 
 import pathlib
@@ -20,7 +20,7 @@ from oracle import (
     reference_filtration_from_obj,
     reference_matrix_from_obj,
 )
-from toricfilt import linalg, serialize
+from toricfilt import filtrations, linalg, serialize
 from toricfilt.errors import InputError
 from toricfilt.linalg import Subspace
 
@@ -173,18 +173,35 @@ def test_cli_corpus_matches_reference(seed, tmp_path):
 
 
 def test_filtration_bases_load_without_fraction(tmp_path, monkeypatch):
-    """Loading filtration data builds no Fraction: with the name patched to
-    raise in `serialize` and `linalg`, every `cli` corpus filtration file
-    loads (or is refused) exactly as it does unpatched."""
-    paths = [str(p) for p in cli_corpus_files(0, tmp_path)
-             if '"filtrations"' in p.read_text(encoding="utf-8")]
+    """Loading builds no Fraction, and neither does deciding a morphism:
+    with the name patched to raise in `serialize` and `linalg`, every `cli`
+    corpus filtration, bundle and matrix file loads (or is refused) exactly
+    as it does unpatched, and `check_morphism` gives each `morphism` command
+    of the corpus its expected verdict."""
+    loaders = []
+    for path in cli_corpus_files(0, tmp_path):
+        text = path.read_text(encoding="utf-8")
+        if '"filtrations"' in text:
+            loaders.append((serialize.load_filtration, str(path)))
+        elif '"cones"' in text:
+            loaders.append((serialize.load_bundle, str(path)))
+        elif text.startswith("["):
+            loaders.append((serialize.load_matrix, str(path)))
+    morphisms = [op for op in corpus.build("cli", 0).ops if op["argv"][0] == "morphism"]
 
     def no_fraction(*args):
-        raise AssertionError("a Fraction was built while loading filtration data")
+        raise AssertionError("a Fraction was built while loading or deciding a morphism")
 
     monkeypatch.setattr(serialize, "Fraction", no_fraction)
     monkeypatch.setattr(linalg, "Fraction", no_fraction)
-    patched = [outcome(serialize.load_filtration, p) for p in paths]
+    patched = [outcome(load, p) for load, p in loaders]
+    verdicts = [filtrations.check_morphism(
+        serialize.load_matrix(str(tmp_path / phi)), serialize.load_filtration(str(tmp_path / a)),
+        serialize.load_filtration(str(tmp_path / b))) for _, phi, a, b in
+        (op["argv"] for op in morphisms)]
     monkeypatch.undo()
-    assert patched == [outcome(serialize.load_filtration, p) for p in paths]
-    assert sum(not isinstance(x, str) for x in patched) > 10
+    assert patched == [outcome(load, p) for load, p in loaders]
+    assert verdicts == [op["exit"] == 0 for op in morphisms] and set(verdicts) == {True, False}
+    loaded = [load for (load, _), x in zip(loaders, patched) if not isinstance(x, str)]
+    assert loaded.count(serialize.load_filtration) > 10
+    assert loaded.count(serialize.load_bundle) > 3 and loaded.count(serialize.load_matrix) == 2
