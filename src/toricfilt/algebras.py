@@ -4,68 +4,40 @@ The algebra is the polynomial bialgebra on the n^2 matrix entries x'_{ij},
 coordinates taken in the frame of the chosen maximal cone, truncated at a
 total degree bound.  The torus acts by left translation through the cone's
 homomorphism and the group by right translation, so the generator weight is
-determined by the ROW index: weight(x'_{ij}) = -u_i.  Weights extend
-additively to monomials, so a monomial with row degrees d_i (the sums of
-the rows of its exponent matrix) has weight -sum_i d_i u_i; the per-ray
-chains take a monomial at level i when its weight pairs >= i against the
-ray.  Working in the polynomial bialgebra (matrix monoid coordinates)
-avoids localizing at the determinant while still exercising
-multiplicativity, the graded product rule, and commutation of the coaction
-with the grading.  Products that leave the truncation are skipped,
-not errored: the axioms are degree local.
+determined by the ROW index: weight(x'_{ij}) = -u_i.  A monomial with row
+degrees d (the row sums of its exponent matrix) thus has weight
+-sum_i d_i u_i, a function of d alone, and a `TruncatedAlgebra` holds one
+weight per row-degree vector.  The per-ray chains take a monomial at level
+i when its weight pairs >= i against the ray.  Working in the polynomial
+bialgebra (matrix monoid coordinates) avoids localizing at the determinant.
+Products that leave the truncation are skipped, not errored: the axioms are
+degree local.
 
 Everything but the weights is a function of (n, degree) alone, so
-`_shape(n, degree)` computes it once and every truncation of that shape
-shares it: the basis, each monomial's row degrees, the product table and
-the grouping (the row-degree groups, the group of each basis index and the
-group triples below).  The basis is built in one pass.  For each degree d,
-the multisets of d generators from `itertools.combinations_with_replacement`
-come in the reverse of basis order (total degree, then the exponent tuple),
-so each degree block is reversed; the row degrees are counted while each
-exponent vector is built, and `build_truncation` computes a weight once per
-row-degree group.
+`_shape(n, degree)` computes it once, in a small bounded cache: the basis,
+sorted by total degree, then exponent vector, and built in one pass (each
+degree block of `itertools.combinations_with_replacement` comes in the
+reverse of that order); the row-degree vectors, in order of first
+appearance in the basis; the size of each one's group of monomials; and
+the pairs (a, b, a + b) of row-degree vectors with |a| + |b| <= degree.
 
-The checks run over basis indices.  The basis must be sorted by total
-degree: the in-truncation partners of a monomial then form a run of the
-basis, and the walk stops at the first partner whose degree sum passes the
-bound.  The walk runs once per (n, degree), not once per algebra (an
-algebra whose basis is not its shape's, such as a copy made with another
-degree, walks its own), and yields the product table, the triples
-(i, j, k) with basis[i] * basis[j] = basis[k] and i <= j, kept as three
-index columns.
+The pairs decide the checks.  Row degrees add under products, so a product
+f g of monomials with row degrees a and b has row degrees a + b, and its
+weight and class are those of a + b.  Every pair with |a| + |b| <= degree
+is realised inside the truncation, by any monomial of a times any of b.  So
+the pairs are exactly the row-degree triples of the pairwise product table,
+and a weight table passes the pairwise multiplicativity and graded-product
+scans exactly when every pair does: each check tests one pair at a time,
+`class_index` runs once per row-degree vector, and a piece's dimension is
+the sum of the group sizes of its class.  The coaction commutes by type:
+the left legs of Δ(f) are the monomials with f's row degrees, whose class
+is f's.  A witness names the first basis monomial of each failing group,
+the smallest exponent vector with those row degrees: each row's degree on
+the row's last entry.
 
-Group triples.  Write g(i) for the row-degree group of basis index i.  The
-row degrees of a product are the sums of its factors' row degrees,
-rows[k] = rows[i] + rows[j], so g(k) is a function of (g(i), g(j)).  The
-shape keeps the distinct group triples (g(i), g(j), g(k)) of the table:
-19 for the 85 rows of GL(2) at degree 3, 16 for the 100 rows of GL(3) at
-degree 2.  When the weight table is constant
-on every group, the weights and classes of i, j and k are those of their
-groups, so the pair (basis[i], basis[j]) passes exactly when its group
-triple does: multiplicativity and the graded product rule are tested once
-per group triple, `class_index` runs once per group weight, and a piece's
-dimension is the sum of the sizes of the groups of its class (in order of
-first appearance in the basis, since the groups are in that order).  The
-coaction then commutes at once: a class is a function of its weight, so it
-is constant on each group too.  A table from `build_truncation` is constant
-on groups, since its weight -sum_i d_i u_i depends only on the row degrees.
-Whether a table is constant on groups is tested on every call, in one pass
-over the basis, because a table can be edited in place.
-
-Otherwise (a table not constant on groups, or a basis that is not its
-shape's) the multiplicativity and graded-product checks walk the product
-table in order, which is exhaustive and also judges corrupted or edited
-weight tables.  A failing group triple sends the check to the same walk,
-so the witness is the first failing pair either way.  A class is memoized
-by weight, of which it is a function; nothing else derived from the
-weights is kept between calls.  Δ(f) is never
-expanded: its left legs are exactly the monomials with f's row degrees (row
-sums of the exponent matrix), each with a positive count, so the coaction
-commutes with the grading iff the class is constant on every row-degree
-group.  The degree has a budget: C(2n^2+d, d), the number of ordered
-monomial pairs inside the truncation, may not exceed MAX_PRODUCT_PAIRS;
-it is checked before a shape is built, so a cached shape never holds more
-than that many triples.
+The degree has a budget: C(2n^2+d, d), the number of ordered monomial pairs
+inside the truncation, may not exceed MAX_PRODUCT_PAIRS; it is checked
+before a shape is built.
 """
 
 from __future__ import annotations
@@ -74,15 +46,16 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from operator import add, mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bundles import CocharBundleData
 from .errors import InputError, PreconditionError
 from .fans import CharQuotient
-from .linalg import cached_on_instance, record
+from .linalg import record
 
 Mono = Tuple[int, ...]  # exponent vector over the n^2 generators, row major
 Weight = Tuple[int, ...]
+Rows = Tuple[int, ...]  # the row degrees of a monomial
 
 DEFAULT_DEGREE = 3
 MAX_PRODUCT_PAIRS = 100_000
@@ -90,13 +63,10 @@ MAX_PRODUCT_PAIRS = 100_000
 # the degree budget one shape holds under 3 MB
 SHAPE_CACHE_SIZE = 8
 
-Columns = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
-Groups = Tuple[Tuple[int, ...], ...]
-# (members of each row-degree group, group of each basis index, distinct
-# group triples of the product table)
-Grouping = Tuple[Groups, Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]
-# (basis, row degrees of each monomial, product columns, grouping)
-Shape = Tuple[Tuple[Mono, ...], Tuple[Tuple[int, ...], ...], Columns, Grouping]
+# (basis, row-degree vectors, group size of each, pairs (a, b, c) of vector
+# indices with a <= b and rows[a] + rows[b] = rows[c])
+Shape = Tuple[Tuple[Mono, ...], Tuple[Rows, ...], Tuple[int, ...],
+              Tuple[Tuple[int, int, int], ...]]
 
 
 @record
@@ -105,13 +75,17 @@ class TruncatedAlgebra:
     degree: int
     rank: int
     rays: Tuple[Tuple[int, ...], ...]       # primitive generators of the cone's rays
-    basis: Tuple[Mono, ...]
-    weights: Dict[Mono, Weight]
+    weights: Tuple[Weight, ...]             # the weight of each of `rows`
     quotient: CharQuotient
 
-    def level(self, m: Mono, ray: Tuple[int, ...]) -> int:
-        w = self.weights[m]
-        return sum(a * b for a, b in zip(w, ray))
+    @property
+    def basis(self) -> Tuple[Mono, ...]:
+        return _shape(self.n, self.degree)[0]
+
+    @property
+    def rows(self) -> Tuple[Rows, ...]:
+        """The row-degree vectors, in order of first appearance in the basis."""
+        return _shape(self.n, self.degree)[1]
 
 
 def _pairs(n: int, degree: int) -> int:
@@ -119,37 +93,15 @@ def _pairs(n: int, degree: int) -> int:
     return comb(2 * n * n + degree, degree)
 
 
-def _walk(basis: Tuple[Mono, ...], degree: int) -> Columns:
-    """The product table of a degree-sorted basis as index columns I, J, K:
-    basis[I[t]] * basis[J[t]] = basis[K[t]] with I[t] <= J[t], for the pairs
-    whose product stays in the truncation, in basis order.  The walk over j
-    stops at the first pair whose degrees sum past the bound."""
-    index = {m: k for k, m in enumerate(basis)}
-    degrees = [sum(m) for m in basis]
-    I, J, K = [], [], []
-    for i, f in enumerate(basis):
-        room = degree - degrees[i]
-        for j in range(i, len(basis)):
-            if degrees[j] > room:
-                break
-            I.append(i)
-            J.append(j)
-            K.append(index[tuple(map(add, f, basis[j]))])
-    return tuple(I), tuple(J), tuple(K)
-
-
 @lru_cache(maxsize=SHAPE_CACHE_SIZE)
 def _shape(n: int, degree: int) -> Shape:
-    """(basis, row degrees of each monomial, product columns, grouping) of
-    the GL(n) truncation at `degree`.  The grouping holds the row-degree
-    groups as tuples of basis indices, in order of first appearance, the
-    group of each basis index, and the distinct group triples (group of i,
-    group of j, group of k) of the product table, in order of first
-    appearance.  Every value is a tuple, so the truncations that share a
-    shape cannot edit one another's tables."""
+    """(basis, row-degree vectors, group sizes, pairs) of the GL(n)
+    truncation at `degree`.  The vectors come in order of total degree, so
+    the partners b of a vector a form a run that stops at the first b whose
+    degree sum with a passes the bound."""
     row_of = [g // n for g in range(n * n)]
     basis: List[Mono] = []
-    rows: List[Tuple[int, ...]] = []
+    sizes: Dict[Rows, int] = {}
     for d in range(degree + 1):
         # the multisets of degree d come in the reverse of basis order
         block = []
@@ -161,23 +113,17 @@ def _shape(n: int, degree: int) -> Shape:
             block.append((tuple(exps), tuple(r)))
         for m, r in reversed(block):
             basis.append(m)
-            rows.append(r)
-    basis_t = tuple(basis)
-    columns = _walk(basis_t, degree)
-    groups, group_of = _row_groups(rows)
-    of = group_of.__getitem__
-    triples = tuple(dict.fromkeys(zip(*(map(of, c) for c in columns))))
-    return basis_t, tuple(rows), columns, (groups, group_of, triples)
-
-
-def _row_groups(rows: Sequence[Tuple[int, ...]]) -> Tuple[Groups, Tuple[int, ...]]:
-    """The basis indices grouped by row-degree vector, in order of first
-    appearance, and the group of each basis index."""
-    groups: Dict[Tuple[int, ...], List[int]] = {}
-    for k, r in enumerate(rows):
-        groups.setdefault(r, []).append(k)
-    number = {r: x for x, r in enumerate(groups)}
-    return tuple(map(tuple, groups.values())), tuple(map(number.__getitem__, rows))
+            sizes[r] = sizes.get(r, 0) + 1
+    rows = tuple(sizes)
+    index = {r: x for x, r in enumerate(rows)}
+    pairs = []
+    for x, a in enumerate(rows):
+        room = degree - sum(a)
+        for y in range(x, len(rows)):
+            if sum(rows[y]) > room:
+                break
+            pairs.append((x, y, index[tuple(map(add, a, rows[y]))]))
+    return tuple(basis), rows, tuple(sizes.values()), tuple(pairs)
 
 
 def build_truncation(data: CocharBundleData, cone_index: int,
@@ -196,145 +142,61 @@ def build_truncation(data: CocharBundleData, cone_index: int,
     if pairs > MAX_PRODUCT_PAIRS:
         raise InputError(f"truncation degree {degree} is over budget for GL({n}): "
                          f"{pairs} monomial pairs > {MAX_PRODUCT_PAIRS}")
-    basis, rows, _, (groups, group_of, _) = _shape(n, degree)
-    rank = data.fan.rank
     # coordinate j of every row character u_1..u_n
     coords = tuple(zip(*data.chars[cone_index]))
-    by_group = [tuple(-sum(map(mul, rows[group[0]], u)) for u in coords)
-                for group in groups]
     return TruncatedAlgebra(
-        n=n, degree=degree, rank=rank,
+        n=n, degree=degree, rank=data.fan.rank,
         rays=tuple(data.fan.rays[i] for i in data.fan.maximal_cones[cone_index]),
-        basis=basis,
-        weights=dict(zip(basis, map(by_group.__getitem__, group_of))),
+        weights=tuple(tuple(-sum(map(mul, r, u)) for u in coords)
+                      for r in _shape(n, degree)[1]),
         quotient=data.fan.maximal_cone(cone_index).quotient(),
     )
 
 
-def _own_shape(alg: TruncatedAlgebra) -> Optional[Shape]:
-    """The shape of alg's (n, degree) when alg's basis is that shape's basis,
-    else None.  No shape is built for an over-budget degree."""
-    if _pairs(alg.n, alg.degree) <= MAX_PRODUCT_PAIRS:
-        shape = _shape(alg.n, alg.degree)
-        if shape[0] is alg.basis:
-            return shape
-    return None
-
-
-@cached_on_instance
-def _columns(alg: TruncatedAlgebra) -> Columns:
-    """The product table of alg as index columns: its shape's, or a walk of
-    its own basis.  The table depends only on the basis and the degree,
-    never on the weights."""
-    shape = _own_shape(alg)
-    return shape[2] if shape is not None else _walk(alg.basis, alg.degree)
-
-
-@cached_on_instance
-def _class_memo(alg: TruncatedAlgebra) -> Dict[Weight, Tuple[int, ...]]:
-    """Class by weight, shared by the checks of one algebra."""
-    return {}
-
-
-def _basis_weights(alg: TruncatedAlgebra) -> List[Weight]:
-    """The weight of every basis monomial, in basis order."""
-    return list(map(alg.weights.__getitem__, alg.basis))
-
-
-def _classes(alg: TruncatedAlgebra, weights: List[Weight]) -> List[Tuple[int, ...]]:
-    """The class of each weight in `weights`.  The class is a function of
-    the weight, so `class_index` runs once per distinct weight; the memo is
-    kept on the instance, shared by the checks, and stays sound when the
-    weight table is edited."""
-    memo = _class_memo(alg)
-    for w in set(weights).difference(memo):
-        memo[w] = alg.quotient.class_index(w)
-    return list(map(memo.__getitem__, weights))
-
-
-def _grouped(alg: TruncatedAlgebra) -> Optional[Tuple[Grouping, List[Weight]]]:
-    """alg's grouping and the weight of each row-degree group, when alg's
-    basis is its shape's and the weight table is constant on every group;
-    else None.  One pass over the basis, on every call, since a table can
-    be edited in place."""
-    shape = _own_shape(alg)
-    if shape is None:
-        return None
-    grouping = shape[3]
-    weights = _basis_weights(alg)
-    by_group = [weights[group[0]] for group in grouping[0]]
-    if list(map(by_group.__getitem__, grouping[1])) != weights:
-        return None
-    return grouping, by_group
+def _first_monomials(alg: TruncatedAlgebra, a: int, b: int) -> dict:
+    """The witness {"f", "g"} naming the first basis monomial with row
+    degrees rows[a] and the first with rows[b]."""
+    n = alg.n
+    first = [[d if j == n - 1 else 0 for d in alg.rows[x] for j in range(n)] for x in (a, b)]
+    return {"f": first[0], "g": first[1]}
 
 
 def check_multiplicative(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
     """Chain multiplicativity: products of chain members at levels i and j
-    must land at level i+j.  Verified exhaustively over basis pairs with
-    in-truncation products, one test per group triple on a table constant
-    on row-degree groups, else by walking the product table; weight
-    additivity makes this an identity for an uncorrupted weight table."""
-    grouped = _grouped(alg)
+    must land at level i+j.  Tested once per row-degree pair, which decides
+    every basis pair with an in-truncation product; weight additivity makes
+    this an identity for a table from `build_truncation`."""
+    pairs = _shape(alg.n, alg.degree)[3]
     for ray in alg.rays:
-        if grouped is not None:
-            (_, _, triples), weights = grouped
-            lv = [sum(map(mul, w, ray)) for w in weights]
-            if all(lv[c] >= lv[a] + lv[b] for a, b, c in triples):
-                continue
-        lv = [alg.level(m, ray) for m in alg.basis]
-        for i, j, k in zip(*_columns(alg)):
-            if lv[k] < lv[i] + lv[j]:
-                return False, {"ray": list(ray), "f": list(alg.basis[i]),
-                               "g": list(alg.basis[j])}
+        lv = [sum(map(mul, w, ray)) for w in alg.weights]
+        for a, b, c in pairs:
+            if lv[c] < lv[a] + lv[b]:
+                return False, {"ray": list(ray), **_first_monomials(alg, a, b)}
     return True, None
 
 
 def check_compatible_algebra(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict], Dict[Tuple[int, ...], int]]:
     """Graded pieces indexed by character classes of the cone: the product of
     a piece of class [u] and a piece of class [v] must land in class [u]+[v],
-    one test per group triple on a table constant on row-degree groups, else
-    by walking the product table.  Returns (ok, witness, piece dimensions
+    tested once per row-degree pair.  Returns (ok, witness, piece dimensions
     by class, in order of first appearance in the basis)."""
+    _, _, sizes, pairs = _shape(alg.n, alg.degree)
+    classes = list(map(alg.quotient.class_index, alg.weights))
     dims: Dict[Tuple[int, ...], int] = {}
-    grouped = _grouped(alg)
-    if grouped is not None:
-        (groups, _, triples), weights = grouped
-        classes = _classes(alg, weights)
-        for c, group in zip(classes, groups):
-            dims[c] = dims.get(c, 0) + len(group)
-        if all(classes[c] == tuple(map(add, classes[a], classes[b])) for a, b, c in triples):
-            return True, None, dims
-    cls = _classes(alg, _basis_weights(alg))
-    if grouped is None:
-        for c in cls:
-            dims[c] = dims.get(c, 0) + 1
-    for i, j, k in zip(*_columns(alg)):
-        if cls[k] != tuple(map(add, cls[i], cls[j])):
-            return False, {"f": list(alg.basis[i]), "g": list(alg.basis[j])}, dims
+    for c, size in zip(classes, sizes):
+        dims[c] = dims.get(c, 0) + size
+    for a, b, c in pairs:
+        if classes[c] != tuple(map(add, classes[a], classes[b])):
+            return False, _first_monomials(alg, a, b), dims
     return True, None, dims
 
 
 def check_coaction_commutes(alg: TruncatedAlgebra) -> Tuple[bool, Optional[dict]]:
     """Truncated commutation of the group coaction with the torus grading:
     every left tensor leg of Δ(f) for a weight-χ monomial f must again have
-    class [χ], i.e. the class is constant on each row-degree group, which
-    holds at once when the weight is.  The witness is the first monomial of
-    the earliest non-constant group and the first member of that group whose
-    class differs.  Holds identically for the row convention; the column
-    convention breaks it whenever two row characters differ."""
-    if _grouped(alg) is not None:
-        return True, None
-    shape = _own_shape(alg)
-    if shape is not None:
-        groups = shape[3][0]
-    else:
-        n = alg.n
-        groups = _row_groups([tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
-                              for m in alg.basis])[0]
-    cls = _classes(alg, _basis_weights(alg))
-    for first, *rest in groups:
-        for k in rest:
-            if cls[k] != cls[first]:
-                return False, {"monomial": list(alg.basis[first]),
-                               "left_leg": list(alg.basis[k])}
+    class [χ].  The left legs are the monomials with f's row degrees, and a
+    `TruncatedAlgebra` holds one weight per row-degree vector, so this holds
+    by type and the result is always (True, None).  The column convention,
+    weight(x'_{ij}) = -u_j, would break it whenever two row characters
+    differ; it is not a table a `TruncatedAlgebra` can hold."""
     return True, None

@@ -56,8 +56,8 @@ so a string, like a float or a boolean, raises TypeError here.
 `annihilator`, a matrix's determinant and the lines of its columns
 (`column_lines`, not eliminated) here, and a cone's character quotient and
 integer solver, whether a quotient is the identity, a chain's issues and
-its sweep rows, the gluing report, the ray chains of bundle data and the
-algebra tables elsewhere, in the instance dict of a frozen record.
+its sweep rows, the gluing report and the ray chains of bundle data
+elsewhere, in the instance dict of a frozen record.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`

@@ -62,11 +62,14 @@
   construction, only the input checks, the integral-character solver and
   the reference certificate re-verification.
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
-  over all basis pairs and expanded coproducts that the product walk, the
-  group triples and the row-degree grouping in `toricfilt.algebras` must
-  agree with; `products` lists the walk's product table as index triples,
-  and `multiply`, `generator` and `chain_members` are the products, matrix
-  entries and ray chains of a truncation, monomial by monomial.
+  over all basis pairs and expanded coproducts of a per-monomial weight
+  table, which the row-degree pairs of `toricfilt.algebras` must agree
+  with; `weight_table` expands a truncation's weights to one per monomial,
+  from row degrees summed here, and the scans take any other table, such
+  as the column convention's.  `products` is the product table of the basis
+  as index triples, and `multiply`, `generator`, `level` and
+  `chain_members` are the products, matrix entries, ray levels and ray
+  chains of a truncation, monomial by monomial.
 - `reference_class_index` and `reference_canonical_representative`: the
   class and representative of a character read entry by entry from the
   rows of `v` and `v_inv`, which `toricfilt.fans.CharQuotient` must agree
@@ -107,7 +110,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from toricfilt.algebras import Mono, TruncatedAlgebra, _columns
+from toricfilt.algebras import Mono, TruncatedAlgebra, Weight
 from toricfilt.bundles import CocharBundleData, GluingReport, GroupSpec
 from toricfilt.compatibility import (
     ConeDecomposition,
@@ -697,9 +700,26 @@ def generator(alg: TruncatedAlgebra, i: int, j: int) -> Mono:
     return tuple(e)
 
 
+def row_degrees(m: Mono, n: int) -> Tuple[int, ...]:
+    """The row sums of m's exponent matrix."""
+    return tuple(sum(m[i * n:(i + 1) * n]) for i in range(n))
+
+
+def weight_table(alg: TruncatedAlgebra) -> Dict[Mono, Weight]:
+    """alg's weights expanded to one per basis monomial, in basis order."""
+    by_rows = dict(zip(alg.rows, alg.weights))
+    return {m: by_rows[row_degrees(m, alg.n)] for m in alg.basis}
+
+
+def level(table: Dict[Mono, Weight], m: Mono, ray: Sequence[int]) -> int:
+    """The level of m on the ray: its weight paired with the ray."""
+    return sum(a * b for a, b in zip(table[m], ray))
+
+
 def chain_members(alg: TruncatedAlgebra, ray: Tuple[int, ...], i: int) -> List[Mono]:
     """The basis monomials at level i or above on the ray, in basis order."""
-    return [m for m in alg.basis if alg.level(m, ray) >= i]
+    table = weight_table(alg)
+    return [m for m in alg.basis if level(table, m, ray) >= i]
 
 
 def coproduct(alg: TruncatedAlgebra, m: Mono) -> Dict[Tuple[Mono, Mono], int]:
@@ -724,24 +744,38 @@ def coproduct(alg: TruncatedAlgebra, m: Mono) -> Dict[Tuple[Mono, Mono], int]:
 
 
 def products(alg: TruncatedAlgebra) -> List[Tuple[int, int, int]]:
-    """The product table of alg as a list of index triples (i, j, k), with
-    basis[i] * basis[j] = basis[k], in walk order."""
-    return list(zip(*_columns(alg)))
+    """The product table of alg's basis: the index triples (i, j, k) with
+    i <= j and basis[i] * basis[j] = basis[k] inside the truncation, in
+    basis order, from a scan of every pair."""
+    index = {m: k for k, m in enumerate(alg.basis)}
+    table = []
+    for (i, f), (j, g) in itertools.combinations_with_replacement(enumerate(alg.basis), 2):
+        prod = multiply(alg, f, g)
+        if prod is not None:
+            table.append((i, j, index[prod]))
+    return table
 
 
-def reference_multiplicative(alg: TruncatedAlgebra):
+def reference_multiplicative(alg: TruncatedAlgebra,
+                             table: Optional[Dict[Mono, Weight]] = None):
+    """Chain multiplicativity of `table` (alg's own by default), pair by pair."""
+    table = weight_table(alg) if table is None else table
     for ray in alg.rays:
         for f, g in itertools.combinations_with_replacement(alg.basis, 2):
             prod = multiply(alg, f, g)
             if prod is None:
                 continue
-            if alg.level(prod, ray) < alg.level(f, ray) + alg.level(g, ray):
+            if level(table, prod, ray) < level(table, f, ray) + level(table, g, ray):
                 return False, {"ray": list(ray), "f": list(f), "g": list(g)}
     return True, None
 
 
-def reference_compatible_algebra(alg: TruncatedAlgebra):
-    cls = {m: reference_class_index(alg.quotient, alg.weights[m]) for m in alg.basis}
+def reference_compatible_algebra(alg: TruncatedAlgebra,
+                                 table: Optional[Dict[Mono, Weight]] = None):
+    """Graded products of `table` (alg's own by default), pair by pair, and
+    the piece dimensions counted monomial by monomial."""
+    table = weight_table(alg) if table is None else table
+    cls = {m: reference_class_index(alg.quotient, table[m]) for m in alg.basis}
     dims: Dict[Tuple[int, ...], int] = {}
     for m in alg.basis:
         dims[cls[m]] = dims.get(cls[m], 0) + 1
@@ -755,13 +789,17 @@ def reference_compatible_algebra(alg: TruncatedAlgebra):
     return True, None, dims
 
 
-def reference_coaction_commutes(alg: TruncatedAlgebra):
+def reference_coaction_commutes(alg: TruncatedAlgebra,
+                                table: Optional[Dict[Mono, Weight]] = None):
+    """Every left leg of every expanded coproduct against the class of its
+    monomial in `table` (alg's own by default)."""
+    table = weight_table(alg) if table is None else table
     for f in alg.basis:
-        f_cls = reference_class_index(alg.quotient, alg.weights[f])
+        f_cls = reference_class_index(alg.quotient, table[f])
         for (left, _right), coeff in coproduct(alg, f).items():
             if coeff == 0:
                 continue
-            if reference_class_index(alg.quotient, alg.weights[left]) != f_cls:
+            if reference_class_index(alg.quotient, table[left]) != f_cls:
                 return False, {"monomial": list(f), "left_leg": list(left)}
     return True, None
 

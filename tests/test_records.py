@@ -17,7 +17,7 @@ import pytest
 from builders import random_split_bundle, replace, square_cone_fan
 import toricfilt
 from oracle import dataclass_twin
-from toricfilt.algebras import TruncatedAlgebra, _columns, build_truncation
+from toricfilt.algebras import build_truncation
 from toricfilt.bundles import CocharBundleData, GroupSpec, check_gluing, validate_bundle
 from toricfilt.compatibility import global_compatibility
 from toricfilt.errors import PreconditionError
@@ -149,10 +149,16 @@ def test_records_match_dataclass_twins():
         annihilator(s)
     for b in found[CocharBundleData]:
         check_gluing(b)
-    for a in found[TruncatedAlgebra]:
-        _columns(a)
     assert all(len(vars(s)) > len(s._fields) for s in found[Subspace])
     _assert_agrees([x for cls in classes for x in found[cls]], twins)
+
+
+def test_truncation_hashes_and_equal_builds_are_equal():
+    """A truncated algebra holds only tuples: it hashes, and two builds from
+    equal bundle data are equal."""
+    a, b = (build_truncation(random_bundle(random.Random(3), p2_fan(), 2), 1, 3)
+            for _ in range(2))
+    assert a == b and a is not b and hash(a) == hash(b)
 
 
 def test_post_init_errors_match_dataclass_twins():
