@@ -257,6 +257,44 @@ def first_of_group(alg, m):
 
 
 def test_checks_match_reference_scans():
+    """Built GL(1)-GL(4) truncations on P^1 and P^2, at every cone: the
+    library's three results equal the reference scans' on the expanded
+    per-monomial table, and the left legs of every coproduct are exactly its
+    row-degree group, which makes the coaction check hold by type.  Then the
+    last row-degree group moves off its weight by the cone's first ray: both
+    product checks fail, as the reference scans do, and each witness product
+    lies in that group, the only one whose weight changed."""
+    rng = random.Random(303)
+    for fan, n, degree in CASES:
+        for k in range(len(fan.maximal_cones)):
+            alg = build_truncation(random_bundle(rng, fan, n), k, degree)
+            assert check_multiplicative(alg) == reference_multiplicative(alg) == (True, None)
+            compatible = check_compatible_algebra(alg)
+            assert compatible == reference_compatible_algebra(alg)
+            assert compatible[0]
+            assert check_coaction_commutes(alg) == reference_coaction_commutes(alg) == (True, None)
+            for f in alg.basis:
+                group = {m for m in alg.basis if row_degrees(m, n) == row_degrees(f, n)}
+                assert {left for left, _ in coproduct(alg, f)} == group
+
+            last = alg.rows[-1]
+            weights = list(alg.weights)
+            weights[-1] = tuple(w - r for w, r in zip(weights[-1], alg.rays[0]))
+            moved = replace(alg, weights=tuple(weights))
+            ok, witness = check_multiplicative(moved)
+            assert not ok and not reference_multiplicative(moved)[0]
+            prod = multiply(moved, tuple(witness["f"]), tuple(witness["g"]))
+            assert row_degrees(prod, n) == last
+            ok, witness, dims = check_compatible_algebra(moved)
+            ref_ok, _, ref_dims = reference_compatible_algebra(moved)
+            assert not ok and not ref_ok
+            assert list(dims.items()) == list(ref_dims.items())
+            prod = multiply(moved, tuple(witness["f"]), tuple(witness["g"]))
+            assert row_degrees(prod, n) == last
+            assert check_coaction_commutes(moved) == reference_coaction_commutes(moved)
+
+
+def test_group_triples_match_reference_scans():
     """Seeded GL(1)-GL(4) truncations on P^1 and P^2; in every other case
     one or two whole row-degree groups move to new weights, so weights are
     no longer additive.  On the expanded per-monomial table the verdicts and
@@ -270,12 +308,6 @@ def test_checks_match_reference_scans():
         fan, n, degree = CASES[trial % len(CASES)]
         alg = build_truncation(random_bundle(rng, fan, n), rng.randrange(len(fan.maximal_cones)),
                                degree)
-        if trial < len(CASES):
-            # the left legs of a coproduct are exactly the row-degree group,
-            # which makes the coaction check hold by type
-            for f in alg.basis:
-                group = {m for m in alg.basis if row_degrees(m, n) == row_degrees(f, n)}
-                assert {left for left, _ in coproduct(alg, f)} == group
         if trial % 2:
             weights = list(alg.weights)
             for x in rng.sample(range(len(weights)), min(len(weights), rng.randint(1, 2))):
