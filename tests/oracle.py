@@ -63,13 +63,15 @@
   the reference certificate re-verification.
 - `coproduct` and the three `reference_*` algebra checks: the quadratic scans
   over all basis pairs and expanded coproducts of a per-monomial weight
-  table, which the row-degree pairs of `toricfilt.algebras` must agree
-  with; `weight_table` expands a truncation's weights to one per monomial,
-  from row degrees summed here, and the scans take any other table, such
-  as the column convention's.  `products` is the product table of the basis
-  as index triples, and `multiply`, `generator`, `level` and
-  `chain_members` are the products, matrix entries, ray levels and ray
-  chains of a truncation, monomial by monomial.
+  table, which the constant checks and the piece dimensions of
+  `toricfilt.algebras` must agree with; `weight_table` grades a
+  truncation monomial by monomial from its row characters, and the scans
+  take any other table, such as the column convention's or one with a
+  weight moved, which a `TruncatedAlgebra` cannot hold.  `products` is the
+  product table of the basis as index triples, and `multiply`, `generator`,
+  `level`, `row_degrees` and `chain_members` are the products, matrix
+  entries, ray levels, row degrees and ray chains of a truncation,
+  monomial by monomial.
 - `reference_class_index` and `reference_canonical_representative`: the
   class and representative of a character read entry by entry from the
   rows of `v` and `v_inv`, which `toricfilt.fans.CharQuotient` must agree
@@ -92,6 +94,12 @@
   whose witness `toricfilt.bundles.RayConsistencyError` must carry; the
   package builds one chain per ray and tests every later cone's frame
   lines against it with `reconstruction_failure`.
+- `bundle_tensor`, `bundle_dual` and `bundle_sum`: E ⊗ F, E* and E ⊕ F of
+  bundle data, frame by frame and character by character (Kronecker,
+  inverse-transpose and block-diagonal frames).  Klyachko's functor
+  respects the three operations, so `associated_klyachko` of each must
+  equal `tensor`, `dual` and `direct_sum` of the associated data: a route
+  to the calculus of `toricfilt.filtrations` that shares no code with it.
 - `reference_parse_rational` and the three `reference_*_from_obj`
   loaders: rational literals parsed by `Fraction(str)` after an
   ASCII-digit pattern, and files read through it, `QMatrix.from_rows` and
@@ -706,9 +714,17 @@ def row_degrees(m: Mono, n: int) -> Tuple[int, ...]:
 
 
 def weight_table(alg: TruncatedAlgebra) -> Dict[Mono, Weight]:
-    """alg's weights expanded to one per basis monomial, in basis order."""
-    by_rows = dict(zip(alg.rows, alg.weights))
-    return {m: by_rows[row_degrees(m, alg.n)] for m in alg.basis}
+    """alg's grading, one weight per basis monomial in basis order: the sum
+    of -u_i over the monomial's generators x'_{ij}, generator by generator
+    from alg's row characters."""
+    table = {}
+    for m in alg.basis:
+        w = [0] * alg.rank
+        for g, e in enumerate(m):
+            for t in range(alg.rank):
+                w[t] -= e * alg.chars[g // alg.n][t]
+        table[m] = tuple(w)
+    return table
 
 
 def level(table: Dict[Mono, Weight], m: Mono, ray: Sequence[int]) -> int:
@@ -972,6 +988,47 @@ def transition_at(data: CocharBundleData, s: int, t: int,
     g_s, g_t = data.frames[s], data.frames[t]
     return reference_product(g_s, character(s, 1), reference_inverse(g_s),
                              g_t, character(t, -1), reference_inverse(g_t))
+
+
+# ---------------------------------------------------------------------------
+# bundle operations
+
+
+def _gl_bundle(like: CocharBundleData, n: int, frames: Sequence[QMatrix],
+               chars: Sequence[Sequence[Sequence[int]]]) -> CocharBundleData:
+    return CocharBundleData.make(GroupSpec("GL", n), like.fan, frames, chars)
+
+
+def bundle_tensor(e: CocharBundleData, f: CocharBundleData) -> CocharBundleData:
+    """E ⊗ F cone by cone: the Kronecker product of the frames, whose column
+    k*m + l is column k of E's frame times column l of F's, with the
+    character u_k + v_l."""
+    frames = [QMatrix.from_rows([[x * y for x in ra for y in rb]
+                                 for ra in a.entries for rb in b.entries])
+              for a, b in zip(e.frames, f.frames)]
+    chars = [[tuple(x + y for x, y in zip(u, v)) for u in cu for v in cv]
+             for cu, cv in zip(e.chars, f.chars)]
+    return _gl_bundle(e, e.group.n * f.group.n, frames, chars)
+
+
+def bundle_dual(e: CocharBundleData) -> CocharBundleData:
+    """E* cone by cone: the inverse transpose of each frame, whose columns
+    are the dual basis of the frame's, with the characters -u_k."""
+    frames = [QMatrix.from_rows(zip(*reference_inverse(g).entries), g.nrows)
+              for g in e.frames]
+    chars = [[tuple(-x for x in u) for u in cu] for cu in e.chars]
+    return _gl_bundle(e, e.group.n, frames, chars)
+
+
+def bundle_sum(e: CocharBundleData, f: CocharBundleData) -> CocharBundleData:
+    """E ⊕ F cone by cone: block-diagonal frames, E's block first, with the
+    characters concatenated."""
+    n, m = e.group.n, f.group.n
+    frames = [QMatrix.from_rows([list(r) + [0] * m for r in a.entries]
+                                + [[0] * n + list(r) for r in b.entries])
+              for a, b in zip(e.frames, f.frames)]
+    chars = [list(cu) + list(cv) for cu, cv in zip(e.chars, f.chars)]
+    return _gl_bundle(e, n + m, frames, chars)
 
 
 # ---------------------------------------------------------------------------

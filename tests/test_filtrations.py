@@ -6,9 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builders import identity, random_split_bundle, square_cone_fan
-from oracle import change_basis, first_chain_difference, reference_inverse, reference_tensor
+from oracle import (
+    bundle_dual,
+    bundle_sum,
+    bundle_tensor,
+    change_basis,
+    first_chain_difference,
+    reference_inverse,
+    reference_tensor,
+)
 from toricfilt import filtrations, linalg
-from toricfilt.bundles import associated_klyachko
+from toricfilt.bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
 from toricfilt.compatibility import cone_compatibility
 from toricfilt.errors import InputError
 from toricfilt.fans import Fan
@@ -521,3 +529,39 @@ def test_tensor_commutes_for_lines(jumps, other):
     fan = p1_fan()
     a, b = line_data(fan, jumps), line_data(fan, other)
     assert tensor(a, b) == tensor(b, a)
+
+
+def tangent_bundle(fan):
+    """The tangent bundle of a smooth fan: each cone's frame columns are its
+    rays, and the characters are the dual basis, level 1 on the column's
+    own ray and 0 on the cone's other rays."""
+    frames, chars = [], []
+    for cone in fan.maximal_cones:
+        frame = QMatrix.from_rows(zip(*(fan.rays[i] for i in cone)), len(cone))
+        frames.append(frame)
+        chars.append([tuple(map(int, row)) for row in reference_inverse(frame).entries])
+    return CocharBundleData.make(GroupSpec("GL", fan.rank), fan, frames, chars)
+
+
+def test_klyachko_functor_commutes_with_the_calculus(p1, p2):
+    """Klyachko's functor respects ⊗, duals and ⊕: on seeded glued bundles
+    (random GL(1) and GL(2) data on P^1, split GL(1) and GL(2) data and the
+    tangent bundle on P^2 and the 4-cone P^3 fan), the associated data of
+    E ⊗ F, E* and E ⊕ F, built frame by frame in the oracle, equal `tensor`,
+    `dual` and `direct_sum` of the associated data, and the three bundles
+    glue."""
+    rng = random.Random(5)
+    for fan in (p1, p2, P3):
+        glued = [tangent_bundle(fan)] if fan is not p1 else []
+        for i in range(12):
+            sample = random_bundle if fan is p1 else random_split_bundle
+            glued.append(sample(rng, fan, 1 + i % 2))
+        for _ in range(30):
+            e, f = rng.choice(glued), rng.choice(glued)
+            ke, kf = associated_klyachko(e), associated_klyachko(f)
+            for bundle, expected in ((bundle_tensor(e, f), tensor(ke, kf)),
+                                     (bundle_dual(e), dual(ke)),
+                                     (bundle_sum(e, f), direct_sum(ke, kf))):
+                assert check_gluing(bundle).glues
+                assert associated_klyachko(bundle) == expected
+
