@@ -12,6 +12,9 @@ so `check_gluing` is decided by ray consistency alone, on any fan where
 the extreme rays of each overlap are exactly the rays both cones list
 (every valid fan does; any other raises PreconditionError), and a failure
 is named by the ray-consistency witness; `check_gluing` gives the proof.
+That precondition and the top dimension of the maximal cones are facts
+about the fan alone, so they are decided once per fan value, in a bounded
+cache (`_gluing_refusals`), and bundle data on an equal fan ask no overlap.
 Ray consistency is the reconstruction test: each ray's chain is built
 once, from the first cone that lists it, and every other cone on the ray
 passes when its frame columns, at their levels, rebuild that chain
@@ -25,18 +28,23 @@ integer columns feed both the chain that `linalg.column_chain` spans by
 level and the column lines of `linalg.column_lines`, which need no
 elimination; the lines are the pieces of the consistency test, and they
 and the determinant are cached on the frame.
-`check_gluing` and the ray chains (the associated data, or the
-`RayConsistencyError` witness) are cached on the data by
+The level ⟨u_c, ρ⟩ of each frame column c on each ray ρ its cone lists is
+paired once per bundle, in the level table (`_level_table`) that the
+chains, the consistency test and the torus universe of `reduction` read.
+The level table, `check_gluing` and the ray chains (the associated data, or
+the `RayConsistencyError` witness) are cached on the data by
 `linalg.cached_on_instance`, so `reduce` after `glue` builds nothing again.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .fans import Fan, cone_intersection
+from .fans import CONE_CACHE_SIZE, Fan, cone_intersection
 from .filtrations import FiltrationData, RayFiltration
 from .linalg import QMatrix, cached_on_instance, column_chain, column_lines, record
 
@@ -136,8 +144,9 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     standing assumption of the per-cone trivialization picture, raises
     ValueError("matrix is singular") for a frame of determinant 0, and
     raises PreconditionError when the extreme rays of an overlap are not
-    exactly the rays both cones list (checked on the cached
-    `cone_intersection` of each pair; every valid fan meets it).
+    exactly the rays both cones list (every valid fan meets it).  Both fan
+    refusals are decided once per fan value (`_gluing_refusals`) and raised
+    in that order around the determinant check.
 
     Ray consistency decides.  T_ab = g_a (D_a M D_b^-1) g_b^-1 with the
     frame change M = g_a^-1 g_b, and the constant outer frames do not affect
@@ -162,22 +171,37 @@ def check_gluing(data: CocharBundleData) -> GluingReport:
     disagreement, and the witness of a failure is that of
     `RayConsistencyError`: the two cones, the ray and the first index at
     which their chains differ."""
-    fan = data.fan
-    cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
-    for k, cone in enumerate(cones):
-        if cone.dim != fan.rank:
-            raise PreconditionError(
-                f"maximal cone {k} is not top-dimensional; gluing undefined"
-            )
+    not_top, overlap = _gluing_refusals(data.fan)
+    if not_top:
+        raise PreconditionError(not_top)
     chains = _ray_chains(data)  # raises for a singular frame
-    for s, t in itertools.combinations(range(len(cones)), 2):
-        shared = set(fan.maximal_cones[s]) & set(fan.maximal_cones[t])
-        if set(cone_intersection(cones[s], cones[t]).generators) != {fan.rays[i] for i in shared}:
-            raise PreconditionError(f"the extreme rays of the overlap of maximal cones {s} "
-                                    f"and {t} are not the rays both list; gluing undefined")
+    if overlap:
+        raise PreconditionError(overlap)
     if isinstance(chains, tuple):
         return GluingReport(False, RayConsistencyError(*chains).witness)
     return GluingReport(True)
+
+
+@lru_cache(maxsize=CONE_CACHE_SIZE)
+def _gluing_refusals(fan: Fan) -> Tuple[Optional[str], Optional[str]]:
+    """The two refusals of `check_gluing` that depend on the fan alone, as
+    (top-dimensional refusal, overlap refusal), each None when its check
+    passes: every maximal cone is top-dimensional, and the extreme rays of
+    the `cone_intersection` of each pair of maximal cones are exactly the
+    rays both list.  A fan with a cone of lower dimension is refused
+    before its overlaps matter, so they are not asked for.  The checks are
+    decided once per fan value, in a cache bounded like the cone caches;
+    bundle data on an equal fan ask no cone again."""
+    cones = [fan.maximal_cone(k) for k in range(len(fan.maximal_cones))]
+    for k, cone in enumerate(cones):
+        if cone.dim != fan.rank:
+            return f"maximal cone {k} is not top-dimensional; gluing undefined", None
+    for s, t in itertools.combinations(range(len(cones)), 2):
+        shared = set(fan.maximal_cones[s]) & set(fan.maximal_cones[t])
+        if set(cone_intersection(cones[s], cones[t]).generators) != {fan.rays[i] for i in shared}:
+            return None, (f"the extreme rays of the overlap of maximal cones {s} "
+                          f"and {t} are not the rays both list; gluing undefined")
+    return None, None
 
 
 class RayConsistencyError(ValueError):
@@ -191,22 +215,27 @@ class RayConsistencyError(ValueError):
         self.witness = {"cones": [cone_a, cone_b], "ray": ray, "index": index}
 
 
-def _levels(data: CocharBundleData, k: int, ray_idx: int) -> List[int]:
-    """The level ⟨u_c, ρ⟩ of each frame column c of cone k on the ray ρ."""
-    ray = data.fan.rays[ray_idx]
-    return [sum(c * g for c, g in zip(u, ray)) for u in data.chars[k]]
+@cached_on_instance
+def _level_table(data: CocharBundleData) -> Tuple[Dict[int, Tuple[int, ...]], ...]:
+    """The column levels, per maximal cone k a dict from each ray ρ that
+    the cone lists, in listed order, to the level ⟨u_c, ρ⟩ of each frame
+    column c of cone k: every pairing of a character with a ray that
+    gluing, the chains and the torus universe read, computed once."""
+    rays = data.fan.rays
+    return tuple({i: tuple(sum(map(mul, u, rays[i])) for u in cone_chars) for i in idx}
+                 for idx, cone_chars in zip(data.fan.maximal_cones, data.chars))
 
 
 def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltration:
     """The chain that cone k induces on the ray: frame column c at its level
-    (`_levels`), spanned in one incremental reduction
+    (`_level_table`), spanned in one incremental reduction
     (`linalg.column_chain`).  The frame is invertible (`_ray_chains` checks
     first), so its columns are independent and each level, which has at
     least one column, adds rank: reversed into increasing index order, the
     values are nonzero and strictly decrease, and the chain is stored as
     built (`RayFiltration._canonical`)."""
     return RayFiltration._canonical(
-        data.group.n, column_chain(data.frames[k], _levels(data, k, ray_idx))[::-1])
+        data.group.n, column_chain(data.frames[k], _level_table(data)[k][ray_idx])[::-1])
 
 
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:
@@ -258,14 +287,13 @@ def _ray_chains(data: CocharBundleData) -> Union[FiltrationData, bool, Tuple[int
         raise ValueError("matrix is singular")
     fan = data.fan
     chains: Dict[int, Tuple[int, RayFiltration]] = {}
-    for k, idx in enumerate(fan.maximal_cones):
-        for ray_idx in idx:
+    for k, cone_levels in enumerate(_level_table(data)):
+        for ray_idx, levels in cone_levels.items():
             if ray_idx not in chains:
                 chains[ray_idx] = (k, _chain_from_cone(data, k, ray_idx))
                 continue
             first_cone, existing = chains[ray_idx]
-            bad = existing.reconstruction_failure(column_lines(data.frames[k]),
-                                                  _levels(data, k, ray_idx))
+            bad = existing.reconstruction_failure(column_lines(data.frames[k]), levels)
             if bad is not None:
                 return first_cone, k, ray_idx, bad
     if len(chains) < len(fan.rays):

@@ -25,21 +25,35 @@ dimensions add up to n, they span the fiber (so they are a direct sum), and
 `RayFiltration.reconstruction_failure` finds no failure on any chain, the
 test of the certificate verifier (`compatibility._rebuild_failure`); the
 rows of the pieces are then the splitting lines.
+
+R is a join over the maximal cones, read off the level table of
+`bundles`, in which each column level is paired once per bundle.  A
+partial is a tuple over all rays, with None on the rays no cone has set
+yet; each cone extends every partial by those of its distinct level
+tuples that agree with it on the rays it has set.  The join has a budget:
+a partial universe of more than MAX_UNIVERSE tuples, after any cone, is
+refused with InputError, since R can grow as the product of the rays'
+level counts (3^k on a k-ray surface carrying a split GL(9) bundle).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
+from .bundles import (CocharBundleData, GroupSpec, _level_table, associated_klyachko,
+                      check_gluing)
 from .compatibility import _rebuild_failure, graded_pieces
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .linalg import QMatrix, record
 
 SL_REDUCES = "REDUCES"
 SL_NO = "NO-IN-PRESENTATION"
 TORUS_REDUCES = "REDUCES"
 TORUS_NONE = "NONE-FOUND"
+# budget on |R|, checked on the partial universe after each cone: 3^8, a
+# split GL(9) bundle on an 8-ray surface; the tests and the benchmark
+# corpora reach 16
+MAX_UNIVERSE = 6561
 
 
 @record
@@ -84,22 +98,32 @@ class TorusReductionResult:
     universe_size: int = 0  # |R|, the realized all-ray level tuples
 
 
-def _realized_tuples(data: CocharBundleData) -> List[Tuple[int, ...]]:
-    """The universe R: all-ray level tuples whose restriction to every
-    maximal cone is the level tuple of one of that cone's characters."""
-    fan = data.fan
-    partial = [{}]
-    for idx, cone_chars in zip(fan.maximal_cones, data.chars):
-        options = sorted({
-            tuple(sum(c * g for c, g in zip(u, fan.rays[i])) for i in idx)
-            for u in cone_chars
-        })
-        partial = [
-            {**p, **dict(zip(idx, levels))}
-            for p in partial for levels in options
-            if all(p.get(i, lv) == lv for i, lv in zip(idx, levels))
-        ]
-    return sorted(tuple(p[i] for i in range(len(fan.rays))) for p in partial)
+def _realized_tuples(data: CocharBundleData) -> List[Tuple[Optional[int], ...]]:
+    """The universe R, sorted: all-ray level tuples whose restriction to
+    every maximal cone is the level tuple of one of that cone's characters,
+    joined cone by cone (module docstring).  A cone's level tuples are the
+    columns of its rows in `bundles._level_table`; a cone that lists no ray
+    has the empty one, and a ray that no cone lists keeps None.  Raises
+    InputError when the partial universe after a cone, the last one's being
+    R, has more than MAX_UNIVERSE tuples."""
+    partial = [(None,) * len(data.fan.rays)]
+    for cone_levels in _level_table(data):
+        grown = []
+        for option in set(zip(*cone_levels.values())) or {()}:
+            for p in partial:
+                t = list(p)
+                for i, lv in zip(cone_levels, option):
+                    if t[i] is None:
+                        t[i] = lv
+                    elif t[i] != lv:
+                        break
+                else:
+                    grown.append(tuple(t))
+        if len(grown) > MAX_UNIVERSE:
+            raise InputError(f"torus universe is over budget: {len(grown)} "
+                             f"level tuples > {MAX_UNIVERSE}")
+        partial = grown
+    return sorted(partial)
 
 
 def check_torus_reduction(data: CocharBundleData) -> TorusReductionResult:

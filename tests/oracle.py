@@ -94,6 +94,10 @@
   whose witness `toricfilt.bundles.RayConsistencyError` must carry; the
   package builds one chain per ray and tests every later cone's frame
   lines against it with `reconstruction_failure`.
+- `reference_universe`: the torus universe R as the product of each
+  ray's candidate levels filtered by each cone's level tuples, which
+  `toricfilt.reduction._realized_tuples` must return, in the same order;
+  the package joins the cones' tuples one cone at a time.
 - `bundle_tensor`, `bundle_dual` and `bundle_sum`: E ⊗ F, E* and E ⊕ F of
   bundle data, frame by frame and character by character (Kronecker,
   inverse-transpose and block-diagonal frames).  Klyachko's functor
@@ -988,6 +992,27 @@ def transition_at(data: CocharBundleData, s: int, t: int,
     g_s, g_t = data.frames[s], data.frames[t]
     return reference_product(g_s, character(s, 1), reference_inverse(g_s),
                              g_t, character(t, -1), reference_inverse(g_t))
+
+
+def reference_universe(data: CocharBundleData) -> List[Tuple[int, ...]]:
+    """The torus universe R, sorted: every tuple in the product over the
+    rays of the levels ⟨u, ρ⟩ of the characters u of the cones listing ρ,
+    whose restriction to each maximal cone is the level tuple of one of that
+    cone's characters.  The candidate lists are sorted, so the product is
+    too.  A ray that no maximal cone lists has no candidate, and R is then
+    empty."""
+    fan = data.fan
+
+    def level(u: Sequence[int], i: int) -> int:
+        return sum(x * y for x, y in zip(u, fan.rays[i]))
+
+    candidates = [sorted({level(u, i) for idx, chars in zip(fan.maximal_cones, data.chars)
+                          if i in idx for u in chars})
+                  for i in range(len(fan.rays))]
+    cone_tuples = [(idx, {tuple(level(u, i) for i in idx) for u in chars})
+                   for idx, chars in zip(fan.maximal_cones, data.chars)]
+    return [t for t in itertools.product(*candidates)
+            if all(tuple(t[i] for i in idx) in tuples for idx, tuples in cone_tuples)]
 
 
 # ---------------------------------------------------------------------------

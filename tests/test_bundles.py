@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from builders import identity, random_split_bundle, transpose
+from builders import P3, identity, random_split_bundle, transpose
 from oracle import (
     canonical_cone_decomposition,
     evaluate_laurent,
@@ -220,8 +220,6 @@ def test_gluing_matches_reference(p1, p2):
     assert min(verdicts.values()) >= 50
 
 
-P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
 # cones {(1,0), (0,1)} and {(1,1), (-1,1)} overlap in their interiors, and
 # neither extreme ray of the overlap, (0,1) or (1,1), is listed by both
 OVERLAPPING = Fan.make(2, [[1, 0], [0, 1], [1, 1], [-1, 1]], [[0, 1], [2, 3]])
@@ -285,17 +283,24 @@ def test_gluing_equals_frame_change_scan(p1, p2):
 
 
 def test_glued_data_on_a_valid_fan_solves_nothing(p1, p2):
-    """On a valid fan `check_gluing` asks each pair of maximal cones for its
-    overlap once."""
+    """The fan's gluing preconditions are decided once per fan value: after
+    the cache is cleared, the first check on a fan asks each pair of maximal
+    cones for its overlap once, and bundle data on an equal fan ask none."""
     rng = random.Random(59)
+
+    def overlaps_asked(data):
+        before = cone_intersection.cache_info()
+        assert check_gluing(data).glues
+        after = cone_intersection.cache_info()
+        return (after.hits + after.misses) - (before.hits + before.misses)
+
     for fan in (p1, p2, P3):
         pairs = len(fan.maximal_cones) * (len(fan.maximal_cones) - 1) // 2
+        bundles._gluing_refusals.cache_clear()
+        assert overlaps_asked(random_split_bundle(rng, fan, 1)) == pairs
         for n in (1, 2, 3):
-            data = random_split_bundle(rng, fan, n)
-            before = cone_intersection.cache_info()
-            assert check_gluing(data).glues
-            after = cone_intersection.cache_info()
-            assert (after.hits + after.misses) - (before.hits + before.misses) == pairs
+            equal = Fan.make(fan.rank, fan.rays, fan.maximal_cones)
+            assert overlaps_asked(random_split_bundle(rng, equal, n)) == 0
 
 
 def test_gluing_refuses_overlapping_fan():
@@ -310,6 +315,28 @@ def test_gluing_refuses_overlapping_fan():
         for case in (data, same):
             with pytest.raises(PreconditionError, match="cones 0 and 1"):
                 check_gluing(case)
+
+
+def test_gluing_refusals_keep_their_order():
+    """The fan's refusals are decided once per fan value but raised in the
+    order of the checks: a cone that is not top-dimensional before a
+    singular frame, and a singular frame before an overlap whose extreme
+    rays not both cones list; a repeated check and an equal fan raise the
+    same."""
+    singular = QMatrix.from_rows([[1, 1], [1, 1]])
+    lines = Fan.make(2, [[1, 0], [-1, 0]], [[0], [1]])
+    for _ in range(2):
+        for fan in (lines, Fan.make(2, lines.rays, lines.maximal_cones)):
+            data = CocharBundleData.make(GroupSpec("GL", 2), fan, [singular, I2],
+                                         [[(0, 0), (0, 0)]] * 2)
+            with pytest.raises(PreconditionError, match="maximal cone 0 is not top-dimensional"):
+                check_gluing(data)
+        for frames, error, text in (([singular, I2], ValueError, "^matrix is singular$"),
+                                    ([I2, I2], PreconditionError, "cones 0 and 1")):
+            data = CocharBundleData.make(GroupSpec("GL", 2), OVERLAPPING, frames,
+                                         [[(0, 0), (0, 0)]] * 2)
+            with pytest.raises(error, match=text):
+                check_gluing(data)
 
 
 def test_transition_matches_frames_at_points(p2):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import identity, random_split_bundle, square_cone_fan
+from builders import P3, identity, random_split_bundle, square_cone_fan, tangent_bundle
 from oracle import (
     bundle_dual,
     bundle_sum,
@@ -16,10 +16,9 @@ from oracle import (
     reference_tensor,
 )
 from toricfilt import filtrations, linalg
-from toricfilt.bundles import CocharBundleData, GroupSpec, associated_klyachko, check_gluing
+from toricfilt.bundles import associated_klyachko, check_gluing
 from toricfilt.compatibility import cone_compatibility
 from toricfilt.errors import InputError
-from toricfilt.fans import Fan
 from toricfilt.filtrations import (
     FiltrationData,
     RayFiltration,
@@ -41,10 +40,6 @@ from toricfilt.sampling import (
     random_subspace,
 )
 from toricfilt.serialize import filtration_from_obj, filtration_to_obj
-
-P3 = Fan.make(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
-              [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
-
 
 def line_data(fan, jumps_per_ray):
     """Rank-one data with the given jump index on each ray."""
@@ -529,18 +524,6 @@ def test_tensor_commutes_for_lines(jumps, other):
     fan = p1_fan()
     a, b = line_data(fan, jumps), line_data(fan, other)
     assert tensor(a, b) == tensor(b, a)
-
-
-def tangent_bundle(fan):
-    """The tangent bundle of a smooth fan: each cone's frame columns are its
-    rays, and the characters are the dual basis, level 1 on the column's
-    own ray and 0 on the cone's other rays."""
-    frames, chars = [], []
-    for cone in fan.maximal_cones:
-        frame = QMatrix.from_rows(zip(*(fan.rays[i] for i in cone)), len(cone))
-        frames.append(frame)
-        chars.append([tuple(map(int, row)) for row in reference_inverse(frame).entries])
-    return CocharBundleData.make(GroupSpec("GL", fan.rank), fan, frames, chars)
 
 
 def test_klyachko_functor_commutes_with_the_calculus(p1, p2):

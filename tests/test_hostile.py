@@ -6,7 +6,10 @@ covectors carry entries up to 296.  The tensor row multiplies two random
 dimension-9 filtrations on P^1 into an 81-dimensional ambient space, where
 elimination with unchecked coefficient growth runs for several seconds.  The
 algebra-check rows run on a P^1 bundle at the largest truncation degree
-inside the budget, so the degree budget must bound the time as well.
+inside the budget, so the degree budget must bound the time as well.  The
+torus rows run on split GL(9) bundles whose universe R has 3^k tuples on a
+rank-2 fan of k rays: at the budget on its boundary, and over it, where
+the join stops at the first partial universe over the budget.
 Each command runs in its own process with a 5 s timeout.
 """
 
@@ -19,8 +22,10 @@ import sys
 import pytest
 
 import toricfilt
+from builders import parity_split_bundle
+from toricfilt.reduction import MAX_UNIVERSE
 from toricfilt.sampling import p1_fan, random_filtration_data
-from toricfilt.serialize import filtration_to_obj
+from toricfilt.serialize import bundle_to_obj, filtration_to_obj
 
 BUDGET_S = 5
 
@@ -94,6 +99,20 @@ def test_algebra_check_at_degree_budget(tmp_path, n, degree):
     assert proc.returncode == 0, proc.stderr.decode()
     over = _run_cli("algebra-check", str(path), "--degree", str(degree + 1))
     assert over.returncode == 2, over.stderr.decode()
+
+
+@pytest.mark.parametrize("rays,code", [(8, 0), (10, 2)])
+def test_torus_universe_at_budget(tmp_path, rays, code):
+    """|R| = 3^8 is the budget itself and decides; 3^10 is refused."""
+    assert 3 ** 8 == MAX_UNIVERSE
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(bundle_to_obj(parity_split_bundle(rays))), encoding="utf-8")
+    proc = _run_cli("reduce", str(path), "--to", "torus")
+    assert proc.returncode == code, proc.stderr.decode()
+    if code:
+        assert f"> {MAX_UNIVERSE}" in proc.stderr.decode()
+    else:
+        assert json.loads(proc.stdout)["universe_size"] == MAX_UNIVERSE
 
 
 def _run_cli(*argv):

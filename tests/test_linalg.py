@@ -935,7 +935,7 @@ def test_module_caches_are_bounded():
                         bounded.add(where)
     assert unbounded == set()
     assert bounded == {("fans", "cone_from_generators"), ("fans", "cone_intersection"),
-                       ("algebras", "_shape")}
+                       ("algebras", "_shape"), ("bundles", "_gluing_refusals")}
 
 
 def test_kernel_matches_annihilator():

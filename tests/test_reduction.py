@@ -4,12 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from builders import identity, random_split_bundle, solve_integer
+from builders import (
+    P3,
+    blown_up_p2,
+    identity,
+    parity_split_bundle,
+    random_split_bundle,
+    solve_integer,
+    tangent_bundle,
+)
 from oracle import (
+    bundle_dual,
+    bundle_sum,
+    bundle_tensor,
     change_basis,
     reference_inverse,
     reference_product,
     reference_splitting_reconstructs,
+    reference_universe,
 )
 from toricfilt.bundles import (
     CocharBundleData,
@@ -35,6 +47,7 @@ from toricfilt.reduction import (
 )
 from toricfilt.sampling import (
     p1_fan,
+    p2_fan,
     random_bundle,
     random_invertible_matrix,
 )
@@ -387,3 +400,60 @@ def test_sl_verdict_and_assoc_invariant_under_frame_gauge(p2, tangent_p2_bundle)
             assert assoc(moved) == printed
     assert verdicts == {SL_REDUCES, SL_NO}
     assert glued >= 12
+
+
+def _shifted(rng, data):
+    """`data` with one character of one cone moved by ±1 in every
+    coordinate, which mostly breaks gluing but keeps some level tuples."""
+    chars = [list(cone_chars) for cone_chars in data.chars]
+    k, c = rng.randrange(len(chars)), rng.randrange(data.group.n)
+    chars[k][c] = tuple(x + rng.choice([-1, 1]) for x in chars[k][c])
+    return CocharBundleData.make(data.group, data.fan, data.frames, chars)
+
+
+def test_realized_tuples_match_reference_universe():
+    """The cone-by-cone join gives the list of `reference_universe`, which
+    filters the product of each ray's candidate levels, in the same order,
+    on seeded glued (split) and non-glued (split with one character moved,
+    and independent per cone) bundles of P^1, P^2, the 4-cone P^3 fan and
+    the 6-ray surface, and on the 729-tuple parity bundle of that surface."""
+    rng = random.Random(71)
+    cases = [parity_split_bundle(6)]
+    for fan in (p1_fan(), p2_fan(), P3, blown_up_p2(6)):
+        for i in range(12):
+            split = random_split_bundle(rng, fan, 1 + i % 4, -1, 1)
+            cases += [split, _shifted(rng, split), random_bundle(rng, fan, 1 + i % 4, -1, 1)]
+    nonempty = {True: 0, False: 0}
+    for data in cases:
+        universe = _realized_tuples(data)
+        assert universe == reference_universe(data), data
+        nonempty[check_gluing(data).glues] += bool(universe)
+    assert len(_realized_tuples(cases[0])) == 3 ** 6
+    assert nonempty[True] >= 60 and nonempty[False] >= 30, nonempty
+
+
+def test_torus_and_sl_verdicts_respect_the_calculus():
+    """On seeded glued bundles of P^1, P^2 and the 4-cone P^3 fan, E ⊕ F,
+    built frame by frame in the oracle, reduces to the torus exactly when E
+    and F do, and E ⊗ E* reduces to SL.  Every bundle on P^1 and every
+    split bundle reduces; the tangent bundles of P^2 and P^3 do not, and
+    neither does a sum with one of them as a summand (Krull-Schmidt).  The
+    determinant of E ⊗ E* has the character sum n·Σu − n·Σu = 0 on every
+    cone."""
+    rng = random.Random(13)
+    verdicts = {TORUS_REDUCES: 0, TORUS_NONE: 0}
+    for fan in (p1_fan(), p2_fan(), P3):
+        # (bundle, whether it reduces to the torus by construction)
+        glued = [(tangent_bundle(fan), False)] if fan.rank > 1 else []
+        for i in range(8):
+            sample = random_bundle if fan.rank == 1 else random_split_bundle
+            glued.append((sample(rng, fan, 1 + i % 2), True))
+        for e, reduces in glued:
+            assert check_torus_reduction(e).verdict == (TORUS_REDUCES if reduces else TORUS_NONE)
+            assert check_sl_reduction(bundle_tensor(e, bundle_dual(e))).verdict == SL_REDUCES
+        for _ in range(12):
+            (e, e_reduces), (f, f_reduces) = rng.choice(glued), rng.choice(glued)
+            verdict = check_torus_reduction(bundle_sum(e, f)).verdict
+            assert verdict == (TORUS_REDUCES if e_reduces and f_reduces else TORUS_NONE)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 5, verdicts
