@@ -19,6 +19,9 @@ Ray consistency is the reconstruction test: each ray's chain is built
 once, from the first cone that lists it, and every other cone on the ray
 passes when its frame columns, at their levels, rebuild that chain
 (`RayFiltration.reconstruction_failure`), so no second chain is built.
+A built chain records that it is valid (`_chain_from_cone`), so the test
+decides no nesting for it, and it decides containment by reduction: no
+kernel is taken.
 A ray that no maximal cone lists lies on no overlap: gluing skips it, and
 `associated_klyachko`, which needs a chain on it, refuses it first.
 
@@ -233,9 +236,16 @@ def _chain_from_cone(data: CocharBundleData, k: int, ray_idx: int) -> RayFiltrat
     first), so its columns are independent and each level, which has at
     least one column, adds rank: reversed into increasing index order, the
     values are nonzero and strictly decrease, and the chain is stored as
-    built (`RayFiltration._canonical`)."""
-    return RayFiltration._canonical(
+    built (`RayFiltration._canonical`).  It is valid: nested, since each
+    value is spanned by a subset of the columns that span the one before,
+    and full, since every column lies at or above the first level.  The
+    chain records that (`RayFiltration._valid`), so the reconstruction
+    test of `_ray_chains` and of the torus check decides no nesting for
+    it."""
+    chain = RayFiltration._canonical(
         data.group.n, column_chain(data.frames[k], _level_table(data)[k][ray_idx])[::-1])
+    RayFiltration._valid.keep(chain, True)
+    return chain
 
 
 def associated_klyachko(data: CocharBundleData) -> FiltrationData:

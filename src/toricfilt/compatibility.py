@@ -61,18 +61,23 @@ The verifier forms no sum: it checks that the pieces are a direct sum of
 the fiber from their dimensions and the rank of their rows (`linalg.rank`,
 which reads no canonical row), then tests the reconstruction equation
 on each ray with `RayFiltration.reconstruction_failure`, which compares
-dimensions and tests containment (`_rebuild_failure`): on a nested chain
+dimensions and tests containment (`_rebuild_failure`): on a valid chain
 one counted pass tests each piece once, in the value at its own level,
-and only a failure scans the probes for the first failing index.  The
-torus check of `reduction` decides through the same helper, and the ray
-consistency of bundle data (`bundles.associated_klyachko`) through the same
-reconstruction test.
+by reducing its rows against the value's canonical rows, and only a
+failure scans the probes for the first failing index.  So the verifier
+takes no kernel either.  The torus check of `reduction` decides through
+the same helper, and the ray consistency of bundle data
+(`bundles.associated_klyachko`) through the same reconstruction test.
+
+A cone's grid has a budget: the product of its rays' jump counts may not
+exceed MAX_GRID, which `_grid` checks first (InputError, exit code 2).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from math import prod
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -83,7 +88,7 @@ from .filtrations import FiltrationData, RayFiltration
 # of it to check that the tracer also wraps re-imported bindings
 from .linalg import (  # noqa: F401
     Subspace,
-    _reduce,
+    _held,
     cached_on_instance,
     complement_in,
     intersect,
@@ -95,6 +100,10 @@ from .lattice import integer_solver
 
 VERDICT_CERTIFICATE = "certificate"
 VERDICT_REFUTATION = "refutation"
+# budget on a cone's grid, the product of its rays' jump counts: 8^4, a
+# square cone carrying full flags in Q^8; the benchmark corpora reach 1728,
+# and the tests 625 apart from the budget's own boundary cases
+MAX_GRID = 4096
 
 
 @record
@@ -138,7 +147,14 @@ def _cone_of(data: FiltrationData, idx: Tuple[int, ...]) -> Cone:
 
 
 def _grid(data: FiltrationData, idx: Tuple[int, ...]):
+    """The cone's chains, each refused unless valid, and its jump tuples
+    in visiting order.  The grid has a budget: a cone whose rays' jump
+    counts multiply to more than MAX_GRID is refused with InputError
+    first, before a tuple is listed or a piece built."""
     filts = [data.ray(i) for i in idx]
+    size = prod(len(f.jumps) for f in filts)
+    if size > MAX_GRID:
+        raise InputError(f"cone grid is over budget: {size} jump tuples > {MAX_GRID}")
     for i, f in zip(idx, filts):
         f.require_valid(i)
     tuples = list(itertools.product(*[f.jump_indices() for f in filts]))
@@ -277,7 +293,7 @@ def graded_pieces(filts: Sequence[RayFiltration],
     spanned by v, each meet is W(t') or zero, and the chain's values
     decrease, so the line is W(t') up to the last value that holds v and
     zero after it; whether a value holds v is decided by reducing v
-    against its canonical rows (`linalg._reduce`).  Otherwise one sweep of
+    against its canonical rows (`linalg._held`).  Otherwise one sweep of
     the chain's adapted rows (`linalg.levelled_meets`) gives the whole
     line.  A chain's adapted rows are built for its first sweep and kept
     on the chain (`_sweep_rows`)."""
@@ -303,7 +319,7 @@ def graded_pieces(filts: Sequence[RayFiltration],
             v = space.rows[0]
             held = 0
             for _, value in f.jumps:
-                if len(value.rows) < ambient and any(_reduce(value.pivots, value.rows, v)):
+                if not _held(value, (v,)):
                     break
                 held += 1
             return [space] * held + [zero] * (len(f.jumps) + 1 - held)

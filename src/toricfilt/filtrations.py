@@ -25,7 +25,10 @@ eliminating their image (`linalg.maps_into`).  A chain
 is rebuilt from pieces that form a direct sum of the fiber by
 `RayFiltration.reconstruction_failure`, the one test of the reconstruction
 equation; the certificate verifier, the torus check and the ray
-consistency of bundle data all call it.
+consistency of bundle data all call it.  It compares dimensions and
+decides containment by one rule (`linalg._held`): a piece row lies in a
+value when it reduces to zero against the value's canonical rows, and a
+full value holds every row.  It takes no kernel.
 
 A chain that is not full, or not nested, is not a filtration.
 `RayFiltration.issues` is the one test of both, by annihilator products,
@@ -34,7 +37,10 @@ chain, so data from outside the package carry their verdict when they
 arrive; `RayFiltration.require_valid` raises a chain's first issue, naming
 its ray, and is the one refusal of `tensor`, `dual`, `direct_sum` and the
 compatibility engine.  The chains the package builds are valid by
-construction and are not checked.
+construction and are not checked when they are built.  The chains of
+bundle frames also record that they are valid (`RayFiltration._valid`),
+which the reconstruction test reads in place of their issues; `issues`
+and `validate` still decide validity whenever they are asked.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .fans import Fan
 from .linalg import (
     QMatrix,
     Subspace,
+    _held,
     annihilator,
     block_sum,
     cached_on_instance,
@@ -124,48 +131,59 @@ class RayFiltration:
 
         The pieces must form a direct sum of the fiber.  Then that sum
         equals the value V exactly when their dimensions add up to dim V and
-        each of them lies in V, an annihilator product against the cached
-        ann(V); no sum is formed.
+        each of them lies in V, which `linalg._held` decides by reducing
+        the piece rows against the canonical rows of V; no sum is formed
+        and no kernel is taken.
 
-        A valid chain is first tested in one counted pass (`_rebuilds`);
-        when that pass fails, or the chain is not valid, the probes are
-        scanned, so the failure reported is the first failing probe."""
+        A valid chain (`_valid`) is first tested in one counted pass
+        (`_rebuilds`); when that pass fails, or the chain is not valid, the
+        probes are scanned, so the failure reported is the first failing
+        probe."""
         if self._rebuilds(pieces, levels):
             return None
         probes = sorted(set(self.jump_indices()) | set(levels))
         for j in probes + [probes[-1] + 1] if probes else ():
             value = self.value(j)
-            above = [s for s, level in zip(pieces, levels) if level >= j]
-            if (sum(s.dim for s in above) != value.dim
-                    or not all(value.contains_subspace(s) for s in above)):
+            above = [row for s, level in zip(pieces, levels) if level >= j for row in s.rows]
+            if len(above) != len(value.rows) or not _held(value, above):
                 return j
         return None
 
     def _rebuilds(self, pieces: Sequence[Subspace], levels: Sequence[int]) -> bool:
         """Whether the counted pass of `reconstruction_failure` passes: the
-        chain is valid (`issues` is empty), every level is a jump index,
-        the piece dimensions summed from the last jump down reach each
-        value's dimension at its jump, and each piece lies in the value at
-        its own level, one annihilator product per piece.  Then every probe
-        passes: the pieces of level at least j are those at the jumps from
-        the first one at or after j, whose value V is the chain's value at
-        j (zero past the last jump, where no piece is left); their
+        chain is valid (`_valid`), every level is a jump index, the piece
+        dimensions summed from the last jump down reach each value's
+        dimension at its jump, and the pieces at each jump lie in its
+        value, one `_held` per jump for all of their rows.  Then every
+        probe passes: the pieces of level at least j are those at the jumps
+        from the first one at or after j, whose value V is the chain's value
+        at j (zero past the last jump, where no piece is left); their
         dimensions add up to dim V, and nesting puts each of them, inside
         the value at its own level, inside V."""
-        if self.issues():
+        if not self._valid():
             return False
-        values = dict(self.jumps)
-        added = dict.fromkeys(values, 0)
+        rows_at = {i: [] for i, _ in self.jumps}
         for s, level in zip(pieces, levels):
-            if level not in added:
+            rows = rows_at.get(level)
+            if rows is None:
                 return False
-            added[level] += len(s.rows)
+            rows.extend(s.rows)
         total = 0
         for i, value in reversed(self.jumps):
-            total += added[i]
+            total += len(rows_at[i])
             if total != len(value.rows):
                 return False
-        return all(values[level].contains_subspace(s) for s, level in zip(pieces, levels))
+        return all(_held(value, rows_at[i]) for i, value in self.jumps)
+
+    @cached_on_instance
+    def _valid(self) -> bool:
+        """Whether this chain is a filtration, as the counted pass of the
+        reconstruction test reads it: its `issues` are empty.  The chains
+        of bundle frames are valid by construction and record it when they
+        are built (`bundles._chain_from_cone`, through
+        `cached_on_instance`'s `keep`), so the test decides no nesting for
+        them; `issues` and `validate` still decide it whenever asked."""
+        return not self.issues()
 
     def adapted_rows(self) -> List[Tuple[int, Tuple[int, ...]]]:
         """For a nested chain, (level, row) pairs whose rows of level at

@@ -45,7 +45,7 @@ rows whose pivot lies in the right half, spanning their right halves to
 canonical rows only when the meet grows (its docstring gives the proof).
 The compatibility engine sweeps only spaces of dimension 2 or more: the
 meets of a line with a chain's values are the line or zero, which
-reducing its row against each value's canonical rows (`_reduce`) decides.
+reducing its row against each value's canonical rows (`_held`) decides.
 `record` makes the package's frozen value classes (as
 `dataclasses.dataclass(frozen=True)` would, without importing `dataclasses`,
 whose `inspect` and `ast` imports cost a CLI command more start-up time than
@@ -55,9 +55,10 @@ so a string, like a float or a boolean, raises TypeError here.
 `cached_on_instance` is the package's one per-instance cache: it keeps
 `annihilator`, a matrix's determinant and the lines of its columns
 (`column_lines`, not eliminated) here, and a cone's character quotient and
-integer solver, whether a quotient is the identity, a chain's issues and
-its sweep rows, the gluing report and the ray chains of bundle data
-elsewhere, in the instance dict of a frozen record.
+integer solver, whether a quotient is the identity, a chain's issues, its
+validity and its sweep rows, the gluing report and the ray chains of
+bundle data elsewhere, in the instance dict of a frozen record; its
+`keep` stores a value that a builder knows without computing it.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).
 A chain spanned by levelled vectors (`levelled_spans`, and `column_chain`
@@ -68,11 +69,16 @@ the chains of bundle frames are built this way.  `complement_in` appends
 the rows of the outer space to an echelon form of the sum of the inner ones
 and keeps those that add rank, deciding from their number whether that sum
 lies in the outer space.
-Containment of a vector or a subspace (`Subspace.contains`,
-`contains_subspace`, and `maps_into` on the unreduced image of a subspace)
-is an annihilator product against the target's cached annihilator: one
-kernel per target serves every test against it, which is cheaper on the
-hot paths than reducing each tested row against the target's rows.
+Containment has two rules, each where it measured faster.  The tests of
+validation and of the calculus (`Subspace.contains`, `contains_subspace`,
+which decides a chain's nesting, and `maps_into` on the unreduced image of
+a subspace) take an annihilator product against the target's cached
+annihilator: one kernel per target serves every test against it, which is
+cheaper there than reducing each tested row against the target's rows.
+The reconstruction test of `filtrations` tests each piece once, mostly
+against values that nothing else tests, so there a kernel per value would
+serve one test: `_held` reduces each piece row against the value's
+canonical rows and skips a full value, and takes no kernel.
 `QMatrix.det` runs Bareiss's fraction-free forward elimination on the
 integer rows, whose last pivot over den^n is the determinant; the
 insertion step divides rows by their content, which loses that scale.  The insertion step
@@ -166,7 +172,10 @@ def cached_on_instance(fn):
     kept by returning it as a value and raising it outside, as
     `bundles.associated_klyachko` does with its witness; a kept exception
     object would hold its traceback, and with it the frames and the
-    instance, alive."""
+    instance, alive.  `keep(obj, value)`, an attribute of the returned
+    function, stores `value` as fn(obj) without calling fn, for a builder
+    that knows the value from how it built `obj` (`bundles._chain_from_cone`
+    records that its chain is valid)."""
     key = "_" + fn.__name__
 
     @functools.wraps(fn)
@@ -177,6 +186,10 @@ def cached_on_instance(fn):
             object.__setattr__(obj, key, value)
         return value
 
+    def keep(obj, value):
+        object.__setattr__(obj, key, value)
+
+    cached.keep = keep
     return cached
 
 
@@ -329,6 +342,17 @@ def _reduce(pivots: Sequence[int], rows: Sequence[Sequence[int]],
                 v = _primitive([a * x - b * y for x, y in zip(v, row)])
                 unscaled = False
     return _primitive(v) if unscaled else v
+
+
+def _held(space: "Subspace", rows: Iterable[Sequence[int]]) -> bool:
+    """Whether `space` holds every one of the integer `rows`, with no
+    kernel: a full space holds everything, and otherwise each row must
+    reduce to zero against the canonical rows of `space` (`_reduce`),
+    which it does exactly when it lies in their span."""
+    if len(space.rows) == space.ambient:
+        return True
+    pivots = space.pivots
+    return not any(any(_reduce(pivots, space.rows, row)) for row in rows)
 
 
 def _append(pivots: List[int], rows: List[Sequence[int]], v: Sequence[int]) -> Optional[int]:

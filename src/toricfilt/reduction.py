@@ -24,7 +24,9 @@ definitive.  The nonzero pieces over R split the data exactly when their
 dimensions add up to n, they span the fiber (so they are a direct sum), and
 `RayFiltration.reconstruction_failure` finds no failure on any chain, the
 test of the certificate verifier (`compatibility._rebuild_failure`); the
-rows of the pieces are then the splitting lines.
+rows of the pieces are then the splitting lines.  The chains are those of
+the associated data, which record that they are valid when `bundles`
+builds them, so the test decides no nesting and takes no kernel.
 
 R is a join over the maximal cones, read off the level table of
 `bundles`, in which each column level is paired once per bundle.  A

@@ -12,7 +12,7 @@ from oracle import (
     reference_verify_cone_decomposition,
     tensor_certificate,
 )
-from toricfilt import compatibility, fans, lattice, linalg
+from toricfilt import compatibility, fans, filtrations, lattice, linalg
 from toricfilt.bundles import CocharBundleData, associated_klyachko, check_gluing
 from toricfilt.compatibility import (
     VERDICT_CERTIFICATE,
@@ -684,23 +684,23 @@ def test_graded_pieces_take_no_kernel(monkeypatch):
 
 def test_line_prefixes_take_no_sweep(monkeypatch, tangent_p2_bundle):
     """A prefix meet that is a line is settled by reducing its row against
-    the chain's values, with no sweep: on generic flags on P^2 at fiber
-    dimensions 2-8, on split data on P^3 and on the torus universes of
-    split and moved tangent bundles, the pieces equal those of the
-    reference engine, and `levelled_meets` never gets a one-dimensional
-    space."""
+    the chain's values (`linalg._held`), with no sweep: on generic flags
+    on P^2 at fiber dimensions 2-8, on split data on P^3 and on the torus
+    universes of split and moved tangent bundles, the pieces equal those
+    of the reference engine, and `levelled_meets` never gets a
+    one-dimensional space."""
     swept, reduced = [], []
 
     def counted_meets(space, levelled):
         swept.append(space.dim)
         return levelled_meets(space, levelled)
 
-    def counted_reduce(pivots, rows, v):
-        reduced.append(len(rows))
-        return linalg._reduce(pivots, rows, v)
+    def counted_held(space, rows):
+        reduced.append(space.dim)
+        return linalg._held(space, rows)
 
     monkeypatch.setattr(compatibility, "levelled_meets", counted_meets)
-    monkeypatch.setattr(compatibility, "_reduce", counted_reduce)
+    monkeypatch.setattr(compatibility, "_held", counted_held)
     rng = random.Random(53)
     fan = p2_fan()
     grids = []
@@ -770,14 +770,17 @@ def test_second_run_on_reloaded_fan_takes_no_smith_form(monkeypatch):
 
 def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
     """On P^3 every ray lies in three maximal cones.  Each chain's issues
-    are decided once, when its data are built: by `FiltrationData.make` for
-    loaded data, and by the reconstruction test of the ray consistency for
-    the chains of bundle data.  One `global_compatibility` run decides no
-    issue, builds each chain's sweep rows once, kept on the chain, and
-    looks each cone up once (`Fan.cone`); a second run on the same data
-    builds no rows.  A chain that is not nested is refused with the same
-    `_not_nested` text, ray and pair on every call, from every cone that
-    lists its ray and from `dual`, and its issues are decided once."""
+    are decided at most once: for loaded data by `FiltrationData.make`,
+    and for the chains of bundle data, which record when they are built
+    that they are valid and so pass the reconstruction test of the ray
+    consistency deciding none, by the first cone set-up that asks for
+    them.  After one `global_compatibility` run every chain's issues are
+    decided, and the run has built each chain's sweep rows once, kept on
+    the chain, and looked each cone up once (`Fan.cone`); a second run on
+    the same data decides no issue and builds no rows.  A chain that is
+    not nested is refused with the same `_not_nested` text, ray and pair
+    on every call, from every cone that lists its ray and from `dual`, and
+    its issues are decided once."""
     walks, sweeps, lookups = [], [], []
     walk = RayFiltration.__dict__["issues"].__wrapped__
     adapted_rows, cone = RayFiltration.adapted_rows, Fan.cone
@@ -798,17 +801,16 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
     monkeypatch.setattr(RayFiltration, "adapted_rows", counted_rows)
     monkeypatch.setattr(Fan, "cone", counted_cone)
     rng = random.Random(97)
-    for build, verdict in ((lambda: random_filtration_data(rng, P3, 4), "incompatible"),
-                           (lambda: associated_klyachko(random_split_bundle(rng, P3, 4)),
-                            "compatible")):
+    for build, verdict, loaded in (
+            (lambda: random_filtration_data(rng, P3, 4), "incompatible", True),
+            (lambda: associated_klyachko(random_split_bundle(rng, P3, 4)), "compatible", False)):
         walks.clear(), sweeps.clear(), lookups.clear()
         data = build()
         chains = sorted(id(f) for f in data.filtrations)
-        assert sorted(walks) == chains
-        walks.clear()
+        assert sorted(walks) == (chains if loaded else [])
         report = global_compatibility(data)
         assert report.verdict == verdict
-        assert walks == []
+        assert sorted(walks) == chains
         assert len(sweeps) > 1 and len(set(sweeps)) == len(sweeps) and set(sweeps) <= set(chains)
         assert lookups == list(P3.maximal_cones)
         walks.clear(), sweeps.clear(), lookups.clear()
@@ -829,26 +831,35 @@ def test_chains_and_cones_are_set_up_once_per_check(monkeypatch):
 def test_verifier_tests_each_piece_once_per_ray(monkeypatch):
     """On the seeded P^3 split data of
     `test_chains_and_cones_are_set_up_once_per_check`, a second
-    `global_compatibility` run, whose chains have their nesting decided
-    already, tests each certificate piece for containment once per ray of
-    its cone: the counted pass of `RayFiltration.reconstruction_failure`
-    tests a piece only in the value at its own level."""
+    `global_compatibility` run tests each certificate piece for
+    containment once per ray of its cone: each ray's reconstruction test
+    hands every row of the cone's pieces to the one containment rule
+    (`linalg._held`, spied on where `filtrations` binds it) exactly once,
+    since the counted pass tests a piece only in the value at its own
+    level and no probe scan follows."""
     rng = random.Random(97)
     random_filtration_data(rng, P3, 4)
     data = associated_klyachko(random_split_bundle(rng, P3, 4))
     report = global_compatibility(data)
     assert report.verdict == "compatible"
-    calls = []
-    contains = Subspace.contains_subspace
+    tested = []
+    held, rebuild = filtrations._held, RayFiltration.reconstruction_failure
 
-    def counted(space, other):
-        calls.append(other)
-        return contains(space, other)
+    def counted(value, rows):
+        tested[-1].extend(rows)
+        return held(value, rows)
 
-    monkeypatch.setattr(Subspace, "contains_subspace", counted)
+    def per_ray(chain, pieces, levels):
+        tested.append([])
+        return rebuild(chain, pieces, levels)
+
+    monkeypatch.setattr(filtrations, "_held", counted)
+    monkeypatch.setattr(RayFiltration, "reconstruction_failure", per_ray)
     assert global_compatibility(data) == report
-    tests = sum(len(c.certificate.pieces) * len(c.ray_indices) for c in report.cones)
-    assert len(calls) == tests == 48
+    expected = [sorted(row for _, piece in c.certificate.pieces for row in piece.rows)
+                for c in report.cones for _ in c.ray_indices]
+    assert [sorted(rows) for rows in tested] == expected
+    assert sum(len(c.certificate.pieces) * len(c.ray_indices) for c in report.cones) == 48
 
 
 def test_graded_pieces_of_chains_that_are_not_full():

@@ -15,7 +15,7 @@ from oracle import (
     reference_inverse,
     reference_tensor,
 )
-from toricfilt import filtrations, linalg
+from toricfilt import bundles, filtrations, linalg
 from toricfilt.bundles import associated_klyachko, check_gluing
 from toricfilt.compatibility import cone_compatibility
 from toricfilt.errors import InputError
@@ -299,6 +299,100 @@ def test_reconstruction_failure_matches_span_reference():
             found[kind].add(got is None)
     assert found == {"matching": {True}, "shifted": {False}, "swapped": {True, False},
                      "unnested": {False}, "below": {False}, "off": {False}}
+
+
+def _moved_pieces(rng, chain):
+    """The adapted lines of a valid chain at their levels, with the levels
+    of two lines a < b swapped where the value at b does not hold the line
+    from a, or None when no such pair exists.  The dimensions still add up
+    at every probe; only a containment test, in the value at b, which is
+    not the whole fiber, sees the failure."""
+    lines = [(level, span_canonical([row], chain.dim)) for level, row in chain.adapted_rows()]
+    pairs = [(x, y) for x, (a, u) in enumerate(lines) for y, (b, _) in enumerate(lines)
+             if a < b and not chain.value(b).contains_subspace(u)]
+    if not pairs:
+        return None
+    x, y = rng.choice(pairs)
+    levels = [level for level, _ in lines]
+    levels[x], levels[y] = levels[y], levels[x]
+    return [s for _, s in lines], levels
+
+
+def test_reconstruction_failure_matches_the_oracle_on_four_kinds_of_chain():
+    """Seeded property: `reconstruction_failure` names the same first
+    failing probe as the oracle (`first_chain_difference` of the chain
+    against the span of the pieces of level at least j) on four kinds of
+    chain.  Valid chains loaded through `FiltrationData.make`, with their
+    adapted lines at their levels or with one level shifted.  Loaded
+    chains that are not nested, which only the probe scan decides.  Chains
+    built from bundle frames (`bundles._chain_from_cone`), which record
+    that they are valid, against the frame lines of every cone on the ray.
+    And adapted lines with two levels swapped so that a value that is not
+    the whole fiber fails to hold a line while every dimension adds up
+    (`_moved_pieces`), which a containment test that skipped such a value
+    would pass."""
+    rng = random.Random(71)
+    found = {"loaded": set(), "unnested": set(), "bundle": set(), "moved": set()}
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        fan = rng.choice([p1_fan(), p2_fan()])
+        loaded = FiltrationData.make(fan, n, [random_ray_filtration(rng, n) for _ in fan.rays])
+        chain = loaded.ray(0)
+        rows = chain.adapted_rows()
+        levels = [level for level, _ in rows]
+        if rng.random() < 0.5:
+            k = rng.randrange(len(levels))
+            levels[k] += rng.choice([-1, 1])
+        cases = [("loaded", chain, [span_canonical([r], n) for _, r in rows], levels)]
+        if len(chain.jumps) > 1:
+            p = rng.randrange(len(chain.jumps) - 1)
+            values = [v for _, v in chain.jumps]
+            values[p], values[p + 1] = values[p + 1], values[p]
+            unnested = FiltrationData.make(fan, n, [
+                RayFiltration.make(n, list(zip(chain.jump_indices(), values)))] * len(fan.rays))
+            assert "not_nested" in {i["kind"] for i in validate(unnested).issues}
+            cases.append(("unnested", unnested.ray(0), cases[0][2], [lv for lv, _ in rows]))
+        moved = _moved_pieces(rng, chain)
+        if moved is not None:
+            cases.append(("moved", chain, *moved))
+        bundle = random_bundle(rng, fan, n)
+        ray = rng.randrange(len(fan.rays))
+        cones = [k for k, idx in enumerate(fan.maximal_cones) if ray in idx]
+        built = bundles._chain_from_cone(bundle, cones[0], ray)
+        for k in cones:
+            cases.append(("bundle", built, linalg.column_lines(bundle.frames[k]),
+                          bundles._level_table(bundle)[k][ray]))
+        for kind, c, pieces, lvs in cases:
+            got = c.reconstruction_failure(pieces, lvs)
+            assert got == _span_failure(c, pieces, lvs, n), kind
+            found[kind].add(got is None)
+    assert found == {"loaded": {True, False}, "unnested": {False}, "bundle": {True, False},
+                     "moved": {False}}
+
+
+def test_validate_decides_the_issues_of_built_chains(monkeypatch):
+    """The validity that the chains of bundle frames record when they are
+    built short-cuts only the reconstruction test: building the associated
+    data decides no chain's issues, and `validate` of those data then
+    decides every chain's issues, once each (a spy on `issues`)."""
+    walk = RayFiltration.__dict__["issues"].__wrapped__
+    walks = []
+
+    def issues(f):
+        walks.append(id(f))
+        return walk(f)
+
+    monkeypatch.setattr(RayFiltration, "issues", linalg.cached_on_instance(issues))
+    rng = random.Random(73)
+    for fan in (p1_fan(), p2_fan(), P3):
+        for n in range(1, 5):
+            data = associated_klyachko(random_split_bundle(rng, fan, n))
+            assert walks == []
+            assert validate(data).valid
+            assert sorted(walks) == sorted(id(f) for f in data.filtrations)
+            assert validate(data).valid
+            assert len(walks) == len(fan.rays)
+            walks.clear()
 
 
 def test_direct_sum_with_zero(p1, tangent_p2):

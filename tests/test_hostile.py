@@ -9,7 +9,9 @@ algebra-check rows run on a P^1 bundle at the largest truncation degree
 inside the budget, so the degree budget must bound the time as well.  The
 torus rows run on split GL(9) bundles whose universe R has 3^k tuples on a
 rank-2 fan of k rays: at the budget on its boundary, and over it, where
-the join stops at the first partial universe over the budget.
+the join stops at the first partial universe over the budget.  The grid
+rows run `compat` on full flags over the square cone, whose grid has d^4
+tuples in dimension d: at the budget and over it.
 Each command runs in its own process with a 5 s timeout.
 """
 
@@ -22,7 +24,9 @@ import sys
 import pytest
 
 import toricfilt
-from builders import parity_split_bundle
+from builders import identity, parity_split_bundle, square_cone_fan
+from toricfilt.bundles import CocharBundleData, GroupSpec, associated_klyachko
+from toricfilt.compatibility import MAX_GRID
 from toricfilt.reduction import MAX_UNIVERSE
 from toricfilt.sampling import p1_fan, random_filtration_data
 from toricfilt.serialize import bundle_to_obj, filtration_to_obj
@@ -113,6 +117,33 @@ def test_torus_universe_at_budget(tmp_path, rays, code):
         assert f"> {MAX_UNIVERSE}" in proc.stderr.decode()
     else:
         assert json.loads(proc.stdout)["universe_size"] == MAX_UNIVERSE
+
+
+def _square_flags(n):
+    """Filtration data on the square cone whose four chains are full flags
+    in Q^n, so that its grid has n^4 tuples: the associated data of the
+    diagonal GL(n) bundle with the characters (k, 2k, 3k), k < n, whose
+    levels 3k, 4k, 5k and 6k on the four rays are distinct.  They split,
+    so `compat` finds a certificate."""
+    bundle = CocharBundleData.make(GroupSpec("GL", n), square_cone_fan(), [identity(n)],
+                                   [[(k, 2 * k, 3 * k) for k in range(n)]])
+    return filtration_to_obj(associated_klyachko(bundle))
+
+
+@pytest.mark.parametrize("n,code", [(8, 0), (9, 2)])
+def test_cone_grid_at_budget(tmp_path, n, code):
+    """A grid of 8^4 tuples is the budget itself and decides; 9^4 is
+    refused before any piece is built."""
+    assert 8 ** 4 == MAX_GRID
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_square_flags(n)), encoding="utf-8")
+    proc = _run_cli("compat", str(path))
+    assert proc.returncode == code, proc.stderr.decode()
+    if code:
+        assert f"cone grid is over budget: {n ** 4} jump tuples > {MAX_GRID}" in \
+            proc.stderr.decode()
+    else:
+        assert json.loads(proc.stdout)["verdict"] == "compatible"
 
 
 def _run_cli(*argv):
