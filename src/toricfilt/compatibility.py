@@ -34,7 +34,11 @@ row against the chain's values.  The meets W(t) of any other line come
 from one Zassenhaus sweep of that chain's adapted rows, which the chain
 keeps for every cone that lists its ray (`linalg.levelled_meets`, which
 spans a meet to canonical rows only when it grows), and a complement
-decides its own containment guard from the ranks it counts.
+decides its own containment guard from the ranks it counts.  A line
+depends only on its chain and its prefix meet, so the chain keeps each
+line it is asked for in a memo keyed by the canonical rows of that meet
+(`_lines`): cones that share a ray and meet its chain with the same
+prefix, and later checks of the same data, sweep it once.
 
 The decision procedure is two-valued, and the first step that fails names
 the refutation:
@@ -51,8 +55,10 @@ the refutation:
    returned.  Certificates are always re-verified, and a failed
    re-verification raises instead of becoming a verdict.  The integral
    characters of one cone come from one Smith form of its generators,
-   which the cone keeps (`Cone.integer_solver`, next to `Cone.quotient`),
-   so a fan's cones build their lattice data once per process.  A check
+   composed into one integer matrix over one denominator, which the cone
+   keeps (`Cone.integer_solver`, next to `Cone.quotient`), so a fan's
+   cones build their lattice data once per process and each character is
+   one matrix-vector product and a divisibility test.  A check
    looks its cone up once and hands it to the solver and the verifier.
    Every maximal cone of a complete fan is full-dimensional, so its
    character classes are the characters themselves (`fans.CharQuotient`).
@@ -69,8 +75,11 @@ takes no kernel either.  The torus check of `reduction` decides through
 the same helper, and the ray consistency of bundle data
 (`bundles.associated_klyachko`) through the same reconstruction test.
 
-A cone's grid has a budget: the product of its rays' jump counts may not
-exceed MAX_GRID, which `_grid` checks first (InputError, exit code 2).
+A cone has two budgets, which `_grid` checks first (InputError, exit
+code 2): the fiber dimension may not exceed MAX_FIBER_DIM, and the
+product of its rays' jump counts, its grid, may not exceed MAX_GRID.  The
+grid bounds the number of jump tuples, the fiber dimension the work per
+grid line.
 """
 
 from __future__ import annotations
@@ -104,6 +113,11 @@ VERDICT_REFUTATION = "refutation"
 # square cone carrying full flags in Q^8; the benchmark corpora reach 1728,
 # and the tests 625 apart from the budget's own boundary cases
 MAX_GRID = 4096
+# budget on the fiber dimension of a cone's data, which the time of the
+# sweeps and complements follows (a P^3 cone of generic flags in Q^16 on a
+# grid of MAX_GRID takes about 0.3 s, in Q^32 about 2.6 s); the benchmark
+# corpora and the tests reach 10
+MAX_FIBER_DIM = 16
 
 
 @record
@@ -148,9 +162,12 @@ def _cone_of(data: FiltrationData, idx: Tuple[int, ...]) -> Cone:
 
 def _grid(data: FiltrationData, idx: Tuple[int, ...]):
     """The cone's chains, each refused unless valid, and its jump tuples
-    in visiting order.  The grid has a budget: a cone whose rays' jump
-    counts multiply to more than MAX_GRID is refused with InputError
-    first, before a tuple is listed or a piece built."""
+    in visiting order.  The cone has two budgets, checked first, before a
+    tuple is listed or a piece built: data of fiber dimension over
+    MAX_FIBER_DIM, and a cone whose rays' jump counts multiply to more
+    than MAX_GRID, are refused with InputError."""
+    if data.dim > MAX_FIBER_DIM:
+        raise InputError(f"fiber dimension is over budget: {data.dim} > {MAX_FIBER_DIM}")
     filts = [data.ray(i) for i in idx]
     size = prod(len(f.jumps) for f in filts)
     if size > MAX_GRID:
@@ -190,8 +207,7 @@ def _verify(data: FiltrationData, idx: Tuple[int, ...], cone: Cone,
         if len(char) != data.fan.rank:
             return "character has wrong length"
     failure = _rebuild_failure([piece for _, piece in dec.pieces], r, (
-        (data.ray(i), [sum(c * g for c, g in zip(char, data.fan.rays[i]))
-                       for char, _ in dec.pieces])
+        (data.ray(i), [sum(map(mul, char, data.fan.rays[i])) for char, _ in dec.pieces])
         for i in idx))
     if isinstance(failure, str):
         return failure
@@ -224,6 +240,16 @@ def _rebuild_failure(pieces: Sequence[Subspace], dim: int,
         if j is not None:
             return k, j
     return None
+
+
+@cached_on_instance
+def _lines(f: RayFiltration) -> Dict[Tuple[Tuple[int, ...], ...], List[Subspace]]:
+    """The grid lines of the chain `f` computed so far, keyed by the
+    canonical rows of their prefix meet: the meets of that space with every
+    value of `f`, then zero.  The memo is kept on the chain, so every cone
+    that lists its ray, and every later check of the same data, reads a
+    line that any of them has computed."""
+    return {}
 
 
 @cached_on_instance
@@ -288,15 +314,20 @@ def graded_pieces(filts: Sequence[RayFiltration],
 
     No meet takes a kernel.  W(t) = W(t') ∩ chain_k(t_k), t' the first k
     positions of t, and the meets of W(t') with every value of chain k (a
-    line) are computed when one of them is first read.  A line whose W(t')
-    is zero or the whole fiber costs nothing.  When W(t') is a line
-    spanned by v, each meet is W(t') or zero, and the chain's values
+    line) are computed when one of them is first read; a stored meet is
+    read from its dict.  The first chain's line is its own values.  A line
+    whose W(t') is zero or the whole fiber costs nothing.  When W(t') is a
+    line spanned by v, each meet is W(t') or zero, and the chain's values
     decrease, so the line is W(t') up to the last value that holds v and
     zero after it; whether a value holds v is decided by reducing v
     against its canonical rows (`linalg._held`).  Otherwise one sweep of
     the chain's adapted rows (`linalg.levelled_meets`) gives the whole
-    line.  A chain's adapted rows are built for its first sweep and kept
-    on the chain (`_sweep_rows`)."""
+    line.  A chain's adapted rows are built for its first sweep, and each
+    line of these two kinds is kept on the chain (`_sweep_rows`,
+    `_lines`), so another grid that reaches the same prefix meet reads it
+    from the memo."""
+    if not filts:
+        return {t: Subspace.full(ambient) for t in tuples}
     indices = [f.jump_indices() for f in filts]
     followed = [set(js[:-1]) for js in indices]
     radix = [len(js) + 1 for js in indices]
@@ -306,7 +337,10 @@ def graded_pieces(filts: Sequence[RayFiltration],
     below.reverse()
     stride = below[1:]
     zero = Subspace.zero(ambient)
-    w: List[Dict[int, Subspace]] = [{0: Subspace.full(ambient)}] + [{} for _ in filts]
+    # w[k]: W at the grid positions of the first k + 1 chains; the first
+    # chain's line is its own values
+    w: List[Dict[int, Subspace]] = [dict(enumerate([s for _, s in filts[0].jumps] + [zero]))]
+    w += [{} for _ in filts[1:]]
     last = w[-1]
 
     def line(space: Subspace, f: RayFiltration) -> List[Subspace]:
@@ -315,31 +349,33 @@ def graded_pieces(filts: Sequence[RayFiltration],
             return [zero] * (len(f.jumps) + 1)
         if dim == ambient:
             return [s for _, s in f.jumps] + [zero]
-        if dim == 1:
-            v = space.rows[0]
-            held = 0
-            for _, value in f.jumps:
-                if not _held(value, (v,)):
-                    break
-                held += 1
-            return [space] * held + [zero] * (len(f.jumps) + 1 - held)
-        skipped, rows = _sweep_rows(f)
-        return ([space] * skipped + [m for _, m in reversed(levelled_meets(space, rows))]
-                + [zero])
+        memo = _lines(f)
+        found = memo.get(space.rows)
+        if found is None:
+            if dim == 1:
+                v = space.rows[0]
+                held = 0
+                for _, value in f.jumps:
+                    if not _held(value, (v,)):
+                        break
+                    held += 1
+                found = [space] * held + [zero] * (len(f.jumps) + 1 - held)
+            else:
+                skipped, rows = _sweep_rows(f)
+                found = ([space] * skipped
+                         + [m for _, m in reversed(levelled_meets(space, rows))] + [zero])
+            memo[space.rows] = found
+        return found
 
     def meet(idx: int) -> Subspace:
-        found = last.get(idx)
-        if found is None:
-            k = len(filts) - 1
-            while idx // below[k] not in w[k]:
-                k -= 1
-            for k in range(k, len(filts)):
-                prefix = idx // below[k]
-                start = prefix * radix[k]
-                w[k + 1].update(zip(range(start, start + radix[k]),
-                                    line(w[k][prefix], filts[k])))
-            found = last[idx]
-        return found
+        k = len(filts) - 1
+        while idx // below[k] not in w[k - 1]:
+            k -= 1
+        for k in range(k, len(filts)):
+            prefix = idx // below[k]
+            start = prefix * radix[k]
+            w[k].update(zip(range(start, start + radix[k]), line(w[k - 1][prefix], filts[k])))
+        return last[idx]
 
     def covered(idx: int, dim: int, successors: List[Tuple[int, Subspace]]) -> bool:
         if any(len(s.rows) == dim for _, s in successors):
@@ -353,13 +389,13 @@ def graded_pieces(filts: Sequence[RayFiltration],
     pieces: Dict[Tuple[int, ...], Subspace] = {}
     for t in tuples:
         idx = sum(map(mul, map(bisect_left, indices, t), stride))
-        whole = meet(idx)
+        whole = last.get(idx) or meet(idx)  # a Subspace is never false
         dim = len(whole.rows)
         successors: List[Tuple[int, Subspace]] = []
         if dim:
             for k, i in enumerate(t):
                 if i in followed[k]:
-                    s = meet(idx + stride[k])
+                    s = last.get(idx + stride[k]) or meet(idx + stride[k])
                     if s.rows:
                         successors.append((k, s))
         if not successors:

@@ -224,7 +224,9 @@ class Cone:
     def integer_solver(self):
         """b -> an integral character u with <u, g_j> = b_j for the j-th
         generator, or None (`lattice.integer_solver`): one Smith form per
-        cone serves every right-hand side."""
+        cone, composed into one integer matrix over the lcm of its
+        invariant factors, serves every right-hand side with one product
+        and one divisibility test."""
         return integer_solver(self.generators)
 
 

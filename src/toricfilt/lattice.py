@@ -1,9 +1,11 @@
 """Integer lattice computations: Smith and Hermite normal forms, integral
 linear solving, primitive vectors.  `integer_solver(a)` computes the Smith
-form of A once and returns a solver for A x = b, so a caller with many
-right-hand sides against one matrix (the per-cone character solves of the
-compatibility checker, and the unit vectors whose solutions are the
-columns of a unimodular inverse in `fans`) pays for one Smith form.
+form of A once, composes it into one integer matrix over one denominator
+and returns a solver for A x = b, so a caller with many right-hand sides
+against one matrix (the per-cone character solves of the compatibility
+checker, and the unit vectors whose solutions are the columns of a
+unimodular inverse in `fans`) pays for one Smith form, and each solve is
+one matrix-vector product.
 
 Everything here works on plain tuples/lists of Python ints (arbitrary
 precision).  Sizes are desk scale (rank <= 6, a few dozen rows), so the
@@ -17,6 +19,7 @@ the pivot's magnitude for the next round.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 IntVector = Tuple[int, ...]
@@ -121,30 +124,37 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix,
 
 def integer_solver(a: Sequence[Sequence[int]]) -> Callable[[Sequence[int]], Optional[IntVector]]:
     """The map b -> one integral solution x of A x = b, or None.  The Smith
-    form U A V = D is computed once, here; each call then solves D y = U b
-    coordinatewise and returns x = V y.  Free coordinates of y are set to
-    zero, which makes the returned solution deterministic."""
+    form U A V = D, with nonzero invariant factors d_1 | ... | d_r, is
+    computed once, here, and composed into one integer matrix
+    S = V diag(L/d_1, ..., L/d_r, 0, ...) U over the denominator L = d_r,
+    the lcm of the factors (1 when r = 0).  A x = b is solvable exactly when (U b)_i = 0
+    for i >= r, the zero rows, and d_i divides (U b)_i for i < r; since V
+    is unimodular, the second holds exactly when L divides every entry of
+    S b.  Each call is that product, that divisibility test and the test
+    on the zero rows, and returns x = S b / L, which is V y for
+    y_i = (U b)_i / d_i with the free coordinates of y set to zero: a
+    deterministic solution."""
     m = len(a)
     n = len(a[0]) if m else 0
-    u, d, v = smith_normal_form(a) if m else ((), (), ())
-    r = min(m, n)
+    u, d, v = smith_normal_form(a)
+    factors = [d[i][i] for i in range(min(m, n)) if d[i][i]]
+    r = len(factors)
+    den = factors[-1] if factors else 1
+    # the columns of diag(L/d_i) U, each of length r (none when r = 0,
+    # which makes every row of S empty and every product zero)
+    columns = list(zip(*[[den // f * x for x in row] for f, row in zip(factors, u)]))
+    rows = [tuple(sum(map(mul, vi, col)) for col in columns) for vi in v]
+    zero_rows = u[r:]
 
     def solution(b: Sequence[int]) -> Optional[IntVector]:
         if len(b) != m:
             raise ValueError("right-hand side length mismatch")
-        if m == 0:
-            return tuple([0] * n)
-        c = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
-        y = [0] * n
-        for i in range(m):
-            di = d[i][i] if i < r else 0
-            if di != 0:
-                if c[i] % di != 0:
-                    return None
-                y[i] = c[i] // di
-            elif c[i] != 0:
-                return None
-        return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
+        if any(sum(map(mul, row, b)) for row in zero_rows):
+            return None
+        x = [sum(map(mul, row, b)) for row in rows]
+        if any(c % den for c in x):
+            return None
+        return tuple(c // den for c in x)
 
     return solution
 

@@ -56,8 +56,9 @@ so a string, like a float or a boolean, raises TypeError here.
 `annihilator`, a matrix's determinant and the lines of its columns
 (`column_lines`, not eliminated) here, and a cone's character quotient and
 integer solver, whether a quotient is the identity, a chain's issues, its
-validity and its sweep rows, the gluing report and the ray chains of
-bundle data elsewhere, in the instance dict of a frozen record; its
+validity, its sweep rows and its memo of grid lines, the gluing report
+and the ray chains of bundle data elsewhere, in the instance dict of a
+frozen record; its
 `keep` stores a value that a builder knows without computing it.
 `block_sum` eliminates nothing: its padded rows are canonical by
 construction (its docstring gives the proof).

@@ -72,6 +72,10 @@
   `level`, `row_degrees` and `chain_members` are the products, matrix
   entries, ray levels, row degrees and ray chains of a truncation,
   monomial by monomial.
+- `reference_integer_solution`: one integral solution of A x = b solved
+  coordinatewise from the Smith form, y = D⁺ U b with zeros on the free
+  coordinates and x = V y, which the composed matrix of
+  `toricfilt.lattice.integer_solver` must return exactly.
 - `reference_class_index` and `reference_canonical_representative`: the
   class and representative of a character read entry by entry from the
   rows of `v` and `v_inv`, which `toricfilt.fans.CharQuotient` must agree
@@ -133,7 +137,12 @@ from toricfilt.compatibility import (
 )
 from toricfilt.errors import InputError
 from toricfilt.fans import CharQuotient, Cone, Fan, NotPointedError, cone_intersection
-from toricfilt.lattice import hermite_normal_form, integer_kernel_basis, primitive_vector
+from toricfilt.lattice import (
+    hermite_normal_form,
+    integer_kernel_basis,
+    primitive_vector,
+    smith_normal_form,
+)
 from toricfilt.filtrations import FiltrationData, RayFiltration
 from toricfilt.linalg import (
     QMatrix,
@@ -669,6 +678,28 @@ def reference_is_face_of(face: Cone, cone: Cone) -> bool:
     _, rays = reference_dual_description(cone.rank, cone.dual_rays,
                                          equations=list(cone.perp_basis) + tight)
     return set(rays) == set(face.generators)
+
+
+def reference_integer_solution(a: Sequence[Sequence[int]],
+                               b: Sequence[int]) -> Optional[Tuple[int, ...]]:
+    """One integral solution x of A x = b, or None, solved coordinatewise
+    from the Smith form U A V = D: c = U b, y_i = c_i / d_i where d_i is a
+    nonzero invariant factor (None unless d_i divides c_i), c_i = 0 on every
+    other row (else None), y = 0 on the free coordinates, and x = V y."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u, d, v = smith_normal_form(a)
+    c = [sum(u[i][k] * b[k] for k in range(m)) for i in range(m)]
+    y = [0] * n
+    for i in range(m):
+        di = d[i][i] if i < min(m, n) else 0
+        if di:
+            if c[i] % di:
+                return None
+            y[i] = c[i] // di
+        elif c[i]:
+            return None
+    return tuple(sum(v[i][k] * y[k] for k in range(n)) for i in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from oracle import (
     weight_table,
 )
 from toricfilt.algebras import (
+    DEFAULT_DEGREE,
     _shape,
     build_truncation,
     check_coaction_commutes,
@@ -246,6 +247,18 @@ def test_bool_degree_and_cone_index_refused(p1):
     with pytest.raises(InputError, match="cone index must be an integer"):
         build_truncation(data, 1.0, 1)
     assert build_truncation(data, 1, 1).degree == 1
+
+
+def test_cone_index_past_the_last_cone_refused(p1):
+    """The cone index equal to the number of maximal cones, the first one
+    past the end, is refused with InputError, as is -1; the last cone
+    builds."""
+    data = gl2_bundle(p1, [[(1,), (0,)], [(0,), (2,)]])
+    last = len(data.fan.maximal_cones) - 1
+    for cone_index in (last + 1, -1):
+        with pytest.raises(InputError, match="^maximal cone index out of range$"):
+            build_truncation(data, cone_index)
+    assert build_truncation(data, last).degree == DEFAULT_DEGREE
 
 
 CASES = [(p1_fan(), 1, 4), (p1_fan(), 2, 3), (p1_fan(), 3, 2), (p2_fan(), 1, 4),

@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from builders import random_split_bundle, solve_integer, square_cone_fan, transpose
+from builders import (
+    blown_up_p2,
+    random_split_bundle,
+    solve_integer,
+    square_cone_fan,
+    transpose,
+)
 from oracle import (
     exhaustive_adapted_search,
     graded_decomposition,
@@ -719,6 +725,54 @@ def test_line_prefixes_take_no_sweep(monkeypatch, tangent_p2_bundle):
     for filts, tuples, dim in grids:
         assert graded_pieces(filts, tuples, dim) == reference_graded_pieces(filts, tuples, dim)
     assert 1 not in swept and len(swept) > 20 and len(reduced) > 20
+
+
+def test_grid_lines_are_swept_once_per_chain(monkeypatch):
+    """A chain keeps each grid line it is asked for, keyed by its prefix
+    meet, for every cone that lists its ray.  On seeded data on P^3, the
+    square cone and `blown_up_p2(6)`: a `global_compatibility` run sweeps
+    no (chain, prefix meet) twice, and fewer lines than the cones sweep
+    one by one on fresh copies of the data; every cone's pieces, read
+    from the memo, equal those of the reference engine; a second run on
+    the same data gives the same report with no sweep; and a freshly
+    loaded copy gives the same report again, sweeping as many lines as
+    the first run."""
+    sweeps = []
+
+    def counted(space, levelled):
+        sweeps.append((id(levelled), space.rows))
+        return levelled_meets(space, levelled)
+
+    monkeypatch.setattr(compatibility, "levelled_meets", counted)
+    rng = random.Random(59)
+    cases = []
+    for fan in (P3, square_cone_fan(), blown_up_p2(6)):
+        cases += [random_filtration_data(rng, fan, dim) for dim in (3, 4, 5, 6)]
+        cases += [_full_flag_data(rng, fan, 5, shared) for shared in (False, True)]
+    cases += [associated_klyachko(random_split_bundle(rng, fan, 5))
+              for fan in (P3, blown_up_p2(6))]
+    shared = alone = 0
+    for data in cases:
+        obj = filtration_to_obj(data)
+        del sweeps[:]
+        first = global_compatibility(data)
+        assert len(set(sweeps)) == len(sweeps)
+        count = len(sweeps)
+        shared += count
+        for idx in data.fan.maximal_cones:
+            filts, tuples = _grid(data, idx)
+            assert (graded_pieces(filts, tuples, data.dim)
+                    == reference_graded_pieces(filts, tuples, data.dim))
+            copy = filtration_from_obj(obj)
+            before = len(sweeps)
+            graded_pieces(*_grid(copy, idx), copy.dim)
+            alone += len(sweeps) - before
+        del sweeps[:]
+        assert global_compatibility(data) == first
+        assert sweeps == []
+        assert global_compatibility(filtration_from_obj(obj)) == first
+        assert len(sweeps) == count
+    assert 0 < shared < alone
 
 
 def test_character_solver_permutes_to_the_cone_generators():

@@ -11,7 +11,10 @@ torus rows run on split GL(9) bundles whose universe R has 3^k tuples on a
 rank-2 fan of k rays: at the budget on its boundary, and over it, where
 the join stops at the first partial universe over the budget.  The grid
 rows run `compat` on full flags over the square cone, whose grid has d^4
-tuples in dimension d: at the budget and over it.
+tuples in dimension d: at the budget and over it.  The fiber-dimension
+rows run `compat` on generic flags with 16 jumps on P^3, whose cones'
+grids are at the grid budget, in Q^16, the fiber-dimension budget, and in
+Q^17, over it.
 Each command runs in its own process with a 5 s timeout.
 """
 
@@ -24,11 +27,13 @@ import sys
 import pytest
 
 import toricfilt
-from builders import identity, parity_split_bundle, square_cone_fan
+from builders import P3, identity, parity_split_bundle, square_cone_fan
 from toricfilt.bundles import CocharBundleData, GroupSpec, associated_klyachko
-from toricfilt.compatibility import MAX_GRID
+from toricfilt.compatibility import MAX_FIBER_DIM, MAX_GRID
 from toricfilt.reduction import MAX_UNIVERSE
-from toricfilt.sampling import p1_fan, random_filtration_data
+from toricfilt.filtrations import FiltrationData, RayFiltration
+from toricfilt.linalg import span_canonical
+from toricfilt.sampling import p1_fan, random_filtration_data, random_invertible_matrix
 from toricfilt.serialize import bundle_to_obj, filtration_to_obj
 
 BUDGET_S = 5
@@ -144,6 +149,37 @@ def test_cone_grid_at_budget(tmp_path, n, code):
             proc.stderr.decode()
     else:
         assert json.loads(proc.stdout)["verdict"] == "compatible"
+
+
+def _p3_flags(n):
+    """Filtration data on the 4-cone fan of P^3 whose chains are seeded
+    generic flags in Q^n with 16 jumps: the value at k is spanned by rows k
+    and after of a random invertible matrix.  Each cone's grid has
+    16^3 = MAX_GRID tuples, and three generic flags do not split."""
+    rng = random.Random(n)
+    chains = []
+    for _ in P3.rays:
+        g = random_invertible_matrix(rng, n, -3, 3).entries
+        chains.append(RayFiltration.make(n, [(k, span_canonical(g[k:])) for k in range(16)]))
+    return filtration_to_obj(FiltrationData.make(P3, n, chains))
+
+
+@pytest.mark.parametrize("n,code", [(16, 1), (17, 2)])
+def test_fiber_dimension_at_budget(tmp_path, n, code):
+    """Generic flags in Q^16 on P^3, at both cone budgets, are decided
+    (no cone splits them); in Q^17 they are refused before any piece is
+    built."""
+    assert 16 == MAX_FIBER_DIM and 16 ** 3 == MAX_GRID
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(_p3_flags(n)), encoding="utf-8")
+    proc = _run_cli("compat", str(path))
+    assert proc.returncode == code, proc.stderr.decode()
+    if code == 2:
+        assert f"fiber dimension is over budget: {n} > {MAX_FIBER_DIM}" in proc.stderr.decode()
+    else:
+        report = json.loads(proc.stdout)
+        assert report["verdict"] == "incompatible"
+        assert {c["refutation"]["kind"] for c in report["cones"]} == {"reconstruction"}
 
 
 def _run_cli(*argv):

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from builders import solve_integer
-from oracle import reference_rref
+from oracle import reference_integer_solution, reference_rref
 from toricfilt.lattice import (
     hermite_normal_form,
     integer_kernel_basis,
@@ -192,33 +192,64 @@ def test_solve_integer_matches_sympy_invariant_factors():
     assert 0 < solvable < 300
 
 
-def test_integer_solver_matches_solve_integer():
-    """One solver per matrix gives solve_integer's answer for every
-    right-hand side: a solution of A x = b, or None exactly when sympy's
-    invariant factors say there is none."""
+def test_integer_solver_matches_reference_solution():
+    """One solver per matrix, which composes its Smith form into one
+    integer matrix, returns exactly the solution that the oracle solves
+    coordinatewise from the same Smith form (`reference_integer_solution`),
+    and None exactly when sympy's invariant factors say there is none: on
+    seeded matrices and right-hand sides, on matrices whose invariant
+    factors exceed 1, on rank-deficient ones, on the 4x3 generator matrix
+    of the square cone, and on inconsistent right-hand sides."""
     def factors(m):
         inv = invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
         return [abs(f) for f in inv if f != 0]
+
+    def check(a, b):
+        sol = integer_solver(a)(b)
+        assert sol == reference_integer_solution(a, b)
+        fa, fab = factors(a), factors([row + [c] for row, c in zip(a, b)])
+        assert (sol is not None) == (len(fa) == len(fab) and sympy.prod(fa) == sympy.prod(fab))
+        if sol is not None:
+            assert [sum(r * y for r, y in zip(row, sol)) for row in a] == list(b)
+        return sol
 
     rng = random.Random(12)
     outcomes = set()
     for _ in range(120):
         a, n = _lattice_rows(rng)
-        solve = integer_solver(a)
         for _ in range(4):
             b = [rng.randint(-6, 6) for _ in a]
             if rng.random() < 0.5:
                 x = [rng.randint(-3, 3) for _ in range(n)]
                 b = [sum(r * y for r, y in zip(row, x)) for row in a]
-            sol = solve(b)
-            assert sol == solve_integer(a, b)
-            fa, fab = factors(a), factors([row + [c] for row, c in zip(a, b)])
-            assert (sol is not None) == (len(fa) == len(fab) and sympy.prod(fa) == sympy.prod(fab))
-            if sol is not None:
-                assert [sum(r * y for r, y in zip(row, sol)) for row in a] == b
-            outcomes.add(sol is None)
+            outcomes.add(check(a, b) is None)
     assert outcomes == {True, False}
-    assert integer_solver([])([]) == ()
+
+    square = [[0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]]
+    special = {
+        ((2, 0), (0, 6)): [2, 6],
+        ((2, 4, 4), (-6, 6, 12), (10, 4, 16)): [2, 2, 156],
+        ((3, 6, 9),): [3],
+        ((4, 6), (6, 9), (2, 3)): [1],        # rank-deficient, tall
+        ((1, 2, 3), (2, 4, 6)): [1],          # rank-deficient, wide
+        tuple(map(tuple, square)): [1, 1, 1],
+    }
+    refused = 0
+    for a, expected in special.items():
+        a = [list(row) for row in a]
+        assert factors(a) == expected
+        for _ in range(30):
+            x = [rng.randint(-4, 4) for _ in a[0]]
+            b = [sum(r * y for r, y in zip(row, x)) for row in a]
+            assert check(a, b) is not None
+            b[rng.randrange(len(b))] += rng.choice([1, -1]) * rng.randint(1, 3)
+            refused += check(a, b) is None
+    assert refused > 100
+    # the square cone's generators satisfy g0 + g3 = g1 + g2
+    assert integer_solver(square)([0, 1, 1, 1]) is None
+    assert integer_solver(square)([0, 1, 1, 2]) == reference_integer_solution(square, [0, 1, 1, 2])
+    assert integer_solver([[1], [1]])([0, 1]) is None
+    assert integer_solver([])([]) == () == reference_integer_solution([], [])
     assert integer_solver([[2, 0]])([4]) == (2, 0)
     assert integer_solver([[2, 0]])([3]) is None
     with pytest.raises(ValueError):
